@@ -2,7 +2,6 @@
 graded-spike transport, and a fully simulated robot show."""
 
 from .events import (
-    DepthFrame,
     Event,
     EventStream,
     Frame,
@@ -11,7 +10,6 @@ from .events import (
     Trajectory,
     TrajectorySample,
     decode_evt1,
-    depth_mask,
     encode_evt1,
     frame_accumulate,
     frame_downsample,
@@ -54,7 +52,6 @@ from .sigma_delta import (
     SdState,
     SigmaDeltaNetwork,
     delta_encode,
-    sd_forward,
     sigma_decode,
 )
 from .theremin import (
@@ -66,9 +63,7 @@ from .theremin import (
     hands_to_control,
     note_freq,
     parse_score,
-    render_trace,
     score_to_trajectory,
-    write_wav,
 )
 from .tracker import HandEstimate, HandLabel, HandPoint, HandTracker, TrackerConfig
 from .transport import (

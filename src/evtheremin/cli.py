@@ -54,6 +54,8 @@ def _or_fail(fn, *args, **kwargs):
         raise click.ClickException(str(exc)) from exc
     except KeyError as exc:
         raise click.ClickException(f"missing field {exc}") from exc
+    except OSError as exc:
+        raise click.ClickException(str(exc)) from exc
 
 
 @click.group()

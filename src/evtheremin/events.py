@@ -1,4 +1,4 @@
-"""Event-camera data model: streams, frames, depth masking, synthesis, EVT1 codec.
+"""Event-camera data model: streams, frames, synthesis, EVT1 codec.
 
 Events are (t_us, x, y, polarity) records held in a packed numpy array.
 The EVT1 container stores them little-endian:
@@ -37,9 +37,6 @@ _WIRE_DTYPE = np.dtype(
 EVT1_MAGIC = b"EVT1"
 _EVT1_HEADER = struct.Struct("<4sHHI")
 assert _EVT1_HEADER.size == 12
-
-DEPTH_RANGE_MAX_M = 3.0
-
 
 class StreamError(ValueError):
     """Structurally invalid event data."""
@@ -140,12 +137,6 @@ class EventStream:
         order = np.argsort(self.data["t"], kind="stable")
         return EventStream(self.data[order], self.resolution)
 
-    def window(self, t0: int, t1: int) -> "EventStream":
-        """Events with t0 <= t < t1 (requires nothing about ordering)."""
-        t = self.data["t"]
-        mask = (t >= t0) & (t < t1)
-        return EventStream(self.data[mask], self.resolution)
-
     def span_us(self) -> tuple[int, int]:
         if len(self) == 0:
             return (0, 0)
@@ -166,27 +157,6 @@ class Frame:
         if self.cells.shape != (self.resolution.height, self.resolution.width):
             raise ValueError(
                 f"cells shape {self.cells.shape} does not match {self.resolution}"
-            )
-
-
-@dataclass
-class DepthFrame:
-    """Per-pixel range readings in meters; NaN marks 'no reading'."""
-
-    resolution: Resolution
-    depth_m: np.ndarray
-    far_max_m: float = DEPTH_RANGE_MAX_M
-
-    def __post_init__(self):
-        if self.depth_m.shape != (self.resolution.height, self.resolution.width):
-            raise ValueError(
-                f"depth shape {self.depth_m.shape} does not match {self.resolution}"
-            )
-        finite = self.depth_m[np.isfinite(self.depth_m)]
-        if len(finite) and (finite.min() <= 0 or finite.max() > self.far_max_m):
-            raise ValueError(
-                f"depth readings must lie in (0, {self.far_max_m}] m; "
-                f"got range [{finite.min()}, {finite.max()}]"
             )
 
 
@@ -230,31 +200,6 @@ def frame_downsample(frame: Frame, target: Resolution) -> Frame:
     out = np.zeros((target.height, target.width), dtype=np.int64)
     np.add.at(out, (ymap[:, None], xmap[None, :]), frame.cells)
     return Frame(target, out, frame.t_start, frame.t_end)
-
-
-def depth_mask(obj, depth: DepthFrame, near_m: float, far_m: float):
-    """Drop events (or zero frame cells) whose pixel depth is outside [near, far].
-
-    Pixels with no depth reading are treated as outside.  Works on an
-    EventStream or a Frame; resolution must match the depth frame.
-    """
-    if not (0 <= near_m < far_m):
-        raise ValueError(f"bad depth range [{near_m}, {far_m}]")
-    if far_m > depth.far_max_m:
-        raise ValueError(f"far {far_m} exceeds sensor range {depth.far_max_m}")
-    keep = (depth.depth_m >= near_m) & (depth.depth_m <= far_m)  # NaN compares False
-    if isinstance(obj, EventStream):
-        if obj.resolution != depth.resolution:
-            raise StreamError(f"stream {obj.resolution} vs depth {depth.resolution}")
-        d = obj.data
-        mask = keep[d["y"].astype(np.int64), d["x"].astype(np.int64)]
-        return EventStream(d[mask], obj.resolution)
-    if isinstance(obj, Frame):
-        if obj.resolution != depth.resolution:
-            raise ValueError(f"frame {obj.resolution} vs depth {depth.resolution}")
-        cells = np.where(keep, obj.cells, 0)
-        return Frame(obj.resolution, cells, obj.t_start, obj.t_end)
-    raise TypeError(f"cannot depth-mask {type(obj).__name__}")
 
 
 @dataclass(frozen=True)

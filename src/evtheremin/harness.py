@@ -15,19 +15,18 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .events import (
-    EventStream,
     Hand,
     Resolution,
     Trajectory,
     TrajectorySample,
     synth_hand_events,
 )
-from .neural_field import FieldParams, KernelParams
 from .orchestrator import (
     Module,
     Orchestrator,
@@ -130,8 +129,9 @@ class SynthParams:
 @dataclass
 class SimConfig:
     seed: int
-    scenario_path: str = ""
-    score_path: str = ""
+    # Config files name the two paths "scenario" and "score".
+    scenario_path: str = field(default="", metadata={"key": "scenario"})
+    score_path: str = field(default="", metadata={"key": "score"})
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     reorder_window: int = 8
@@ -387,17 +387,32 @@ def run_show(
             score_text = f.read()
     scenario = parse_scenario(scenario_text)
     score = parse_score(score_text)
+    segments = _scenario_segments(scenario)
     run = _ShowRun(cfg)
+    # Only the playing states need the score's hand positions; a show that
+    # never plays may carry an empty score.
+    traj = None
+    if any(seg.state in (ShowState.DUET, ShowState.TEACHING, ShowState.SOLO) for seg in segments):
+        traj = score_to_trajectory(
+            score,
+            cfg.calibration,
+            tempo=cfg.tempo,
+            geometry=cfg.geometry,
+            vol_range_m=cfg.vol_range_m,
+            resolution=cfg.tracker.input_res,
+            sample_ms=cfg.sample_ms,
+            ramp_ms=cfg.ramp_ms,
+        )
 
-    for seg_idx, seg in enumerate(_scenario_segments(scenario)):
+    for seg_idx, seg in enumerate(segments):
         run.state_ms[seg.state.value] += seg.t1_ms - seg.t0_ms
         t0_us = int(round(seg.t0_ms * 1000))
         t1_us = int(round(seg.t1_ms * 1000))
         run.clock.advance_to(t0_us)
         if seg.state in (ShowState.DUET, ShowState.TEACHING):
-            _run_tracking_segment(run, score, seg.state, t0_us, t1_us, seg_idx)
+            _run_tracking_segment(run, score, traj, seg.state, t0_us, t1_us, seg_idx)
         elif seg.state is ShowState.SOLO:
-            _run_solo_segment(run, score, t0_us, t1_us)
+            _run_solo_segment(run, traj, t0_us, t1_us)
         elif seg.state is ShowState.CALIBRATING:
             run.calibration_drift = max(run.calibration_drift, _run_calibration(cfg, score))
         run.clock.advance_to(t1_us)
@@ -446,26 +461,20 @@ def run_show(
 
 
 def _run_tracking_segment(
-    run: _ShowRun, score: Score, state: ShowState, t0_us: int, t1_us: int, seg_idx: int
+    run: _ShowRun,
+    score: Score,
+    score_traj: Trajectory,
+    state: ShowState,
+    t0_us: int,
+    t1_us: int,
+    seg_idx: int,
 ) -> None:
     """Score-driven hands seen by the sensor, tracked, shipped over the
     link, routed by the orchestrator, and (in a duet) played back."""
     cfg = run.cfg
     L = cfg.latencies
     signals = control_signals(state)
-    traj = _shift_trajectory(
-        score_to_trajectory(
-            score,
-            cfg.calibration,
-            tempo=cfg.tempo,
-            geometry=cfg.geometry,
-            vol_range_m=cfg.vol_range_m,
-            resolution=cfg.tracker.input_res,
-            sample_ms=cfg.sample_ms,
-            ramp_ms=cfg.ramp_ms,
-        ),
-        t0_us,
-    )
+    traj = _shift_trajectory(score_traj, t0_us)
     stream = synth_hand_events(
         traj,
         cfg.tracker.input_res,
@@ -476,32 +485,25 @@ def _run_tracking_segment(
         micro_step_us=cfg.synth.micro_step_us,
     )
     run.counts["events_generated"] += len(stream)
-    sorted_stream = stream.time_sorted()
-    ts = sorted_stream.data["t"]
     span_end = min(t1_us, traj.span_us()[1])
     payloads, send_times = [], []
     sent_at: dict[int, float] = {}
-    t = t0_us
-    while t < span_end:
-        w_end = t + cfg.tracker.window_us
-        i0, i1 = np.searchsorted(ts, [t, w_end])
-        window = EventStream(sorted_stream.data[i0:i1], stream.resolution)
-        est = run.tracker.step(window, int(w_end))
+    for est in run.tracker.run(stream, t0_us, span_end):
+        w_end = est.t_us
         run.counts["windows"] += 1
         run.counts["estimates"] += 1
         t_sent = float(w_end) + L.sensor_us + L.tracker_us
         spikes = _estimate_to_spikes(est)
-        payload = safe_encode(spikes, seq=run.seq, timestamp_us=int(w_end))
+        payload = safe_encode(spikes, seq=run.seq, timestamp_us=w_end)
         payloads.append(payload)
         send_times.append(t_sent)
-        sent_at[int(w_end)] = t_sent
+        sent_at[w_end] = t_sent
         run.counts["frames_sent"] += 1
         run.counts["records_sent"] += len(spikes)
         run.link_stats.sent += 1
         run.link_stats.bytes_sent += len(payload)
         run.link_stats.events_sent += len(spikes)
         run.seq = (run.seq + 1) & 0xFFFFFFFF
-        t = w_end
     if isinstance(run.tracker.detector, SigmaDeltaDetector):
         run.counts["detector_spikes"] = run.tracker.detector.total_spikes
     # Fresh sub-seed per segment so repeat visits to a state do not reuse
@@ -561,19 +563,9 @@ def _run_tracking_segment(
                 run.track_err_x.add(abs(p.x - tx))
 
 
-def _run_solo_segment(run: _ShowRun, score: Score, t0_us: int, t1_us: int) -> None:
+def _run_solo_segment(run: _ShowRun, traj: Trajectory, t0_us: int, t1_us: int) -> None:
     """The robot plays the score itself: exact positions, no tracking."""
     cfg = run.cfg
-    traj = score_to_trajectory(
-        score,
-        cfg.calibration,
-        tempo=cfg.tempo,
-        geometry=cfg.geometry,
-        vol_range_m=cfg.vol_range_m,
-        resolution=cfg.tracker.input_res,
-        sample_ms=cfg.sample_ms,
-        ramp_ms=cfg.ramp_ms,
-    )
     span = min(t1_us - t0_us, traj.span_us()[1])
     has_vol = Hand.RIGHT in traj.hands()
     step = cfg.sample_ms * 1000.0
@@ -767,94 +759,69 @@ def write_demo_files(directory) -> dict[str, str]:
 
 
 # --- config file handling -------------------------------------------------
+# The JSON form follows the dataclass type hints: a nested dataclass is an
+# object, a Resolution is [width, height], a tuple is a list.
+
+
+def _key(f) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _encode(value):
+    if isinstance(value, Resolution):
+        return [value.width, value.height]
+    if is_dataclass(value):
+        return {_key(f): _encode(getattr(value, f.name)) for f in dataclass_fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    def enc(value):
-        if isinstance(value, Resolution):
-            return [value.width, value.height]
-        if is_dataclass(value) and not isinstance(value, type):
-            return {f.name: enc(getattr(value, f.name)) for f in dataclass_fields(value)}
-        if isinstance(value, tuple):
-            return list(value)
-        return value
-
-    return {
-        "seed": cfg.seed,
-        "scenario": cfg.scenario_path,
-        "score": cfg.score_path,
-        "reorder_window": cfg.reorder_window,
-        "vol_range_m": list(cfg.vol_range_m),
-        "sample_ms": cfg.sample_ms,
-        "ramp_ms": cfg.ramp_ms,
-        "tempo": cfg.tempo,
-        "tracker": enc(cfg.tracker),
-        "channel": enc(cfg.channel),
-        "calibration": enc(cfg.calibration),
-        "geometry": enc(cfg.geometry),
-        "latencies": enc(cfg.latencies),
-        "energy": enc(cfg.energy),
-        "synth": enc(cfg.synth),
-    }
+    return _encode(cfg)
 
 
-def _build_dataclass(cls, obj: dict, path: str):
-    names = {f.name for f in dataclass_fields(cls)}
-    kwargs = {}
-    for key, value in obj.items():
-        if key not in names:
-            raise ValueError(f"unknown key {path}.{key}")
-        kwargs[key] = value
-    return cls(**kwargs)
+def _decode(tp, value, path: str):
+    """Build a value of type tp from parsed JSON; ValueError names the
+    dotted key of anything malformed or unknown."""
+    if tp is Resolution:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ValueError(f"{path} must be [width, height], got {value!r}")
+        return Resolution(*(_decode(int, v, path) for v in value))
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path or 'config'} must be an object, got {value!r}")
+        by_key = {_key(f): f for f in dataclass_fields(tp)}
+        unknown = sorted(set(value) - set(by_key))
+        if unknown and path:
+            raise ValueError(f"unknown key {path}.{unknown[0]}")
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        hints = get_type_hints(tp)
+        kwargs = {}
+        for key, f in by_key.items():
+            sub = f"{path}.{key}" if path else key
+            if key in value:
+                kwargs[f.name] = _decode(hints[f.name], value[key], sub)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"config needs a {sub}")
+        return tp(**kwargs)
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if not (isinstance(value, (list, tuple)) and len(value) == len(args)):
+            raise ValueError(f"{path} must be a list of {len(args)}, got {value!r}")
+        return tuple(_decode(a, v, path) for a, v in zip(args, value))
+    # JSON has one number type; an integer is a valid float, a bool is neither.
+    accepted = (int, float) if tp is float else tp
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise ValueError(f"{path} must be of type {tp.__name__}, got {value!r}")
+    return float(value) if tp is float else value
 
 
 def config_from_dict(obj: dict) -> SimConfig:
     """Build a SimConfig from parsed JSON.  Unknown keys are errors so a
     typo cannot silently fall back to a default."""
-    obj = dict(obj)
-    if "seed" not in obj:
-        raise ValueError("config needs a seed")
-    kwargs: dict = {
-        "seed": int(obj.pop("seed")),
-        "scenario_path": obj.pop("scenario", ""),
-        "score_path": obj.pop("score", ""),
-    }
-    if "reorder_window" in obj:
-        kwargs["reorder_window"] = int(obj.pop("reorder_window"))
-    if "vol_range_m" in obj:
-        kwargs["vol_range_m"] = tuple(obj.pop("vol_range_m"))
-    for scalar in ("sample_ms", "ramp_ms", "tempo"):
-        if scalar in obj:
-            kwargs[scalar] = float(obj.pop(scalar))
-    if "tracker" in obj:
-        t = dict(obj.pop("tracker"))
-        if "input_res" in t:
-            t["input_res"] = Resolution(*t["input_res"])
-        if "chip_res" in t:
-            t["chip_res"] = Resolution(*t["chip_res"])
-        if "field_params" in t:
-            t["field_params"] = _build_dataclass(
-                FieldParams, t["field_params"], "tracker.field_params"
-            )
-        if "kernel_params" in t:
-            t["kernel_params"] = _build_dataclass(
-                KernelParams, t["kernel_params"], "tracker.kernel_params"
-            )
-        if t.get("depth_range_m") is not None:
-            t["depth_range_m"] = tuple(t["depth_range_m"])
-        kwargs["tracker"] = _build_dataclass(TrackerConfig, t, "tracker")
-    for key, cls in (
-        ("channel", ChannelConfig),
-        ("calibration", PitchCalibration),
-        ("geometry", PixelGeometry),
-        ("latencies", StageLatencies),
-        ("energy", EnergyConstants),
-        ("synth", SynthParams),
-    ):
-        if key in obj:
-            kwargs[key] = _build_dataclass(cls, dict(obj.pop(key)), key)
-    if obj:
-        raise ValueError(f"unknown config keys: {sorted(obj)}")
-    return SimConfig(**kwargs)
+    return _decode(SimConfig, obj, "")
 
 
 def load_config(path) -> SimConfig:

@@ -67,11 +67,6 @@ class KernelParams:
             raise ValueError("kernel amplitudes and g_inh must be >= 0")
 
 
-def tracking_params() -> tuple[FieldParams, KernelParams]:
-    """Multi-peak regime: local competition only, peaks can coexist."""
-    return FieldParams(), KernelParams(g_inh=0.0)
-
-
 def selective_params() -> tuple[FieldParams, KernelParams]:
     """Winner-take-all regime: global inhibition plus a tiny deterministic
     scan-order bias so exact ties resolve to the earlier cell."""

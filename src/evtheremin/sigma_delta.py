@@ -7,12 +7,12 @@ spike values reconstructs the activation to within `theta` at every
 step.  With theta = 0 any change at all is sent and the reconstruction
 is exact.
 
-`sd_forward` runs a small dense network where every inter-layer boundary
-communicates only through this encode/decode pair: layer k computes its
-activations from the decoded output of layer k-1, encodes them, and the
-next consumer decodes.  Per boundary the reconstruction adds at most
-theta of error; a weight matrix W inflates incoming error by at most
-its max-absolute-row-sum norm.
+`SigmaDeltaNetwork` runs a small dense network where every inter-layer
+boundary communicates only through this encode/decode pair: layer k
+computes its activations from the decoded output of layer k-1, encodes
+them, and the next consumer decodes.  Per boundary the reconstruction
+adds at most theta of error; a weight matrix W inflates incoming error
+by at most its max-absolute-row-sum norm.
 """
 
 from __future__ import annotations
@@ -46,19 +46,12 @@ class SpikeBatch:
     addresses: np.ndarray
     values: np.ndarray
 
-    @classmethod
-    def empty(cls) -> "SpikeBatch":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-
     def __len__(self) -> int:
         return len(self.addresses)
 
     def __iter__(self):
         for a, v in zip(self.addresses, self.values):
             yield GradedSpike(int(a), float(v))
-
-    def to_list(self) -> list[GradedSpike]:
-        return list(self)
 
 
 @dataclass
@@ -213,60 +206,3 @@ class SigmaDeltaNetwork:
             sigma_decode(self.accumulators[k], spikes)
             h = self.accumulators[k]
         return h.copy(), counts
-
-
-def sd_forward(net: DenseNet, inputs, theta: float):
-    """Run a sequence of input vectors through the spiking pipeline.
-
-    Returns (outputs, spike_counts) where outputs is the list of decoded
-    final-layer reconstructions per step and spike_counts the total
-    spikes emitted at each layer boundary.
-    """
-    runner = SigmaDeltaNetwork(net, theta)
-    outputs = []
-    totals = [0] * len(net.layers)
-    for x in inputs:
-        out, counts = runner.step(x)
-        outputs.append(out)
-        for k, c in enumerate(counts):
-            totals[k] += c
-    return outputs, totals
-
-
-def save_network(net: DenseNet, path) -> None:
-    """Text format: dims header then row-major values, one row per line."""
-    lines = [f"layers {len(net.layers)}"]
-    for layer in net.layers:
-        w = layer.weights.toarray() if sp.issparse(layer.weights) else layer.weights
-        lines.append(f"layer {layer.out_size} {layer.in_size} {layer.activation}")
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        lines.append(" ".join(repr(float(v)) for v in layer.bias))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_network(path) -> DenseNet:
-    with open(path) as f:
-        tokens = [ln.strip() for ln in f if ln.strip()]
-    if not tokens or not tokens[0].startswith("layers "):
-        raise ValueError("network file must start with 'layers <n>'")
-    n_layers = int(tokens[0].split()[1])
-    pos = 1
-    layers = []
-    for _ in range(n_layers):
-        head = tokens[pos].split()
-        if head[0] != "layer" or len(head) != 4:
-            raise ValueError(f"bad layer header: {tokens[pos]!r}")
-        rows, cols, activation = int(head[1]), int(head[2]), head[3]
-        pos += 1
-        w = np.array(
-            [[float(v) for v in tokens[pos + r].split()] for r in range(rows)]
-        )
-        if w.shape != (rows, cols):
-            raise ValueError(f"weight block is {w.shape}, header says {(rows, cols)}")
-        pos += rows
-        bias = np.array([float(v) for v in tokens[pos].split()])
-        pos += 1
-        layers.append(Layer(w, bias, activation))
-    return DenseNet(layers)

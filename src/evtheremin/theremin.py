@@ -1,4 +1,4 @@
-"""Theremin control model: pitch/volume laws, scores, calibration, rendering.
+"""Theremin control model: pitch/volume laws, scores, calibration.
 
 Pitch follows an exponential distance law around a reference point,
 
@@ -6,15 +6,12 @@ Pitch follows an exponential distance law around a reference point,
 
 so every octave_m meters toward the pitch antenna raises the pitch one
 octave.  Volume is a linear ramp of the volume hand's height between
-h_min and h_max.  Scores are text files of NOTE/VOL lines; rendering is
-a phase-continuous sine with optional vibrato, written as 16-bit mono
-WAV.
+h_min and h_max.  Scores are text files of NOTE/VOL lines.
 """
 
 from __future__ import annotations
 
 import math
-import wave
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,13 +161,6 @@ class Score:
 
     def duration_ms(self) -> float:
         return sum(n.duration_ms for n in self.notes)
-
-    def note_starts_ms(self) -> list[float]:
-        starts, t = [], 0.0
-        for n in self.notes:
-            starts.append(t)
-            t += n.duration_ms
-        return starts
 
     def freq_at_ms(self, t_ms: float) -> float:
         """Nominal score frequency at a time, ignoring transition ramps."""
@@ -355,70 +345,3 @@ def calibrate_pitch(samples: list[tuple[float, float]]) -> PitchCalibration:
     d_ref = float(d.mean())
     f_ref = float(2.0 ** (intercept + slope * d_ref))
     return PitchCalibration(d_ref, f_ref, octave_m)
-
-
-@dataclass(frozen=True)
-class Vibrato:
-    depth_cents: float = 0.0
-    rate_hz: float = 5.0
-
-    def __post_init__(self):
-        if self.depth_cents < 0 or self.rate_hz < 0:
-            raise ValueError("vibrato depth and rate must be >= 0")
-
-
-def render_trace(
-    points: list[ControlPoint],
-    sample_rate: int = 22050,
-    vibrato: Vibrato | None = None,
-    end_us: int | None = None,
-) -> np.ndarray:
-    """Render control points to int16 PCM with a phase-continuous sine.
-
-    Frequency and amplitude hold their last value between points
-    (zero-order hold).  Vibrato modulates the instantaneous frequency by
-    2 ** ((depth_cents / 1200) * sin(2 pi rate t)); depth 0 is bit-identical
-    to no vibrato.
-    """
-    if sample_rate < 8000:
-        raise ValueError("sample rate must be >= 8000")
-    if not points:
-        return np.zeros(0, dtype=np.int16)
-    ts = np.array([p.t_us for p in points], dtype=np.int64)
-    if np.any(np.diff(ts) < 0):
-        raise ValueError("control points must be time-ordered")
-    t0 = int(ts[0])
-    t1 = int(end_us) if end_us is not None else int(ts[-1])
-    if t1 <= t0:
-        return np.zeros(0, dtype=np.int16)
-    n = int(round((t1 - t0) * 1e-6 * sample_rate))
-    t_us = t0 + (np.arange(n, dtype=np.float64) / sample_rate) * 1e6
-    idx = np.searchsorted(ts, t_us, side="right") - 1
-    idx = np.clip(idx, 0, len(points) - 1)
-    freq = np.array([p.freq_hz for p in points])[idx]
-    amp = np.array([p.amp for p in points])[idx]
-    if vibrato is not None and vibrato.depth_cents > 0:
-        t_s = (t_us - t0) * 1e-6
-        freq = freq * 2.0 ** (
-            (vibrato.depth_cents / 1200.0) * np.sin(2 * np.pi * vibrato.rate_hz * t_s)
-        )
-    phase = 2 * np.pi * np.cumsum(freq) / sample_rate
-    pcm = amp * np.sin(phase)
-    return np.clip(np.round(pcm * 32767.0), -32768, 32767).astype(np.int16)
-
-
-def write_wav(path, pcm: np.ndarray, sample_rate: int) -> None:
-    """16-bit mono PCM WAV."""
-    with wave.open(str(path), "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(sample_rate)
-        w.writeframes(pcm.astype("<i2").tobytes())
-
-
-def read_wav(path) -> tuple[np.ndarray, int]:
-    with wave.open(str(path), "rb") as w:
-        if w.getnchannels() != 1 or w.getsampwidth() != 2:
-            raise ValueError("expected 16-bit mono WAV")
-        data = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
-        return data, w.getframerate()

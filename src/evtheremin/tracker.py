@@ -1,12 +1,12 @@
 """Hand tracking: event frames in, labeled pitch/volume hand estimates out.
 
 Pipeline per step: accumulate the window's events at sensor resolution,
-optionally depth-mask, downsample to the on-chip grid, turn counts into
-a detector heatmap (event-density blob filter or a sigma-delta network),
-drive the neural field one step with the heatmap, and read peaks back
-out as upscaled hand positions.  The field's inertia is what rejects
-distractor events; when nothing is detected the previous estimate is
-held with its confidence halved each step.
+downsample to the on-chip grid, turn counts into a detector heatmap
+(event-density blob filter or a sigma-delta network), drive the neural
+field one step with the heatmap, and read peaks back out as upscaled
+hand positions.  The field's inertia is what rejects distractor events;
+when nothing is detected the previous estimate is held with its
+confidence halved each step.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.ndimage import gaussian_filter
 
-from .events import DepthFrame, EventStream, Frame, Resolution, depth_mask, frame_accumulate, frame_downsample
+from .events import EventStream, Frame, Resolution, frame_accumulate, frame_downsample
 from .neural_field import Field, FieldParams, KernelParams, LateralKernel, Peak, detect_peaks, field_step, make_kernel
 from .sigma_delta import DenseNet, Layer, SigmaDeltaNetwork
 
@@ -82,7 +82,6 @@ class TrackerConfig:
     min_separation_cells: float = 6.0
     min_peak_mass: float = 1.0
     mirror: bool = True
-    depth_range_m: tuple[float, float] | None = None
     confidence_decay: float = 0.5
     blur_sigma_cells: float = 1.5
     sd_theta: float = 0.02
@@ -266,13 +265,10 @@ class HandTracker:
         # Cell-center rule: undoes the half-cell bias of floor downsampling.
         return ((p.x + 0.5) * sx, (p.y + 0.5) * sy)
 
-    def step(self, window: EventStream, t_end: int, depth: DepthFrame | None = None) -> HandEstimate:
+    def step(self, window: EventStream, t_end: int) -> HandEstimate:
         cfg = self.config
         t_start = t_end - cfg.window_us
         frame = frame_accumulate(window, t_start, t_end, cfg.input_res)
-        if cfg.depth_range_m is not None and depth is not None:
-            near, far = cfg.depth_range_m
-            frame = depth_mask(frame, depth, near, far)
         chip = frame_downsample(frame, cfg.chip_res)
         heat = detect_heatmap(chip, self.detector)
         if cfg.use_field:
@@ -300,18 +296,21 @@ class HandTracker:
     def run(self, stream: EventStream, t_start: int | None = None, t_end: int | None = None) -> list[HandEstimate]:
         """Track a whole stream in fixed windows; timestamps at window ends."""
         cfg = self.config
-        if len(stream) == 0 and (t_start is None or t_end is None):
-            return []
-        lo, hi = stream.span_us()
-        t_start = lo if t_start is None else t_start
-        t_end = hi + 1 if t_end is None else t_end
+        if t_start is None or t_end is None:
+            if len(stream) == 0:
+                return []
+            lo, hi = stream.span_us()
+            t_start = lo if t_start is None else t_start
+            t_end = hi + 1 if t_end is None else t_end
         data = stream.time_sorted()
         ts = data.data["t"]
         out = []
         t = t_start
         while t < t_end:
             w_end = t + cfg.window_us
-            i0, i1 = np.searchsorted(ts, [t, w_end])
+            # Keys of the column's own dtype: Python-int keys make NumPy
+            # cast the whole column on every call.
+            i0, i1 = np.searchsorted(ts, np.array([t, w_end], dtype=ts.dtype))
             window = EventStream(data.data[i0:i1], stream.resolution)
             out.append(self.step(window, int(w_end)))
             t = w_end

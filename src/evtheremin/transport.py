@@ -88,11 +88,6 @@ class TrailingDataError(DecodeError):
     kind = "trailing_data"
 
 
-def event_to_spike(x: int, y: int, polarity: int, width: int) -> GradedSpike:
-    """Flatten an event to AER form: address = y * width + x, value = polarity."""
-    return GradedSpike(y * width + x, polarity)
-
-
 def raw_encode(spikes) -> bytes:
     """Pack spikes as RAW words.  Values must be nonzero integers in [-128, 127]."""
     spikes = list(spikes)
@@ -119,21 +114,6 @@ def raw_decode(data: bytes) -> list[GradedSpike]:
         i = int(np.nonzero(values == 0)[0][0])
         raise DecodeError(f"word {i} carries a zero value")
     return [GradedSpike(int(a), int(v)) for a, v in zip(addresses, values)]
-
-
-def quantize_values(spikes, scale: float) -> list[GradedSpike]:
-    """Scale real spike values to i8 for the RAW profile; zeros are dropped.
-
-    The scale itself is link metadata and never goes on the wire.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    out = []
-    for s in spikes:
-        q = int(np.clip(round(s.value / scale), -128, 127))
-        if q != 0:
-            out.append(GradedSpike(s.address, q))
-    return out
 
 
 @dataclass(frozen=True)
@@ -486,16 +466,6 @@ class SafeReceiver:
 
     def _refresh_lost(self) -> None:
         self.stats.lost = max(0, self._gap_frames - self.stats.corrupted_dropped)
-
-
-def receiver_ingest(frames, reorder_window: int = 8):
-    """Run decoded frames through a SafeReceiver; returns (events, stats)."""
-    rx = SafeReceiver(reorder_window)
-    events = []
-    for frame in frames:
-        events.extend(rx.ingest(frame))
-    events.extend(rx.finalize())
-    return events, rx.stats
 
 
 def dump_frame(data: bytes) -> str:

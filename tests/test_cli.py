@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from evtheremin.cli import main
@@ -100,6 +101,29 @@ class TestShowAndReport:
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "unknown config keys" in result.output
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"tracker": {"input_res": [240]}}, "tracker.input_res"),
+            ({"channel": 5}, "channel"),
+            ({"vol_range_m": 0.2}, "vol_range_m"),
+            ({"tracker": {"field_params": [1]}}, "tracker.field_params"),
+            ({"scenario": "missing-scenario.txt"}, "missing-scenario.txt"),
+            ({"score": "missing-score.txt"}, "missing-score.txt"),
+        ],
+    )
+    def test_malformed_config_fails_cleanly(self, tmp_path, fields, message):
+        (tmp_path / "score.txt").write_text("NOTE 60 100\n")
+        (tmp_path / "scenario.txt").write_text("AT 0 INTENT StartConversation\n")
+        obj = {"seed": 1, "scenario": "scenario.txt", "score": "score.txt", **fields}
+        obj = {k: str(tmp_path / v) if k in ("scenario", "score") else v for k, v in obj.items()}
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(obj))
+        result = CliRunner().invoke(main, ["show", "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert message in result.output
 
     def test_truncated_report_fails_cleanly(self, tmp_path):
         path = tmp_path / "partial.json"

@@ -1,0 +1,146 @@
+"""Property tests of the config file codec over random valid configs."""
+
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from evtheremin.events import Resolution
+from evtheremin.harness import (
+    EnergyConstants,
+    SimConfig,
+    StageLatencies,
+    SynthParams,
+    config_from_dict,
+    config_to_dict,
+)
+from evtheremin.neural_field import FieldParams, KernelParams
+from evtheremin.theremin import PitchCalibration, PixelGeometry
+from evtheremin.tracker import TrackerConfig
+from evtheremin.transport import ChannelConfig
+
+
+def floats(lo=None, hi=None):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+positive = floats(1e-3, 1e3)
+nonnegative = floats(0.0, 1e6)
+probability = floats(0.0, 1.0)
+
+
+@st.composite
+def resolutions(draw):
+    """An (input, chip) pair with the chip no larger than the input."""
+    w, h = draw(st.integers(1, 4096)), draw(st.integers(1, 4096))
+    return Resolution(w, h), Resolution(draw(st.integers(1, w)), draw(st.integers(1, h)))
+
+
+field_params = st.builds(
+    lambda tau, dt_frac, h, beta, tie_break: FieldParams(tau, h, beta, tau * dt_frac, tie_break),
+    positive, floats(1e-3, 1.0), floats(-1e3, -1e-3), positive, nonnegative,
+)
+kernel_params = st.builds(
+    lambda c_exc, sigma_exc, gap, c_inh, g_inh: KernelParams(c_exc, sigma_exc, c_inh, sigma_exc + gap, g_inh),
+    nonnegative, positive, positive, nonnegative, nonnegative,
+)
+
+
+@st.composite
+def tracker_configs(draw):
+    input_res, chip_res = draw(resolutions())
+    return TrackerConfig(
+        input_res=input_res,
+        chip_res=chip_res,
+        window_us=draw(st.integers(1, 10**9)),
+        detector=draw(st.sampled_from(["blob", "sd_net"])),
+        field_params=draw(field_params),
+        kernel_params=draw(kernel_params),
+        input_gain=draw(floats()),
+        detect_threshold=draw(floats()),
+        min_separation_cells=draw(floats()),
+        min_peak_mass=draw(floats()),
+        mirror=draw(st.booleans()),
+        confidence_decay=draw(floats(1e-6, 1 - 1e-6)),
+        blur_sigma_cells=draw(floats()),
+        sd_theta=draw(floats()),
+        use_field=draw(st.booleans()),
+        argmax_floor=draw(floats()),
+        max_hands=draw(st.sampled_from([1, 2])),
+    )
+
+
+sim_configs = st.builds(
+    SimConfig,
+    seed=st.integers(),
+    scenario_path=st.text(),
+    score_path=st.text(),
+    tracker=tracker_configs(),
+    channel=st.builds(
+        ChannelConfig, probability, probability, nonnegative, nonnegative,
+        st.integers(0, 64), st.integers(),
+    ),
+    reorder_window=st.integers(),
+    calibration=st.builds(PitchCalibration, positive, positive, positive),
+    geometry=st.builds(PixelGeometry, positive, floats(), st.integers()),
+    vol_range_m=st.tuples(floats(), floats()),
+    latencies=st.builds(StageLatencies, nonnegative, nonnegative, nonnegative, nonnegative),
+    energy=st.builds(EnergyConstants, floats(), floats(), floats(), floats(), floats(), floats(), st.integers()),
+    synth=st.builds(SynthParams, floats(), floats(), floats(), st.integers()),
+    sample_ms=floats(),
+    ramp_ms=floats(),
+    tempo=floats(),
+)
+
+
+def slots(obj, path=""):
+    """(parent, key, dotted path, value) for every value below obj."""
+    for key, value in obj.items():
+        dotted = f"{path}.{key}" if path else key
+        yield obj, key, dotted, value
+        if isinstance(value, dict):
+            yield from slots(value, dotted)
+
+
+@given(sim_configs)
+def test_roundtrip_through_json(cfg):
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+@given(sim_configs, st.data())
+def test_unknown_key_at_any_depth_is_named(cfg, data):
+    obj = config_to_dict(cfg)
+    sections = [("", obj)] + [(dotted, v) for _, _, dotted, v in slots(obj) if isinstance(v, dict)]
+    path, section = data.draw(st.sampled_from(sections))
+    key = data.draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(lambda k: k not in section))
+    section[key] = 1
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(obj)
+    if path:
+        assert str(exc.value) == f"unknown key {path}.{key}"
+    else:
+        assert str(exc.value) == f"unknown config keys: {[key]}"
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats(), st.text())
+# Not an object: what a section must be.
+not_objects = st.one_of(scalars, st.lists(scalars, max_size=3))
+# Not a pair of numbers: what a resolution or a range must be.
+not_pairs = st.one_of(
+    scalars,
+    st.dictionaries(st.text(), scalars, max_size=2),
+    st.lists(st.integers(1, 100), max_size=4).filter(lambda v: len(v) != 2),
+    st.tuples(st.one_of(st.none(), st.booleans(), st.text(), st.lists(st.integers())), st.integers(1, 100)).map(list),
+)
+
+
+@given(sim_configs, st.data())
+def test_wrong_shape_is_a_value_error_naming_the_key(cfg, data):
+    obj = config_to_dict(cfg)
+    targets = [(parent, key, dotted) for parent, key, dotted, v in slots(obj) if isinstance(v, (dict, list))]
+    parent, key, dotted = data.draw(st.sampled_from(targets))
+    parent[key] = data.draw(not_objects if isinstance(parent[key], dict) else not_pairs)
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(obj)
+    assert dotted in str(exc.value)

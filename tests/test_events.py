@@ -1,5 +1,5 @@
-"""Event data model, frame accumulation, downsampling, depth masking,
-synthetic generation, and the EVT1 codec."""
+"""Event data model, frame accumulation, downsampling, synthetic
+generation, and the EVT1 codec."""
 
 import struct
 
@@ -8,7 +8,6 @@ import pytest
 
 from evtheremin.events import (
     CodecError,
-    DepthFrame,
     Event,
     EventStream,
     Frame,
@@ -19,7 +18,6 @@ from evtheremin.events import (
     TrajectorySample,
     add_noise_events,
     decode_evt1,
-    depth_mask,
     encode_evt1,
     frame_accumulate,
     frame_downsample,
@@ -60,7 +58,7 @@ class TestEventValidation:
 
     def test_window_and_span(self):
         s = stream_of([(5, 1, 1, 1), (10, 2, 2, -1), (20, 3, 3, 1)])
-        assert len(s.window(5, 20)) == 2
+        assert frame_accumulate(s, 5, 20).cells.sum() == 2  # t0 <= t < t1
         assert s.span_us() == (5, 20)
         assert EventStream.empty(RES).span_us() == (0, 0)
 
@@ -146,66 +144,6 @@ class TestFrameDownsample:
         f = Frame(CHIP, np.zeros((65, 86), dtype=np.int64), 0, 1)
         with pytest.raises(ValueError):
             frame_downsample(f, RES)
-
-
-class TestDepthMask:
-    def make_depth(self, value):
-        d = np.full((RES.height, RES.width), value, dtype=np.float64)
-        return DepthFrame(RES, d)
-
-    def test_in_range_kept(self):
-        s = stream_of([(1, 10, 10, 1)])
-        out = depth_mask(s, self.make_depth(2.5), 0.3, 3.0)
-        assert len(out) == 1
-
-    def test_out_of_range_removed(self):
-        s = stream_of([(1, 10, 10, 1)])
-        depth = np.full((RES.height, RES.width), 2.9)
-        out = depth_mask(s, DepthFrame(RES, depth), 0.3, 2.0)
-        assert len(out) == 0
-
-    def test_no_reading_removed(self):
-        s = stream_of([(1, 10, 10, 1)])
-        out = depth_mask(s, self.make_depth(np.nan), 0.0, 3.0)
-        assert len(out) == 0
-
-    def test_depth_beyond_sensor_range_rejected(self):
-        with pytest.raises(ValueError):
-            DepthFrame(RES, np.full((RES.height, RES.width), 3.5))
-
-    def test_widening_range_is_monotone(self):
-        rng = np.random.default_rng(4)
-        depth = DepthFrame(RES, rng.uniform(0.1, 3.0, (RES.height, RES.width)))
-        n = 300
-        s = EventStream.from_arrays(
-            np.arange(n),
-            rng.integers(0, RES.width, n),
-            rng.integers(0, RES.height, n),
-            np.ones(n),
-            RES,
-        )
-        narrow = depth_mask(s, depth, 1.0, 2.0)
-        wide = depth_mask(s, depth, 0.5, 2.5)
-        assert len(wide) >= len(narrow)
-
-    def test_frame_variant_zeroes_cells(self):
-        s = stream_of([(1, 10, 10, 1), (2, 20, 20, 1)])
-        f = frame_accumulate(s, 0, 10)
-        depth = np.full((RES.height, RES.width), 1.0)
-        depth[20, 20] = np.nan
-        out = depth_mask(f, DepthFrame(RES, depth), 0.5, 2.0)
-        assert out.cells[10, 10] == 1
-        assert out.cells[20, 20] == 0
-
-    def test_resolution_mismatch_rejected(self):
-        s = stream_of([(1, 1, 1, 1)])
-        depth = DepthFrame(CHIP, np.full((CHIP.height, CHIP.width), 1.0))
-        with pytest.raises(StreamError):
-            depth_mask(s, depth, 0.1, 2.0)
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError):
-            depth_mask(stream_of([]), self.make_depth(1.0), 2.0, 1.0)
 
 
 class TestTrajectory:

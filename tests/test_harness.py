@@ -301,7 +301,6 @@ class TestConfigCodec:
             tracker=TrackerConfig(
                 input_res=Resolution(120, 90),
                 window_us=5000,
-                depth_range_m=(0.2, 1.5),
                 kernel_params=KernelParams(c_exc=12.0),
             ),
             channel=ChannelConfig(loss_p=0.1, delay_base_us=400.0, seed=4),
@@ -466,6 +465,16 @@ class TestOtherShowStates:
         assert rep.pitch_samples == 0
         assert rep.state_ms["Teaching"] == 800.0
         assert rep.energy["tracker_active_s"] == pytest.approx(0.8)
+
+    def test_conversation_only_show_needs_no_score(self):
+        # No state plays the score, so an empty one is never turned into
+        # hand positions.
+        scenario = "AT 0 INTENT StartConversation\nAT 100 INTENT Done\n"
+        rep = run_show(SimConfig(seed=2), scenario_text=scenario, score_text="")
+        assert rep.counts["windows"] == 0
+        assert rep.counts["control_points"] == 0
+        assert rep.state_ms["Conversing"] == 100.0
+        assert rep.sim_duration_us == 100_000.0
 
     def test_calibration_refit_has_negligible_drift(self):
         rep = run_show(

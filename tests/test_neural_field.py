@@ -16,7 +16,6 @@ from evtheremin.neural_field import (
     field_to_pgm,
     make_kernel,
     selective_params,
-    tracking_params,
 )
 
 CHIP = Resolution(86, 65)
@@ -59,8 +58,6 @@ class TestParams:
             KernelParams(g_inh=-0.5)
 
     def test_presets(self):
-        fp, kp = tracking_params()
-        assert kp.g_inh == 0.0
         fp, kp = selective_params()
         assert kp.g_inh > 0.0 and fp.tie_break > 0.0
 
@@ -178,7 +175,7 @@ class TestPeakDynamics:
             assert not detect_peaks(f, threshold=0.0)
 
     def test_two_distant_peaks_coexist_without_global_inhibition(self):
-        fp, kp = tracking_params()
+        fp, kp = FieldParams(), KernelParams(g_inh=0.0)
         kernel = make_kernel(kp)
         s = gaussian_input(CHIP, 20, 32) + gaussian_input(CHIP, 60, 32)
         f = run_steps(Field.at_rest(CHIP, fp), s, kernel, 150)

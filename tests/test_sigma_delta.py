@@ -12,9 +12,6 @@ from evtheremin.sigma_delta import (
     SigmaDeltaNetwork,
     SpikeBatch,
     delta_encode,
-    load_network,
-    save_network,
-    sd_forward,
     sigma_decode,
 )
 
@@ -32,7 +29,7 @@ class TestDeltaEncode:
 
         out = delta_encode(state, [0.9], 0.5)
         assert len(out) == 1
-        assert out.to_list() == [GradedSpike(0, 0.9)]
+        assert list(out) == [GradedSpike(0, 0.9)]
         sigma_decode(acc, out)
         assert acc[0] == 0.9
 
@@ -162,8 +159,9 @@ class TestSigmaDeltaNetwork:
         net = tiny_net(3)
         rng = np.random.default_rng(4)
         xs = rng.uniform(-10, 10, (40, net.in_size))
-        outs, _ = sd_forward(net, xs, 0.0)
-        for x, out in zip(xs, outs):
+        runner = SigmaDeltaNetwork(net, 0.0)
+        for x in xs:
+            out, _ = runner.step(x)
             ref = net.forward(x)
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(out - ref).max() / scale <= 1e-9
@@ -197,19 +195,20 @@ class TestSigmaDeltaNetwork:
         xs = rng.uniform(-10, 10, (60, net.in_size))
         totals = []
         for theta in (0.0, 0.1, 0.5, 2.0):
-            _, counts = sd_forward(net, xs, theta)
-            totals.append(sum(counts))
+            runner = SigmaDeltaNetwork(net, theta)
+            totals.append(sum(sum(runner.step(x)[1]) for x in xs))
         assert all(a >= b for a, b in zip(totals, totals[1:]))
 
     def test_deterministic(self):
         net = tiny_net(10)
         rng = np.random.default_rng(11)
         xs = rng.uniform(-5, 5, (30, net.in_size))
-        out_a, counts_a = sd_forward(net, xs, 0.5)
-        out_b, counts_b = sd_forward(net, xs, 0.5)
-        assert counts_a == counts_b
-        for a, b in zip(out_a, out_b):
-            np.testing.assert_array_equal(a, b)
+        runner_a, runner_b = SigmaDeltaNetwork(net, 0.5), SigmaDeltaNetwork(net, 0.5)
+        for x in xs:
+            out_a, counts_a = runner_a.step(x)
+            out_b, counts_b = runner_b.step(x)
+            assert counts_a == counts_b
+            np.testing.assert_array_equal(out_a, out_b)
 
     def test_reset_restores_initial_state(self):
         net = tiny_net(12)
@@ -224,35 +223,3 @@ class TestSigmaDeltaNetwork:
         with pytest.raises(ValueError):
             SigmaDeltaNetwork(tiny_net(), -1.0)
 
-
-class TestSaveLoad:
-    def test_roundtrip(self, tmp_path):
-        net = tiny_net(13)
-        path = tmp_path / "net.txt"
-        save_network(net, path)
-        back = load_network(path)
-        assert len(back.layers) == len(net.layers)
-        for a, b in zip(back.layers, net.layers):
-            np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.bias, b.bias)
-            assert a.activation == b.activation
-
-    def test_sparse_saved_as_dense(self, tmp_path):
-        w = sp.csr_matrix(np.array([[0.0, 1.5], [2.0, 0.0]]))
-        net = DenseNet([Layer(w, np.zeros(2), "identity")])
-        path = tmp_path / "net.txt"
-        save_network(net, path)
-        back = load_network(path)
-        np.testing.assert_array_equal(back.layers[0].weights, w.toarray())
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "net.txt"
-        path.write_text("weights 3\n")
-        with pytest.raises(ValueError):
-            load_network(path)
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "net.txt"
-        path.write_text("layers 1\nlayer 1 2 relu\n1.0 2.0 3.0\n0.0\n")
-        with pytest.raises(ValueError):
-            load_network(path)

@@ -1,7 +1,6 @@
-"""Pitch/volume laws, scores, trajectory planting, calibration, rendering."""
+"""Pitch/volume laws, scores, trajectory planting, calibration."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from evtheremin.theremin import (
     PixelGeometry,
     Score,
     ScoreError,
-    Vibrato,
     calibrate_pitch,
     cents_between,
     format_score,
@@ -22,10 +20,7 @@ from evtheremin.theremin import (
     in_ramp,
     note_freq,
     parse_score,
-    read_wav,
-    render_trace,
     score_to_trajectory,
-    write_wav,
 )
 from evtheremin.tracker import HandEstimate, HandLabel, HandPoint
 
@@ -165,7 +160,8 @@ class TestScore:
     def test_durations_and_starts(self):
         score = self.two_notes()
         assert score.duration_ms() == 1000.0
-        assert score.note_starts_ms() == [0.0, 500.0]
+        # the second note starts at 500 ms, where its transition ramp begins
+        assert not in_ramp(499.0, score) and in_ramp(500.0, score)
 
     def test_level_interpolation(self):
         score = parse_score("NOTE 60 1000\nVOL 0 0\nVOL 1000 1\n")
@@ -334,77 +330,3 @@ class TestCalibratePitch:
         with pytest.raises(CalibrationError):
             calibrate_pitch([(0.2, 200.0), (0.4, 400.0)])  # rising with distance
 
-
-class TestRenderTrace:
-    def test_one_second_sample_count_and_wav_chunk(self, tmp_path):
-        pcm = render_trace(
-            [ControlPoint(0, 440.0, 1.0)], sample_rate=8000, end_us=1_000_000
-        )
-        assert len(pcm) == 8000
-        path = tmp_path / "tone.wav"
-        write_wav(path, pcm, 8000)
-        raw = path.read_bytes()
-        i = raw.index(b"data")
-        (chunk_size,) = struct.unpack_from("<I", raw, i + 4)
-        assert chunk_size == 16_000
-
-    def test_wav_roundtrip_bit_exact(self, tmp_path):
-        pcm = render_trace([ControlPoint(0, 523.25, 0.8)], 8000, end_us=250_000)
-        path = tmp_path / "t.wav"
-        write_wav(path, pcm, 8000)
-        back, rate = read_wav(path)
-        assert rate == 8000
-        np.testing.assert_array_equal(back, pcm)
-
-    def test_frequency_via_zero_crossings(self):
-        pcm = render_trace([ControlPoint(0, 440.0, 1.0)], 22050, end_us=1_000_000)
-        crossings = int(np.sum(np.diff(np.signbit(pcm.astype(np.int32)))!= 0))
-        assert abs(crossings - 880) <= 2
-
-    def test_zero_order_hold_and_phase_continuity(self):
-        points = [ControlPoint(0, 440.0, 1.0), ControlPoint(500_000, 880.0, 0.5)]
-        pcm = render_trace(points, 22050, end_us=1_000_000)
-        second = pcm[11_100:]
-        assert np.abs(second.astype(np.int32)).max() <= int(0.5 * 32767) + 1
-        # a phase reset at the switch would show as a near-full-scale jump
-        assert np.abs(np.diff(pcm.astype(np.int32))).max() < 9000
-
-    def test_zero_amplitude_is_silence(self):
-        pcm = render_trace([ControlPoint(0, 440.0, 0.0)], 8000, end_us=100_000)
-        assert np.all(pcm == 0)
-
-    def test_zero_depth_vibrato_is_identity(self):
-        points = [ControlPoint(0, 440.0, 1.0)]
-        plain = render_trace(points, 8000, end_us=200_000)
-        with_v = render_trace(points, 8000, vibrato=Vibrato(0.0, 5.0), end_us=200_000)
-        np.testing.assert_array_equal(plain, with_v)
-
-    def test_vibrato_modulates(self):
-        points = [ControlPoint(0, 440.0, 1.0)]
-        plain = render_trace(points, 8000, end_us=200_000)
-        deep = render_trace(points, 8000, vibrato=Vibrato(50.0, 5.0), end_us=200_000)
-        assert not np.array_equal(plain, deep)
-
-    def test_edge_cases(self):
-        assert len(render_trace([], 8000)) == 0
-        assert len(render_trace([ControlPoint(10, 440.0, 1.0)], 8000, end_us=10)) == 0
-        with pytest.raises(ValueError):
-            render_trace([ControlPoint(0, 440.0, 1.0)], 4000)
-        with pytest.raises(ValueError):
-            render_trace(
-                [ControlPoint(100, 440.0, 1.0), ControlPoint(0, 440.0, 1.0)], 8000
-            )
-        with pytest.raises(ValueError):
-            Vibrato(-1.0, 5.0)
-
-    def test_read_wav_rejects_stereo(self, tmp_path):
-        import wave
-
-        path = tmp_path / "stereo.wav"
-        with wave.open(str(path), "wb") as w:
-            w.setnchannels(2)
-            w.setsampwidth(2)
-            w.setframerate(8000)
-            w.writeframes(b"\x00\x00" * 32)
-        with pytest.raises(ValueError):
-            read_wav(path)

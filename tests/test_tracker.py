@@ -5,7 +5,6 @@ import pytest
 from scipy.signal import convolve2d
 
 from evtheremin.events import (
-    DepthFrame,
     Event,
     EventStream,
     Frame,
@@ -276,23 +275,6 @@ class TestHandTracker:
         est = tracker.step(w, 10_000)
         assert set(est.hands) == {HandLabel.PITCH}
         assert abs(est.hands[HandLabel.PITCH].x - 60.0) <= CELL_W
-
-    def test_depth_gate_drops_out_of_range_cluster(self):
-        cfg = TrackerConfig(use_field=False, depth_range_m=(0.5, 2.0))
-        tracker = HandTracker(cfg)
-        depth = np.full((RES.height, RES.width), 1.0)
-        depth[:, 160:] = np.nan  # right cluster has no depth reading
-        w = cluster_window([((60, 90), 40), ((180, 90), 40)], 0, 10_000)
-        est = tracker.step(w, 10_000, depth=DepthFrame(RES, depth))
-        assert set(est.hands) == {HandLabel.PITCH}
-        assert abs(est.hands[HandLabel.PITCH].x - 60.0) <= CELL_W
-
-    def test_depth_config_without_frame_is_ignored(self):
-        cfg = TrackerConfig(use_field=False, depth_range_m=(0.5, 2.0))
-        tracker = HandTracker(cfg)
-        w = cluster_window([((60, 90), 40), ((180, 90), 40)], 0, 10_000)
-        est = tracker.step(w, 10_000)
-        assert len(est.hands) == 2
 
     def test_sd_net_detector_tracks(self):
         cfg = TrackerConfig(detector="sd_net")

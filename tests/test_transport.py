@@ -22,12 +22,9 @@ from evtheremin.transport import (
     channel_transmit,
     crc32,
     dump_frame,
-    event_to_spike,
-    quantize_values,
     raw_decode,
     raw_encode,
     raw_overhead_bytes_per_event,
-    receiver_ingest,
     safe_decode,
     safe_encode,
     safe_overhead_bytes_per_event,
@@ -59,8 +56,7 @@ class TestCrc:
 class TestRawProfile:
     def test_frozen_word(self):
         # (x=3, y=2, +1) on an 86-wide grid: address 2*86+3 = 175
-        spike = event_to_spike(3, 2, 1, 86)
-        assert spike.address == 175
+        spike = GradedSpike(2 * 86 + 3, 1)
         assert raw_encode([spike]) == bytes([0xAF, 0x00, 0x00, 0x01])
 
     def test_negative_value_sign_byte(self):
@@ -93,23 +89,6 @@ class TestRawProfile:
             raw_decode(b"\x00" * 6)
         with pytest.raises(DecodeError):
             raw_decode(b"\x00\x00\x00\x00")  # zero value field
-
-
-class TestQuantize:
-    def test_rounding_and_dropping(self):
-        spikes = [GradedSpike(0, 0.34), GradedSpike(1, 0.04), GradedSpike(2, -0.26)]
-        out = quantize_values(spikes, 0.1)
-        assert out == [GradedSpike(0, 3), GradedSpike(2, -3)]
-
-    def test_clipping(self):
-        out = quantize_values([GradedSpike(0, 1000.0)], 0.1)
-        assert out == [GradedSpike(0, 127)]
-        out = quantize_values([GradedSpike(0, -1000.0)], 0.1)
-        assert out == [GradedSpike(0, -128)]
-
-    def test_scale_validated(self):
-        with pytest.raises(ValueError):
-            quantize_values([], 0.0)
 
 
 def pack_reference_frame(seq, timestamp, records, flags=None):
@@ -343,9 +322,16 @@ def frame(seq, records=((10, 1, 0),), timestamp=1000):
     return SafeFrame(seq, timestamp, [FrameRecord(*r) for r in records])
 
 
+def receive_all(frames, reorder_window=8):
+    """Ingest decoded frames, then flush; returns (events, stats)."""
+    rx = SafeReceiver(reorder_window)
+    events = [e for f in frames for e in rx.ingest(f)]
+    return events + rx.finalize(), rx.stats
+
+
 class TestSafeReceiver:
     def test_in_order_delivery_with_absolute_times(self):
-        events, stats = receiver_ingest(
+        events, stats = receive_all(
             [frame(0, [(10, 1, 0), (11, -2, 10)]), frame(1, [(12, 3, 5)], timestamp=2000)]
         )
         assert events == [(1000, 10, 1), (1010, 11, -2), (2005, 12, 3)]
@@ -353,27 +339,27 @@ class TestSafeReceiver:
 
     def test_gap_counts_as_loss(self):
         # frames 0, 1, 3 arrive; 2 never does
-        events, stats = receiver_ingest([frame(0), frame(1), frame(3)])
+        events, stats = receive_all([frame(0), frame(1), frame(3)])
         assert len(events) == 3
         assert stats.delivered == 3
         assert stats.lost == 1
         assert stats.duplicate_dropped == 0
 
     def test_out_of_order_within_window_reassembled(self):
-        events, stats = receiver_ingest([frame(0), frame(2), frame(1)])
+        events, stats = receive_all([frame(0), frame(2), frame(1)])
         assert [t for t, _, _ in events] == [1000, 1000, 1000]
         assert stats.delivered == 3
         assert stats.lost == 0
         assert stats.reordered == 1
 
     def test_duplicate_dropped_once(self):
-        events, stats = receiver_ingest([frame(0), frame(1), frame(1)])
+        events, stats = receive_all([frame(0), frame(1), frame(1)])
         assert stats.delivered == 2
         assert stats.duplicate_dropped == 1
         assert len(events) == 2
 
     def test_pending_duplicate_dropped(self):
-        _, stats = receiver_ingest([frame(0), frame(2), frame(2)])
+        _, stats = receive_all([frame(0), frame(2), frame(2)])
         assert stats.duplicate_dropped == 1
 
     def test_stale_frame_is_duplicate(self):
