@@ -381,6 +381,7 @@ class SafeReceiver:
         self.reorder_window = reorder_window
         self.stats = stats if stats is not None else LinkStats()
         self.next_seq = 0
+        self._newest = 0xFFFFFFFF  # highest seq received; starts just before 0
         self._pending: dict[int, SafeFrame] = {}
         self._gap_frames = 0
 
@@ -401,10 +402,15 @@ class SafeReceiver:
         if delta < 0 or frame.seq in self._pending:
             self.stats.duplicate_dropped += 1
             return out
+        # Reordered: overtaken by a frame that was sent after it.
+        if _seq_delta(frame.seq, self._newest) < 0:
+            self.stats.reordered += 1
+        else:
+            self._newest = frame.seq
         if delta == 0:
             out.extend(self._emit(frame))
             self.next_seq = (self.next_seq + 1) & 0xFFFFFFFF
-            out.extend(self._drain(reordered=True))
+            out.extend(self._drain())
         else:
             self._pending[frame.seq] = frame
             while len(self._pending) > self.reorder_window:
@@ -440,20 +446,16 @@ class SafeReceiver:
         self._refresh_lost()
         self.next_seq = oldest
         frame = self._pending.pop(oldest)
-        # The frame we advance to was only waiting on a gap, it did not
-        # overtake anything that later arrived; only drained ones did.
         out = self._emit(frame)
         self.next_seq = (self.next_seq + 1) & 0xFFFFFFFF
-        out.extend(self._drain(reordered=True))
+        out.extend(self._drain())
         return out
 
-    def _drain(self, reordered: bool) -> list[tuple[int, int, int]]:
+    def _drain(self) -> list[tuple[int, int, int]]:
         out = []
         while self.next_seq in self._pending:
             frame = self._pending.pop(self.next_seq)
             out.extend(self._emit(frame))
-            if reordered:
-                self.stats.reordered += 1
             self.next_seq = (self.next_seq + 1) & 0xFFFFFFFF
         return out
 

@@ -352,6 +352,17 @@ class TestSafeReceiver:
         assert stats.lost == 0
         assert stats.reordered == 1
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_order_link_reports_nothing_reordered(self, seed):
+        # Frames that only wait behind a lost one arrived in send order.
+        payloads = [safe_encode(frame(i), 0, 0) for i in range(200)]
+        rx = SafeReceiver()
+        for dv in channel_transmit(payloads, ChannelConfig(loss_p=0.05, seed=seed)):
+            rx.receive_payload(dv.payload)
+        rx.close(len(payloads))
+        assert rx.stats.lost > 0
+        assert rx.stats.reordered == 0
+
     def test_duplicate_dropped_once(self):
         events, stats = receive_all([frame(0), frame(1), frame(1)])
         assert stats.delivered == 2
