@@ -105,21 +105,21 @@ class TestShowAndReport:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"tracker": {"input_res": [240]}}, "tracker.input_res"),
-            ({"channel": 5}, "channel"),
-            ({"vol_range_m": 0.2}, "vol_range_m"),
-            ({"tracker": {"field_params": [1]}}, "tracker.field_params"),
+            ({"tracker": {"input_res": [240]}}, "tracker.input_res must be [width, height]"),
+            ({"channel": 5}, "channel must be an object"),
+            ({"vol_range_m": 0.2}, "vol_range_m must be a list of 2"),
+            ({"tracker": {"field_params": [1]}}, "tracker.field_params must be an object"),
             ({"scenario": "missing-scenario.txt"}, "missing-scenario.txt"),
             ({"score": "missing-score.txt"}, "missing-score.txt"),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, fields, message):
-        (tmp_path / "score.txt").write_text("NOTE 60 100\n")
-        (tmp_path / "scenario.txt").write_text("AT 0 INTENT StartConversation\n")
-        obj = {"seed": 1, "scenario": "scenario.txt", "score": "score.txt", **fields}
-        obj = {k: str(tmp_path / v) if k in ("scenario", "score") else v for k, v in obj.items()}
+        score = tmp_path / "score.txt"
+        scenario = tmp_path / "scenario.txt"
+        score.write_text("NOTE 60 100\n")
+        scenario.write_text("AT 0 INTENT StartConversation\n")
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps(obj))
+        config.write_text(json.dumps({"seed": 1, "scenario": str(scenario), "score": str(score), **fields}))
         result = CliRunner().invoke(main, ["show", "--config", str(config)])
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)

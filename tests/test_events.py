@@ -58,7 +58,6 @@ class TestEventValidation:
 
     def test_window_and_span(self):
         s = stream_of([(5, 1, 1, 1), (10, 2, 2, -1), (20, 3, 3, 1)])
-        assert frame_accumulate(s, 5, 20).cells.sum() == 2  # t0 <= t < t1
         assert s.span_us() == (5, 20)
         assert EventStream.empty(RES).span_us() == (0, 0)
 

@@ -160,8 +160,6 @@ class TestScore:
     def test_durations_and_starts(self):
         score = self.two_notes()
         assert score.duration_ms() == 1000.0
-        # the second note starts at 500 ms, where its transition ramp begins
-        assert not in_ramp(499.0, score) and in_ramp(500.0, score)
 
     def test_level_interpolation(self):
         score = parse_score("NOTE 60 1000\nVOL 0 0\nVOL 1000 1\n")
