@@ -16,6 +16,8 @@ import json
 import os
 import time
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, is_dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -513,15 +515,10 @@ def _run_tracking_segment(
     route_gui = Route(Module.TRACKER, Module.GUI_DUET)
     for dv in channel_transmit(payloads, chan, send_times):
         released = run.receiver.receive_payload(dv.payload)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        order = []
-        for t_abs, addr, value in released:
-            if t_abs not in groups:
-                groups[t_abs] = []
-                order.append(t_abs)
-            groups[t_abs].append((addr, value))
-        for t_abs in order:
-            est = _spikes_to_estimate(int(t_abs), groups[t_abs])
+        # Frames are released whole and in order, and each carries its
+        # window's end time, so one run of equal times is one estimate.
+        for t_abs, group in groupby(released, key=itemgetter(0)):
+            est = _spikes_to_estimate(int(t_abs), [(addr, value) for _, addr, value in group])
             delivered, dropped = route_messages(
                 signals, run.routes, [(route_synth, est), (route_gui, est)]
             )

@@ -237,6 +237,8 @@ def score_to_trajectory(
     """
     if tempo <= 0:
         raise ValueError("tempo must be positive")
+    if not sample_ms > 0:  # also rejects nan
+        raise ValueError("sample_ms must be positive")
     if not score.notes:
         raise ScoreError("empty score")
     h_min, h_max = vol_range_m

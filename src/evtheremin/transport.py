@@ -16,11 +16,13 @@ SAFE profile, for links that drop, corrupt, delay, or reorder:
     records    count * (address u32, value i16, dt_offset u16)
     crc        u32   CRC-32 over everything above
 
-All fields little-endian.  dt_offset values are microseconds relative
-to the frame timestamp and must be non-decreasing.  The CRC is the
-reflected 0x04C11DB7 polynomial with init and final xor 0xFFFFFFFF
-(check value: crc(b"123456789") = 0xCBF43926).  Fixed overhead is
-18 header + 4 crc bytes, so bytes per event = 22/count + 8.
+All fields little-endian.  Record values must be nonzero integers; a
+non-integral value is rejected, never rounded.  dt_offset values are
+microseconds relative to the frame timestamp and must be
+non-decreasing.  The CRC is the reflected 0x04C11DB7 polynomial with
+init and final xor 0xFFFFFFFF (check value: crc(b"123456789") =
+0xCBF43926).  Fixed overhead is 18 header + 4 crc bytes, so bytes per
+event = 22/count + 8.
 
 A seeded channel simulator (loss, byte bit-flips, delay, bounded
 reordering) and a receiver with sequence accounting close the loop.
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,79 +119,39 @@ def raw_decode(data: bytes) -> list[GradedSpike]:
     return [GradedSpike(int(a), int(v)) for a, v in zip(addresses, values)]
 
 
-@dataclass(frozen=True)
-class FrameRecord:
-    address: int
-    value: int
-    dt_offset_us: int
+class SafeFrame(NamedTuple):
+    """A decoded SAFE frame; records are (address, value, dt_offset_us)."""
 
-    def __post_init__(self):
-        if not (0 <= self.address <= 0xFFFFFFFF):
-            raise TransportError(f"address {self.address} does not fit u32")
-        if not (-32768 <= self.value <= 32767):
-            raise TransportError(f"value {self.value} does not fit i16")
-        if self.value == 0:
-            raise TransportError("zero-valued records are not transmitted")
-        if not (0 <= self.dt_offset_us <= 0xFFFF):
-            raise TransportError(f"dt_offset {self.dt_offset_us} does not fit u16")
-
-
-@dataclass
-class SafeFrame:
     seq: int
     timestamp_us: int
-    records: list[FrameRecord] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not (0 <= self.seq <= 0xFFFFFFFF):
-            raise TransportError(f"seq {self.seq} does not fit u32")
-        if not (0 <= self.timestamp_us <= 0xFFFFFFFFFFFFFFFF):
-            raise TransportError(f"timestamp {self.timestamp_us} does not fit u64")
-        if len(self.records) > 0xFFFF:
-            raise TransportError(f"{len(self.records)} records do not fit u16 count")
-        last = 0
-        for r in self.records:
-            if r.dt_offset_us < last:
-                raise TransportError("dt_offsets must be non-decreasing")
-            last = r.dt_offset_us
-
-    @property
-    def flags(self) -> int:
-        return 1 if self.records else 0
-
-
-def build_frame(spikes, offsets_us, seq: int, timestamp_us: int) -> SafeFrame:
-    """Assemble a frame from graded spikes plus per-spike time offsets."""
-    spikes = list(spikes)
-    if offsets_us is None:
-        offsets_us = [0] * len(spikes)
-    if len(offsets_us) != len(spikes):
-        raise TransportError("one offset per spike required")
-    records = [
-        FrameRecord(s.address, int(s.value), int(dt)) for s, dt in zip(spikes, offsets_us)
-    ]
-    return SafeFrame(seq, timestamp_us, records)
+    records: list[tuple[int, int, int]]
 
 
 def safe_encode(spikes, seq: int, timestamp_us: int, offsets_us=None) -> bytes:
-    """Encode one SAFE frame; see module docstring for the layout."""
-    frame = (
-        spikes
-        if isinstance(spikes, SafeFrame)
-        else build_frame(spikes, offsets_us, seq, timestamp_us)
-    )
-    parts = [
-        _HEADER.pack(
-            SAFE_MAGIC,
-            SAFE_VERSION,
-            frame.flags,
-            frame.seq,
-            frame.timestamp_us,
-            len(frame.records),
-        )
-    ]
-    for r in frame.records:
-        parts.append(_RECORD.pack(r.address, r.value, r.dt_offset_us))
+    """Encode one SAFE frame; see module docstring for the layout.
+
+    offsets_us gives one dt_offset per spike and defaults to all zero.
+    """
+    spikes = list(spikes)
+    if offsets_us is None:
+        offsets_us = [0] * len(spikes)
+    elif len(offsets_us) != len(spikes):
+        raise TransportError("one offset per spike required")
+    flags = 1 if spikes else 0
+    try:
+        parts = [_HEADER.pack(SAFE_MAGIC, SAFE_VERSION, flags, seq, timestamp_us, len(spikes))]
+        last = 0
+        for s, dt in zip(spikes, offsets_us):
+            if s.value % 1:  # also true for nan and inf
+                raise TransportError(f"value {s.value!r} is not an integer")
+            if s.value == 0:
+                raise TransportError("zero-valued records are not transmitted")
+            if dt < last:
+                raise TransportError("dt_offsets must be non-decreasing")
+            last = dt
+            parts.append(_RECORD.pack(s.address, int(s.value), int(dt)))
+    except struct.error as exc:
+        raise TransportError(f"SAFE field out of range: {exc}") from None
     body = b"".join(parts)
     return body + _CRC.pack(crc32(body))
 
@@ -213,16 +176,14 @@ def safe_decode(data: bytes) -> SafeFrame:
         raise TrailingDataError(f"{len(data) - body_len - _CRC.size} bytes after frame")
     if flags != (1 if count else 0):
         raise DecodeError(f"flags 0x{flags:02X} inconsistent with count {count}")
-    records = []
+    records = list(_RECORD.iter_unpack(data[_HEADER.size : body_len]))
     last = 0
-    for i in range(count):
-        address, value, dt = _RECORD.unpack_from(data, _HEADER.size + i * _RECORD.size)
+    for i, (_, value, dt) in enumerate(records):
         if value == 0:
             raise DecodeError(f"record {i} carries a zero value")
         if dt < last:
             raise DecodeError(f"record {i} dt_offset decreases")
         last = dt
-        records.append(FrameRecord(address, value, dt))
     return SafeFrame(seq, timestamp, records)
 
 
@@ -342,11 +303,6 @@ class LinkStats:
     bytes_sent: int = 0
     events_sent: int = 0
 
-    def overhead_bytes_per_event(self) -> float:
-        if self.events_sent == 0:
-            raise ValueError("no events sent")
-        return self.bytes_sent / self.events_sent
-
     def as_dict(self) -> dict:
         return {
             "sent": self.sent,
@@ -461,10 +417,8 @@ class SafeReceiver:
 
     def _emit(self, frame: SafeFrame) -> list[tuple[int, int, int]]:
         self.stats.delivered += 1
-        return [
-            (frame.timestamp_us + r.dt_offset_us, r.address, r.value)
-            for r in frame.records
-        ]
+        t = frame.timestamp_us
+        return [(t + dt, address, value) for address, value, dt in frame.records]
 
     def _refresh_lost(self) -> None:
         self.stats.lost = max(0, self._gap_frames - self.stats.corrupted_dropped)

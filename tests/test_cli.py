@@ -125,6 +125,25 @@ class TestShowAndReport:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert message in result.output
 
+    @pytest.mark.parametrize("sample_ms", [0, -5])
+    def test_nonpositive_sample_ms_fails_cleanly(self, tmp_path, sample_ms):
+        score = tmp_path / "score.txt"
+        scenario = tmp_path / "scenario.txt"
+        score.write_text("NOTE 60 100\n")
+        scenario.write_text(
+            "AT 0 INTENT StartConversation\nAT 10 INTENT AskSolo\nAT 110 INTENT Done\n"
+        )
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {"seed": 1, "scenario": str(scenario), "score": str(score), "sample_ms": sample_ms}
+            )
+        )
+        result = CliRunner().invoke(main, ["show", "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "sample_ms must be positive" in result.output
+
     def test_truncated_report_fails_cleanly(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"seed": 3}))

@@ -1,9 +1,12 @@
 """Wire profiles, channel impairment model, and the re-sequencing receiver."""
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtheremin.sigma_delta import GradedSpike
 from evtheremin.transport import (
@@ -12,7 +15,6 @@ from evtheremin.transport import (
     BadVersionError,
     ChannelConfig,
     DecodeError,
-    FrameRecord,
     LinkStats,
     SafeFrame,
     SafeReceiver,
@@ -91,6 +93,12 @@ class TestRawProfile:
             raw_decode(b"\x00\x00\x00\x00")  # zero value field
 
 
+def encode(frame):
+    """Wire bytes of a SafeFrame, through the public encoder."""
+    spikes = [GradedSpike(a, v) for a, v, _ in frame.records]
+    return safe_encode(spikes, frame.seq, frame.timestamp_us, [dt for _, _, dt in frame.records])
+
+
 def pack_reference_frame(seq, timestamp, records, flags=None):
     """Independent packing of the documented layout."""
     if flags is None:
@@ -112,8 +120,8 @@ class TestSafeEncode:
         data = safe_encode([], seq=0, timestamp_us=0)
         assert len(data) == 22
         assert data == pack_reference_frame(0, 0, [])
-        frame = safe_decode(data)
-        assert frame.records == [] and frame.flags == 0
+        assert data[3] == 0  # flags: no payload
+        assert safe_decode(data) == SafeFrame(0, 0, [])
 
     def test_size_formula(self):
         for n in (1, 10, 100, 1000):
@@ -127,29 +135,94 @@ class TestSafeEncode:
             n = int(rng.integers(0, 40))
             dts = np.sort(rng.integers(0, 1000, n))
             records = [
-                FrameRecord(int(rng.integers(0, 1 << 20)), int(rng.integers(1, 100)), int(dt))
-                for dt in dts
+                (int(rng.integers(0, 1 << 20)), int(rng.integers(1, 100)), int(dt)) for dt in dts
             ]
             frame = SafeFrame(seq, int(rng.integers(0, 1 << 40)), records)
-            assert safe_decode(safe_encode(frame, 0, 0)) == frame
+            assert safe_decode(encode(frame)) == frame
 
     def test_encode_validation(self):
-        with pytest.raises(TransportError):
-            safe_encode([GradedSpike(0, 1)], 0, 0, offsets_us=[5, 6])
-        with pytest.raises(TransportError):
-            SafeFrame(0, 0, [FrameRecord(0, 1, 10), FrameRecord(0, 1, 5)])
-        with pytest.raises(TransportError):
-            FrameRecord(0, 0, 0)
-        with pytest.raises(TransportError):
-            FrameRecord(0, 40_000, 0)
-        with pytest.raises(TransportError):
-            FrameRecord(1 << 32, 1, 0)
-        with pytest.raises(TransportError):
-            FrameRecord(0, 1, 1 << 16)
-        with pytest.raises(TransportError):
-            SafeFrame(1 << 32, 0, [])
-        with pytest.raises(TransportError):
-            SafeFrame(0, 0, [FrameRecord(0, 1, 0)] * 65_536)
+        one = [GradedSpike(0, 1)]
+        cases = [
+            (one, 0, 0, [5, 6]),  # one offset per spike
+            (one * 2, 0, 0, [10, 5]),  # decreasing offsets
+            ([SimpleNamespace(address=0, value=0)], 0, 0, None),  # GradedSpike refuses zero
+            ([GradedSpike(0, 40_000)], 0, 0, None),  # value past i16
+            ([GradedSpike(0, -40_000)], 0, 0, None),
+            ([GradedSpike(1 << 32, 1)], 0, 0, None),  # address past u32
+            (one, 0, 0, [1 << 16]),  # offset past u16
+            (one, 0, 0, [-1]),
+            ([], 1 << 32, 0, None),  # seq past u32
+            ([], -1, 0, None),
+            ([], 0, 1 << 64, None),  # timestamp past u64
+            ([], 0, -1, None),
+            (one * 65_536, 0, 0, None),  # count past u16
+        ]
+        for spikes, seq, timestamp, offsets in cases:
+            with pytest.raises(TransportError):
+                safe_encode(spikes, seq, timestamp, offsets)
+
+    @pytest.mark.parametrize("value", [1.7, 0.5, -2.25, float("nan"), float("inf")])
+    def test_non_integral_value_rejected(self, value):
+        # Not rounded onto the wire, and not reported as zero-valued.
+        with pytest.raises(TransportError, match="not an integer"):
+            safe_encode([GradedSpike(3, value)], 0, 0)
+
+    def test_integral_float_value_accepted(self):
+        assert safe_encode([GradedSpike(3, 2.0)], 0, 0) == safe_encode([GradedSpike(3, 2)], 0, 0)
+
+
+@st.composite
+def safe_frames(draw):
+    """Any valid frame: u32 seq, u64 timestamp, 0-300 records with
+    nonzero i16 values and sorted u16 offsets."""
+    records = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 0xFFFFFFFF),
+                st.integers(-32768, 32767).filter(bool),
+                st.integers(0, 0xFFFF),
+            ),
+            max_size=300,
+        )
+    )
+    dts = sorted(dt for _, _, dt in records)
+    records = [(a, v, dt) for (a, v, _), dt in zip(records, dts)]
+    return SafeFrame(
+        draw(st.integers(0, 0xFFFFFFFF)), draw(st.integers(0, 0xFFFFFFFFFFFFFFFF)), records
+    )
+
+
+# Arbitrary bytes, and arbitrary bytes behind a valid magic and version so
+# that the decoder gets past its first two checks.
+wire_bytes = st.one_of(
+    st.binary(max_size=400), st.binary(max_size=400).map(lambda b: b"\x52\xae\x01" + b)
+)
+
+
+class TestSafeProperties:
+    @settings(deadline=None)
+    @given(safe_frames())
+    def test_roundtrip_matches_reference_packing(self, f):
+        data = encode(f)
+        assert data == pack_reference_frame(f.seq, f.timestamp_us, f.records)
+        assert safe_decode(data) == f
+
+    @given(wire_bytes)
+    def test_arbitrary_bytes_raise_only_decode_error(self, data):
+        try:
+            f = safe_decode(data)
+        except DecodeError:
+            return
+        assert data == encode(f)
+
+    @settings(deadline=None)
+    @given(safe_frames(), st.data())
+    def test_any_single_bit_flip_is_a_decode_error(self, f, data):
+        payload = bytearray(encode(f))
+        bit = data.draw(st.integers(0, len(payload) * 8 - 1))
+        payload[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(DecodeError):
+            safe_decode(bytes(payload))
 
 
 class TestSafeDecode:
@@ -319,7 +392,7 @@ class TestChannel:
 
 
 def frame(seq, records=((10, 1, 0),), timestamp=1000):
-    return SafeFrame(seq, timestamp, [FrameRecord(*r) for r in records])
+    return SafeFrame(seq, timestamp, list(records))
 
 
 def receive_all(frames, reorder_window=8):
@@ -355,7 +428,7 @@ class TestSafeReceiver:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_in_order_link_reports_nothing_reordered(self, seed):
         # Frames that only wait behind a lost one arrived in send order.
-        payloads = [safe_encode(frame(i), 0, 0) for i in range(200)]
+        payloads = [encode(frame(i)) for i in range(200)]
         rx = SafeReceiver()
         for dv in channel_transmit(payloads, ChannelConfig(loss_p=0.05, seed=seed)):
             rx.receive_payload(dv.payload)
@@ -382,11 +455,11 @@ class TestSafeReceiver:
 
     def test_corrupted_payload_counts_and_attributes_gap(self):
         rx = SafeReceiver()
-        rx.receive_payload(safe_encode(frame(0), 0, 0))
-        bad = bytearray(safe_encode(frame(1), 0, 0))
+        rx.receive_payload(encode(frame(0)))
+        bad = bytearray(encode(frame(1)))
         bad[8] ^= 0x10
         assert rx.receive_payload(bytes(bad)) == []
-        rx.receive_payload(safe_encode(frame(2), 0, 0))
+        rx.receive_payload(encode(frame(2)))
         rx.close(3)
         s = rx.stats
         assert s.corrupted_dropped == 1
@@ -433,10 +506,7 @@ class TestSafeReceiver:
 
     def test_stats_dict_and_overhead(self):
         s = LinkStats(bytes_sent=300, events_sent=100)
-        assert s.overhead_bytes_per_event() == 3.0
         assert s.as_dict()["bytes_sent"] == 300
-        with pytest.raises(ValueError):
-            LinkStats().overhead_bytes_per_event()
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
