@@ -197,8 +197,13 @@ def frame_downsample(frame: Frame, target: Resolution) -> Frame:
         raise ValueError(f"cannot downsample {src} to larger {target}")
     xmap = (np.arange(src.width, dtype=np.int64) * target.width) // src.width
     ymap = (np.arange(src.height, dtype=np.int64) * target.height) // src.height
-    out = np.zeros((target.height, target.width), dtype=np.int64)
-    np.add.at(out, (ymap[:, None], xmap[None, :]), frame.cells)
+    # The maps are non-decreasing and, as target <= source, reach every
+    # target cell, so each target row (column) sums one run of source rows
+    # (columns), starting where the map first reaches it.
+    ystarts = np.searchsorted(ymap, np.arange(target.height))
+    xstarts = np.searchsorted(xmap, np.arange(target.width))
+    rows = np.add.reduceat(frame.cells.astype(np.int64, copy=False), ystarts, axis=0)
+    out = np.add.reduceat(rows, xstarts, axis=1)
     return Frame(target, out, frame.t_start, frame.t_end)
 
 

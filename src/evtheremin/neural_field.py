@@ -5,10 +5,13 @@ The field is a leaky integrator over a grid of activations u:
     u += (dt / tau) * (-u + h + s + K * f(u) - g_inh * sum(f(u)))
 
 with sigmoid rate function f(u) = 1 / (1 + exp(-beta * u)), a local
-excitation / surround inhibition kernel K applied by zero-padded
-convolution, and optional global inhibition g_inh.  Localized input
-ignites a self-stabilizing supra-threshold peak; with g_inh > 0 the
-field becomes selective and at most one peak survives.
+excitation / surround inhibition kernel K, and optional global
+inhibition g_inh.  K is a difference of two Gaussians, each the outer
+product of a 1-D profile with itself, so K * f(u) is applied as
+separable passes: per Gaussian, one zero-padded 1-D correlation along
+each axis (K is symmetric, so correlation equals convolution).
+Localized input ignites a self-stabilizing supra-threshold peak; with
+g_inh > 0 the field becomes selective and at most one peak survives.
 
 Grids are indexed [row, column] i.e. [y, x].
 """
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import correlate1d
 from scipy.ndimage import label as _cc_label
-from scipy.signal import convolve2d
 from scipy.special import expit
 
 from .events import Resolution
@@ -75,13 +78,22 @@ def selective_params() -> tuple[FieldParams, KernelParams]:
 
 @dataclass
 class LateralKernel:
-    weights: np.ndarray
+    """Lateral coupling as a sum of separable terms.  Each term is a
+    signed amplitude and an odd-length 1-D profile g; it contributes
+    amplitude * outer(g, g).  A difference of Gaussians has two terms."""
+
+    terms: tuple[tuple[float, np.ndarray], ...]
     g_inh: float = 0.0
 
     def __post_init__(self):
-        kh, kw = self.weights.shape
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ValueError("kernel dimensions must be odd")
+        lengths = {len(g) if np.ndim(g) == 1 else 0 for _, g in self.terms}
+        if len(lengths) != 1 or lengths.pop() % 2 == 0:
+            raise ValueError("kernel profiles must be 1-D, of one odd length")
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The 2-D kernel the terms add up to."""
+        return sum(a * np.outer(g, g) for a, g in self.terms)
 
 
 def make_kernel(params: KernelParams, radius: int | None = None) -> LateralKernel:
@@ -90,12 +102,12 @@ def make_kernel(params: KernelParams, radius: int | None = None) -> LateralKerne
         radius = int(np.ceil(3.0 * params.sigma_inh))
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    ax = np.arange(-radius, radius + 1, dtype=np.float64)
-    r2 = ax[None, :] ** 2 + ax[:, None] ** 2
-    k = params.c_exc * np.exp(-r2 / (2 * params.sigma_exc**2)) - params.c_inh * np.exp(
-        -r2 / (2 * params.sigma_inh**2)
+    ax2 = np.arange(-radius, radius + 1, dtype=np.float64) ** 2
+    terms = (
+        (params.c_exc, np.exp(-ax2 / (2 * params.sigma_exc**2))),
+        (-params.c_inh, np.exp(-ax2 / (2 * params.sigma_inh**2))),
     )
-    return LateralKernel(k, params.g_inh)
+    return LateralKernel(terms, params.g_inh)
 
 
 @dataclass
@@ -130,7 +142,10 @@ def field_step(field: Field, s: np.ndarray, kernel: LateralKernel) -> Field:
         raise ValueError(f"input shape {s.shape} vs field {field.u.shape}")
     p = field.params
     rate = expit(p.beta * field.u)
-    lateral = convolve2d(rate, kernel.weights, mode="same", boundary="fill", fillvalue=0.0)
+    lateral = sum(
+        a * correlate1d(correlate1d(rate, g, axis=0, mode="constant"), g, axis=1, mode="constant")
+        for a, g in kernel.terms
+    )
     drive = -field.u + p.h + s + lateral - kernel.g_inh * rate.sum()
     if p.tie_break > 0:
         drive = drive - p.tie_break * _scan_ramp(field.u.shape)

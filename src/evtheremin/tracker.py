@@ -162,25 +162,18 @@ def blur_operator(resolution: Resolution, sigma_cells: float, radius: int | None
     kern = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2 * sigma_cells**2))
     kern /= kern.sum()
     w, h = resolution.width, resolution.height
-    rows, cols, vals = [], [], []
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            weight = kern[dy + radius, dx + radius]
-            ys = np.arange(max(0, -dy), min(h, h - dy))
-            xs = np.arange(max(0, -dx), min(w, w - dx))
-            if len(ys) == 0 or len(xs) == 0:
-                continue
-            yy, xx = np.meshgrid(ys, xs, indexing="ij")
-            out_idx = (yy * w + xx).ravel()
-            in_idx = ((yy + dy) * w + (xx + dx)).ravel()
-            rows.append(out_idx)
-            cols.append(in_idx)
-            vals.append(np.full(len(out_idx), weight))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(resolution.npixels, resolution.npixels),
-    )
-    return mat.tocsr()
+    # Row y*w + x holds the taps (dy, dx) whose source cell (y+dy, x+dx)
+    # lies inside the frame.  In (y, x, dy, dx) order the column indices
+    # rise within each row, so the masked arrays are already in CSR order.
+    src_y = np.arange(h)[:, None] + ax[None, :]  # [y, dy]
+    src_x = np.arange(w)[:, None] + ax[None, :]  # [x, dx]
+    in_y = (src_y >= 0) & (src_y < h)
+    in_x = (src_x >= 0) & (src_x < w)
+    inside = in_y[:, None, :, None] & in_x[None, :, None, :]
+    indices = (src_y[:, None, :, None] * w + src_x[None, :, None, :])[inside]
+    data = np.broadcast_to(kern, inside.shape)[inside]
+    indptr = np.concatenate(([0], np.cumsum(np.outer(in_y.sum(1), in_x.sum(1)))))
+    return sp.csr_matrix((data, indices, indptr), shape=(resolution.npixels, resolution.npixels))
 
 
 class SigmaDeltaDetector:
@@ -302,18 +295,21 @@ class HandTracker:
             lo, hi = stream.span_us()
             t_start = lo if t_start is None else t_start
             t_end = hi + 1 if t_end is None else t_end
-        data = stream.time_sorted()
-        ts = data.data["t"]
+        t = stream.data["t"]
+        if not (t[1:] >= t[:-1]).all():
+            stream = stream.time_sorted()
+        ends = range(t_start + cfg.window_us, t_end + cfg.window_us, cfg.window_us)
+        # One search for every window edge, over a contiguous copy of the
+        # column (NumPy copies a strided field view on each call) with keys
+        # of its dtype (Python-int keys make NumPy cast the whole column).
+        edges = np.searchsorted(
+            np.ascontiguousarray(stream.data["t"]),
+            np.array([t_start, *ends], dtype=t.dtype),
+        )
         out = []
-        t = t_start
-        while t < t_end:
-            w_end = t + cfg.window_us
-            # Keys of the column's own dtype: Python-int keys make NumPy
-            # cast the whole column on every call.
-            i0, i1 = np.searchsorted(ts, np.array([t, w_end], dtype=ts.dtype))
-            window = EventStream(data.data[i0:i1], stream.resolution)
-            out.append(self.step(window, int(w_end)))
-            t = w_end
+        for w_end, i0, i1 in zip(ends, edges[:-1], edges[1:]):
+            window = EventStream(stream.data[i0:i1], stream.resolution)
+            out.append(self.step(window, w_end))
         return out
 
 

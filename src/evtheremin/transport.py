@@ -18,11 +18,11 @@ SAFE profile, for links that drop, corrupt, delay, or reorder:
 
 All fields little-endian.  Record values must be nonzero integers; a
 non-integral value is rejected, never rounded.  dt_offset values are
-microseconds relative to the frame timestamp and must be
-non-decreasing.  The CRC is the reflected 0x04C11DB7 polynomial with
-init and final xor 0xFFFFFFFF (check value: crc(b"123456789") =
-0xCBF43926).  Fixed overhead is 18 header + 4 crc bytes, so bytes per
-event = 22/count + 8.
+integer microseconds relative to the frame timestamp (a float offset,
+even an integral one, is rejected) and must be non-decreasing.  The
+CRC is the reflected 0x04C11DB7 polynomial with init and final xor
+0xFFFFFFFF (check value: crc(b"123456789") = 0xCBF43926).  Fixed
+overhead is 18 header + 4 crc bytes, so bytes per event = 22/count + 8.
 
 A seeded channel simulator (loss, byte bit-flips, delay, bounded
 reordering) and a receiver with sequence accounting close the loop.
@@ -149,9 +149,10 @@ def safe_encode(spikes, seq: int, timestamp_us: int, offsets_us=None) -> bytes:
             if dt < last:
                 raise TransportError("dt_offsets must be non-decreasing")
             last = dt
-            parts.append(_RECORD.pack(s.address, int(s.value), int(dt)))
+            # struct packs only integers: a float offset is rejected.
+            parts.append(_RECORD.pack(s.address, int(s.value), dt))
     except struct.error as exc:
-        raise TransportError(f"SAFE field out of range: {exc}") from None
+        raise TransportError(f"bad SAFE field: {exc}") from None
     body = b"".join(parts)
     return body + _CRC.pack(crc32(body))
 

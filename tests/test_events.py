@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evtheremin.events import (
     CodecError,
@@ -138,6 +140,19 @@ class TestFrameDownsample:
             for x in range(30):
                 expect[y * 6 // 20, x * 7 // 30] += cells[y, x]
         np.testing.assert_array_equal(g.cells, expect)
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.data())
+    def test_equals_scatter_add_reference(self, width, height, data):
+        target = Resolution(data.draw(st.integers(1, width)), data.draw(st.integers(1, height)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cells = rng.integers(-3, 50, (height, width))
+        xmap = np.arange(width) * target.width // width
+        ymap = np.arange(height) * target.height // height
+        expect = np.zeros((target.height, target.width), dtype=np.int64)
+        np.add.at(expect, (ymap[:, None], xmap[None, :]), cells)
+        got = frame_downsample(Frame(Resolution(width, height), cells, 0, 1), target).cells
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expect)
 
     def test_upsample_rejected(self):
         f = Frame(CHIP, np.zeros((65, 86), dtype=np.int64), 0, 1)

@@ -1,10 +1,18 @@
 """Lateral-interaction field: kernel construction, Euler dynamics, peak
 detection, and the PGM dump."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import convolve2d
 from scipy.special import expit
 
+import evtheremin
 from evtheremin.events import Resolution
 from evtheremin.neural_field import (
     Field,
@@ -86,7 +94,11 @@ class TestMakeKernel:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
-            LateralKernel(np.zeros((4, 5)))
+            LateralKernel(((1.0, np.zeros(4)),))
+        with pytest.raises(ValueError):
+            LateralKernel(((1.0, np.zeros(5)), (-1.0, np.zeros(7))))
+        with pytest.raises(ValueError):
+            LateralKernel(((1.0, np.zeros((5, 5))),))
         with pytest.raises(ValueError):
             make_kernel(KernelParams(), radius=0)
 
@@ -118,6 +130,66 @@ class TestFieldBasics:
         kernel = make_kernel(KernelParams(), radius=2)
         with pytest.raises(ValueError):
             field_step(f, np.ones((10, 8)), kernel)
+
+
+def reference_step(field, s, kernel):
+    """field_step with the 2-D kernel applied by one zero-padded
+    convolve2d, as the tracker did before the separable passes."""
+    p = field.params
+    rate = expit(p.beta * field.u)
+    lateral = convolve2d(rate, kernel.weights, mode="same", boundary="fill", fillvalue=0.0)
+    drive = -field.u + p.h + s + lateral - kernel.g_inh * rate.sum()
+    n = field.u.size
+    ramp = (np.arange(n, dtype=np.float64) / max(n - 1, 1)).reshape(field.u.shape)
+    return field.u + (p.dt / p.tau) * (drive - p.tie_break * ramp)
+
+
+@st.composite
+def kernel_params(draw):
+    sigma_exc = draw(st.floats(0.3, 5.0))
+    return KernelParams(
+        c_exc=draw(st.floats(0.0, 20.0)),
+        sigma_exc=sigma_exc,
+        c_inh=draw(st.floats(0.0, 20.0)),
+        sigma_inh=draw(st.floats(sigma_exc + 0.1, 8.0)),
+        g_inh=draw(st.floats(0.0, 2.0)),
+    )
+
+
+class TestSeparableStep:
+    @settings(deadline=None)
+    @given(
+        kernel_params(),
+        st.one_of(st.none(), st.integers(1, 12)),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.floats(0.0, 0.1),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(KernelParams(), 12, 1, 1, 0.0, 0)
+    @example(KernelParams(), 12, 8, 10, 0.05, 1)
+    def test_matches_2d_convolution(self, kp, radius, height, width, tie_break, seed):
+        rng = np.random.default_rng(seed)
+        f = Field(rng.uniform(-10.0, 5.0, (height, width)), FieldParams(tie_break=tie_break))
+        s = rng.uniform(0.0, 15.0, (height, width))
+        kernel = make_kernel(kp, radius)
+        # Rates are at most 1, so no lateral input exceeds the kernel's
+        # absolute mass; both forms round at that scale.
+        tol = 1e-12 * max(1.0, float(np.abs(kernel.weights).sum()))
+        np.testing.assert_allclose(
+            field_step(f, s, kernel).u, reference_step(f, s, kernel), rtol=0, atol=tol
+        )
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        src = str(Path(evtheremin.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import evtheremin; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestLinearizedDynamics:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
 from evtheremin.events import (
@@ -93,7 +96,50 @@ class TestGainControl:
             GainControl(growth=1.0)
 
 
+def loop_blur_operator(resolution, sigma_cells, radius=None):
+    """Reference builder: one COO block per (dy, dx) offset."""
+    if radius is None:
+        radius = max(1, int(np.ceil(3 * sigma_cells)))
+    ax = np.arange(-radius, radius + 1)
+    kern = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2 * sigma_cells**2))
+    kern /= kern.sum()
+    w, h = resolution.width, resolution.height
+    rows, cols, vals = [], [], []
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            ys = np.arange(max(0, -dy), min(h, h - dy))
+            xs = np.arange(max(0, -dx), min(w, w - dx))
+            if len(ys) == 0 or len(xs) == 0:
+                continue
+            yy, xx = np.meshgrid(ys, xs, indexing="ij")
+            rows.append((yy * w + xx).ravel())
+            cols.append(((yy + dy) * w + (xx + dx)).ravel())
+            vals.append(np.full(yy.size, kern[dy + radius, dx + radius]))
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(resolution.npixels, resolution.npixels),
+    )
+    return mat.tocsr()
+
+
 class TestBlurOperator:
+    @given(
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.floats(0.3, 3.0),
+        st.one_of(st.none(), st.integers(1, 8)),
+    )
+    @example(CHIP.width, CHIP.height, 1.5, None)
+    def test_arrays_equal_loop_builder(self, width, height, sigma, radius):
+        # Equal arrays, not just equal matrices: the entry order within a
+        # row fixes the float sums of the sigma-delta matvec.
+        res = Resolution(width, height)
+        got, want = blur_operator(res, sigma, radius), loop_blur_operator(res, sigma, radius)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
     def test_matches_dense_convolution(self):
         res = Resolution(16, 12)
         sigma, radius = 1.2, 3
@@ -310,6 +356,18 @@ class TestRun:
         tracker = HandTracker()
         out = tracker.run(stream, t_start=0, t_end=30_000)
         assert [e.t_us for e in out] == [10_000, 20_000, 30_000]
+        out = tracker.run(stream, t_start=5_000, t_end=25_001)
+        assert [e.t_us for e in out] == [15_000, 25_000, 35_000]
+        assert tracker.run(stream, t_start=30_000, t_end=30_000) == []
+
+    def test_unsorted_stream_tracks_like_sorted(self):
+        traj = waving_trajectory(RES, 400)
+        stream = synth_hand_events(traj, RES, seed=5)
+        shuffled = stream.data[np.random.default_rng(0).permutation(len(stream))]
+        a = HandTracker().run(stream, t_start=0, t_end=40_000)
+        b = HandTracker().run(EventStream(shuffled, RES), t_start=0, t_end=40_000)
+        assert any(e.hands for e in a)
+        assert a == b
 
     def test_deterministic(self):
         traj = waving_trajectory(RES, 400)

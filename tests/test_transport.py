@@ -167,6 +167,12 @@ class TestSafeEncode:
         with pytest.raises(TransportError, match="not an integer"):
             safe_encode([GradedSpike(3, value)], 0, 0)
 
+    @pytest.mark.parametrize("dt", [1.5, 0.25, float("nan"), float("inf"), 4.0])
+    def test_float_offset_rejected(self, dt):
+        # Not truncated onto the wire: 1.5 used to decode as offset 1.
+        with pytest.raises(TransportError, match="not an integer"):
+            safe_encode([GradedSpike(1, 1)], 0, 0, [dt])
+
     def test_integral_float_value_accepted(self):
         assert safe_encode([GradedSpike(3, 2.0)], 0, 0) == safe_encode([GradedSpike(3, 2)], 0, 0)
 
