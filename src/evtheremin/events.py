@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -215,59 +217,62 @@ class TrajectorySample:
     y: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Per-hand position samples over time.  Unit is 'px' or 'm'."""
+    """Per-hand pixel position samples over time.
 
-    samples: list[TrajectorySample] = field(default_factory=list)
-    unit: str = "px"
+    Frozen, so the per-hand (t, x, y) arrays in `tracks`, built once from
+    the samples and read-only, always match them.
+    """
+
+    samples: tuple[TrajectorySample, ...] = ()
+    tracks: Mapping[Hand, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if self.unit not in ("px", "m"):
-            raise ValueError(f"unit must be 'px' or 'm', got {self.unit!r}")
-        last: dict[Hand, int] = {}
-        for s in self.samples:
-            if s.hand in last and s.t <= last[s.hand]:
+        samples = tuple(self.samples)
+        points: dict[Hand, list[tuple[int, float, float]]] = {}
+        for s in samples:
+            pts = points.setdefault(s.hand, [])
+            if pts and s.t <= pts[-1][0]:
                 raise ValueError(
                     f"timestamps for {s.hand.value} not strictly increasing at t={s.t}"
                 )
-            last[s.hand] = s.t
+            pts.append((s.t, s.x, s.y))
+        tracks = {}
+        for hand, pts in points.items():
+            rows = np.array(pts, dtype=np.float64).T.copy()
+            rows.flags.writeable = False
+            tracks[hand] = tuple(rows)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "tracks", MappingProxyType(tracks))
+
+    def __reduce__(self):
+        # Copies and pickles rebuild their arrays from the samples.
+        return (Trajectory, (self.samples,))
 
     def hands(self) -> list[Hand]:
-        seen = []
-        for s in self.samples:
-            if s.hand not in seen:
-                seen.append(s.hand)
-        return seen
-
-    def _tracks(self) -> dict[Hand, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        out = {}
-        for hand in self.hands():
-            pts = [(s.t, s.x, s.y) for s in self.samples if s.hand is hand]
-            t = np.array([p[0] for p in pts], dtype=np.float64)
-            x = np.array([p[1] for p in pts], dtype=np.float64)
-            y = np.array([p[2] for p in pts], dtype=np.float64)
-            out[hand] = (t, x, y)
-        return out
+        return list(self.tracks)
 
     def position_at(self, hand: Hand, t: float) -> tuple[float, float]:
         """Linearly interpolated position, clamped at the ends."""
-        tr = self._tracks().get(hand)
+        tr = self.tracks.get(hand)
         if tr is None:
             raise KeyError(f"trajectory has no samples for {hand.value}")
         ts, xs, ys = tr
         return float(np.interp(t, ts, xs)), float(np.interp(t, ts, ys))
 
     def span_us(self) -> tuple[int, int]:
-        if not self.samples:
+        if not self.tracks:
             return (0, 0)
-        ts = [s.t for s in self.samples]
-        return min(ts), max(ts)
+        ts = [t for t, _, _ in self.tracks.values()]
+        return int(min(t[0] for t in ts)), int(max(t[-1] for t in ts))
 
     def to_json(self) -> str:
         return json.dumps(
             {
-                "unit": self.unit,
+                "unit": "px",
                 "samples": [[s.t, s.hand.value, s.x, s.y] for s in self.samples],
             }
         )
@@ -275,11 +280,12 @@ class Trajectory:
     @classmethod
     def from_json(cls, text: str) -> "Trajectory":
         obj = json.loads(text)
-        samples = [
+        if obj.get("unit", "px") != "px":
+            raise ValueError(f"trajectory unit must be 'px', got {obj['unit']!r}")
+        return cls(
             TrajectorySample(int(t), Hand(h), float(x), float(y))
             for t, h, x, y in obj["samples"]
-        ]
-        return cls(samples, obj.get("unit", "px"))
+        )
 
 
 def waving_trajectory(
@@ -309,7 +315,7 @@ def waving_trajectory(
             y = cy + y_amplitude_px * np.sin(4 * np.pi * t / period_ms + phase)
             samples.append(TrajectorySample(int(round(t * 1000)), hand, float(x), float(y)))
     samples.sort(key=lambda s: (s.t, s.hand.value))
-    traj = Trajectory(samples, "px")
+    traj = Trajectory(samples)
     _check_trajectory_bounds(traj, resolution)
     return traj
 
@@ -332,8 +338,7 @@ def _render_blobs(canvas: np.ndarray, positions, radius: float) -> list[tuple[in
         y0, y1 = max(0, int(cy) - pad), min(h, int(cy) + pad + 1)
         if x0 >= x1 or y0 >= y1:
             continue
-        ys, xs = np.mgrid[y0:y1, x0:x1]
-        dist = np.hypot(xs - cx, ys - cy)
+        dist = np.hypot(np.arange(x0, x1) - cx, np.arange(y0, y1)[:, None] - cy)
         disk = np.clip(radius + 0.5 - dist, 0.0, 1.0)
         np.maximum(canvas[y0:y1, x0:x1], disk, out=canvas[y0:y1, x0:x1])
         boxes.append((y0, y1, x0, x1))
@@ -348,6 +353,7 @@ def synth_hand_events(
     contrast_threshold: float = 0.05,
     rate_scale: float = 1.0,
     micro_step_us: int = 1000,
+    until_us: int | None = None,
 ) -> EventStream:
     """Generate events from moving hand blobs by luminance frame differencing.
 
@@ -357,87 +363,75 @@ def synth_hand_events(
     floor(rate_scale * |delta| / contrast_threshold) events with the sign
     of the change, timestamps jittered uniformly inside the step.
     A stationary scene therefore emits nothing.
+
+    The stream is sorted by time, stably within each step.  With until_us,
+    only the steps that start before it are computed, each exactly as in a
+    full run, and only events with t < until_us are kept: the result is the
+    full stream's prefix before until_us.
     """
-    if trajectory.unit != "px":
-        raise ValueError("synthesis needs a pixel-unit trajectory")
     if contrast_threshold <= 0 or rate_scale < 0 or micro_step_us <= 0:
         raise ValueError("bad synthesis parameters")
     _check_trajectory_bounds(trajectory, resolution)
     t_min, t_max = trajectory.span_us()
-    if t_max <= t_min:
+    stop = t_max + 1 if until_us is None else until_us
+    n_steps = int(np.ceil((min(stop, t_max) - t_min) / micro_step_us))
+    if n_steps <= 0:
         return EventStream.empty(resolution)
     rng = np.random.default_rng(seed)
-    hands = trajectory.hands()
     shape = (resolution.height, resolution.width)
+    # Every micro-frame's blob centres, one interpolation per hand and axis.
+    times = np.minimum(t_min + micro_step_us * np.arange(n_steps + 1), t_max)
+    bounds = times.tolist()
+    centres = list(zip(*(
+        zip(np.interp(times, ts, xs).tolist(), np.interp(times, ts, ys).tolist())
+        for ts, xs, ys in trajectory.tracks.values()
+    )))
     prev = np.zeros(shape, dtype=np.float64)
-    _render_blobs(prev, [trajectory.position_at(h, t_min) for h in hands], blob_radius)
-    ts_out, xs_out, ys_out, ps_out = [], [], [], []
-    n_steps = int(np.ceil((t_max - t_min) / micro_step_us))
+    prev_boxes = _render_blobs(prev, centres[0], blob_radius)
+    out = []
     for k in range(1, n_steps + 1):
-        t_k = min(t_min + k * micro_step_us, t_max)
+        t_lo, t_k = bounds[k - 1], bounds[k]
         cur = np.zeros(shape, dtype=np.float64)
-        boxes = _render_blobs(cur, [trajectory.position_at(h, t_k) for h in hands], blob_radius)
-        if boxes:
-            cur_box = (
-                min(b[0] for b in boxes),
-                max(b[1] for b in boxes),
-                min(b[2] for b in boxes),
-                max(b[3] for b in boxes),
-            )
-        else:
-            cur_box = (0, 0, 0, 0)
-        # Change can only happen where either frame has support.
-        py0, py1, px0, px1 = _union_box(cur_box, _support_box(prev))
-        if py0 >= py1:
-            prev = cur
+        boxes = _render_blobs(cur, centres[k], blob_radius)
+        # Change can only happen inside this or the previous step's blobs.
+        # Any box holding them scans their pixels in the same row-major
+        # order, so the events and the RNG draws do not depend on its size.
+        region = boxes + prev_boxes
+        last, prev, prev_boxes = prev, cur, boxes
+        if not region:
             continue
-        diff = cur[py0:py1, px0:px1] - prev[py0:py1, px0:px1]
+        py0, py1 = min(b[0] for b in region), max(b[1] for b in region)
+        px0, px1 = min(b[2] for b in region), max(b[3] for b in region)
+        diff = cur[py0:py1, px0:px1] - last[py0:py1, px0:px1]
         mag = np.abs(diff)
         yy, xx = np.nonzero(mag >= contrast_threshold)
-        if len(yy):
-            counts = np.floor(rate_scale * mag[yy, xx] / contrast_threshold).astype(np.int64)
-            keep = counts > 0
-            yy, xx, counts = yy[keep], xx[keep], counts[keep]
-            sign = np.sign(diff[yy, xx]).astype(np.int8)
-            total = int(counts.sum())
-            if total:
-                t_lo = t_min + (k - 1) * micro_step_us
-                step_span = t_k - t_lo
-                jitter = rng.random(total) * step_span
-                ts = (t_lo + jitter).astype(np.uint64)
-                xs = np.repeat(xx + px0, counts).astype(np.uint16)
-                ys = np.repeat(yy + py0, counts).astype(np.uint16)
-                ps = np.repeat(sign, counts)
-                ts_out.append(ts)
-                xs_out.append(xs)
-                ys_out.append(ys)
-                ps_out.append(ps)
-        prev = cur
-    if not ts_out:
+        if not len(yy):
+            continue
+        counts = np.floor(rate_scale * mag[yy, xx] / contrast_threshold).astype(np.int64)
+        keep = counts > 0
+        yy, xx, counts = yy[keep], xx[keep], counts[keep]
+        total = int(counts.sum())
+        if not total:
+            continue
+        jitter = rng.random(total) * (t_k - t_lo)
+        ts = (t_lo + jitter).astype(np.uint64)
+        # Steps follow each other in time, so sorting each one stably
+        # sorts the whole stream stably.  The offset into the step orders
+        # like t, and in its narrowest dtype (16 bits for steps under
+        # 65.5 ms) NumPy sorts it with a radix sort.
+        key = (ts - np.uint64(t_lo)).astype(np.min_scalar_type(t_k - t_lo))
+        order = np.argsort(key, kind="stable")
+        if t_k >= stop:
+            order = order[ts[order] < stop]
+        out.append((
+            ts[order],
+            np.repeat(xx + px0, counts).astype(np.uint16)[order],
+            np.repeat(yy + py0, counts).astype(np.uint16)[order],
+            np.repeat(np.sign(diff[yy, xx]).astype(np.int8), counts)[order],
+        ))
+    if not out:
         return EventStream.empty(resolution)
-    stream = EventStream.from_arrays(
-        np.concatenate(ts_out),
-        np.concatenate(xs_out),
-        np.concatenate(ys_out),
-        np.concatenate(ps_out),
-        resolution,
-    )
-    return stream.time_sorted()
-
-
-def _support_box(img: np.ndarray) -> tuple[int, int, int, int]:
-    ys, xs = np.nonzero(img)
-    if len(ys) == 0:
-        return (0, 0, 0, 0)
-    return int(ys.min()), int(ys.max()) + 1, int(xs.min()), int(xs.max()) + 1
-
-
-def _union_box(a, b) -> tuple[int, int, int, int]:
-    if a[0] >= a[1]:
-        return b
-    if b[0] >= b[1]:
-        return a
-    return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+    return EventStream.from_arrays(*(np.concatenate(c) for c in zip(*out)), resolution)
 
 
 def add_noise_events(stream: EventStream, fraction: float, seed: int) -> EventStream:

@@ -320,8 +320,7 @@ def _spikes_to_estimate(t_us: int, group: list[tuple[int, int]]) -> HandEstimate
 
 def _shift_trajectory(traj: Trajectory, offset_us: int) -> Trajectory:
     return Trajectory(
-        [TrajectorySample(s.t + offset_us, s.hand, s.x, s.y) for s in traj.samples],
-        traj.unit,
+        TrajectorySample(s.t + offset_us, s.hand, s.x, s.y) for s in traj.samples
     )
 
 
@@ -477,6 +476,9 @@ def _run_tracking_segment(
     L = cfg.latencies
     signals = control_signals(state)
     traj = _shift_trajectory(score_traj, t0_us)
+    span_end = min(t1_us, traj.span_us()[1])
+    # The tracker's last window may end past span_end; synthesise up to it.
+    window_us = cfg.tracker.window_us
     stream = synth_hand_events(
         traj,
         cfg.tracker.input_res,
@@ -485,9 +487,9 @@ def _run_tracking_segment(
         contrast_threshold=cfg.synth.contrast_threshold,
         rate_scale=cfg.synth.rate_scale,
         micro_step_us=cfg.synth.micro_step_us,
+        until_us=t0_us + -(-(span_end - t0_us) // window_us) * window_us,
     )
     run.counts["events_generated"] += len(stream)
-    span_end = min(t1_us, traj.span_us()[1])
     payloads, send_times = [], []
     sent_at: dict[int, float] = {}
     for est in run.tracker.run(stream, t0_us, span_end):

@@ -302,7 +302,7 @@ def score_to_trajectory(
             vy = geometry.y_px_for_height(h) + bob_px * math.sin(ph_b)
             vx = volume_x_px + bob_px * math.cos(ph_b)
             samples.append(TrajectorySample(t_us, Hand.RIGHT, vx, vy))
-    traj = Trajectory(samples, "px")
+    traj = Trajectory(samples)
     for s in traj.samples:
         if not (0 <= s.x < resolution.width and 0 <= s.y < resolution.height):
             raise ScoreError(

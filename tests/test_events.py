@@ -1,11 +1,15 @@
 """Event data model, frame accumulation, downsampling, synthetic
 generation, and the EVT1 codec."""
 
+import copy
+import json
+import pickle
 import struct
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evtheremin.events import (
@@ -18,6 +22,7 @@ from evtheremin.events import (
     StreamError,
     Trajectory,
     TrajectorySample,
+    _render_blobs,
     add_noise_events,
     decode_evt1,
     encode_evt1,
@@ -29,6 +34,20 @@ from evtheremin.events import (
 
 RES = Resolution(240, 180)
 CHIP = Resolution(86, 65)
+
+
+@st.composite
+def hand_samples(draw, hand, width=RES.width, height=RES.height):
+    """1-6 samples of one hand, at strictly increasing times that start
+    anywhere in the first 5 ms and are 0.4-6 ms apart, anywhere in frame."""
+    t = draw(st.integers(0, 5000))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(st.floats(0.0, width, exclude_max=True))
+        y = draw(st.floats(0.0, height, exclude_max=True))
+        out.append(TrajectorySample(t, hand, x, y))
+        t += draw(st.integers(400, 6000))
+    return out
 
 
 def stream_of(triples, res=RES):
@@ -166,18 +185,70 @@ class TestTrajectory:
             [
                 TrajectorySample(0, Hand.LEFT, 10.0, 20.0),
                 TrajectorySample(1000, Hand.LEFT, 20.0, 40.0),
-            ],
-            "px",
+            ]
         )
         x, y = traj.position_at(Hand.LEFT, 500)
         assert (x, y) == (15.0, 30.0)
+        with pytest.raises(KeyError):
+            traj.position_at(Hand.RIGHT, 500)
 
     def test_json_roundtrip(self):
         traj = waving_trajectory(RES, 100)
-        back = Trajectory.from_json(traj.to_json())
-        assert back.unit == traj.unit
-        assert len(back.samples) == len(traj.samples)
+        text = traj.to_json()
+        assert json.loads(text)["unit"] == "px"
+        back = Trajectory.from_json(text)
+        assert back == traj
         assert back.samples[3] == traj.samples[3]
+
+    def test_json_non_pixel_unit_rejected(self):
+        text = json.dumps({"unit": "m", "samples": [[0, "left", 0.5, 0.5]]})
+        with pytest.raises(ValueError, match="unit"):
+            Trajectory.from_json(text)
+
+    def test_frozen_with_read_only_tracks(self):
+        traj = waving_trajectory(RES, 100)
+        assert isinstance(traj.samples, tuple)
+        with pytest.raises(FrozenInstanceError):
+            traj.samples = ()
+        with pytest.raises(FrozenInstanceError):
+            traj.tracks = {}
+        with pytest.raises(TypeError):
+            traj.tracks[Hand.LEFT] = traj.tracks[Hand.RIGHT]
+        with pytest.raises(ValueError):
+            traj.tracks[Hand.LEFT][1][0] = 0.0
+        for copied in (copy.deepcopy(traj), pickle.loads(pickle.dumps(traj))):
+            assert copied == traj
+            assert copied.hands() == traj.hands()
+            assert not copied.tracks[Hand.LEFT][1].flags.writeable
+
+    def test_non_increasing_times_rejected(self):
+        with pytest.raises(ValueError, match="left not strictly increasing at t=5"):
+            Trajectory(
+                [
+                    TrajectorySample(5, Hand.LEFT, 1.0, 1.0),
+                    TrajectorySample(3, Hand.RIGHT, 1.0, 1.0),
+                    TrajectorySample(5, Hand.LEFT, 2.0, 1.0),
+                ]
+            )
+
+    @given(st.data())
+    def test_position_at_matches_interp_over_samples(self, data):
+        hands = data.draw(st.sampled_from([[Hand.LEFT], [Hand.RIGHT, Hand.LEFT]]))
+        samples = [s for hand in hands for s in data.draw(hand_samples(hand))]
+        traj = Trajectory(samples)
+        assert traj.hands() == hands
+        lo, hi = traj.span_us()
+        assert (lo, hi) == (min(s.t for s in samples), max(s.t for s in samples))
+        for hand in hands:
+            mine = [s for s in samples if s.hand is hand]
+            ts = [s.t for s in mine]
+            # both clamped ends, every sample time and points in between
+            for t in [ts[0] - 1000, ts[0], ts[-1], ts[-1] + 1000, *data.draw(
+                st.lists(st.integers(lo - 2000, hi + 2000), max_size=5)
+            ), *ts]:
+                x, y = traj.position_at(hand, t)
+                assert x == np.interp(t, ts, [s.x for s in mine])
+                assert y == np.interp(t, ts, [s.y for s in mine])
 
     def test_waving_stays_in_bounds(self):
         traj = waving_trajectory(RES, 4000)
@@ -192,11 +263,107 @@ class TestTrajectory:
         assert (lx - 0.28 * RES.width) * (rx - 0.72 * RES.width) < 0
 
 
+def oracle_synth(traj, resolution, seed, blob_radius=8.0, contrast_threshold=0.05,
+                 rate_scale=1.0, micro_step_us=1000):
+    """Reference synthesizer, written for clarity over speed: positions
+    interpolated from the samples at every step, the change region from a
+    full-frame scan of the previous micro-frame, one global stable sort."""
+
+    def position(hand, t):
+        mine = [s for s in traj.samples if s.hand is hand]
+        ts = np.array([s.t for s in mine], dtype=np.float64)
+        return (float(np.interp(t, ts, [s.x for s in mine])),
+                float(np.interp(t, ts, [s.y for s in mine])))
+
+    def support_box(img):
+        ys, xs = np.nonzero(img)
+        if len(ys) == 0:
+            return (0, 0, 0, 0)
+        return int(ys.min()), int(ys.max()) + 1, int(xs.min()), int(xs.max()) + 1
+
+    def union(a, b):
+        if a[0] >= a[1]:
+            return b
+        if b[0] >= b[1]:
+            return a
+        return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+
+    t_min, t_max = traj.span_us()
+    if t_max <= t_min:
+        return EventStream.empty(resolution)
+    rng = np.random.default_rng(seed)
+    hands = traj.hands()
+    shape = (resolution.height, resolution.width)
+    prev = np.zeros(shape)
+    _render_blobs(prev, [position(h, t_min) for h in hands], blob_radius)
+    out = []
+    n_steps = int(np.ceil((t_max - t_min) / micro_step_us))
+    for k in range(1, n_steps + 1):
+        t_k = min(t_min + k * micro_step_us, t_max)
+        cur = np.zeros(shape)
+        boxes = _render_blobs(cur, [position(h, t_k) for h in hands], blob_radius)
+        cur_box = (0, 0, 0, 0)
+        for b in boxes:
+            cur_box = union(cur_box, b)
+        py0, py1, px0, px1 = union(cur_box, support_box(prev))
+        if py0 < py1:
+            diff = cur[py0:py1, px0:px1] - prev[py0:py1, px0:px1]
+            mag = np.abs(diff)
+            yy, xx = np.nonzero(mag >= contrast_threshold)
+            counts = np.floor(rate_scale * mag[yy, xx] / contrast_threshold).astype(np.int64)
+            keep = counts > 0
+            yy, xx, counts = yy[keep], xx[keep], counts[keep]
+            total = int(counts.sum())
+            if total:
+                t_lo = t_min + (k - 1) * micro_step_us
+                ts = (t_lo + rng.random(total) * (t_k - t_lo)).astype(np.uint64)
+                out.append((ts, np.repeat(xx + px0, counts), np.repeat(yy + py0, counts),
+                            np.repeat(np.sign(diff[yy, xx]).astype(np.int8), counts)))
+        prev = cur
+    if not out:
+        return EventStream.empty(resolution)
+    stream = EventStream.from_arrays(*(np.concatenate(c) for c in zip(*out)), resolution)
+    return stream.time_sorted()
+
+
 class TestSynthHandEvents:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_oracle(self, data):
+        res = Resolution(data.draw(st.integers(20, 64)), data.draw(st.integers(16, 48)))
+        hands = data.draw(st.sampled_from([[Hand.LEFT], [Hand.LEFT, Hand.RIGHT]]))
+        samples = [s for hand in hands
+                   for s in data.draw(hand_samples(hand, res.width, res.height))]
+        traj = Trajectory(samples)
+        params = dict(
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+            blob_radius=data.draw(st.floats(1.0, 15.0)),
+            contrast_threshold=data.draw(st.sampled_from([0.05, 0.13, 0.4])),
+            rate_scale=data.draw(st.floats(0.0, 4.0)),
+            # steps of 700, 1300 and 2900 us fall between most sample times;
+            # 70 ms is one step longer than a 16-bit offset
+            micro_step_us=data.draw(st.sampled_from([250, 700, 1000, 1300, 2900, 70_000])),
+        )
+        want = oracle_synth(traj, res, **params)
+        got = synth_hand_events(traj, res, **params)
+        assert got.resolution == res
+        assert got.data.tobytes() == want.data.tobytes()
+        lo, hi = traj.span_us()
+        until = data.draw(st.integers(lo - 1000, hi + 3000))
+        cut = synth_hand_events(traj, res, until_us=until, **params)
+        assert cut.data.tobytes() == want.data[want.data["t"] < until].tobytes()
+
+    def test_stop_time_keeps_prefix(self):
+        traj = waving_trajectory(RES, 60)
+        full = synth_hand_events(traj, RES, seed=4, micro_step_us=700)
+        assert np.all(np.diff(full.data["t"].astype(np.int64)) >= 0)
+        for until in (0, 1, 20_000, 20_350, 59_999, 60_000, 10**9):
+            cut = synth_hand_events(traj, RES, seed=4, micro_step_us=700, until_us=until)
+            assert cut == EventStream(full.data[full.data["t"] < until], RES)
+
     def test_stationary_blob_emits_nothing(self):
         traj = Trajectory(
-            [TrajectorySample(t, Hand.LEFT, 50.0, 50.0) for t in (0, 10_000, 20_000)],
-            "px",
+            [TrajectorySample(t, Hand.LEFT, 50.0, 50.0) for t in (0, 10_000, 20_000)]
         )
         stream = synth_hand_events(traj, RES, seed=1)
         assert len(stream) == 0
@@ -216,8 +383,7 @@ class TestSynthHandEvents:
             [
                 TrajectorySample(0, Hand.LEFT, 60.0, 90.0),
                 TrajectorySample(50_000, Hand.LEFT, 110.0, 90.0),
-            ],
-            "px",
+            ]
         )
         stream = synth_hand_events(traj, RES, seed=2, rate_scale=2.0)
         assert len(stream) > 0
@@ -232,8 +398,7 @@ class TestSynthHandEvents:
             [
                 TrajectorySample(0, Hand.LEFT, 40.0, 40.0),
                 TrajectorySample(1000, Hand.LEFT, 43.0, 40.0),
-            ],
-            "px",
+            ]
         )
         radius, thresh, rate = 5.0, 0.05, 1.0
         stream = synth_hand_events(
@@ -255,12 +420,7 @@ class TestSynthHandEvents:
         np.testing.assert_array_equal(got, expect)
 
     def test_bounds_checked(self):
-        traj = Trajectory([TrajectorySample(0, Hand.LEFT, 500.0, 50.0)], "px")
-        with pytest.raises(ValueError):
-            synth_hand_events(traj, RES, seed=1)
-
-    def test_meter_unit_rejected(self):
-        traj = Trajectory([TrajectorySample(0, Hand.LEFT, 0.5, 0.5)], "m")
+        traj = Trajectory([TrajectorySample(0, Hand.LEFT, 500.0, 50.0)])
         with pytest.raises(ValueError):
             synth_hand_events(traj, RES, seed=1)
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from evtheremin import harness
 from evtheremin.harness import (
     CH_PITCH_CONF,
     CH_PITCH_X,
@@ -19,6 +20,7 @@ from evtheremin.harness import (
     RunReport,
     SimConfig,
     StageLatencies,
+    SynthParams,
     VirtualClock,
     _estimate_to_spikes,
     _scenario_segments,
@@ -38,7 +40,7 @@ from evtheremin.neural_field import KernelParams
 from evtheremin.orchestrator import ShowState, parse_scenario
 from evtheremin.theremin import parse_score
 from evtheremin.tracker import HandEstimate, HandLabel, HandPoint, TrackerConfig
-from evtheremin.transport import ChannelConfig
+from evtheremin.transport import ChannelConfig, safe_encode
 
 # Two 400 ms notes; short enough that a full duet run stays under a
 # second of wall time.
@@ -494,6 +496,56 @@ class TestOtherShowStates:
             == link["sent"]
         )
         assert 0 < rep.pitch_samples < 80
+
+
+class TestSynthesisStopTime:
+    # A 93 ms score sampled every 10 ms spans 90 ms, and the teaching
+    # segment cuts its replay at 43 ms: with 7 ms windows neither is a
+    # whole number of windows, and 3 ms micro-steps do not divide them.
+    SCORE = "NOTE 60 45\nNOTE 64 48\nVOL 0 0.8\nVOL 60 0.3\n"
+    SCENARIO = (
+        "AT 0 INTENT StartConversation\n"
+        "AT 100 INTENT AskDuet\n"
+        "AT 300 INTENT Done\n"
+        "AT 320 INTENT AskTeaching\n"
+        "AT 363 INTENT Done\n"
+    )
+
+    def run(self, monkeypatch):
+        payloads = []
+
+        def recording_encode(*args, **kwargs):
+            payloads.append(safe_encode(*args, **kwargs))
+            return payloads[-1]
+
+        monkeypatch.setattr(harness, "safe_encode", recording_encode)
+        cfg = SimConfig(
+            seed=5,
+            tracker=TrackerConfig(window_us=7000),
+            synth=SynthParams(micro_step_us=3000),
+            channel=ChannelConfig(loss_p=0.2, seed=3),
+        )
+        rep = run_show(cfg, scenario_text=self.SCENARIO, score_text=self.SCORE)
+        return rep, payloads
+
+    def test_last_window_sees_every_event(self, monkeypatch):
+        rep, payloads = self.run(monkeypatch)
+        real_synth = harness.synth_hand_events
+
+        def whole_trajectory(*args, until_us=None, **kwargs):
+            return real_synth(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "synth_hand_events", whole_trajectory)
+        full, full_payloads = self.run(monkeypatch)
+        # 13 windows over the duet's 90 ms, 7 over the teaching's 43 ms.
+        assert rep.counts["windows"] == 20
+        assert payloads == full_payloads
+        lines = rep.to_kv_lines(include_wall=False)
+        full_lines = full.to_kv_lines(include_wall=False)
+        changed = [(a, b) for a, b in zip(lines, full_lines) if a != b]
+        assert len(lines) == len(full_lines)
+        assert [a.split("=")[0] for a, _ in changed] == ["counts.events_generated"]
+        assert 0 < rep.counts["events_generated"] < full.counts["events_generated"]
 
 
 class TestProtocolBench:
