@@ -2,7 +2,6 @@
 graded-spike transport, and a fully simulated robot show."""
 
 from .events import (
-    Event,
     EventStream,
     Frame,
     Hand,
@@ -45,15 +44,7 @@ from .orchestrator import (
     control_signals,
     transition,
 )
-from .sigma_delta import (
-    DenseNet,
-    GradedSpike,
-    Layer,
-    SdState,
-    SigmaDeltaNetwork,
-    delta_encode,
-    sigma_decode,
-)
+from .sigma_delta import GradedSpike, SdState, delta_encode, sigma_decode
 from .theremin import (
     ControlPoint,
     PitchCalibration,

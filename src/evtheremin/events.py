@@ -70,20 +70,6 @@ class Resolution:
         return f"{self.width}x{self.height}"
 
 
-@dataclass(frozen=True)
-class Event:
-    t: int
-    x: int
-    y: int
-    polarity: int
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise StreamError(f"negative timestamp {self.t}")
-        if self.polarity not in (-1, 1):
-            raise StreamError(f"polarity must be +1 or -1, got {self.polarity}")
-
-
 class EventStream:
     """A batch of events plus the resolution they were captured at."""
 
@@ -96,16 +82,6 @@ class EventStream:
     @classmethod
     def empty(cls, resolution: Resolution) -> "EventStream":
         return cls(np.empty(0, dtype=EVENT_DTYPE), resolution)
-
-    @classmethod
-    def from_events(cls, events, resolution: Resolution) -> "EventStream":
-        events = list(events)
-        data = np.zeros(len(events), dtype=EVENT_DTYPE)
-        for i, ev in enumerate(events):
-            data[i] = (ev.t, ev.x, ev.y, ev.polarity)
-        stream = cls(data, resolution)
-        stream.validate()
-        return stream
 
     @classmethod
     def from_arrays(cls, t, x, y, p, resolution: Resolution) -> "EventStream":

@@ -201,12 +201,6 @@ def parse_score(text: str) -> Score:
     return Score(notes, volumes)
 
 
-def format_score(score: Score) -> str:
-    lines = [f"NOTE {n.midi} {n.duration_ms:g}" for n in score.notes]
-    lines += [f"VOL {t:g} {level:g}" for t, level in score.volumes]
-    return "\n".join(lines) + "\n"
-
-
 def score_to_trajectory(
     score: Score,
     cal: PitchCalibration,

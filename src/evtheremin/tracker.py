@@ -1,8 +1,9 @@
 """Hand tracking: event frames in, labeled pitch/volume hand estimates out.
 
 Pipeline per step: accumulate the window's events at sensor resolution,
-downsample to the on-chip grid, turn counts into a detector heatmap
-(event-density blob filter or a sigma-delta network), drive the neural
+downsample to the on-chip grid, turn counts into a detector heatmap (a
+Gaussian blur of the counts, sent as is by the blob detector or through
+one sigma-delta boundary by the `sd_net` detector), drive the neural
 field one step with the heatmap, and read peaks back out as upscaled
 hand positions.  The field's inertia is what rejects distractor events;
 when nothing is detected the previous estimate is held with its
@@ -11,16 +12,16 @@ confidence halved each step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.ndimage import gaussian_filter
 
 from .events import EventStream, Frame, Resolution, frame_accumulate, frame_downsample
 from .neural_field import Field, FieldParams, KernelParams, LateralKernel, Peak, detect_peaks, field_step, make_kernel
-from .sigma_delta import DenseNet, Layer, SigmaDeltaNetwork
+from .sigma_delta import SdState, delta_encode, sigma_decode
 
 
 class HandLabel(Enum):
@@ -100,6 +101,10 @@ class TrackerConfig:
             raise ValueError("confidence decay must be in (0, 1)")
         if self.max_hands not in (1, 2):
             raise ValueError("tracker handles 1 or 2 hands")
+        if not (0.0 < self.blur_sigma_cells < math.inf):
+            raise ValueError(f"blur_sigma_cells must be finite and > 0, got {self.blur_sigma_cells}")
+        if not (0.0 <= self.sd_theta < math.inf):
+            raise ValueError(f"sd_theta must be finite and >= 0, got {self.sd_theta}")
 
 
 class GainControl:
@@ -140,8 +145,6 @@ class BlobDetector:
     """Normalized local event density: Gaussian blur of the count frame."""
 
     def __init__(self, sigma_cells: float):
-        if sigma_cells <= 0:
-            raise ValueError("blur sigma must be positive")
         self.sigma = sigma_cells
         self.gain = GainControl()
 
@@ -153,58 +156,33 @@ class BlobDetector:
         self.gain.reset()
 
 
-def blur_operator(resolution: Resolution, sigma_cells: float, radius: int | None = None) -> sp.csr_matrix:
-    """Gaussian blur expressed as a sparse matrix over flattened frames,
-    so the sigma-delta path has a single dense-layer forwarding shape."""
-    if radius is None:
-        radius = max(1, int(np.ceil(3 * sigma_cells)))
-    ax = np.arange(-radius, radius + 1)
-    kern = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2 * sigma_cells**2))
-    kern /= kern.sum()
-    w, h = resolution.width, resolution.height
-    # Row y*w + x holds the taps (dy, dx) whose source cell (y+dy, x+dx)
-    # lies inside the frame.  In (y, x, dy, dx) order the column indices
-    # rise within each row, so the masked arrays are already in CSR order.
-    src_y = np.arange(h)[:, None] + ax[None, :]  # [y, dy]
-    src_x = np.arange(w)[:, None] + ax[None, :]  # [x, dx]
-    in_y = (src_y >= 0) & (src_y < h)
-    in_x = (src_x >= 0) & (src_x < w)
-    inside = in_y[:, None, :, None] & in_x[None, :, None, :]
-    indices = (src_y[:, None, :, None] * w + src_x[None, :, None, :])[inside]
-    data = np.broadcast_to(kern, inside.shape)[inside]
-    indptr = np.concatenate(([0], np.cumsum(np.outer(in_y.sum(1), in_x.sum(1)))))
-    return sp.csr_matrix((data, indices, indptr), shape=(resolution.npixels, resolution.npixels))
-
-
 class SigmaDeltaDetector:
-    """Spiking detector: one sparse blur layer run through the sigma-delta
-    pipeline, fed the flattened count frame each step.  Stateful, so
-    between-step redundancy is carried by spikes only."""
+    """Spiking detector: the count frame's Gaussian blur, sent through one
+    sigma-delta boundary each step, so between-step redundancy is carried
+    by spikes only and the decoded blur is within theta of the true one
+    in every cell.  The blur is truncated at ceil(3 sigma) cells."""
 
-    def __init__(self, resolution: Resolution, sigma_cells: float, theta: float,
-                 net: DenseNet | None = None):
-        if net is None:
-            op = blur_operator(resolution, sigma_cells)
-            net = DenseNet([Layer(op, np.zeros(resolution.npixels), "relu")])
-        if net.in_size != resolution.npixels or net.out_size != resolution.npixels:
-            raise ValueError(
-                f"network maps {net.in_size} -> {net.out_size}, frame has {resolution.npixels} pixels"
-            )
+    def __init__(self, resolution: Resolution, sigma_cells: float, theta: float):
         self.resolution = resolution
-        self.runner = SigmaDeltaNetwork(net, theta)
-        self.last_spike_counts: list[int] = [0] * len(net.layers)
-        self.total_spikes = 0
+        self.sigma = sigma_cells
+        self.radius = max(1, math.ceil(3 * sigma_cells))
+        self.theta = theta
         self.gain = GainControl()
+        self.reset()
+
+    def blur(self, cells: np.ndarray) -> np.ndarray:
+        return gaussian_filter(cells.astype(np.float64), self.sigma, mode="constant", radius=self.radius)
 
     def heatmap(self, frame: Frame) -> np.ndarray:
-        out, counts = self.runner.step(frame.cells.astype(np.float64).ravel())
-        self.last_spike_counts = counts
-        self.total_spikes += sum(counts)
-        img = np.clip(out, 0.0, None).reshape(self.resolution.height, self.resolution.width)
+        spikes = delta_encode(self.state, self.blur(frame.cells).ravel(), self.theta)
+        self.total_spikes += len(spikes)
+        sigma_decode(self.decoded, spikes)
+        img = np.clip(self.decoded, 0.0, None).reshape(self.resolution.height, self.resolution.width)
         return self.gain.normalize(img)
 
     def reset(self) -> None:
-        self.runner.reset()
+        self.state = SdState.zeros(self.resolution.npixels)
+        self.decoded = np.zeros(self.resolution.npixels)
         self.total_spikes = 0
         self.gain.reset()
 
@@ -343,22 +321,3 @@ def format_estimates(estimates: list[HandEstimate]) -> str:
                     f"{est.t_us},{label.value},{p.x:.3f},{p.y:.3f},{p.confidence:.4f}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_estimates(text: str) -> list[HandEstimate]:
-    by_t: dict[int, dict[HandLabel, HandPoint]] = {}
-    order: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: want t,label,x,y,confidence")
-        t = int(parts[0])
-        label = HandLabel(parts[1])
-        if t not in by_t:
-            by_t[t] = {}
-            order.append(t)
-        by_t[t][label] = HandPoint(float(parts[2]), float(parts[3]), float(parts[4]))
-    return [HandEstimate(t, by_t[t]) for t in order]

@@ -63,8 +63,8 @@ def tracker_configs(draw):
         min_peak_mass=draw(floats()),
         mirror=draw(st.booleans()),
         confidence_decay=draw(floats(1e-6, 1 - 1e-6)),
-        blur_sigma_cells=draw(floats()),
-        sd_theta=draw(floats()),
+        blur_sigma_cells=draw(positive),
+        sd_theta=draw(nonnegative),
         use_field=draw(st.booleans()),
         argmax_floor=draw(floats()),
         max_hands=draw(st.sampled_from([1, 2])),

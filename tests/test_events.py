@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from evtheremin.events import (
     CodecError,
-    Event,
     EventStream,
     Frame,
     Hand,
@@ -51,21 +50,16 @@ def hand_samples(draw, hand, width=RES.width, height=RES.height):
 
 
 def stream_of(triples, res=RES):
-    return EventStream.from_events(
-        [Event(t, x, y, p) for t, x, y, p in triples], res
-    )
+    stream = EventStream.from_arrays(*zip(*triples), res)
+    stream.validate()
+    return stream
 
 
 class TestEventValidation:
-    def test_negative_time_rejected(self):
-        with pytest.raises(StreamError):
-            Event(-1, 0, 0, 1)
-
     def test_bad_polarity_rejected(self):
-        with pytest.raises(StreamError):
-            Event(0, 0, 0, 0)
-        with pytest.raises(StreamError):
-            Event(0, 0, 0, 2)
+        for p in (0, 2):
+            with pytest.raises(StreamError, match=f"polarity {p}"):
+                stream_of([(0, 0, 0, 1), (0, 0, 0, p)])
 
     def test_out_of_bounds_event_named_in_error(self):
         s = EventStream.from_arrays([0], [240], [0], [1], RES)

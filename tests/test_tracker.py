@@ -2,13 +2,11 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
 from evtheremin.events import (
-    Event,
     EventStream,
     Frame,
     Resolution,
@@ -18,7 +16,6 @@ from evtheremin.events import (
     waving_trajectory,
 )
 from evtheremin.neural_field import Peak
-from evtheremin.sigma_delta import DenseNet, Layer
 from evtheremin.tracker import (
     BlobDetector,
     GainControl,
@@ -29,10 +26,8 @@ from evtheremin.tracker import (
     SigmaDeltaDetector,
     TrackerConfig,
     assign_hands,
-    blur_operator,
     detect_heatmap,
     format_estimates,
-    parse_estimates,
     tracker_field_params,
 )
 
@@ -44,14 +39,11 @@ CELL_H = RES.height / CHIP.height
 
 def cluster_window(clusters, t0, t1, res=RES):
     """Events repeated at fixed pixels, timestamps spread over [t0, t1)."""
-    events = []
-    k = 0
-    for (x, y), count in clusters:
-        for i in range(count):
-            t = t0 + (t1 - t0) * k // sum(c for _, c in clusters)
-            events.append(Event(t, x, y, 1 if i % 2 == 0 else -1))
-            k += 1
-    return EventStream.from_events(sorted(events, key=lambda e: e.t), res)
+    xs = [x for (x, _), count in clusters for _ in range(count)]
+    ys = [y for (_, y), count in clusters for _ in range(count)]
+    p = [1 if i % 2 == 0 else -1 for _, count in clusters for i in range(count)]
+    t = [t0 + (t1 - t0) * k // len(xs) for k in range(len(xs))]
+    return EventStream.from_arrays(t, xs, ys, p, res)
 
 
 class TestGainControl:
@@ -96,69 +88,29 @@ class TestGainControl:
             GainControl(growth=1.0)
 
 
-def loop_blur_operator(resolution, sigma_cells, radius=None):
-    """Reference builder: one COO block per (dy, dx) offset."""
-    if radius is None:
-        radius = max(1, int(np.ceil(3 * sigma_cells)))
+def gaussian_kernel(sigma):
+    """Normalised 2-D Gaussian truncated at max(1, ceil(3 sigma)) cells."""
+    radius = max(1, int(np.ceil(3 * sigma)))
     ax = np.arange(-radius, radius + 1)
-    kern = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2 * sigma_cells**2))
-    kern /= kern.sum()
-    w, h = resolution.width, resolution.height
-    rows, cols, vals = [], [], []
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            ys = np.arange(max(0, -dy), min(h, h - dy))
-            xs = np.arange(max(0, -dx), min(w, w - dx))
-            if len(ys) == 0 or len(xs) == 0:
-                continue
-            yy, xx = np.meshgrid(ys, xs, indexing="ij")
-            rows.append((yy * w + xx).ravel())
-            cols.append(((yy + dy) * w + (xx + dx)).ravel())
-            vals.append(np.full(yy.size, kern[dy + radius, dx + radius]))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(resolution.npixels, resolution.npixels),
-    )
-    return mat.tocsr()
+    kern = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2 * sigma**2))
+    return kern / kern.sum()
 
 
 class TestBlurOperator:
-    @given(
-        st.integers(1, 30),
-        st.integers(1, 30),
-        st.floats(0.3, 3.0),
-        st.one_of(st.none(), st.integers(1, 8)),
-    )
-    @example(CHIP.width, CHIP.height, 1.5, None)
-    def test_arrays_equal_loop_builder(self, width, height, sigma, radius):
-        # Equal arrays, not just equal matrices: the entry order within a
-        # row fixes the float sums of the sigma-delta matvec.
-        res = Resolution(width, height)
-        got, want = blur_operator(res, sigma, radius), loop_blur_operator(res, sigma, radius)
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+    """The sd_net detector's blur."""
 
-    def test_matches_dense_convolution(self):
-        res = Resolution(16, 12)
-        sigma, radius = 1.2, 3
-        op = blur_operator(res, sigma, radius=radius)
-        ax = np.arange(-radius, radius + 1)
-        kern = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2 * sigma**2))
-        kern /= kern.sum()
-        rng = np.random.default_rng(0)
-        img = rng.uniform(0, 3, (12, 16))
-        got = (op @ img.ravel()).reshape(12, 16)
-        want = convolve2d(img, kern, mode="same", boundary="fill")
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    @given(st.integers(1, 40), st.integers(1, 40), st.floats(0.3, 3.0), st.integers(0, 2**32 - 1))
+    def test_matches_dense_convolution(self, width, height, sigma, seed):
+        rng = np.random.default_rng(seed)
+        img = rng.poisson(rng.uniform(0.0, 8.0), (height, width))
+        got = SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur(img)
+        want = convolve2d(img, gaussian_kernel(sigma), mode="same", boundary="fill")
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_interior_mass_preserved(self):
-        res = Resolution(20, 20)
-        op = blur_operator(res, 1.5)
         img = np.zeros((20, 20))
         img[10, 10] = 4.0
-        out = op @ img.ravel()
+        out = SigmaDeltaDetector(Resolution(20, 20), 1.5, 0.0).blur(img)
         assert out.sum() == pytest.approx(4.0)
 
 
@@ -176,8 +128,9 @@ class TestDetectors:
         assert heat.max() == pytest.approx(1.0)
 
     def test_blob_sigma_validated(self):
-        with pytest.raises(ValueError):
-            BlobDetector(0.0)
+        for sigma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="blur_sigma_cells"):
+                TrackerConfig(detector="blob", blur_sigma_cells=sigma)
 
     def test_detector_shape_enforced(self):
         class Bad:
@@ -206,7 +159,6 @@ class TestDetectors:
         det.heatmap(frame)
         before = det.total_spikes
         det.heatmap(frame)
-        assert det.last_spike_counts == [0]
         assert det.total_spikes == before
 
     def test_sd_detector_reset_clears_counters(self):
@@ -217,11 +169,6 @@ class TestDetectors:
         det.heatmap(Frame(res, cells, 0, 1))
         det.reset()
         assert det.total_spikes == 0
-
-    def test_sd_detector_network_size_checked(self):
-        net = DenseNet([Layer(np.zeros((4, 4)), np.zeros(4))])
-        with pytest.raises(ValueError):
-            SigmaDeltaDetector(Resolution(10, 10), 1.0, 0.02, net=net)
 
 
 class TestAssignHands:
@@ -342,6 +289,10 @@ class TestHandTracker:
             TrackerConfig(confidence_decay=1.0)
         with pytest.raises(ValueError):
             TrackerConfig(max_hands=3)
+        with pytest.raises(ValueError, match="blur_sigma_cells"):
+            TrackerConfig(detector="sd_net", blur_sigma_cells=-1.0)
+        with pytest.raises(ValueError, match="sd_theta"):
+            TrackerConfig(sd_theta=-0.01)
 
     def test_tracking_preset_is_fast_and_nonselective(self):
         fp, kp = tracker_field_params()
@@ -378,6 +329,21 @@ class TestRun:
 
     def test_empty_stream_without_span(self):
         assert HandTracker().run(EventStream.empty(RES)) == []
+
+
+def parse_estimates(text):
+    """Read format_estimates' lines back, skipping blanks and comments."""
+    by_t = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ValueError(f"line {lineno}: want t,label,x,y,confidence")
+        hands = by_t.setdefault(int(parts[0]), {})
+        hands[HandLabel(parts[1])] = HandPoint(*map(float, parts[2:]))
+    return [HandEstimate(t, hands) for t, hands in by_t.items()]
 
 
 class TestEstimateIo:
