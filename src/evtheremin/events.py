@@ -15,6 +15,7 @@ valid 12-byte file.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from collections.abc import Mapping
@@ -27,14 +28,8 @@ import numpy as np
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
 
 # On-wire record layout: 16 bytes with 3 trailing zero pad bytes.
-_WIRE_DTYPE = np.dtype(
-    {
-        "names": ["t", "x", "y", "p"],
-        "formats": ["<u8", "<u2", "<u2", "<i1"],
-        "offsets": [0, 8, 10, 12],
-        "itemsize": 16,
-    }
-)
+_WIRE_DTYPE = np.dtype({"names": ["t", "x", "y", "p"], "formats": ["<u8", "<u2", "<u2", "<i1"],
+                        "offsets": [0, 8, 10, 12], "itemsize": 16})
 
 EVT1_MAGIC = b"EVT1"
 _EVT1_HEADER = struct.Struct("<4sHHI")
@@ -85,6 +80,10 @@ class EventStream:
 
     @classmethod
     def from_arrays(cls, t, x, y, p, resolution: Resolution) -> "EventStream":
+        t = np.asarray(t)
+        neg = np.flatnonzero(t < 0) if t.dtype.kind in "if" else ()  # u8 would wrap them
+        if len(neg):
+            raise StreamError(f"event {neg[0]} has negative time {t[neg[0]]}")
         data = np.zeros(len(t), dtype=EVENT_DTYPE)
         data["t"], data["x"], data["y"], data["p"] = t, x, y, p
         return cls(data, resolution)
@@ -99,13 +98,16 @@ class EventStream:
 
     def validate(self) -> None:
         """Raise StreamError naming the first offending event, if any."""
-        d = self.data
-        bad = np.nonzero((d["x"] >= self.resolution.width) | (d["y"] >= self.resolution.height))[0]
+        d, res, p = self.data, self.resolution, np.ascontiguousarray(self.data["p"])
+        # A reduction per column accepts a valid stream; only an invalid one
+        # pays for the scan that names its first offending event.
+        if not len(d) or (d["x"].max() < res.width and d["y"].max() < res.height
+                          and p.min() >= -1 and p.max() <= 1 and np.count_nonzero(p) == len(p)):
+            return
+        bad = np.nonzero((d["x"] >= res.width) | (d["y"] >= res.height))[0]
         if len(bad):
             i = int(bad[0])
-            raise StreamError(
-                f"event {i} at ({d['x'][i]},{d['y'][i]}) outside {self.resolution}"
-            )
+            raise StreamError(f"event {i} at ({d['x'][i]},{d['y'][i]}) outside {res}")
         bad = np.nonzero((d["p"] != 1) & (d["p"] != -1))[0]
         if len(bad):
             i = int(bad[0])
@@ -133,9 +135,7 @@ class Frame:
 
     def __post_init__(self):
         if self.cells.shape != (self.resolution.height, self.resolution.width):
-            raise ValueError(
-                f"cells shape {self.cells.shape} does not match {self.resolution}"
-            )
+            raise ValueError(f"cells shape {self.cells.shape} does not match {self.resolution}")
 
 
 def frame_accumulate(
@@ -156,12 +156,26 @@ def frame_accumulate(
         raise StreamError(f"stream is {stream.resolution}, frame wants {res}")
     stream.validate()
     d = stream.data
-    mask = (d["t"] >= t0) & (d["t"] < t1)
-    idx = d["y"][mask].astype(np.int64) * res.width + d["x"][mask].astype(np.int64)
-    weights = d["p"][mask].astype(np.int64) if signed else None
-    counts = np.bincount(idx, weights=weights, minlength=res.npixels)
-    cells = counts.reshape(res.height, res.width).astype(np.int64)
+    t, x, y, p = np.ascontiguousarray(d["t"]), d["x"], d["y"], d["p"]
+    # A window cut to [t0, t1) beforehand, as HandTracker.run cuts them,
+    # needs no mask.
+    if len(t) and (t.min() < t0 or t.max() >= t1):
+        mask = (t >= t0) & (t < t1)
+        x, y, p = x[mask], y[mask], p[mask]
+    idx = y.astype(np.int64) * res.width + x
+    counts = np.bincount(idx, weights=p if signed else None, minlength=res.npixels)
+    cells = counts.reshape(res.height, res.width).astype(np.int64, copy=False)
     return Frame(res, cells, t0, t1)
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_map(src: Resolution, target: Resolution) -> np.ndarray:
+    """Flat target-cell index of each flat source pixel, read-only."""
+    xmap = (np.arange(src.width, dtype=np.int64) * target.width) // src.width
+    ymap = (np.arange(src.height, dtype=np.int64) * target.height) // src.height
+    cell = (ymap[:, None] * target.width + xmap).ravel()
+    cell.flags.writeable = False
+    return cell
 
 
 def frame_downsample(frame: Frame, target: Resolution) -> Frame:
@@ -173,16 +187,11 @@ def frame_downsample(frame: Frame, target: Resolution) -> Frame:
     src = frame.resolution
     if target.width > src.width or target.height > src.height:
         raise ValueError(f"cannot downsample {src} to larger {target}")
-    xmap = (np.arange(src.width, dtype=np.int64) * target.width) // src.width
-    ymap = (np.arange(src.height, dtype=np.int64) * target.height) // src.height
-    # The maps are non-decreasing and, as target <= source, reach every
-    # target cell, so each target row (column) sums one run of source rows
-    # (columns), starting where the map first reaches it.
-    ystarts = np.searchsorted(ymap, np.arange(target.height))
-    xstarts = np.searchsorted(xmap, np.arange(target.width))
-    rows = np.add.reduceat(frame.cells.astype(np.int64, copy=False), ystarts, axis=0)
-    out = np.add.reduceat(rows, xstarts, axis=1)
-    return Frame(target, out, frame.t_start, frame.t_end)
+    cells = frame.cells.astype(np.int64, copy=False).ravel()
+    nz = np.flatnonzero(cells)
+    # Float sums of integer counts are exact while they stay below 2**53.
+    sums = np.bincount(_cell_map(src, target)[nz], weights=cells[nz], minlength=target.npixels)
+    return Frame(target, sums.astype(np.int64).reshape(target.height, target.width), frame.t_start, frame.t_end)
 
 
 @dataclass(frozen=True)

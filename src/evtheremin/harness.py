@@ -279,42 +279,30 @@ class RunReport:
         return "\n".join(lines)
 
 
+# Each hand's x, y and confidence channels, in sending order.
+_HAND_CHANNELS = {HandLabel.PITCH: (CH_PITCH_X, CH_PITCH_Y, CH_PITCH_CONF),
+                  HandLabel.VOLUME: (CH_VOL_X, CH_VOL_Y, CH_VOL_CONF)}
+
+
 def _estimate_to_spikes(est: HandEstimate) -> list[GradedSpike]:
     spikes: list[GradedSpike] = []
-
-    def emit(label, chans):
+    for label, chans in _HAND_CHANNELS.items():
         p = est.hands.get(label)
-        if p is None:
-            return
-        conf = int(round(p.confidence * CONF_SCALE))
+        conf = 0 if p is None else int(round(p.confidence * CONF_SCALE))
         if conf == 0:
-            return  # hand faded out entirely; stop reporting it
+            continue  # no hand, or it faded out entirely; stop reporting it
         for ch, v in zip(chans, (p.x * POS_SCALE, p.y * POS_SCALE, conf)):
-            q = int(round(v))
-            if q == 0:
-                q = 1  # zero is not transmittable; clamp to the smallest step
-            spikes.append(GradedSpike(ch, q))
-
-    emit(HandLabel.PITCH, (CH_PITCH_X, CH_PITCH_Y, CH_PITCH_CONF))
-    emit(HandLabel.VOLUME, (CH_VOL_X, CH_VOL_Y, CH_VOL_CONF))
+            spikes.append(GradedSpike(ch, int(round(v)) or 1))  # 0 cannot be sent: smallest step
     return spikes
 
 
 def _spikes_to_estimate(t_us: int, group: list[tuple[int, int]]) -> HandEstimate:
     vals = dict(group)
-    hands = {}
-    if CH_PITCH_CONF in vals:
-        hands[HandLabel.PITCH] = HandPoint(
-            vals.get(CH_PITCH_X, 0) / POS_SCALE,
-            vals.get(CH_PITCH_Y, 0) / POS_SCALE,
-            min(1.0, vals[CH_PITCH_CONF] / CONF_SCALE),
-        )
-    if CH_VOL_CONF in vals:
-        hands[HandLabel.VOLUME] = HandPoint(
-            vals.get(CH_VOL_X, 0) / POS_SCALE,
-            vals.get(CH_VOL_Y, 0) / POS_SCALE,
-            min(1.0, vals[CH_VOL_CONF] / CONF_SCALE),
-        )
+    hands = {
+        label: HandPoint(vals.get(x, 0) / POS_SCALE, vals.get(y, 0) / POS_SCALE, min(1.0, vals[c] / CONF_SCALE))
+        for label, (x, y, c) in _HAND_CHANNELS.items()
+        if c in vals
+    }
     return HandEstimate(t_us, hands)
 
 
@@ -786,7 +774,7 @@ def _decode(tp, value, path: str):
     if tp is Resolution:
         if not (isinstance(value, (list, tuple)) and len(value) == 2):
             raise ValueError(f"{path} must be [width, height], got {value!r}")
-        return Resolution(*(_decode(int, v, path) for v in value))
+        return _build(path, Resolution, *(_decode(int, v, path) for v in value))
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValueError(f"{path or 'config'} must be an object, got {value!r}")
@@ -804,7 +792,7 @@ def _decode(tp, value, path: str):
                 kwargs[f.name] = _decode(hints[f.name], value[key], sub)
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"config needs a {sub}")
-        return tp(**kwargs)
+        return _build(path, tp, **kwargs)
     if get_origin(tp) is tuple:
         args = get_args(tp)
         if not (isinstance(value, (list, tuple)) and len(value) == len(args)):
@@ -815,6 +803,14 @@ def _decode(tp, value, path: str):
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise ValueError(f"{path} must be of type {tp.__name__}, got {value!r}")
     return float(value) if tp is float else value
+
+
+def _build(path: str, tp, *args, **kwargs):
+    """tp(*args, **kwargs); a range error it raises names the dotted key."""
+    try:
+        return tp(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path or 'config'}: {exc}") from exc
 
 
 def config_from_dict(obj: dict) -> SimConfig:

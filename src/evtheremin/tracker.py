@@ -1,13 +1,15 @@
 """Hand tracking: event frames in, labeled pitch/volume hand estimates out.
 
-Pipeline per step: accumulate the window's events at sensor resolution,
-downsample to the on-chip grid, turn counts into a detector heatmap (a
-Gaussian blur of the counts, sent as is by the blob detector or through
-one sigma-delta boundary by the `sd_net` detector), drive the neural
-field one step with the heatmap, and read peaks back out as upscaled
-hand positions.  The field's inertia is what rejects distractor events;
-when nothing is detected the previous estimate is held with its
-confidence halved each step.
+Pipeline per step: accumulate the window's events at sensor resolution
+(`run` cuts each window inside its span, so no time mask is needed),
+downsample to the on-chip grid through a cached pixel-to-cell map, turn
+counts into a detector heatmap (a Gaussian blur of the counts, weights
+built once per detector, sent as is by the blob detector or through one
+sigma-delta boundary by the `sd_net` detector), drive the neural field
+one step with the heatmap, and read peaks back out as upscaled hand
+positions.  The field's inertia is what rejects distractor events; when
+nothing is detected the previous estimate is held with its confidence
+halved each step.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import correlate1d, gaussian_filter1d
 
 from .events import EventStream, Frame, Resolution, frame_accumulate, frame_downsample
 from .neural_field import Field, FieldParams, KernelParams, LateralKernel, Peak, detect_peaks, field_step, make_kernel
@@ -141,16 +143,31 @@ class GainControl:
         self.ref = 0.0
 
 
+class GaussianBlur:
+    """Zero-padded Gaussian blur truncated at `radius` cells, bit-equal to
+    `gaussian_filter(cells, sigma, mode="constant", radius=radius)`: its 1-D
+    weights, built once from `gaussian_filter1d`, along axis 0 then 1."""
+
+    def __init__(self, sigma: float, radius: int):
+        impulse = np.zeros(2 * radius + 1)
+        impulse[radius] = 1.0
+        self.weights = gaussian_filter1d(impulse, sigma, mode="constant", radius=radius)
+
+    def __call__(self, cells: np.ndarray) -> np.ndarray:
+        rows = correlate1d(cells.astype(np.float64), self.weights, axis=0, mode="constant")
+        return correlate1d(rows, self.weights, axis=1, mode="constant")
+
+
 class BlobDetector:
-    """Normalized local event density: Gaussian blur of the count frame."""
+    """Normalized local event density: Gaussian blur of the count frame,
+    truncated at int(4 sigma + 0.5) cells as `gaussian_filter` truncates."""
 
     def __init__(self, sigma_cells: float):
-        self.sigma = sigma_cells
+        self.blur = GaussianBlur(sigma_cells, int(4 * sigma_cells + 0.5))
         self.gain = GainControl()
 
     def heatmap(self, frame: Frame) -> np.ndarray:
-        smooth = gaussian_filter(frame.cells.astype(np.float64), self.sigma, mode="constant")
-        return self.gain.normalize(smooth)
+        return self.gain.normalize(self.blur(frame.cells))
 
     def reset(self) -> None:
         self.gain.reset()
@@ -164,14 +181,10 @@ class SigmaDeltaDetector:
 
     def __init__(self, resolution: Resolution, sigma_cells: float, theta: float):
         self.resolution = resolution
-        self.sigma = sigma_cells
-        self.radius = max(1, math.ceil(3 * sigma_cells))
+        self.blur = GaussianBlur(sigma_cells, max(1, math.ceil(3 * sigma_cells)))
         self.theta = theta
         self.gain = GainControl()
         self.reset()
-
-    def blur(self, cells: np.ndarray) -> np.ndarray:
-        return gaussian_filter(cells.astype(np.float64), self.sigma, mode="constant", radius=self.radius)
 
     def heatmap(self, frame: Frame) -> np.ndarray:
         spikes = delta_encode(self.state, self.blur(frame.cells).ravel(), self.theta)
@@ -248,21 +261,14 @@ class HandTracker:
             peaks = [p for p in peaks if p.mass >= cfg.min_peak_mass][: cfg.max_hands]
         else:
             peaks = _argmax_peaks(heat, cfg.max_hands, cfg.min_separation_cells, cfg.argmax_floor)
-        if not peaks:
-            if self.previous is None:
-                est = HandEstimate(t_end, {})
-            else:
-                est = self.previous.with_decayed_confidence(cfg.confidence_decay, t_end)
-            self.previous = est
-            return est
-        labeled = assign_hands(peaks, cfg.mirror)
-        hands = {}
-        for label, peak in labeled.items():
-            x, y = self._upscale(peak)
-            hands[label] = HandPoint(x, y, 1.0)
-        est = HandEstimate(t_end, hands)
-        self.previous = est
-        return est
+        if peaks:
+            hands = {k: HandPoint(*self._upscale(p), 1.0) for k, p in assign_hands(peaks, cfg.mirror).items()}
+            self.previous = HandEstimate(t_end, hands)
+        elif self.previous is None:
+            self.previous = HandEstimate(t_end, {})
+        else:
+            self.previous = self.previous.with_decayed_confidence(cfg.confidence_decay, t_end)
+        return self.previous
 
     def run(self, stream: EventStream, t_start: int | None = None, t_end: int | None = None) -> list[HandEstimate]:
         """Track a whole stream in fixed windows; timestamps at window ends."""

@@ -112,6 +112,11 @@ class TestShowAndReport:
             ({"scenario": "missing-scenario.txt"}, "missing-scenario.txt"),
             ({"score": "missing-score.txt"}, "missing-score.txt"),
             ({"tracker": {"blur_sigma_cells": -1}}, "blur_sigma_cells must be finite and > 0"),
+            ({"tracker": {"window_us": 0}}, "tracker: window must be positive"),
+            ({"tracker": {"confidence_decay": 1.0}}, "tracker: confidence decay must be in (0, 1)"),
+            ({"tracker": {"chip_res": [300, 200]}}, "tracker: chip 300x200 exceeds input 240x180"),
+            ({"tracker": {"chip_res": [0, 65]}}, "tracker.chip_res: resolution must be positive"),
+            ({"tracker": {"field_params": {"tau": -1}}}, "tracker.field_params: tau and dt must be positive"),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, fields, message):

@@ -144,3 +144,32 @@ def test_wrong_shape_is_a_value_error_naming_the_key(cfg, data):
     with pytest.raises(ValueError) as exc:
         config_from_dict(obj)
     assert dotted in str(exc.value)
+
+
+# (section, key, out-of-range value): each trips a section's __post_init__.
+out_of_range = st.one_of(
+    st.tuples(st.just("tracker"), st.just("window_us"), st.integers(-10**9, 0)),
+    st.tuples(st.just("tracker"), st.just("confidence_decay"), st.one_of(floats(hi=0.0), floats(lo=1.0))),
+    st.tuples(st.just("tracker"), st.just("max_hands"), st.integers().filter(lambda n: n not in (1, 2))),
+    st.tuples(st.just("tracker.input_res"), st.just(None), st.tuples(st.integers(-5, 0), st.integers(1, 9)).map(list)),
+    st.tuples(st.just("tracker.field_params"), st.just("tau"), floats(hi=0.0)),
+    st.tuples(st.just("channel"), st.just("loss_p"), floats(lo=1.0 + 1e-9)),
+    st.tuples(st.just("latencies"), st.just("sensor_us"), floats(hi=-1e-9)),
+)
+
+
+@given(sim_configs, out_of_range)
+def test_range_error_names_the_section(cfg, bad):
+    obj = config_to_dict(cfg)
+    path, key, value = bad
+    *parents, last = path.split(".")
+    section = obj
+    for name in parents:
+        section = section[name]
+    if key is None:
+        section[last] = value
+    else:
+        section[last][key] = value
+    with pytest.raises(ValueError) as exc:
+        config_from_dict(obj)
+    assert str(exc.value).startswith(f"{path}: ")

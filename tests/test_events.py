@@ -21,6 +21,7 @@ from evtheremin.events import (
     StreamError,
     Trajectory,
     TrajectorySample,
+    _cell_map,
     _render_blobs,
     add_noise_events,
     decode_evt1,
@@ -55,7 +56,79 @@ def stream_of(triples, res=RES):
     return stream
 
 
+def scan_validate(stream):
+    """The error validate() raised before its one-reduction-per-column
+    acceptance: a full scan naming the first offending event, or None."""
+    d, res = stream.data, stream.resolution
+    bad = np.nonzero((d["x"] >= res.width) | (d["y"] >= res.height))[0]
+    if len(bad):
+        i = int(bad[0])
+        return f"event {i} at ({d['x'][i]},{d['y'][i]}) outside {res}"
+    bad = np.nonzero((d["p"] != 1) & (d["p"] != -1))[0]
+    if len(bad):
+        i = int(bad[0])
+        return f"event {i} has polarity {d['p'][i]}, want +1 or -1"
+    return None
+
+
+@st.composite
+def valid_streams(draw, max_events=60):
+    """Events anywhere on a small sensor, at times 100-199 in any order."""
+    res = Resolution(draw(st.integers(1, 40)), draw(st.integers(1, 30)))
+    n = draw(st.integers(0, max_events))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return EventStream.from_arrays(
+        rng.integers(100, 200, n, dtype=np.uint64),
+        rng.integers(0, res.width, n, dtype=np.uint16),
+        rng.integers(0, res.height, n, dtype=np.uint16),
+        rng.choice(np.array([-1, 1], dtype=np.int8), n),
+        res,
+    )
+
+
 class TestEventValidation:
+    @given(valid_streams())
+    def test_valid_stream_accepted(self, stream):
+        assert scan_validate(stream) is None
+        stream.validate()
+
+    def test_empty_stream_accepted(self):
+        EventStream.empty(RES).validate()
+        EventStream.empty(Resolution(1, 1)).validate()
+
+    @settings(max_examples=300)
+    @given(valid_streams(), st.data())
+    def test_error_names_first_offender_as_full_scan(self, stream, data):
+        n, res = len(stream), stream.resolution
+        if n == 0:
+            stream = EventStream.from_arrays([0], [0], [0], [1], res)
+            n = 1
+        d = stream.data
+        # One bad value per column, each column's first invalid one or any;
+        # injected into one column, or into any of them.
+        bad = {
+            "x": data.draw(st.one_of(st.just(res.width), st.integers(res.width, 2**16 - 1))),
+            "y": data.draw(st.one_of(st.just(res.height), st.integers(res.height, 2**16 - 1))),
+            "p": data.draw(st.one_of(st.sampled_from([0, 2, -2]), st.integers(-128, 127).filter(lambda p: p not in (-1, 1)))),
+        }
+        columns = data.draw(st.sampled_from(["p", "x", "y", "xyp"]))
+        for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+            column = data.draw(st.sampled_from(columns))
+            d[column][i] = bad[column]
+        want = scan_validate(stream)
+        assert want is not None
+        with pytest.raises(StreamError) as exc:
+            stream.validate()
+        assert str(exc.value) == want
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(StreamError, match="event 1 has negative time -1"):
+            EventStream.from_arrays([0, -1, -2], [0, 0, 0], [0, 0, 0], [1, 1, 1], RES)
+        with pytest.raises(StreamError, match="event 0 has negative time -0.5"):
+            EventStream.from_arrays(np.array([-0.5]), [0], [0], [1], RES)
+        s = EventStream.from_arrays(np.array([0, 2**64 - 1], dtype=np.uint64), [0, 0], [0, 0], [1, 1], RES)
+        assert s.span_us() == (0, 2**64 - 1)
+
     def test_bad_polarity_rejected(self):
         for p in (0, 2):
             with pytest.raises(StreamError, match=f"polarity {p}"):
@@ -119,6 +192,49 @@ class TestFrameAccumulate:
         with pytest.raises(StreamError):
             frame_accumulate(s, 0, 10)
 
+    @given(valid_streams(), st.sampled_from(["inside", "edges", "partial", "before", "after"]), st.booleans(), st.data())
+    def test_equals_masked_bincount(self, stream, window, signed, data):
+        t = stream.data["t"].astype(np.int64)
+        lo, hi = (int(t.min()), int(t.max())) if len(t) else (100, 199)
+        if window == "inside":
+            t0 = data.draw(st.integers(0, lo))
+            t1 = data.draw(st.integers(hi + 1, hi + 20))
+        elif window == "edges":
+            # Within one of the first and last event times.
+            t0 = data.draw(st.integers(lo - 1, lo + 1))
+            t1 = data.draw(st.integers(max(t0 + 1, hi - 1), hi + 1))
+        elif window == "partial":
+            # Edges on event times, so the half-open bounds are exercised.
+            t0 = data.draw(st.integers(lo - 5, hi + 1))
+            t1 = data.draw(st.integers(t0 + 1, hi + 5))
+        elif window == "before":
+            t0 = data.draw(st.integers(0, lo - 1))
+            t1 = data.draw(st.integers(t0 + 1, lo))
+        else:
+            t0 = data.draw(st.integers(hi + 1, hi + 20))
+            t1 = data.draw(st.integers(t0 + 1, t0 + 20))
+        res = stream.resolution
+        d = stream.data
+        m = (t >= t0) & (t < t1)
+        idx = d["y"][m].astype(np.int64) * res.width + d["x"][m].astype(np.int64)
+        weights = d["p"][m].astype(np.int64) if signed else np.ones(len(idx), dtype=np.int64)
+        want = np.zeros(res.npixels, dtype=np.int64)
+        np.add.at(want, idx, weights)
+        got = frame_accumulate(stream, t0, t1, signed=signed)
+        assert got.cells.dtype == np.int64
+        assert (got.t_start, got.t_end) == (t0, t1)
+        np.testing.assert_array_equal(got.cells, want.reshape(res.height, res.width))
+
+
+def scatter_add_downsample(cells, target):
+    """Reference: add source pixel (x, y) into cell (x*tw//sw, y*th//sh)."""
+    height, width = cells.shape
+    xmap = np.arange(width) * target.width // width
+    ymap = np.arange(height) * target.height // height
+    expect = np.zeros((target.height, target.width), dtype=np.int64)
+    np.add.at(expect, (ymap[:, None], xmap[None, :]), cells)
+    return expect
+
 
 class TestFrameDownsample:
     def test_floor_mapping_oracle(self):
@@ -159,13 +275,37 @@ class TestFrameDownsample:
         target = Resolution(data.draw(st.integers(1, width)), data.draw(st.integers(1, height)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         cells = rng.integers(-3, 50, (height, width))
-        xmap = np.arange(width) * target.width // width
-        ymap = np.arange(height) * target.height // height
-        expect = np.zeros((target.height, target.width), dtype=np.int64)
-        np.add.at(expect, (ymap[:, None], xmap[None, :]), cells)
         got = frame_downsample(Frame(Resolution(width, height), cells, 0, 1), target).cells
         assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(got, scatter_add_downsample(cells, target))
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30), st.integers(1, 30)),
+            min_size=2,
+            max_size=5,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_interleaved_resolution_pairs(self, dims, seed):
+        # Pairs that share a width, a height or a target follow each other,
+        # so a map cached under a partial key gives a wrong sum.
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for sw, sh, tw, th in dims:
+            for src in (Resolution(sw, sh), Resolution(sw, sh + 1), Resolution(sw + 1, sh)):
+                pairs.append((src, Resolution(min(tw, src.width), min(th, src.height))))
+        for src, target in pairs + pairs[::-1]:
+            cells = rng.integers(-3, 50, (src.height, src.width))
+            got = frame_downsample(Frame(src, cells, 0, 1), target).cells
+            np.testing.assert_array_equal(got, scatter_add_downsample(cells, target))
+
+    def test_cell_map_read_only(self):
+        cell = _cell_map(RES, CHIP)
+        assert not cell.flags.writeable
+        with pytest.raises(ValueError):
+            cell[0] = 5
+        assert cell[90 * RES.width + 120] == 32 * CHIP.width + 43
 
     def test_upsample_rejected(self):
         f = Frame(CHIP, np.zeros((65, 86), dtype=np.int64), 0, 1)

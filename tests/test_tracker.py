@@ -1,9 +1,12 @@
 """Hand tracker: gain control, detectors, labeling, windowing, estimate IO."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 from scipy.signal import convolve2d
 
 from evtheremin.events import (
@@ -106,6 +109,21 @@ class TestBlurOperator:
         got = SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur(img)
         want = convolve2d(img, gaussian_kernel(sigma), mode="same", boundary="fill")
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @given(st.integers(1, 86), st.integers(1, 65), st.floats(0.3, 3.0), st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_gaussian_filter(self, width, height, sigma, seed):
+        # Each detector's blur is gaussian_filter with that detector's
+        # radius rule, to the last bit.
+        rng = np.random.default_rng(seed)
+        img = rng.poisson(rng.uniform(0.0, 8.0), (height, width))
+        blob = BlobDetector(sigma).blur(img)
+        want = gaussian_filter(img.astype(np.float64), sigma, mode="constant")
+        assert blob.dtype == np.float64
+        np.testing.assert_array_equal(blob.view(np.uint64), want.view(np.uint64))
+        sd = SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur(img)
+        radius = max(1, math.ceil(3 * sigma))
+        want = gaussian_filter(img.astype(np.float64), sigma, mode="constant", radius=radius)
+        np.testing.assert_array_equal(sd.view(np.uint64), want.view(np.uint64))
 
     def test_interior_mass_preserved(self):
         img = np.zeros((20, 20))
