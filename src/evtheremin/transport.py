@@ -30,6 +30,7 @@ reordering) and a receiver with sequence accounting close the loop.
 
 from __future__ import annotations
 
+import heapq
 import struct
 import zlib
 from dataclasses import dataclass
@@ -277,20 +278,17 @@ def channel_transmit(
 
 def _bounded_reorder(pending, window: int):
     """Emit by arrival time but never displace a unit more than `window`
-    positions from its send order (k-bounded merge)."""
+    positions from its send order (k-bounded merge).  Each unit's
+    (arrival, index) is unique, so a heap emits the same order as a scan
+    for the earliest buffered unit."""
     if window == 0:
         return pending
-    out = []
-    buf: list[tuple[float, int, bytes]] = []
-    for item in pending:
-        buf.append(item)
-        if len(buf) > window:
-            k = min(range(len(buf)), key=lambda idx: (buf[idx][0], buf[idx][1]))
-            out.append(buf.pop(k))
-    while buf:
-        k = min(range(len(buf)), key=lambda idx: (buf[idx][0], buf[idx][1]))
-        out.append(buf.pop(k))
-    return out
+    out: list[tuple[float, int, bytes]] = []
+    heap = list(pending[:window])
+    heapq.heapify(heap)
+    for item in pending[window:]:
+        out.append(heapq.heappushpop(heap, item))
+    return out + sorted(heap)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evtheremin.events import (
@@ -22,7 +22,6 @@ from evtheremin.events import (
     Trajectory,
     TrajectorySample,
     _cell_map,
-    _render_blobs,
     add_noise_events,
     decode_evt1,
     encode_evt1,
@@ -397,6 +396,23 @@ class TestTrajectory:
         assert (lx - 0.28 * RES.width) * (rx - 0.72 * RES.width) < 0
 
 
+def _render_blobs(canvas: np.ndarray, positions, radius: float) -> list[tuple[int, int, int, int]]:
+    """Draw soft-edged disks; returns the touched bounding boxes."""
+    h, w = canvas.shape
+    boxes = []
+    pad = int(np.ceil(radius)) + 2
+    for cx, cy in positions:
+        x0, x1 = max(0, int(cx) - pad), min(w, int(cx) + pad + 1)
+        y0, y1 = max(0, int(cy) - pad), min(h, int(cy) + pad + 1)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        dist = np.hypot(np.arange(x0, x1) - cx, np.arange(y0, y1)[:, None] - cy)
+        disk = np.clip(radius + 0.5 - dist, 0.0, 1.0)
+        np.maximum(canvas[y0:y1, x0:x1], disk, out=canvas[y0:y1, x0:x1])
+        boxes.append((y0, y1, x0, x1))
+    return boxes
+
+
 def oracle_synth(traj, resolution, seed, blob_radius=8.0, contrast_threshold=0.05,
                  rate_scale=1.0, micro_step_us=1000):
     """Reference synthesizer, written for clarity over speed: positions
@@ -486,6 +502,26 @@ class TestSynthHandEvents:
         until = data.draw(st.integers(lo - 1000, hi + 3000))
         cut = synth_hand_events(traj, res, until_us=until, **params)
         assert cut.data.tobytes() == want.data[want.data["t"] < until].tobytes()
+
+    def test_batch_edges_equal_oracle(self):
+        # Two hands on the full sensor: the left one starts clipped at the
+        # frame edge, and they cross, so their disks overlap.  700 us steps
+        # batch into 7 ms spans, which no 10 ms tracker window lines up
+        # with, over five batches; the cut falls inside the third.
+        traj = Trajectory([
+            TrajectorySample(0, Hand.LEFT, 3.0, 88.0),
+            TrajectorySample(30_000, Hand.LEFT, 70.0, 96.0),
+            TrajectorySample(0, Hand.RIGHT, 60.0, 92.0),
+            TrajectorySample(30_000, Hand.RIGHT, 12.0, 90.0),
+        ])
+        params = dict(seed=21, micro_step_us=700, rate_scale=2.0)
+        want = oracle_synth(traj, RES, **params)
+        got = synth_hand_events(traj, RES, **params)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.data["x"].min() == 0 and len(got) > 10_000
+        cut = synth_hand_events(traj, RES, until_us=17_850, **params)
+        assert cut.data.tobytes() == want.data[want.data["t"] < 17_850].tobytes()
+        assert 14_000 < cut.data["t"].max() < 17_850
 
     def test_stop_time_keeps_prefix(self):
         traj = waving_trajectory(RES, 60)
@@ -590,6 +626,14 @@ class TestEvt1Codec:
         traj = waving_trajectory(RES, 500)
         s = synth_hand_events(traj, RES, seed=8)
         assert decode_evt1(encode_evt1(s)) == s
+
+    @example(EventStream.empty(Resolution(1, 1)))
+    @example(EventStream.from_arrays([5, 5], [0, 0], [0, 0], [1, -1], Resolution(1, 1)))
+    @given(valid_streams())
+    def test_roundtrip_any_valid_stream(self, stream):
+        data = encode_evt1(stream)
+        assert len(data) == 12 + 16 * len(stream)
+        assert decode_evt1(data) == stream
 
     def test_bad_magic_rejected(self):
         data = bytearray(encode_evt1(stream_of([(1, 1, 1, 1)])))

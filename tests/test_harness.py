@@ -1,9 +1,12 @@
 """Harness tests: virtual clock, telemetry codec, run reports, config
 files, protocol benchmarks, and short end-to-end show runs."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtheremin import harness
 from evtheremin.harness import (
@@ -440,6 +443,42 @@ class TestDuetRun:
     def test_report_json_roundtrip(self, duet_report):
         back = RunReport.from_json(duet_report.to_json())
         assert back.to_kv_lines() == duet_report.to_kv_lines()
+
+
+# A 120 ms duet over a lossy, jittered, reordering link.
+BRIEF_SCORE = "NOTE 60 60\nNOTE 67 60\nVOL 0 0.3\nVOL 60 0.9\n"
+BRIEF_SCENARIO = "AT 0 INTENT StartConversation\nAT 20 INTENT AskDuet\nAT 140 INTENT Done\n"
+
+
+def brief_show(seed: int) -> tuple[list[str], list[str]]:
+    """(kv lines without wall keys, sha256 per SAFE payload) of one run."""
+    cfg = SimConfig(seed=seed, channel=ChannelConfig(
+        loss_p=0.1, bitflip_p=5e-4, delay_base_us=500.0, delay_jitter_us=15_000.0,
+        reorder_window=3, seed=seed,
+    ))
+    digests = []
+    encode = harness.safe_encode
+
+    def hashing_encode(*args, **kwargs):
+        payload = encode(*args, **kwargs)
+        digests.append(hashlib.sha256(payload).hexdigest())
+        return payload
+
+    harness.safe_encode = hashing_encode
+    try:
+        report = run_show(cfg, scenario_text=BRIEF_SCENARIO, score_text=BRIEF_SCORE)
+    finally:
+        harness.safe_encode = encode
+    return report.to_kv_lines(include_wall=False), digests
+
+
+class TestReplay:
+    @settings(max_examples=4, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rerun_is_byte_identical_for_any_seed(self, seed):
+        kv, digests = brief_show(seed)
+        assert len(digests) == 12
+        assert brief_show(seed) == (kv, digests)
 
 
 class TestOtherShowStates:

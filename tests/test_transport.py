@@ -21,6 +21,7 @@ from evtheremin.transport import (
     TrailingDataError,
     TransportError,
     TruncatedError,
+    _bounded_reorder,
     channel_transmit,
     crc32,
     dump_frame,
@@ -31,6 +32,19 @@ from evtheremin.transport import (
     safe_encode,
     safe_overhead_bytes_per_event,
 )
+
+
+def scan_reorder(pending, window):
+    """The k-bounded merge as a linear scan: while more than `window`
+    units wait, emit the one with the least (arrival, index)."""
+    out, buf = [], []
+    for item in pending:
+        buf.append(item)
+        if len(buf) > window:
+            out.append(buf.pop(min(range(len(buf)), key=lambda k: buf[k][:2])))
+    while buf:
+        out.append(buf.pop(min(range(len(buf)), key=lambda k: buf[k][:2])))
+    return out
 
 
 def ref_crc32(data: bytes) -> int:
@@ -370,6 +384,20 @@ class TestChannel:
         # all still-unemitted earlier units share its bounded buffer
         for pos, idx in enumerate(order):
             assert idx - pos <= 3
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 250.0, 251.5, 1e4]), max_size=40),
+        st.integers(0, 12),
+        st.data(),
+    )
+    def test_reorder_equals_linear_scan(self, arrivals, window, data):
+        # Few distinct arrivals, so ties are common; indices rise with
+        # gaps, as units lost on the link leave them.
+        gaps = data.draw(st.lists(st.integers(1, 3), min_size=len(arrivals), max_size=len(arrivals)))
+        index = np.cumsum(gaps).tolist()
+        pending = [(a, i, bytes([i % 256])) for a, i in zip(arrivals, index)]
+        assert _bounded_reorder(list(pending), window) == scan_reorder(pending, window)
 
     def test_raw_refuses_reordering_link(self):
         cfg = ChannelConfig(reorder_window=2)
