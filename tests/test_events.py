@@ -199,9 +199,10 @@ class TestFrameAccumulate:
             t0 = data.draw(st.integers(0, lo))
             t1 = data.draw(st.integers(hi + 1, hi + 20))
         elif window == "edges":
-            # Within one of the first and last event times.
+            # Within one of the first and last event times; when they are
+            # equal and t0 = lo + 1, t1 = t0 + 1 is the nearest valid end.
             t0 = data.draw(st.integers(lo - 1, lo + 1))
-            t1 = data.draw(st.integers(max(t0 + 1, hi - 1), hi + 1))
+            t1 = data.draw(st.integers(max(t0 + 1, hi - 1), max(t0 + 1, hi + 1)))
         elif window == "partial":
             # Edges on event times, so the half-open bounds are exercised.
             t0 = data.draw(st.integers(lo - 5, hi + 1))
