@@ -1,7 +1,8 @@
 """Event-camera data model: streams, frames, synthesis, EVT1 codec.
 
-Events are (t_us, x, y, polarity) records held in a packed numpy array.
-The EVT1 container stores them little-endian:
+An EventStream holds (t_us, x, y, polarity) events as four contiguous
+columns: t u64, x and y u16, p i8.  The EVT1 container stores them as
+little-endian records:
 
     magic   4 B   ASCII "EVT1"
     width   u16   sensor columns
@@ -24,8 +25,6 @@ from enum import Enum
 from types import MappingProxyType
 
 import numpy as np
-
-EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
 
 # On-wire record layout: 16 bytes with 3 trailing zero pad bytes.
 _WIRE_DTYPE = np.dtype({"names": ["t", "x", "y", "p"], "formats": ["<u8", "<u2", "<u2", "<i1"],
@@ -66,62 +65,58 @@ class Resolution:
 
 
 class EventStream:
-    """A batch of events plus the resolution they were captured at."""
+    """A batch of events as four columns plus the resolution they were captured at."""
 
-    def __init__(self, data: np.ndarray, resolution: Resolution):
-        if data.dtype != EVENT_DTYPE:
-            data = data.astype(EVENT_DTYPE)
-        self.data = data
-        self.resolution = resolution
-
-    @classmethod
-    def empty(cls, resolution: Resolution) -> "EventStream":
-        return cls(np.empty(0, dtype=EVENT_DTYPE), resolution)
-
-    @classmethod
-    def from_arrays(cls, t, x, y, p, resolution: Resolution) -> "EventStream":
+    def __init__(self, t, x, y, p, resolution: Resolution):
         t = np.asarray(t)
         neg = np.flatnonzero(t < 0) if t.dtype.kind in "if" else ()  # u8 would wrap them
         if len(neg):
             raise StreamError(f"event {neg[0]} has negative time {t[neg[0]]}")
-        data = np.zeros(len(t), dtype=EVENT_DTYPE)
-        data["t"], data["x"], data["y"], data["p"] = t, x, y, p
-        return cls(data, resolution)
+        self.t, self.x, self.y, self.p = (np.ascontiguousarray(c, dtype) for c, dtype in
+                                          zip((t, x, y, p), (np.uint64, np.uint16, np.uint16, np.int8)))
+        if not len(self.t) == len(self.x) == len(self.y) == len(self.p):
+            raise StreamError(f"column lengths differ: {len(self.t)}, {len(self.x)}, {len(self.y)}, {len(self.p)}")
+        self.resolution = resolution
+
+    @classmethod
+    def empty(cls, resolution: Resolution) -> "EventStream":
+        return cls([], [], [], [], resolution)
+
+    def __getitem__(self, key) -> "EventStream":
+        """The events a slice, mask or index array picks; a slice gives views."""
+        return EventStream(self.t[key], self.x[key], self.y[key], self.p[key], self.resolution)
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
-        return self.resolution == other.resolution and np.array_equal(self.data, other.data)
+        return self.resolution == other.resolution and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in "txyp")
 
     def validate(self) -> None:
         """Raise StreamError naming the first offending event, if any."""
-        d, res, p = self.data, self.resolution, np.ascontiguousarray(self.data["p"])
+        x, y, p, res = self.x, self.y, self.p, self.resolution
         # A reduction per column accepts a valid stream; only an invalid one
         # pays for the scan that names its first offending event.
-        if not len(d) or (d["x"].max() < res.width and d["y"].max() < res.height
+        if not len(p) or (x.max() < res.width and y.max() < res.height
                           and p.min() >= -1 and p.max() <= 1 and np.count_nonzero(p) == len(p)):
             return
-        bad = np.nonzero((d["x"] >= res.width) | (d["y"] >= res.height))[0]
+        bad = np.flatnonzero((x >= res.width) | (y >= res.height))
         if len(bad):
             i = int(bad[0])
-            raise StreamError(f"event {i} at ({d['x'][i]},{d['y'][i]}) outside {res}")
-        bad = np.nonzero((d["p"] != 1) & (d["p"] != -1))[0]
-        if len(bad):
-            i = int(bad[0])
-            raise StreamError(f"event {i} has polarity {d['p'][i]}, want +1 or -1")
+            raise StreamError(f"event {i} at ({x[i]},{y[i]}) outside {res}")
+        i = int(np.flatnonzero((p != 1) & (p != -1))[0])
+        raise StreamError(f"event {i} has polarity {p[i]}, want +1 or -1")
 
     def time_sorted(self) -> "EventStream":
-        order = np.argsort(self.data["t"], kind="stable")
-        return EventStream(self.data[order], self.resolution)
+        return self[np.argsort(self.t, kind="stable")]
 
     def span_us(self) -> tuple[int, int]:
         if len(self) == 0:
             return (0, 0)
-        t = self.data["t"]
-        return int(t.min()), int(t.max())
+        return int(self.t.min()), int(self.t.max())
 
 
 @dataclass
@@ -155,8 +150,7 @@ def frame_accumulate(
     if res != stream.resolution:
         raise StreamError(f"stream is {stream.resolution}, frame wants {res}")
     stream.validate()
-    d = stream.data
-    t, x, y, p = np.ascontiguousarray(d["t"]), d["x"], d["y"], d["p"]
+    t, x, y, p = stream.t, stream.x, stream.y, stream.p
     # A window cut to [t0, t1) beforehand, as HandTracker.run cuts them,
     # needs no mask.
     if len(t) and (t.min() < t0 or t.max() >= t1):
@@ -416,7 +410,7 @@ def synth_hand_events(
         ))
     if not out:
         return EventStream.empty(resolution)
-    return EventStream.from_arrays(*(np.concatenate(c) for c in zip(*out)), resolution)
+    return EventStream(*(np.concatenate(c) for c in zip(*out)), resolution)
 
 
 def add_noise_events(stream: EventStream, fraction: float, seed: int) -> EventStream:
@@ -429,13 +423,15 @@ def add_noise_events(stream: EventStream, fraction: float, seed: int) -> EventSt
     rng = np.random.default_rng(seed)
     t0, t1 = stream.span_us()
     res = stream.resolution
-    noise = np.zeros(n, dtype=EVENT_DTYPE)
-    noise["t"] = rng.integers(t0, max(t1, t0 + 1), n)
-    noise["x"] = rng.integers(0, res.width, n)
-    noise["y"] = rng.integers(0, res.height, n)
-    noise["p"] = rng.choice(np.array([-1, 1], dtype=np.int8), n)
-    merged = np.concatenate([stream.data, noise])
-    return EventStream(merged, res).time_sorted()
+    noise = EventStream(
+        rng.integers(t0, max(t1, t0 + 1), n),
+        rng.integers(0, res.width, n),
+        rng.integers(0, res.height, n),
+        rng.choice(np.array([-1, 1], dtype=np.int8), n),
+        res,
+    )
+    merged = (np.concatenate([getattr(stream, c), getattr(noise, c)]) for c in "txyp")
+    return EventStream(*merged, res).time_sorted()
 
 
 def encode_evt1(stream: EventStream) -> bytes:
@@ -446,8 +442,7 @@ def encode_evt1(stream: EventStream) -> bytes:
         raise CodecError(f"resolution {res} does not fit u16 fields")
     header = _EVT1_HEADER.pack(EVT1_MAGIC, res.width, res.height, 0)
     wire = np.zeros(len(stream), dtype=_WIRE_DTYPE)
-    for name in ("t", "x", "y", "p"):
-        wire[name] = stream.data[name]
+    wire["t"], wire["x"], wire["y"], wire["p"] = stream.t, stream.x, stream.y, stream.p
     return header + wire.tobytes()
 
 
@@ -463,7 +458,7 @@ def decode_evt1(data: bytes) -> EventStream:
         raise CodecError(f"truncated record section: {body} bytes")
     res = Resolution(width, height)
     wire = np.frombuffer(data, dtype=_WIRE_DTYPE, offset=_EVT1_HEADER.size)
-    stream = EventStream.from_arrays(wire["t"], wire["x"], wire["y"], wire["p"], res)
+    stream = EventStream(wire["t"], wire["x"], wire["y"], wire["p"], res)
     try:
         stream.validate()
     except StreamError as exc:

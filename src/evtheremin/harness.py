@@ -75,23 +75,12 @@ from .transport import (
 )
 
 # Telemetry channel addresses for hand estimates on the SAFE link.
-# Values are fixed-point: positions times POS_SCALE, confidence times 1000.
+# Values are fixed-point: positions times POS_SCALE (halved for sensors
+# too wide for i16 values, see _pos_scale), confidence times 1000.
 CH_PITCH_X, CH_PITCH_Y, CH_PITCH_CONF = 0, 1, 2
 CH_VOL_X, CH_VOL_Y, CH_VOL_CONF = 3, 4, 5
 POS_SCALE = 64.0
 CONF_SCALE = 1000.0
-
-
-class VirtualClock:
-    """Monotonic simulated time in microseconds."""
-
-    def __init__(self):
-        self.now_us = 0.0
-
-    def advance_to(self, t_us: float) -> None:
-        if t_us < self.now_us:
-            raise ValueError(f"clock cannot move backwards ({t_us} < {self.now_us})")
-        self.now_us = t_us
 
 
 @dataclass
@@ -284,22 +273,30 @@ _HAND_CHANNELS = {HandLabel.PITCH: (CH_PITCH_X, CH_PITCH_Y, CH_PITCH_CONF),
                   HandLabel.VOLUME: (CH_VOL_X, CH_VOL_Y, CH_VOL_CONF)}
 
 
-def _estimate_to_spikes(est: HandEstimate) -> list[GradedSpike]:
+def _pos_scale(res: Resolution) -> float:
+    """POS_SCALE, halved until every coordinate on the sensor fits an i16 value."""
+    scale = POS_SCALE
+    while max(res.width, res.height) * scale > 0x7FFF:
+        scale /= 2
+    return scale
+
+
+def _estimate_to_spikes(est: HandEstimate, scale: float = POS_SCALE) -> list[GradedSpike]:
     spikes: list[GradedSpike] = []
     for label, chans in _HAND_CHANNELS.items():
         p = est.hands.get(label)
         conf = 0 if p is None else int(round(p.confidence * CONF_SCALE))
         if conf == 0:
             continue  # no hand, or it faded out entirely; stop reporting it
-        for ch, v in zip(chans, (p.x * POS_SCALE, p.y * POS_SCALE, conf)):
+        for ch, v in zip(chans, (p.x * scale, p.y * scale, conf)):
             spikes.append(GradedSpike(ch, int(round(v)) or 1))  # 0 cannot be sent: smallest step
     return spikes
 
 
-def _spikes_to_estimate(t_us: int, group: list[tuple[int, int]]) -> HandEstimate:
+def _spikes_to_estimate(t_us: int, group: list[tuple[int, int]], scale: float = POS_SCALE) -> HandEstimate:
     vals = dict(group)
     hands = {
-        label: HandPoint(vals.get(x, 0) / POS_SCALE, vals.get(y, 0) / POS_SCALE, min(1.0, vals[c] / CONF_SCALE))
+        label: HandPoint(vals.get(x, 0) / scale, vals.get(y, 0) / scale, min(1.0, vals[c] / CONF_SCALE))
         for label, (x, y, c) in _HAND_CHANNELS.items()
         if c in vals
     }
@@ -336,7 +333,7 @@ class _ShowRun:
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.clock = VirtualClock()
+        self.pos_scale = _pos_scale(cfg.tracker.input_res)
         self.routes = default_routes()
         self.tracker = HandTracker(cfg.tracker)
         self.link_stats = LinkStats()
@@ -397,14 +394,12 @@ def run_show(
         run.state_ms[seg.state.value] += seg.t1_ms - seg.t0_ms
         t0_us = int(round(seg.t0_ms * 1000))
         t1_us = int(round(seg.t1_ms * 1000))
-        run.clock.advance_to(t0_us)
         if seg.state in (ShowState.DUET, ShowState.TEACHING):
             _run_tracking_segment(run, score, traj, seg.state, t0_us, t1_us, seg_idx)
         elif seg.state is ShowState.SOLO:
             _run_solo_segment(run, traj, t0_us, t1_us)
         elif seg.state is ShowState.CALIBRATING:
             run.calibration_drift = max(run.calibration_drift, _run_calibration(cfg, score))
-        run.clock.advance_to(t1_us)
 
     run.receiver.close(run.seq)
     sim_us = scenario[-1].t_ms * 1000 if scenario else 0.0
@@ -485,7 +480,7 @@ def _run_tracking_segment(
         run.counts["windows"] += 1
         run.counts["estimates"] += 1
         t_sent = float(w_end) + L.sensor_us + L.tracker_us
-        spikes = _estimate_to_spikes(est)
+        spikes = _estimate_to_spikes(est, run.pos_scale)
         payload = safe_encode(spikes, seq=run.seq, timestamp_us=w_end)
         payloads.append(payload)
         send_times.append(t_sent)
@@ -508,7 +503,7 @@ def _run_tracking_segment(
         # Frames are released whole and in order, and each carries its
         # window's end time, so one run of equal times is one estimate.
         for t_abs, group in groupby(released, key=itemgetter(0)):
-            est = _spikes_to_estimate(int(t_abs), [(addr, value) for _, addr, value in group])
+            est = _spikes_to_estimate(int(t_abs), [(addr, value) for _, addr, value in group], run.pos_scale)
             delivered, dropped = route_messages(
                 signals, run.routes, [(route_synth, est), (route_gui, est)]
             )

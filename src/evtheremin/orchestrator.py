@@ -243,7 +243,3 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
         last = t_ms
         events.append(ScenarioEvent(t_ms, intent))
     return events
-
-
-def format_scenario(events: list[ScenarioEvent]) -> str:
-    return "\n".join(f"AT {e.t_ms:g} INTENT {e.intent.value}" for e in events) + "\n"

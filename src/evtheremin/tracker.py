@@ -279,22 +279,13 @@ class HandTracker:
             lo, hi = stream.span_us()
             t_start = lo if t_start is None else t_start
             t_end = hi + 1 if t_end is None else t_end
-        t = stream.data["t"]
+        t = stream.t
         if not (t[1:] >= t[:-1]).all():
             stream = stream.time_sorted()
         ends = range(t_start + cfg.window_us, t_end + cfg.window_us, cfg.window_us)
-        # One search for every window edge, over a contiguous copy of the
-        # column (NumPy copies a strided field view on each call) with keys
-        # of its dtype (Python-int keys make NumPy cast the whole column).
-        edges = np.searchsorted(
-            np.ascontiguousarray(stream.data["t"]),
-            np.array([t_start, *ends], dtype=t.dtype),
-        )
-        out = []
-        for w_end, i0, i1 in zip(ends, edges[:-1], edges[1:]):
-            window = EventStream(stream.data[i0:i1], stream.resolution)
-            out.append(self.step(window, w_end))
-        return out
+        # Keys of the column's dtype: Python-int keys make NumPy cast the whole column.
+        edges = np.searchsorted(stream.t, np.array([t_start, *ends], dtype=t.dtype))
+        return [self.step(stream[i0:i1], w_end) for w_end, i0, i1 in zip(ends, edges[:-1], edges[1:])]
 
 
 def _argmax_peaks(

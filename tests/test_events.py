@@ -50,7 +50,7 @@ def hand_samples(draw, hand, width=RES.width, height=RES.height):
 
 
 def stream_of(triples, res=RES):
-    stream = EventStream.from_arrays(*zip(*triples), res)
+    stream = EventStream(*zip(*triples), res)
     stream.validate()
     return stream
 
@@ -58,15 +58,15 @@ def stream_of(triples, res=RES):
 def scan_validate(stream):
     """The error validate() raised before its one-reduction-per-column
     acceptance: a full scan naming the first offending event, or None."""
-    d, res = stream.data, stream.resolution
-    bad = np.nonzero((d["x"] >= res.width) | (d["y"] >= res.height))[0]
+    x, y, p, res = stream.x, stream.y, stream.p, stream.resolution
+    bad = np.nonzero((x >= res.width) | (y >= res.height))[0]
     if len(bad):
         i = int(bad[0])
-        return f"event {i} at ({d['x'][i]},{d['y'][i]}) outside {res}"
-    bad = np.nonzero((d["p"] != 1) & (d["p"] != -1))[0]
+        return f"event {i} at ({x[i]},{y[i]}) outside {res}"
+    bad = np.nonzero((p != 1) & (p != -1))[0]
     if len(bad):
         i = int(bad[0])
-        return f"event {i} has polarity {d['p'][i]}, want +1 or -1"
+        return f"event {i} has polarity {p[i]}, want +1 or -1"
     return None
 
 
@@ -76,7 +76,7 @@ def valid_streams(draw, max_events=60):
     res = Resolution(draw(st.integers(1, 40)), draw(st.integers(1, 30)))
     n = draw(st.integers(0, max_events))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return EventStream.from_arrays(
+    return EventStream(
         rng.integers(100, 200, n, dtype=np.uint64),
         rng.integers(0, res.width, n, dtype=np.uint16),
         rng.integers(0, res.height, n, dtype=np.uint16),
@@ -100,9 +100,8 @@ class TestEventValidation:
     def test_error_names_first_offender_as_full_scan(self, stream, data):
         n, res = len(stream), stream.resolution
         if n == 0:
-            stream = EventStream.from_arrays([0], [0], [0], [1], res)
+            stream = EventStream([0], [0], [0], [1], res)
             n = 1
-        d = stream.data
         # One bad value per column, each column's first invalid one or any;
         # injected into one column, or into any of them.
         bad = {
@@ -113,7 +112,7 @@ class TestEventValidation:
         columns = data.draw(st.sampled_from(["p", "x", "y", "xyp"]))
         for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
             column = data.draw(st.sampled_from(columns))
-            d[column][i] = bad[column]
+            getattr(stream, column)[i] = bad[column]
         want = scan_validate(stream)
         assert want is not None
         with pytest.raises(StreamError) as exc:
@@ -122,10 +121,10 @@ class TestEventValidation:
 
     def test_negative_time_rejected(self):
         with pytest.raises(StreamError, match="event 1 has negative time -1"):
-            EventStream.from_arrays([0, -1, -2], [0, 0, 0], [0, 0, 0], [1, 1, 1], RES)
+            EventStream([0, -1, -2], [0, 0, 0], [0, 0, 0], [1, 1, 1], RES)
         with pytest.raises(StreamError, match="event 0 has negative time -0.5"):
-            EventStream.from_arrays(np.array([-0.5]), [0], [0], [1], RES)
-        s = EventStream.from_arrays(np.array([0, 2**64 - 1], dtype=np.uint64), [0, 0], [0, 0], [1, 1], RES)
+            EventStream(np.array([-0.5]), [0], [0], [1], RES)
+        s = EventStream(np.array([0, 2**64 - 1], dtype=np.uint64), [0, 0], [0, 0], [1, 1], RES)
         assert s.span_us() == (0, 2**64 - 1)
 
     def test_bad_polarity_rejected(self):
@@ -134,7 +133,7 @@ class TestEventValidation:
                 stream_of([(0, 0, 0, 1), (0, 0, 0, p)])
 
     def test_out_of_bounds_event_named_in_error(self):
-        s = EventStream.from_arrays([0], [240], [0], [1], RES)
+        s = EventStream([0], [240], [0], [1], RES)
         with pytest.raises(StreamError, match=r"\(240,0\)"):
             s.validate()
 
@@ -170,7 +169,7 @@ class TestFrameAccumulate:
     def test_window_partition(self):
         rng = np.random.default_rng(3)
         n = 500
-        s = EventStream.from_arrays(
+        s = EventStream(
             rng.integers(0, 1000, n),
             rng.integers(0, RES.width, n),
             rng.integers(0, RES.height, n),
@@ -187,13 +186,13 @@ class TestFrameAccumulate:
             frame_accumulate(EventStream.empty(RES), 10, 10)
 
     def test_out_of_bounds_event_rejected(self):
-        s = EventStream.from_arrays([1], [0], [500], [1], RES)
+        s = EventStream([1], [0], [500], [1], RES)
         with pytest.raises(StreamError):
             frame_accumulate(s, 0, 10)
 
     @given(valid_streams(), st.sampled_from(["inside", "edges", "partial", "before", "after"]), st.booleans(), st.data())
     def test_equals_masked_bincount(self, stream, window, signed, data):
-        t = stream.data["t"].astype(np.int64)
+        t = stream.t.astype(np.int64)
         lo, hi = (int(t.min()), int(t.max())) if len(t) else (100, 199)
         if window == "inside":
             t0 = data.draw(st.integers(0, lo))
@@ -214,10 +213,9 @@ class TestFrameAccumulate:
             t0 = data.draw(st.integers(hi + 1, hi + 20))
             t1 = data.draw(st.integers(t0 + 1, t0 + 20))
         res = stream.resolution
-        d = stream.data
         m = (t >= t0) & (t < t1)
-        idx = d["y"][m].astype(np.int64) * res.width + d["x"][m].astype(np.int64)
-        weights = d["p"][m].astype(np.int64) if signed else np.ones(len(idx), dtype=np.int64)
+        idx = stream.y[m].astype(np.int64) * res.width + stream.x[m].astype(np.int64)
+        weights = stream.p[m].astype(np.int64) if signed else np.ones(len(idx), dtype=np.int64)
         want = np.zeros(res.npixels, dtype=np.int64)
         np.add.at(want, idx, weights)
         got = frame_accumulate(stream, t0, t1, signed=signed)
@@ -473,7 +471,7 @@ def oracle_synth(traj, resolution, seed, blob_radius=8.0, contrast_threshold=0.0
         prev = cur
     if not out:
         return EventStream.empty(resolution)
-    stream = EventStream.from_arrays(*(np.concatenate(c) for c in zip(*out)), resolution)
+    stream = EventStream(*(np.concatenate(c) for c in zip(*out)), resolution)
     return stream.time_sorted()
 
 
@@ -498,11 +496,11 @@ class TestSynthHandEvents:
         want = oracle_synth(traj, res, **params)
         got = synth_hand_events(traj, res, **params)
         assert got.resolution == res
-        assert got.data.tobytes() == want.data.tobytes()
+        assert got == want
         lo, hi = traj.span_us()
         until = data.draw(st.integers(lo - 1000, hi + 3000))
         cut = synth_hand_events(traj, res, until_us=until, **params)
-        assert cut.data.tobytes() == want.data[want.data["t"] < until].tobytes()
+        assert cut == want[want.t < until]
 
     def test_batch_edges_equal_oracle(self):
         # Two hands on the full sensor: the left one starts clipped at the
@@ -518,19 +516,19 @@ class TestSynthHandEvents:
         params = dict(seed=21, micro_step_us=700, rate_scale=2.0)
         want = oracle_synth(traj, RES, **params)
         got = synth_hand_events(traj, RES, **params)
-        assert got.data.tobytes() == want.data.tobytes()
-        assert got.data["x"].min() == 0 and len(got) > 10_000
+        assert got == want
+        assert got.x.min() == 0 and len(got) > 10_000
         cut = synth_hand_events(traj, RES, until_us=17_850, **params)
-        assert cut.data.tobytes() == want.data[want.data["t"] < 17_850].tobytes()
-        assert 14_000 < cut.data["t"].max() < 17_850
+        assert cut == want[want.t < 17_850]
+        assert 14_000 < cut.t.max() < 17_850
 
     def test_stop_time_keeps_prefix(self):
         traj = waving_trajectory(RES, 60)
         full = synth_hand_events(traj, RES, seed=4, micro_step_us=700)
-        assert np.all(np.diff(full.data["t"].astype(np.int64)) >= 0)
+        assert np.all(np.diff(full.t.astype(np.int64)) >= 0)
         for until in (0, 1, 20_000, 20_350, 59_999, 60_000, 10**9):
             cut = synth_hand_events(traj, RES, seed=4, micro_step_us=700, until_us=until)
-            assert cut == EventStream(full.data[full.data["t"] < until], RES)
+            assert cut == full[full.t < until]
 
     def test_stationary_blob_emits_nothing(self):
         traj = Trajectory(
@@ -558,9 +556,9 @@ class TestSynthHandEvents:
         )
         stream = synth_hand_events(traj, RES, seed=2, rate_scale=2.0)
         assert len(stream) > 0
-        mid = stream.data["t"] > 20_000
-        xs = stream.data["x"][mid].astype(float)
-        ps = stream.data["p"][mid]
+        mid = stream.t > 20_000
+        xs = stream.x[mid].astype(float)
+        ps = stream.p[mid]
         assert xs[ps > 0].mean() > xs[ps < 0].mean()
 
     def test_event_count_follows_differencing_rule(self):
@@ -586,8 +584,7 @@ class TestSynthHandEvents:
             np.abs(delta) >= thresh, np.floor(rate * np.abs(delta) / thresh), 0
         )
         got = np.zeros_like(expect)
-        for e in stream.data:
-            got[e["y"], e["x"]] += 1
+        np.add.at(got, (stream.y, stream.x), 1)
         np.testing.assert_array_equal(got, expect)
 
     def test_bounds_checked(self):
@@ -608,7 +605,7 @@ class TestNoiseInjection:
         traj = waving_trajectory(RES, 300)
         noisy = add_noise_events(synth_hand_events(traj, RES, seed=5), 0.5, seed=7)
         noisy.validate()
-        assert np.all(np.diff(noisy.data["t"].astype(np.int64)) >= 0)
+        assert np.all(np.diff(noisy.t.astype(np.int64)) >= 0)
 
 
 class TestEvt1Codec:
@@ -629,7 +626,7 @@ class TestEvt1Codec:
         assert decode_evt1(encode_evt1(s)) == s
 
     @example(EventStream.empty(Resolution(1, 1)))
-    @example(EventStream.from_arrays([5, 5], [0, 0], [0, 0], [1, -1], Resolution(1, 1)))
+    @example(EventStream([5, 5], [0, 0], [0, 0], [1, -1], Resolution(1, 1)))
     @given(valid_streams())
     def test_roundtrip_any_valid_stream(self, stream):
         data = encode_evt1(stream)

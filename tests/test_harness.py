@@ -1,11 +1,11 @@
-"""Harness tests: virtual clock, telemetry codec, run reports, config
+"""Harness tests: telemetry codec, run reports, config
 files, protocol benchmarks, and short end-to-end show runs."""
 
 import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evtheremin import harness
@@ -24,8 +24,8 @@ from evtheremin.harness import (
     SimConfig,
     StageLatencies,
     SynthParams,
-    VirtualClock,
     _estimate_to_spikes,
+    _pos_scale,
     _scenario_segments,
     _spikes_to_estimate,
     compute_rtf,
@@ -41,7 +41,7 @@ from evtheremin.harness import (
 from evtheremin.events import Resolution
 from evtheremin.neural_field import KernelParams
 from evtheremin.orchestrator import ShowState, parse_scenario
-from evtheremin.theremin import parse_score
+from evtheremin.theremin import ScoreError, parse_score
 from evtheremin.tracker import HandEstimate, HandLabel, HandPoint, TrackerConfig
 from evtheremin.transport import ChannelConfig, safe_encode
 
@@ -89,22 +89,6 @@ class TestPowerAndRtf:
             compute_rtf(1.0, -2.0)
         with pytest.raises(ValueError):
             compute_rtf(-1.0, 5.0)
-
-
-class TestVirtualClock:
-    def test_advances_forward(self):
-        clock = VirtualClock()
-        assert clock.now_us == 0.0
-        clock.advance_to(100.0)
-        clock.advance_to(100.0)
-        clock.advance_to(250.5)
-        assert clock.now_us == 250.5
-
-    def test_rejects_backwards(self):
-        clock = VirtualClock()
-        clock.advance_to(100.0)
-        with pytest.raises(ValueError, match="backwards"):
-            clock.advance_to(99.0)
 
 
 class TestLatencyStat:
@@ -535,6 +519,37 @@ class TestOtherShowStates:
             == link["sent"]
         )
         assert 0 < rep.pitch_samples < 80
+
+
+class TestAnyResolution:
+    def test_position_scale_fits_i16(self):
+        assert _pos_scale(Resolution(240, 180)) == POS_SCALE
+        assert _pos_scale(Resolution(511, 100)) == 64.0
+        assert _pos_scale(Resolution(100, 512)) == 32.0
+        assert _pos_scale(Resolution(1023, 768)) == 32.0
+        assert _pos_scale(Resolution(1024, 768)) == 16.0
+        assert _pos_scale(Resolution(2000, 1500)) == 16.0
+
+    # The brief two-note score with its VOL lines, on a lossy link that
+    # does not reorder, over any sensor from the chip's size up to 1024 px
+    # a side: sides of 512 px and more send positions at a scale below 64.
+    @settings(max_examples=6, deadline=None)
+    @example(640, 480)
+    @given(st.integers(TrackerConfig().chip_res.width, 1024), st.integers(TrackerConfig().chip_res.height, 1024))
+    def test_show_runs_or_rejects_score(self, width, height):
+        cfg = SimConfig(seed=3, tracker=TrackerConfig(input_res=Resolution(width, height)),
+                        channel=ChannelConfig(loss_p=0.2, seed=5))
+        try:
+            rep = run_show(cfg, scenario_text=BRIEF_SCENARIO, score_text=BRIEF_SCORE)
+        except ScoreError as exc:
+            assert "outside" in str(exc) or "too close" in str(exc)
+            return
+        link = rep.link
+        assert rep.counts["frames_sent"] == rep.counts["windows"] == 12
+        assert (
+            link["delivered"] + link["lost"] + link["corrupted_dropped"] + link["duplicate_dropped"]
+            == link["sent"]
+        )
 
 
 class TestSynthesisStopTime:

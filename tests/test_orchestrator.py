@@ -14,7 +14,6 @@ from evtheremin.orchestrator import (
     ShowState,
     control_signals,
     default_routes,
-    format_scenario,
     parse_scenario,
     route_messages,
     transition,
@@ -219,10 +218,6 @@ class TestScenarioIo:
             ScenarioEvent(0.0, I.START_CONVERSATION),
             ScenarioEvent(10.5, I.DONE),
         ]
-
-    def test_format_roundtrip(self):
-        events = parse_scenario(SCENARIO)
-        assert parse_scenario(format_scenario(events)) == events
 
     def test_bad_shape(self):
         with pytest.raises(ValueError, match="line 1"):

@@ -46,7 +46,7 @@ def cluster_window(clusters, t0, t1, res=RES):
     ys = [y for (_, y), count in clusters for _ in range(count)]
     p = [1 if i % 2 == 0 else -1 for _, count in clusters for i in range(count)]
     t = [t0 + (t1 - t0) * k // len(xs) for k in range(len(xs))]
-    return EventStream.from_arrays(t, xs, ys, p, res)
+    return EventStream(t, xs, ys, p, res)
 
 
 class TestGainControl:
@@ -332,9 +332,9 @@ class TestRun:
     def test_unsorted_stream_tracks_like_sorted(self):
         traj = waving_trajectory(RES, 400)
         stream = synth_hand_events(traj, RES, seed=5)
-        shuffled = stream.data[np.random.default_rng(0).permutation(len(stream))]
+        shuffled = stream[np.random.default_rng(0).permutation(len(stream))]
         a = HandTracker().run(stream, t_start=0, t_end=40_000)
-        b = HandTracker().run(EventStream(shuffled, RES), t_start=0, t_end=40_000)
+        b = HandTracker().run(shuffled, t_start=0, t_end=40_000)
         assert any(e.hands for e in a)
         assert a == b
 
