@@ -36,10 +36,8 @@ from .neural_field import (
 )
 from .orchestrator import (
     ControllerState,
-    ControlSignals,
     Intention,
     Module,
-    Orchestrator,
     ShowState,
     control_signals,
     transition,

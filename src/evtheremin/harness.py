@@ -30,15 +30,15 @@ from .events import (
     synth_hand_events,
 )
 from .orchestrator import (
+    ControllerState,
     Module,
-    Orchestrator,
     Route,
     ScenarioEvent,
     ShowState,
     control_signals,
-    default_routes,
     parse_scenario,
     route_messages,
+    transition,
 )
 from .sigma_delta import GradedSpike
 from .theremin import (
@@ -318,13 +318,13 @@ class _Segment:
 
 def _scenario_segments(events: list[ScenarioEvent]) -> list[_Segment]:
     """Replay intents; returns the state active over each interval."""
-    orch = Orchestrator()
+    state = ControllerState()
     segments = []
     for i, ev in enumerate(events):
-        orch.apply(ev.intent)
+        state = transition(state, ev.intent)
         t1 = events[i + 1].t_ms if i + 1 < len(events) else ev.t_ms
         if t1 > ev.t_ms:
-            segments.append(_Segment(ev.t_ms, t1, orch.show))
+            segments.append(_Segment(ev.t_ms, t1, state.show))
     return segments
 
 
@@ -334,7 +334,6 @@ class _ShowRun:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.pos_scale = _pos_scale(cfg.tracker.input_res)
-        self.routes = default_routes()
         self.tracker = HandTracker(cfg.tracker)
         self.link_stats = LinkStats()
         self.receiver = SafeReceiver(cfg.reorder_window, self.link_stats)
@@ -457,7 +456,7 @@ def _run_tracking_segment(
     link, routed by the orchestrator, and (in a duet) played back."""
     cfg = run.cfg
     L = cfg.latencies
-    signals = control_signals(state)
+    on = control_signals(state)
     traj = _shift_trajectory(score_traj, t0_us)
     span_end = min(t1_us, traj.span_us()[1])
     # The tracker's last window may end past span_end; synthesise up to it.
@@ -504,9 +503,7 @@ def _run_tracking_segment(
         # window's end time, so one run of equal times is one estimate.
         for t_abs, group in groupby(released, key=itemgetter(0)):
             est = _spikes_to_estimate(int(t_abs), [(addr, value) for _, addr, value in group], run.pos_scale)
-            delivered, dropped = route_messages(
-                signals, run.routes, [(route_synth, est), (route_gui, est)]
-            )
+            delivered, dropped = route_messages(on, [(route_synth, est), (route_gui, est)])
             run.counts["routed_dropped"] += dropped
             for route, message in delivered:
                 if route == route_gui:

@@ -121,13 +121,6 @@ class Field:
         u = np.full((resolution.height, resolution.width), params.h, dtype=np.float64)
         return cls(u, params)
 
-    @property
-    def resolution(self) -> Resolution:
-        return Resolution(self.u.shape[1], self.u.shape[0])
-
-    def rate(self) -> np.ndarray:
-        return expit(self.params.beta * self.u)
-
 
 def _scan_ramp(shape: tuple[int, int]) -> np.ndarray:
     n = shape[0] * shape[1]

@@ -1,15 +1,15 @@
-"""Show control: state machine, per-module gates, and gated message routing.
+"""Show control: transition table, gate table, gated message routing.
 
-Three separate concerns, kept in three layers: `transition` decides what
-the show is doing, `control_signals` turns that into on/off gates for
-the four runtime modules, and `route_messages` delivers or drops
-messages purely from those gates.  Routing never looks at the show
-state directly.
+Three layers, each one table: `transition` reads the transition table to
+decide what the show is doing; `control_signals` reads the gate table for
+the set of runtime modules that state switches on; `route_messages`
+delivers a message on one of the fixed `ROUTES` when both its ends are
+in that set and drops it otherwise.  Routing never reads the show state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -78,71 +78,19 @@ def transition(state: ControllerState, intent: Intention) -> ControllerState:
     return ControllerState(nxt, resume=state.resume)
 
 
-_GATES: dict[ShowState, dict[Module, bool]] = {
-    ShowState.IDLE: {
-        Module.TRACKER: False,
-        Module.THEREMIN_SYNTH: False,
-        Module.GUI_DUET: False,
-        Module.CONVERSATION: False,
-    },
-    ShowState.CONVERSING: {
-        Module.TRACKER: False,
-        Module.THEREMIN_SYNTH: False,
-        Module.GUI_DUET: False,
-        Module.CONVERSATION: True,
-    },
-    ShowState.CALIBRATING: {
-        Module.TRACKER: True,
-        Module.THEREMIN_SYNTH: True,
-        Module.GUI_DUET: False,
-        Module.CONVERSATION: False,
-    },
-    ShowState.SOLO: {
-        Module.TRACKER: False,
-        Module.THEREMIN_SYNTH: True,
-        Module.GUI_DUET: False,
-        Module.CONVERSATION: False,
-    },
-    ShowState.DUET: {
-        Module.TRACKER: True,
-        Module.THEREMIN_SYNTH: True,
-        Module.GUI_DUET: True,
-        Module.CONVERSATION: False,
-    },
-    ShowState.TEACHING: {
-        Module.TRACKER: True,
-        Module.THEREMIN_SYNTH: False,
-        Module.GUI_DUET: True,
-        Module.CONVERSATION: False,
-    },
+_ON: dict[ShowState, frozenset[Module]] = {
+    ShowState.IDLE: frozenset(),
+    ShowState.CONVERSING: frozenset({Module.CONVERSATION}),
+    ShowState.CALIBRATING: frozenset({Module.TRACKER, Module.THEREMIN_SYNTH}),
+    ShowState.SOLO: frozenset({Module.THEREMIN_SYNTH}),
+    ShowState.DUET: frozenset({Module.TRACKER, Module.THEREMIN_SYNTH, Module.GUI_DUET}),
+    ShowState.TEACHING: frozenset({Module.TRACKER, Module.GUI_DUET}),
 }
 
 
-@dataclass(frozen=True)
-class ControlSignals:
-    gates: tuple[tuple[Module, bool], ...]
-
-    def __post_init__(self):
-        names = [m for m, _ in self.gates]
-        if sorted(names, key=lambda m: m.value) != sorted(Module, key=lambda m: m.value) or len(
-            names
-        ) != len(Module):
-            raise ValueError("gates must cover every module exactly once")
-
-    def is_on(self, module: Module) -> bool:
-        for m, on in self.gates:
-            if m is module:
-                return on
-        raise KeyError(module)
-
-    def as_dict(self) -> dict[str, bool]:
-        return {m.value: on for m, on in self.gates}
-
-
-def control_signals(state: ShowState) -> ControlSignals:
-    """Gate table for a show state; total over every module."""
-    table = _GATES[state]
-    return ControlSignals(tuple((m, table[m]) for m in Module))
+def control_signals(state: ShowState) -> frozenset[Module]:
+    """The modules a show state switches on; every other module is off."""
+    return _ON[state]
 
 
 @dataclass(frozen=True)
@@ -151,65 +99,28 @@ class Route:
     destination: Module
 
 
-@dataclass
-class RoutingTable:
-    routes: list[Route] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(set(self.routes)) != len(self.routes):
-            raise ValueError("duplicate routes")
-
-    def enabled(self, signals: ControlSignals) -> dict[Route, bool]:
-        """Derived purely from gates: a route is live when both ends are on."""
-        return {
-            r: signals.is_on(r.source) and signals.is_on(r.destination)
-            for r in self.routes
-        }
-
-
-def default_routes() -> RoutingTable:
-    return RoutingTable(
-        [
-            Route(Module.TRACKER, Module.THEREMIN_SYNTH),
-            Route(Module.TRACKER, Module.GUI_DUET),
-            Route(Module.CONVERSATION, Module.THEREMIN_SYNTH),
-        ]
-    )
+ROUTES = (
+    Route(Module.TRACKER, Module.THEREMIN_SYNTH),
+    Route(Module.TRACKER, Module.GUI_DUET),
+    Route(Module.CONVERSATION, Module.THEREMIN_SYNTH),
+)
 
 
 def route_messages(
-    signals: ControlSignals, table: RoutingTable, inbox: list[tuple[Route, object]]
+    on: frozenset[Module], inbox: list[tuple[Route, object]]
 ) -> tuple[list[tuple[Route, object]], int]:
-    """Deliver each (route, message) whose route is live; returns
-    (delivered, dropped_count).  Unknown routes are an error, not a drop."""
-    live = table.enabled(signals)
+    """Deliver each (route, message) whose two ends are both on; returns
+    (delivered, dropped_count).  A route outside ROUTES is an error, not
+    a drop."""
     delivered, dropped = [], 0
     for route, message in inbox:
-        if route not in live:
-            raise KeyError(f"route {route.source.value}->{route.destination.value} not in table")
-        if live[route]:
+        if route not in ROUTES:
+            raise KeyError(f"route {route.source.value}->{route.destination.value} not in ROUTES")
+        if route.source in on and route.destination in on:
             delivered.append((route, message))
         else:
             dropped += 1
     return delivered, dropped
-
-
-class Orchestrator:
-    """Thin stateful wrapper used by the harness."""
-
-    def __init__(self):
-        self.state = ControllerState()
-
-    @property
-    def show(self) -> ShowState:
-        return self.state.show
-
-    def signals(self) -> ControlSignals:
-        return control_signals(self.state.show)
-
-    def apply(self, intent: Intention) -> ControllerState:
-        self.state = transition(self.state, intent)
-        return self.state
 
 
 @dataclass(frozen=True)

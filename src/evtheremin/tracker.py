@@ -47,15 +47,6 @@ class HandEstimate:
     t_us: int
     hands: dict[HandLabel, HandPoint] = dataclass_field(default_factory=dict)
 
-    def with_decayed_confidence(self, factor: float, t_us: int) -> "HandEstimate":
-        return HandEstimate(
-            t_us,
-            {
-                label: HandPoint(p.x, p.y, p.confidence * factor)
-                for label, p in self.hands.items()
-            },
-        )
-
 
 def tracker_field_params() -> tuple[FieldParams, KernelParams]:
     """Field preset for tracking: quick integration so the peak follows a
@@ -263,11 +254,11 @@ class HandTracker:
             peaks = _argmax_peaks(heat, cfg.max_hands, cfg.min_separation_cells, cfg.argmax_floor)
         if peaks:
             hands = {k: HandPoint(*self._upscale(p), 1.0) for k, p in assign_hands(peaks, cfg.mirror).items()}
-            self.previous = HandEstimate(t_end, hands)
-        elif self.previous is None:
-            self.previous = HandEstimate(t_end, {})
         else:
-            self.previous = self.previous.with_decayed_confidence(cfg.confidence_decay, t_end)
+            # No peak: hold the last positions with decayed confidence.
+            held = self.previous.hands if self.previous is not None else {}
+            hands = {k: HandPoint(p.x, p.y, p.confidence * cfg.confidence_decay) for k, p in held.items()}
+        self.previous = HandEstimate(t_end, hands)
         return self.previous
 
     def run(self, stream: EventStream, t_start: int | None = None, t_end: int | None = None) -> list[HandEstimate]:

@@ -34,8 +34,8 @@ from evtheremin.neural_field import (
 from evtheremin.orchestrator import (
     ControllerState,
     Intention,
-    Orchestrator,
     ShowState,
+    control_signals,
     transition,
 )
 from evtheremin.sigma_delta import GradedSpike, SdState, delta_encode, sigma_decode
@@ -370,11 +370,11 @@ def test_c8_controller_exhaustive_and_replayable():
         script = [Intention.START_CONVERSATION, Intention.ASK_DUET, Intention.DONE]
         traces = []
         for _ in range(100):
-            orch = Orchestrator()
+            state = ControllerState()
             trace = []
             for intent in script:
-                orch.apply(intent)
-                trace.append((orch.show, tuple(sorted(orch.signals().as_dict().items()))))
+                state = transition(state, intent)
+                trace.append((state.show, control_signals(state.show)))
             traces.append(trace)
         assert [t[0] for t in traces[0]] == [
             ShowState.CONVERSING, ShowState.DUET, ShowState.CONVERSING,

@@ -108,14 +108,15 @@ class TestFieldBasics:
         f = Field.at_rest(CHIP)
         assert f.u.shape == (65, 86)
         assert np.all(f.u == -5.0)
-        assert f.resolution == CHIP
 
     def test_rate_is_sigmoid_of_activation(self):
-        f = Field.at_rest(Resolution(4, 3), FieldParams(beta=4.0))
+        # No lateral term and dt == tau: one step leaves h - g_inh * sum(f(u)).
+        f = Field.at_rest(Resolution(4, 3), FieldParams(tau=1.0, dt=1.0, beta=4.0))
+        kernel = LateralKernel(((0.0, np.ones(1)),), g_inh=1.0)
         f.u[:] = 0.0
-        assert np.all(f.rate() == 0.5)
+        assert np.all(field_step(f, np.zeros((3, 4)), kernel).u == -5.0 - 12 * 0.5)
         f.u[:] = 2.0
-        assert f.rate()[0, 0] == pytest.approx(expit(8.0))
+        assert field_step(f, np.zeros((3, 4)), kernel).u[0, 0] == pytest.approx(-5.0 - 12 * expit(8.0))
 
     def test_step_is_pure(self):
         f = Field.at_rest(Resolution(10, 8))

@@ -3,17 +3,14 @@
 import pytest
 
 from evtheremin.orchestrator import (
+    ROUTES,
     ControllerState,
-    ControlSignals,
     Intention,
     Module,
-    Orchestrator,
     Route,
-    RoutingTable,
     ScenarioEvent,
     ShowState,
     control_signals,
-    default_routes,
     parse_scenario,
     route_messages,
     transition,
@@ -115,67 +112,46 @@ EXPECTED_GATES = {
 class TestGates:
     def test_exact_table(self):
         for show, expected in EXPECTED_GATES.items():
-            assert control_signals(show).as_dict() == expected
+            assert {m.value: m in control_signals(show) for m in Module} == expected
 
     def test_is_on(self):
         signals = control_signals(S.DUET)
-        assert signals.is_on(Module.TRACKER)
-        assert not signals.is_on(Module.CONVERSATION)
-
-    def test_signals_must_cover_every_module(self):
-        with pytest.raises(ValueError):
-            ControlSignals(((Module.TRACKER, True),))
-        with pytest.raises(ValueError):
-            ControlSignals(
-                (
-                    (Module.TRACKER, True),
-                    (Module.TRACKER, False),
-                    (Module.GUI_DUET, True),
-                    (Module.CONVERSATION, True),
-                )
-            )
+        assert Module.TRACKER in signals
+        assert Module.CONVERSATION not in signals
 
 
 class TestRouting:
     def test_liveness_is_conjunction_of_endpoint_gates(self):
-        table = default_routes()
-        live = table.enabled(control_signals(S.DUET))
-        assert live[Route(Module.TRACKER, Module.THEREMIN_SYNTH)]
-        assert live[Route(Module.TRACKER, Module.GUI_DUET)]
-        assert not live[Route(Module.CONVERSATION, Module.THEREMIN_SYNTH)]
-        live = control_signals(S.SOLO)
-        assert not any(table.enabled(live).values())
+        for show in ShowState:
+            on = control_signals(show)
+            for route in ROUTES:
+                inbox = [(route, "a"), (route, "b")]
+                live = route.source in on and route.destination in on
+                want = (inbox, 0) if live else ([], 2)
+                assert route_messages(on, inbox) == want, f"{show} {route}"
 
     def test_duet_delivery_and_drop_counts(self):
-        table = default_routes()
         inbox = [
             (Route(Module.TRACKER, Module.THEREMIN_SYNTH), "a"),
             (Route(Module.CONVERSATION, Module.THEREMIN_SYNTH), "b"),
             (Route(Module.TRACKER, Module.GUI_DUET), "c"),
         ]
-        delivered, dropped = route_messages(control_signals(S.DUET), table, inbox)
+        delivered, dropped = route_messages(control_signals(S.DUET), inbox)
         assert delivered == [inbox[0], inbox[2]]
         assert dropped == 1
 
     def test_solo_drops_tracker_traffic(self):
-        table = default_routes()
         inbox = [(Route(Module.TRACKER, Module.THEREMIN_SYNTH), k) for k in range(5)]
-        delivered, dropped = route_messages(control_signals(S.SOLO), table, inbox)
+        delivered, dropped = route_messages(control_signals(S.SOLO), inbox)
         assert delivered == [] and dropped == 5
 
     def test_unknown_route_is_an_error(self):
-        table = default_routes()
         rogue = Route(Module.GUI_DUET, Module.CONVERSATION)
         with pytest.raises(KeyError):
-            route_messages(control_signals(S.DUET), table, [(rogue, "x")])
+            route_messages(control_signals(S.DUET), [(rogue, "x")])
 
     def test_empty_inbox(self):
-        assert route_messages(control_signals(S.IDLE), default_routes(), []) == ([], 0)
-
-    def test_duplicate_routes_rejected(self):
-        r = Route(Module.TRACKER, Module.GUI_DUET)
-        with pytest.raises(ValueError):
-            RoutingTable([r, r])
+        assert route_messages(control_signals(S.IDLE), []) == ([], 0)
 
 
 SCENARIO = (
@@ -189,11 +165,11 @@ SCENARIO = (
 
 class TestOrchestrator:
     def run_trace(self):
-        orc = Orchestrator()
+        state = ControllerState()
         trace = []
         for event in parse_scenario(SCENARIO):
-            orc.apply(event.intent)
-            trace.append((orc.show, tuple(sorted(orc.signals().as_dict().items()))))
+            state = transition(state, event.intent)
+            trace.append((state.show, control_signals(state.show)))
         return trace
 
     def test_scenario_walk(self):
@@ -204,11 +180,6 @@ class TestOrchestrator:
         first = self.run_trace()
         for _ in range(99):
             assert self.run_trace() == first
-
-    def test_wrapper_starts_idle(self):
-        orc = Orchestrator()
-        assert orc.show is S.IDLE
-        assert orc.signals().as_dict() == EXPECTED_GATES[S.IDLE]
 
 
 class TestScenarioIo:
