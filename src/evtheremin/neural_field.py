@@ -21,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
-from scipy.ndimage import label as _cc_label
-from scipy.special import expit
 
 from .events import Resolution
 
@@ -130,13 +127,22 @@ def _scan_ramp(shape: tuple[int, int]) -> np.ndarray:
 
 def field_step(field: Field, s: np.ndarray, kernel: LateralKernel) -> Field:
     """One Euler step of the field dynamics.  Pure: returns a new Field."""
+    # scipy is imported where it is used, so a process that never steps a
+    # field never loads it; once loaded, each import is a dict lookup.
+    from scipy.ndimage import correlate1d
+    from scipy.special import expit
+
     s = np.asarray(s, dtype=np.float64)
     if s.shape != field.u.shape:
         raise ValueError(f"input shape {s.shape} vs field {field.u.shape}")
     p = field.params
     rate = expit(p.beta * field.u)
+    # An explicit output dtype skips scipy's slower dtype-name lookup.
     lateral = sum(
-        a * correlate1d(correlate1d(rate, g, axis=0, mode="constant"), g, axis=1, mode="constant")
+        a * correlate1d(
+            correlate1d(rate, g, axis=0, output=np.float64, mode="constant"),
+            g, axis=1, output=np.float64, mode="constant",
+        )
         for a, g in kernel.terms
     )
     drive = -field.u + p.h + s + lateral - kernel.g_inh * rate.sum()
@@ -166,8 +172,10 @@ def detect_peaks(
         raise ValueError(
             f"threshold {threshold} must exceed resting level {field.params.h}"
         )
+    from scipy.ndimage import label
+
     mask = field.u > threshold
-    labels, n = _cc_label(mask, structure=np.ones((3, 3), dtype=int))
+    labels, n = label(mask, structure=np.ones((3, 3), dtype=int))
     peaks: list[Peak] = []
     for region in range(1, n + 1):
         ys, xs = np.nonzero(labels == region)

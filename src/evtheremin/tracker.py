@@ -19,7 +19,6 @@ from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import correlate1d, gaussian_filter1d
 
 from .events import EventStream, Frame, Resolution, frame_accumulate, frame_downsample
 from .neural_field import Field, FieldParams, KernelParams, LateralKernel, Peak, detect_peaks, field_step, make_kernel
@@ -140,13 +139,20 @@ class GaussianBlur:
     weights, built once from `gaussian_filter1d`, along axis 0 then 1."""
 
     def __init__(self, sigma: float, radius: int):
+        # scipy is imported where it is used, so a process that never
+        # builds a tracker (link, control, synthesis) never loads it.
+        from scipy.ndimage import gaussian_filter1d
+
         impulse = np.zeros(2 * radius + 1)
         impulse[radius] = 1.0
         self.weights = gaussian_filter1d(impulse, sigma, mode="constant", radius=radius)
 
     def __call__(self, cells: np.ndarray) -> np.ndarray:
-        rows = correlate1d(cells.astype(np.float64), self.weights, axis=0, mode="constant")
-        return correlate1d(rows, self.weights, axis=1, mode="constant")
+        from scipy.ndimage import correlate1d
+
+        # An explicit output dtype skips scipy's slower dtype-name lookup.
+        rows = correlate1d(cells.astype(np.float64), self.weights, axis=0, output=np.float64, mode="constant")
+        return correlate1d(rows, self.weights, axis=1, output=np.float64, mode="constant")
 
 
 class BlobDetector:

@@ -181,7 +181,7 @@ class TestSeparableStep:
             field_step(f, s, kernel).u, reference_step(f, s, kernel), rtol=0, atol=tol
         )
 
-    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.sparse"])
+    @pytest.mark.parametrize("module", ["scipy", "scipy.signal", "scipy.sparse"])
     def test_import_leaves_module_unloaded(self, module):
         src = str(Path(evtheremin.__file__).resolve().parents[1])
         code = (

@@ -1,6 +1,9 @@
 """Wire profiles, channel impairment model, and the re-sequencing receiver."""
 
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evtheremin
 from evtheremin.sigma_delta import GradedSpike
 from evtheremin.transport import (
     BadCrcError,
@@ -556,3 +560,34 @@ class TestDumpFrame:
 
     def test_short_buffer(self):
         assert "short buffer" in dump_frame(b"\x01\x02")
+
+
+# A fresh interpreter that only loads a config and carries SAFE frames
+# over a lossy, jittered link: the cluster side of the platform, which
+# never tracks and so must never load scipy.
+LINK_ONLY_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from evtheremin.harness import load_config, write_demo_files
+from evtheremin.sigma_delta import GradedSpike
+from evtheremin.transport import ChannelConfig, SafeReceiver, channel_transmit, safe_encode
+load_config(write_demo_files(sys.argv[2])["config"])
+n = 64
+payloads = [safe_encode([GradedSpike(i, i % 7 + 1)], seq=i, timestamp_us=i * 1000) for i in range(n)]
+cfg = ChannelConfig(loss_p=0.1, delay_jitter_us=20_000.0, reorder_window=4, seed=5)
+rx = SafeReceiver(reorder_window=6)
+for d in channel_transmit(payloads, cfg, t_send=[i * 1000.0 for i in range(n)]):
+    rx.receive_payload(d.payload)
+rx.close(n)
+assert rx.stats.delivered > 0 and rx.stats.lost > 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_link_session_leaves_scipy_unloaded(tmp_path):
+    src = str(Path(evtheremin.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", LINK_ONLY_CHILD, src, str(tmp_path / "demo")],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
