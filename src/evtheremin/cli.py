@@ -82,7 +82,7 @@ def synth(out_path, seed, pattern, score_path, duration_ms, resolution, blob_rad
     """Generate a synthetic event stream and write it as an EVT1 file."""
     res = _parse_resolution(resolution)
     if pattern == "wave":
-        traj = waving_trajectory(res, duration_ms)
+        traj = _or_fail(waving_trajectory, res, duration_ms)
     else:
         if not score_path:
             raise click.UsageError("--pattern score needs --score")
@@ -90,10 +90,11 @@ def synth(out_path, seed, pattern, score_path, duration_ms, resolution, blob_rad
             score = _or_fail(parse_score, f.read())
         cal = PitchCalibration(0.40, note_freq(60), 0.24)
         traj = _or_fail(score_to_trajectory, score, cal, resolution=res)
-    stream = synth_hand_events(traj, res, seed=seed, blob_radius=blob_radius,
-                               rate_scale=rate_scale)
+    stream = _or_fail(synth_hand_events, traj, res, seed=seed, blob_radius=blob_radius,
+                      rate_scale=rate_scale)
+    data = _or_fail(encode_evt1, stream)
     with open(out_path, "wb") as f:
-        f.write(encode_evt1(stream))
+        f.write(data)
     if trajectory_out:
         with open(trajectory_out, "w") as f:
             f.write(traj.to_json())
@@ -113,7 +114,8 @@ def track(in_path, out_path, detector, window_us, no_field, field_pgm):
     """Track hands in an EVT1 event file; writes estimate CSV lines."""
     with open(in_path, "rb") as f:
         stream = _or_fail(decode_evt1, f.read())
-    cfg = TrackerConfig(
+    cfg = _or_fail(
+        TrackerConfig,
         input_res=stream.resolution,
         detector=detector,
         window_us=window_us,
@@ -167,9 +169,9 @@ def bench(events, seed, loss, bitflip, jitter_us, reorder):
     """Bytes-per-event table, plus link accounting when impairments are set."""
     channel = None
     if loss or bitflip or jitter_us or reorder:
-        channel = ChannelConfig(loss_p=loss, bitflip_p=bitflip, delay_jitter_us=jitter_us,
-                                reorder_window=reorder, seed=seed)
-    result = protocol_bench(n_events=events, channel=channel, seed=seed)
+        channel = _or_fail(ChannelConfig, loss_p=loss, bitflip_p=bitflip, delay_jitter_us=jitter_us,
+                           reorder_window=reorder, seed=seed)
+    result = _or_fail(protocol_bench, n_events=events, channel=channel, seed=seed)
     click.echo(result.to_text())
 
 
@@ -178,7 +180,7 @@ def bench(events, seed, loss, bitflip, jitter_us, reorder):
 @click.option("--seed", type=int, default=0, show_default=True)
 def fuzz(records, seed):
     """Exhaustive single-bit corruption sweep over one frame."""
-    result = single_bit_fuzz(n_records=records, seed=seed)
+    result = _or_fail(single_bit_fuzz, n_records=records, seed=seed)
     click.echo(result.to_text())
     if result.undetected:
         sys.exit(1)
@@ -199,9 +201,9 @@ def dump(frame_file):
 @click.option("--boards", type=int, default=10, show_default=True)
 def power(cluster_kw, board_w, boards):
     """Power ratio of a datacenter cluster vs a rack of neuromorphic boards."""
-    rows = [(board_w,)] if board_w else [(120.0,), (48.0,)]
+    rows = [(board_w,)] if board_w is not None else [(120.0,), (48.0,)]
     for (w,) in rows:
-        r = power_ratio(cluster_kw, w, boards)
+        r = _or_fail(power_ratio, cluster_kw, w, boards)
         click.echo(f"{cluster_kw} kW cluster vs {boards} x {w:g} W boards: {r:.2f}x")
 
 

@@ -133,35 +133,6 @@ class Frame:
             raise ValueError(f"cells shape {self.cells.shape} does not match {self.resolution}")
 
 
-def frame_accumulate(
-    stream: EventStream,
-    t0: int,
-    t1: int,
-    resolution: Resolution | None = None,
-    signed: bool = False,
-) -> Frame:
-    """Accumulate events with t0 <= t < t1 into a frame.
-
-    Unsigned mode counts events per pixel; signed mode sums polarities.
-    """
-    if t1 <= t0:
-        raise ValueError(f"bad window [{t0}, {t1})")
-    res = resolution or stream.resolution
-    if res != stream.resolution:
-        raise StreamError(f"stream is {stream.resolution}, frame wants {res}")
-    stream.validate()
-    t, x, y, p = stream.t, stream.x, stream.y, stream.p
-    # A window cut to [t0, t1) beforehand, as HandTracker.run cuts them,
-    # needs no mask.
-    if len(t) and (t.min() < t0 or t.max() >= t1):
-        mask = (t >= t0) & (t < t1)
-        x, y, p = x[mask], y[mask], p[mask]
-    idx = y.astype(np.int64) * res.width + x
-    counts = np.bincount(idx, weights=p if signed else None, minlength=res.npixels)
-    cells = counts.reshape(res.height, res.width).astype(np.int64, copy=False)
-    return Frame(res, cells, t0, t1)
-
-
 @functools.lru_cache(maxsize=8)
 def _cell_map(src: Resolution, target: Resolution) -> np.ndarray:
     """Flat target-cell index of each flat source pixel, read-only."""
@@ -172,13 +143,50 @@ def _cell_map(src: Resolution, target: Resolution) -> np.ndarray:
     return cell
 
 
+def frame_accumulate(
+    stream: EventStream,
+    t0: int,
+    t1: int,
+    resolution: Resolution | None = None,
+    signed: bool = False,
+) -> Frame:
+    """Accumulate events with t0 <= t < t1 into a frame.
+
+    Unsigned mode counts events per cell; signed mode sums polarities.
+    The frame is at `resolution`, the stream's by default.  A coarser one
+    bins each event straight into the cell `frame_downsample` maps its
+    pixel to, so the frame equals the downsampled sensor frame, which is
+    never built.
+    """
+    if t1 <= t0:
+        raise ValueError(f"bad window [{t0}, {t1})")
+    src = stream.resolution
+    res = resolution or src
+    if res.width > src.width or res.height > src.height:
+        raise StreamError(f"stream is {src}, cannot accumulate into larger {res}")
+    stream.validate()
+    t, x, y, p = stream.t, stream.x, stream.y, stream.p
+    # A window cut to [t0, t1) beforehand, as HandTracker.run cuts them,
+    # needs no mask.
+    if len(t) and (t.min() < t0 or t.max() >= t1):
+        mask = (t >= t0) & (t < t1)
+        x, y, p = x[mask], y[mask], p[mask]
+    idx = _cell_map(src, res)[y.astype(np.int64) * src.width + x]
+    counts = np.bincount(idx, weights=p if signed else None, minlength=res.npixels)
+    cells = counts.reshape(res.height, res.width).astype(np.int64, copy=False)
+    return Frame(res, cells, t0, t1)
+
+
 def frame_downsample(frame: Frame, target: Resolution) -> Frame:
     """Sum source cells into target cells via floor index mapping.
 
     Source pixel (x, y) lands in target cell (x*tw//sw, y*th//sh).  Total
-    count is conserved exactly.
+    count is conserved exactly.  A frame already at the target resolution
+    is returned as it is.
     """
     src = frame.resolution
+    if target == src:
+        return frame
     if target.width > src.width or target.height > src.height:
         raise ValueError(f"cannot downsample {src} to larger {target}")
     cells = frame.cells.astype(np.int64, copy=False).ravel()

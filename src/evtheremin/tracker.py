@@ -1,9 +1,10 @@
 """Hand tracking: event frames in, labeled pitch/volume hand estimates out.
 
-Pipeline per step: accumulate the window's events at sensor resolution
-(`run` cuts each window inside its span, so no time mask is needed),
-downsample to the on-chip grid through a cached pixel-to-cell map, turn
-counts into a detector heatmap (a Gaussian blur of the counts, weights
+Pipeline per step: accumulate the window's events straight into the
+on-chip grid's cells through a pixel-to-cell map built once per sensor
+and chip size (`run` cuts each window inside its span, so no time mask
+is needed, and no sensor-sized frame is built), turn counts into a
+detector heatmap (a Gaussian blur of the counts, weights
 built once per detector, sent as is by the blob detector or through one
 sigma-delta boundary by the `sd_net` detector), drive the neural field
 one step with the heatmap, and read peaks back out as upscaled hand
@@ -20,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .events import EventStream, Frame, Resolution, frame_accumulate, frame_downsample
+from .events import EventStream, Frame, Resolution, StreamError, frame_accumulate, frame_downsample
 from .neural_field import Field, FieldParams, KernelParams, LateralKernel, Peak, detect_peaks, field_step, make_kernel
 from .sigma_delta import SdState, delta_encode, sigma_decode
 
@@ -249,8 +250,10 @@ class HandTracker:
     def step(self, window: EventStream, t_end: int) -> HandEstimate:
         cfg = self.config
         t_start = t_end - cfg.window_us
-        frame = frame_accumulate(window, t_start, t_end, cfg.input_res)
-        chip = frame_downsample(frame, cfg.chip_res)
+        if window.resolution != cfg.input_res:
+            raise StreamError(f"window is {window.resolution}, tracker input is {cfg.input_res}")
+        # An identity on a chip-resolution frame; kept as the stage bench/tracing.py times.
+        chip = frame_downsample(frame_accumulate(window, t_start, t_end, cfg.chip_res), cfg.chip_res)
         heat = detect_heatmap(chip, self.detector)
         if cfg.use_field:
             self.field = field_step(self.field, heat * cfg.input_gain, self.kernel)

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from evtheremin.cli import main
+from evtheremin.events import EventStream, Resolution, encode_evt1
 from evtheremin.harness import RunReport
 from evtheremin.transport import safe_encode
 
@@ -199,3 +200,28 @@ class TestPowerCommand:
     def test_single_board(self):
         out = invoke(["power", "--board-w", "60"])
         assert "10.83x" in out.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["power", "--board-w", "0"], "power figures must be positive"),
+        (["power", "--board-w", "-5"], "power figures must be positive"),
+        (["power", "--boards", "0"], "power figures must be positive"),
+        (["proto", "bench", "--events", "5", "--seed", "1"], "need at least 10 events"),
+        (["proto", "bench", "--loss", "2", "--seed", "1"], "probabilities must be in [0, 1]"),
+        (["proto", "fuzz", "--records", "70000"], "bad SAFE field"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--rate-scale", "-1"], "bad synthesis parameters"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--resolution", "20x20"], "outside 20x20"),
+        (["track", "--in", "{tmp}/240x180.evt1", "--out", "{tmp}/e.csv", "--window-us", "0"],
+         "window must be positive"),
+        (["track", "--in", "{tmp}/20x20.evt1", "--out", "{tmp}/e.csv"], "chip 86x65 exceeds input 20x20"),
+    ],
+)
+def test_out_of_range_option_fails_cleanly(tmp_path, args, message):
+    for res in (Resolution(240, 180), Resolution(20, 20)):
+        (tmp_path / f"{res}.evt1").write_bytes(encode_evt1(EventStream.empty(res)))
+    result = CliRunner().invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and message in result.output

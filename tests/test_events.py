@@ -218,10 +218,22 @@ class TestFrameAccumulate:
         weights = stream.p[m].astype(np.int64) if signed else np.ones(len(idx), dtype=np.int64)
         want = np.zeros(res.npixels, dtype=np.int64)
         np.add.at(want, idx, weights)
+        want = want.reshape(res.height, res.width)
         got = frame_accumulate(stream, t0, t1, signed=signed)
         assert got.cells.dtype == np.int64
         assert (got.t_start, got.t_end) == (t0, t1)
-        np.testing.assert_array_equal(got.cells, want.reshape(res.height, res.width))
+        np.testing.assert_array_equal(got.cells, want)
+        # Straight into a coarser grid: the downsampled sensor frame.
+        target = Resolution(data.draw(st.integers(1, res.width)), data.draw(st.integers(1, res.height)))
+        got = frame_accumulate(stream, t0, t1, target, signed=signed)
+        assert got.resolution == target and got.cells.dtype == np.int64
+        assert (got.t_start, got.t_end) == (t0, t1)
+        np.testing.assert_array_equal(got.cells, scatter_add_downsample(want, target))
+        wider = Resolution(res.width + data.draw(st.integers(1, 5)), res.height)
+        taller = Resolution(res.width, res.height + data.draw(st.integers(1, 5)))
+        for bigger in (wider, taller):
+            with pytest.raises(StreamError, match="cannot accumulate into larger"):
+                frame_accumulate(stream, t0, t1, bigger, signed=signed)
 
 
 def scatter_add_downsample(cells, target):
@@ -247,7 +259,7 @@ class TestFrameDownsample:
         s = stream_of([(1, 7, 9, 1), (2, 7, 9, 1)])
         f = frame_accumulate(s, 0, 10)
         g = frame_downsample(f, RES)
-        np.testing.assert_array_equal(f.cells, g.cells)
+        assert g is f
 
     def test_count_conservation_random(self):
         rng = np.random.default_rng(11)

@@ -1,18 +1,21 @@
 """Hand tracker: gain control, detectors, labeling, windowing, estimate IO."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 from scipy.signal import convolve2d
 
+from evtheremin import tracker as tracker_module
 from evtheremin.events import (
     EventStream,
     Frame,
     Resolution,
+    StreamError,
     frame_accumulate,
     frame_downsample,
     synth_hand_events,
@@ -347,6 +350,32 @@ class TestRun:
 
     def test_empty_stream_without_span(self):
         assert HandTracker().run(EventStream.empty(RES)) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(CHIP.width, 1024), st.integers(CHIP.height, 1024),
+           st.sampled_from(["blob", "sd_net"]), st.integers(0, 2**32 - 1))
+    def test_chip_frame_is_downsampled_sensor_frame(self, width, height, detector, seed):
+        # The golden shows pin only 240x180: at any sensor size, the frame
+        # each window hands the detector is its sensor frame downsampled.
+        res = Resolution(width, height)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 3000))
+        stream = EventStream(np.sort(rng.integers(0, 30_000, n)), rng.integers(0, width, n),
+                             rng.integers(0, height, n), rng.choice([-1, 1], n), res)
+        tracker = HandTracker(TrackerConfig(input_res=res, detector=detector))
+        with mock.patch.object(tracker_module, "detect_heatmap", wraps=detect_heatmap) as spy:
+            estimates = tracker.run(stream, t_start=0, t_end=30_000)
+        assert len(estimates) == spy.call_count == 3
+        for est, call in zip(estimates, spy.call_args_list):
+            chip, t0 = call.args[0], est.t_us - 10_000
+            want = frame_downsample(frame_accumulate(stream, t0, est.t_us, res), CHIP)
+            assert (chip.resolution, chip.t_start, chip.t_end) == (CHIP, t0, est.t_us)
+            np.testing.assert_array_equal(chip.cells, want.cells)
+
+    def test_window_at_other_resolution_rejected(self):
+        window = cluster_window([((10, 10), 5)], 0, 10_000, res=Resolution(320, 240))
+        with pytest.raises(StreamError, match="tracker input is 240x180"):
+            HandTracker().step(window, 10_000)
 
 
 def parse_estimates(text):
