@@ -1,5 +1,6 @@
 """End-to-end smoke tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -42,6 +43,29 @@ class TestSynthAndTrack:
              "--field-pgm", str(pgm)]
         )
         assert pgm.read_bytes().startswith(b"P5\n")
+
+    # sha256 of the EVT1 and the --trajectory-out JSON, pinned so a change to
+    # how trajectories are built or stored cannot move a single byte.
+    @pytest.mark.parametrize(
+        "args, evt1_sha, json_sha",
+        [
+            (["--seed", "3", "--duration-ms", "400"],
+             "9e53e256b598047cc0ed329846ae0620c326516091ed5f588b2ed0b9d6a4b5d2",
+             "1a904d2e61adcfa0e2276bd2e98d4b242dbb984c86ffe9e1e60c47aa660291f1"),
+            (["--seed", "3", "--pattern", "score", "--score", "{demo}/score.txt"],
+             "00f860e5ad5a3695d40e366cf549921137e783783ce7a4af6bf2ca0baae2874c",
+             "cf56854de6c11f3555c581cc909fade9f5f45c53f06eabdb4981b7661b05c4e8"),
+        ],
+        ids=["wave", "score"],
+    )
+    def test_trajectory_out_bytes_pinned(self, tmp_path, args, evt1_sha, json_sha):
+        demo = tmp_path / "demo"
+        invoke(["demo", "--dir", str(demo)])
+        ev, traj = tmp_path / "hands.evt1", tmp_path / "traj.json"
+        invoke(["synth", "--out", str(ev), "--trajectory-out", str(traj),
+                *(a.format(demo=demo) for a in args)])
+        assert hashlib.sha256(ev.read_bytes()).hexdigest() == evt1_sha
+        assert hashlib.sha256(traj.read_bytes()).hexdigest() == json_sha
 
     def test_score_pattern_needs_score_file(self, tmp_path):
         result = CliRunner().invoke(
