@@ -3,11 +3,9 @@ graded-spike transport, and a fully simulated robot show."""
 
 from .events import (
     EventStream,
-    Frame,
     Hand,
     Resolution,
     Trajectory,
-    TrajectorySample,
     decode_evt1,
     encode_evt1,
     frame_accumulate,

@@ -1,4 +1,4 @@
-"""Event-camera data model: streams, frames, synthesis, EVT1 codec.
+"""Event-camera data model: streams, frames, trajectories, synthesis, EVT1 codec.
 
 An EventStream holds (t_us, x, y, polarity) events as four contiguous
 columns: t u64, x and y u16, p i8.  The EVT1 container stores them as
@@ -12,6 +12,10 @@ little-endian records:
 
 Writers must zero the padding; readers ignore it.  An empty stream is a
 valid 12-byte file.
+
+A frame is a plain (height, width) int64 array of per-cell event counts
+or polarity sums.  A Trajectory holds each hand's positions as (t, x, y)
+float64 columns, the only form synthesis and the show read them in.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import functools
 import json
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
@@ -119,20 +123,6 @@ class EventStream:
         return int(self.t.min()), int(self.t.max())
 
 
-@dataclass
-class Frame:
-    """Accumulated event counts (or signed polarity sums) over a time window."""
-
-    resolution: Resolution
-    cells: np.ndarray
-    t_start: int
-    t_end: int
-
-    def __post_init__(self):
-        if self.cells.shape != (self.resolution.height, self.resolution.width):
-            raise ValueError(f"cells shape {self.cells.shape} does not match {self.resolution}")
-
-
 @functools.lru_cache(maxsize=8)
 def _cell_map(src: Resolution, target: Resolution) -> np.ndarray:
     """Flat target-cell index of each flat source pixel, read-only."""
@@ -149,8 +139,8 @@ def frame_accumulate(
     t1: int,
     resolution: Resolution | None = None,
     signed: bool = False,
-) -> Frame:
-    """Accumulate events with t0 <= t < t1 into a frame.
+) -> np.ndarray:
+    """Accumulate events with t0 <= t < t1 into a (height, width) int64 frame.
 
     Unsigned mode counts events per cell; signed mode sums polarities.
     The frame is at `resolution`, the stream's by default.  A coarser one
@@ -173,74 +163,81 @@ def frame_accumulate(
         x, y, p = x[mask], y[mask], p[mask]
     idx = _cell_map(src, res)[y.astype(np.int64) * src.width + x]
     counts = np.bincount(idx, weights=p if signed else None, minlength=res.npixels)
-    cells = counts.reshape(res.height, res.width).astype(np.int64, copy=False)
-    return Frame(res, cells, t0, t1)
+    return counts.reshape(res.height, res.width).astype(np.int64, copy=False)
 
 
-def frame_downsample(frame: Frame, target: Resolution) -> Frame:
-    """Sum source cells into target cells via floor index mapping.
+def frame_downsample(cells: np.ndarray, target: Resolution) -> np.ndarray:
+    """Sum a (height, width) frame's cells into target cells via floor index mapping.
 
     Source pixel (x, y) lands in target cell (x*tw//sw, y*th//sh).  Total
-    count is conserved exactly.  A frame already at the target resolution
-    is returned as it is.
+    count is conserved exactly.  A frame already at the target size is
+    returned as it is.
     """
-    src = frame.resolution
+    src = Resolution(cells.shape[1], cells.shape[0])
     if target == src:
-        return frame
+        return cells
     if target.width > src.width or target.height > src.height:
         raise ValueError(f"cannot downsample {src} to larger {target}")
-    cells = frame.cells.astype(np.int64, copy=False).ravel()
-    nz = np.flatnonzero(cells)
+    flat = cells.astype(np.int64, copy=False).ravel()
+    nz = np.flatnonzero(flat)
     # Float sums of integer counts are exact while they stay below 2**53.
-    sums = np.bincount(_cell_map(src, target)[nz], weights=cells[nz], minlength=target.npixels)
-    return Frame(target, sums.astype(np.int64).reshape(target.height, target.width), frame.t_start, frame.t_end)
+    sums = np.bincount(_cell_map(src, target)[nz], weights=flat[nz], minlength=target.npixels)
+    return sums.astype(np.int64).reshape(target.height, target.width)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: int
-    hand: Hand
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-hand pixel position samples over time.
+    """Per-hand pixel positions over time.
 
-    Frozen, so the per-hand (t, x, y) arrays in `tracks`, built once from
-    the samples and read-only, always match them.
+    `tracks` maps each hand to its (t, x, y) columns: read-only float64
+    arrays of one length, with t in µs, non-negative and strictly
+    increasing.  Frozen, so the columns always pass those checks.
     """
 
-    samples: tuple[TrajectorySample, ...] = ()
-    tracks: Mapping[Hand, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False
-    )
+    tracks: Mapping[Hand, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        points: dict[Hand, list[tuple[int, float, float]]] = {}
-        for s in samples:
-            pts = points.setdefault(s.hand, [])
-            if pts and s.t <= pts[-1][0]:
-                raise ValueError(
-                    f"timestamps for {s.hand.value} not strictly increasing at t={s.t}"
-                )
-            pts.append((s.t, s.x, s.y))
         tracks = {}
-        for hand, pts in points.items():
-            rows = np.array(pts, dtype=np.float64).T.copy()
-            rows.flags.writeable = False
-            tracks[hand] = tuple(rows)
-        object.__setattr__(self, "samples", samples)
+        for hand, columns in self.tracks.items():
+            t, x, y = cols = tuple(np.array(c, dtype=np.float64) for c in columns)
+            if not 0 < len(t) == len(x) == len(y):
+                raise ValueError(f"columns for {hand.value} must be non-empty and of one length, "
+                                 f"got {len(t)}, {len(x)}, {len(y)}")
+            back = np.flatnonzero(~(np.diff(t) > 0))
+            if len(back):
+                raise ValueError(f"timestamps for {hand.value} not strictly increasing at t={t[back[0] + 1]:.15g}")
+            if not t[0] >= 0:
+                raise ValueError(f"timestamps for {hand.value} must not be negative, got t={t[0]:.15g}")
+            for c in cols:
+                c.flags.writeable = False
+            tracks[hand] = cols
         object.__setattr__(self, "tracks", MappingProxyType(tracks))
 
-    def __reduce__(self):
-        # Copies and pickles rebuild their arrays from the samples.
-        return (Trajectory, (self.samples,))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self.tracks.keys() == other.tracks.keys() and all(
+            np.array_equal(a, b) for hand, cols in self.tracks.items() for a, b in zip(cols, other.tracks[hand]))
 
-    def hands(self) -> list[Hand]:
-        return list(self.tracks)
+    def __reduce__(self):
+        # A mapping proxy does not pickle; copies rebuild it from a dict.
+        return (Trajectory, (dict(self.tracks),))
+
+    def shifted(self, offset_us: int) -> "Trajectory":
+        """The same motion offset_us later; exact while times stay below 2**53."""
+        return Trajectory({hand: (t + offset_us, x, y) for hand, (t, x, y) in self.tracks.items()})
+
+    def first_outside(self, resolution: Resolution) -> tuple[int, float, float] | None:
+        """(t, x, y) of the earliest sample off the sensor, the left hand's
+        at equal times, or None when every sample is on it."""
+        found = []
+        for hand in (h for h in Hand if h in self.tracks):
+            t, x, y = self.tracks[hand]
+            off = np.flatnonzero(~((x >= 0) & (x < resolution.width) & (y >= 0) & (y < resolution.height)))
+            if len(off):
+                i = off[0]
+                found.append((int(t[i]), float(x[i]), float(y[i])))
+        return min(found, key=lambda s: s[0], default=None)
 
     def position_at(self, hand: Hand, t: float) -> tuple[float, float]:
         """Linearly interpolated position, clamped at the ends."""
@@ -257,62 +254,33 @@ class Trajectory:
         return int(min(t[0] for t in ts)), int(max(t[-1] for t in ts))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "unit": "px",
-                "samples": [[s.t, s.hand.value, s.x, s.y] for s in self.samples],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trajectory":
-        obj = json.loads(text)
-        if obj.get("unit", "px") != "px":
-            raise ValueError(f"trajectory unit must be 'px', got {obj['unit']!r}")
-        return cls(
-            TrajectorySample(int(t), Hand(h), float(x), float(y))
-            for t, h, x, y in obj["samples"]
-        )
+        """{"unit": "px", "samples": [[t, hand, x, y], ...]} in (t, hand) order."""
+        samples = sorted([int(t), hand.value, x, y] for hand, cols in self.tracks.items()
+                         for t, x, y in zip(*(c.tolist() for c in cols)))
+        return json.dumps({"unit": "px", "samples": samples})
 
 
-def waving_trajectory(
-    resolution: Resolution,
-    duration_ms: float,
-    amplitude_px: float = 30.0,
-    period_ms: float = 2000.0,
-    centers: dict[Hand, tuple[float, float]] | None = None,
-    y_amplitude_px: float = 6.0,
-    sample_ms: float = 5.0,
-) -> Trajectory:
-    """Two hands waving sinusoidally around fixed centers.  Deterministic."""
-    if centers is None:
-        w, h = resolution.width, resolution.height
-        centers = {
-            Hand.LEFT: (0.28 * w, 0.5 * h),
-            Hand.RIGHT: (0.72 * w, 0.5 * h),
-        }
-    n = max(2, int(round(duration_ms / sample_ms)) + 1)
+def waving_trajectory(resolution: Resolution, duration_ms: float) -> Trajectory:
+    """Two hands waving in antiphase, so they never collide, around
+    (0.28, 0.5) and (0.72, 0.5) of the sensor: 30 px across and 6 px up
+    and down, with a 2 s period, sampled every 5 ms.  Deterministic."""
+    if not 0 < duration_ms < np.inf:
+        raise ValueError(f"duration_ms must be positive and finite, got {duration_ms}")
+    n = max(2, int(round(duration_ms / 5.0)) + 1)
     ts = np.linspace(0.0, duration_ms, n)
-    samples = []
-    for hand, (cx, cy) in centers.items():
-        # Hands move in antiphase so they never collide.
-        phase = 0.0 if hand is Hand.LEFT else np.pi
-        for t in ts:
-            x = cx + amplitude_px * np.sin(2 * np.pi * t / period_ms + phase)
-            y = cy + y_amplitude_px * np.sin(4 * np.pi * t / period_ms + phase)
-            samples.append(TrajectorySample(int(round(t * 1000)), hand, float(x), float(y)))
-    samples.sort(key=lambda s: (s.t, s.hand.value))
-    traj = Trajectory(samples)
-    _check_trajectory_bounds(traj, resolution)
+    cy = 0.5 * resolution.height
+    tracks = {}
+    for hand, cx, phase in ((Hand.LEFT, 0.28 * resolution.width, 0.0),
+                            (Hand.RIGHT, 0.72 * resolution.width, np.pi)):
+        rows = [(int(round(t * 1000)),
+                 cx + 30.0 * np.sin(2 * np.pi * t / 2000.0 + phase),
+                 cy + 6.0 * np.sin(4 * np.pi * t / 2000.0 + phase)) for t in ts]
+        tracks[hand] = np.array(rows).T
+    traj = Trajectory(tracks)
+    bad = traj.first_outside(resolution)
+    if bad:
+        raise ValueError("trajectory sample at t={} ({:.1f},{:.1f}) outside {}".format(*bad, resolution))
     return traj
-
-
-def _check_trajectory_bounds(traj: Trajectory, resolution: Resolution) -> None:
-    for s in traj.samples:
-        if not (0 <= s.x < resolution.width and 0 <= s.y < resolution.height):
-            raise ValueError(
-                f"trajectory sample at t={s.t} ({s.x:.1f},{s.y:.1f}) outside {resolution}"
-            )
 
 
 # Micro-steps synthesized together.  A batch's events sort on their offset
@@ -348,7 +316,9 @@ def synth_hand_events(
     """
     if contrast_threshold <= 0 or rate_scale < 0 or micro_step_us <= 0:
         raise ValueError("bad synthesis parameters")
-    _check_trajectory_bounds(trajectory, resolution)
+    bad = trajectory.first_outside(resolution)
+    if bad:
+        raise ValueError("trajectory sample at t={} ({:.1f},{:.1f}) outside {}".format(*bad, resolution))
     t_min, t_max = trajectory.span_us()
     stop = t_max + 1 if until_us is None else until_us
     n_steps = int(np.ceil((min(stop, t_max) - t_min) / micro_step_us))

@@ -26,7 +26,6 @@ from .events import (
     Hand,
     Resolution,
     Trajectory,
-    TrajectorySample,
     synth_hand_events,
 )
 from .orchestrator import (
@@ -303,12 +302,6 @@ def _spikes_to_estimate(t_us: int, group: list[tuple[int, int]], scale: float = 
     return HandEstimate(t_us, hands)
 
 
-def _shift_trajectory(traj: Trajectory, offset_us: int) -> Trajectory:
-    return Trajectory(
-        TrajectorySample(s.t + offset_us, s.hand, s.x, s.y) for s in traj.samples
-    )
-
-
 @dataclass
 class _Segment:
     t0_ms: float
@@ -459,7 +452,7 @@ def _run_tracking_segment(
     cfg = run.cfg
     L = cfg.latencies
     on = control_signals(state)
-    traj = _shift_trajectory(score_traj, t0_us)
+    traj = score_traj.shifted(t0_us)
     span_end = min(t1_us, traj.span_us()[1])
     # The tracker's last window may end past span_end; synthesise up to it.
     window_us = cfg.tracker.window_us
@@ -548,7 +541,7 @@ def _run_solo_segment(run: _ShowRun, traj: Trajectory, t0_us: int, t1_us: int) -
     """The robot plays the score itself: exact positions, no tracking."""
     cfg = run.cfg
     span = min(t1_us - t0_us, traj.span_us()[1])
-    has_vol = Hand.RIGHT in traj.hands()
+    has_vol = Hand.RIGHT in traj.tracks
     step = cfg.sample_ms * 1000.0
     t = 0.0
     while t <= span:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import Hand, Resolution, Trajectory, TrajectorySample
+from .events import Hand, Resolution, Trajectory
 from .tracker import HandEstimate, HandLabel
 
 RAMP_MS_DEFAULT = 30.0
@@ -210,10 +210,7 @@ def score_to_trajectory(
     resolution: Resolution = Resolution(240, 180),
     sample_ms: float = 10.0,
     ramp_ms: float = RAMP_MS_DEFAULT,
-    pitch_y_px: float | None = None,
-    volume_x_px: float | None = None,
     vibrato_px: float = 2.5,
-    vibrato_hz: float = 6.0,
 ) -> Trajectory:
     """Plant hand positions that would play the score.
 
@@ -221,7 +218,9 @@ def score_to_trajectory(
     over ramp_ms at note changes; outside those ramps the realized pitch
     center is exact.  If the score has VOL points the volume hand tracks
     the interpolated level as a height, otherwise it is omitted entirely.
-    Positions are emitted in image pixels on a sample_ms grid.
+    Positions are emitted in image pixels on a sample_ms grid, the pitch
+    hand's at half the sensor's height and the volume hand's at 0.9 of
+    its width.
 
     Both hands carry a small periodic wobble (pitch vibrato, volume bob).
     Besides being idiomatic, this is what keeps them visible: a change
@@ -236,10 +235,8 @@ def score_to_trajectory(
     if not score.notes:
         raise ScoreError("empty score")
     h_min, h_max = vol_range_m
-    if pitch_y_px is None:
-        pitch_y_px = 0.5 * resolution.height
-    if volume_x_px is None:
-        volume_x_px = 0.9 * resolution.width
+    pitch_y_px = 0.5 * resolution.height
+    volume_x_px = 0.9 * resolution.width
     durations = [n.duration_ms / tempo for n in score.notes]
     starts, acc = [], 0.0
     for d in durations:
@@ -261,8 +258,7 @@ def score_to_trajectory(
         if x_worst >= volume_x_px - 8.0:
             raise ScoreError(
                 f"lowest note puts the pitch hand at x={x_worst:.0f} px, too close "
-                f"to the volume hand at x={volume_x_px:.0f} px; raise the score or "
-                "move volume_x_px right"
+                f"to the volume hand at x={volume_x_px:.0f} px; raise the score"
             )
 
     def dist_at(t_ms: float) -> float:
@@ -275,11 +271,12 @@ def score_to_trajectory(
         return dists[i]
 
     # Wobble speed must clear the sensor's contrast threshold or the
-    # hand fades from view; defaults sit comfortably above it.
+    # hand fades from view; 6 Hz sits comfortably above it.
+    vibrato_hz = 6.0
     bob_px = 0.8 * vibrato_px
     bob_hz = 0.9 * vibrato_hz
     n_samples = max(2, int(math.floor(total_ms / sample_ms)) + 1)
-    samples = []
+    pitch, volume = [], []
     for k in range(n_samples):
         t_ms = min(k * sample_ms, total_ms)
         t_us = int(round(t_ms * 1000))
@@ -289,19 +286,20 @@ def score_to_trajectory(
         ph_v = 2 * math.pi * vibrato_hz * t_ms / 1000.0
         x = geometry.pitch_x_px(dist_at(t_ms)) + vibrato_px * math.sin(ph_v)
         y = pitch_y_px + bob_px * math.cos(ph_v)
-        samples.append(TrajectorySample(t_us, Hand.LEFT, x, y))
+        pitch.append((t_us, x, y))
         if score.volumes:
             h = h_min + score.level_at_ms(t_ms * tempo) * (h_max - h_min)
             ph_b = 2 * math.pi * bob_hz * t_ms / 1000.0
             vy = geometry.y_px_for_height(h) + bob_px * math.sin(ph_b)
             vx = volume_x_px + bob_px * math.cos(ph_b)
-            samples.append(TrajectorySample(t_us, Hand.RIGHT, vx, vy))
-    traj = Trajectory(samples)
-    for s in traj.samples:
-        if not (0 <= s.x < resolution.width and 0 <= s.y < resolution.height):
-            raise ScoreError(
-                f"score drives a hand to ({s.x:.1f},{s.y:.1f}), outside {resolution}"
-            )
+            volume.append((t_us, vx, vy))
+    tracks = {Hand.LEFT: np.array(pitch).T}
+    if volume:
+        tracks[Hand.RIGHT] = np.array(volume).T
+    traj = Trajectory(tracks)
+    bad = traj.first_outside(resolution)
+    if bad:
+        raise ScoreError("score drives a hand to ({1:.1f},{2:.1f}), outside {3}".format(*bad, resolution))
     return traj
 
 

@@ -1,16 +1,16 @@
 """Hand tracking: event frames in, labeled pitch/volume hand estimates out.
 
 Pipeline per step: accumulate the window's events straight into the
-on-chip grid's cells through a pixel-to-cell map built once per sensor
-and chip size (`run` cuts each window inside its span, so no time mask
-is needed, and no sensor-sized frame is built), turn counts into a
-detector heatmap (a Gaussian blur of the counts, weights
-built once per detector, sent as is by the blob detector or through one
-sigma-delta boundary by the `sd_net` detector), drive the neural field
-one step with the heatmap, and read peaks back out as upscaled hand
-positions.  The field's inertia is what rejects distractor events; when
-nothing is detected the previous estimate is held with its confidence
-halved each step.
+on-chip grid's cells, a plain (height, width) int64 count array, through
+a pixel-to-cell map built once per sensor and chip size (`run` cuts each
+window inside its span, so no time mask is needed, and no sensor-sized
+frame is built), turn counts into a detector heatmap (a Gaussian blur of
+the counts, weights built once per detector, sent as is by the blob
+detector or through one sigma-delta boundary by the `sd_net` detector),
+drive the neural field one step with the heatmap, and read peaks back
+out as upscaled hand positions.  The field's inertia is what rejects
+distractor events; when nothing is detected the previous estimate is
+held with its confidence halved each step.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .events import EventStream, Frame, Resolution, StreamError, frame_accumulate, frame_downsample
+from .events import EventStream, Resolution, StreamError, frame_accumulate, frame_downsample
 from .neural_field import Field, FieldParams, KernelParams, LateralKernel, Peak, detect_peaks, field_step, make_kernel
 from .sigma_delta import SdState, delta_encode, sigma_decode
 
@@ -164,8 +164,8 @@ class BlobDetector:
         self.blur = GaussianBlur(sigma_cells, int(4 * sigma_cells + 0.5))
         self.gain = GainControl()
 
-    def heatmap(self, frame: Frame) -> np.ndarray:
-        return self.gain.normalize(self.blur(frame.cells))
+    def heatmap(self, cells: np.ndarray) -> np.ndarray:
+        return self.gain.normalize(self.blur(cells))
 
     def reset(self) -> None:
         self.gain.reset()
@@ -184,8 +184,8 @@ class SigmaDeltaDetector:
         self.gain = GainControl()
         self.reset()
 
-    def heatmap(self, frame: Frame) -> np.ndarray:
-        spikes = delta_encode(self.state, self.blur(frame.cells).ravel(), self.theta)
+    def heatmap(self, cells: np.ndarray) -> np.ndarray:
+        spikes = delta_encode(self.state, self.blur(cells).ravel(), self.theta)
         self.total_spikes += len(spikes)
         sigma_decode(self.decoded, spikes)
         img = np.clip(self.decoded, 0.0, None).reshape(self.resolution.height, self.resolution.width)
@@ -198,10 +198,10 @@ class SigmaDeltaDetector:
         self.gain.reset()
 
 
-def detect_heatmap(frame: Frame, detector) -> np.ndarray:
-    """Normalized [0, 1] detection heatmap at the frame's resolution."""
+def detect_heatmap(frame: np.ndarray, detector) -> np.ndarray:
+    """Normalized [0, 1] detection heatmap of the frame's shape."""
     heat = detector.heatmap(frame)
-    if heat.shape != frame.cells.shape:
+    if heat.shape != frame.shape:
         raise ValueError("detector returned a heatmap of the wrong shape")
     return heat
 

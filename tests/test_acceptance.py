@@ -303,13 +303,11 @@ def test_c6_score_round_trip_and_calibration():
         traj = score_to_trajectory(score, CAL, vibrato_px=0.0)
         midis = (60, 62, 64, 65, 67, 69, 71, 72)
         checked = 0
-        for s in traj.samples:
-            if s.hand is not Hand.LEFT:
-                continue
-            t_ms = s.t / 1000.0
+        for t, x, y in zip(*(c.tolist() for c in traj.tracks[Hand.LEFT])):
+            t_ms = t / 1000.0
             if in_ramp(t_ms, score):
                 continue
-            est = HandEstimate(s.t, {HandLabel.PITCH: HandPoint(s.x, s.y, 1.0)})
+            est = HandEstimate(int(t), {HandLabel.PITCH: HandPoint(x, y, 1.0)})
             point = hands_to_control(est, CAL, (0.05, 0.30), GEO)
             midi = midis[min(int(t_ms // 400), len(midis) - 1)]
             oracle_hz = 440.0 * 2.0 ** ((midi - 69) / 12.0)

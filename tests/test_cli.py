@@ -240,6 +240,9 @@ class TestPowerCommand:
         (["track", "--in", "{tmp}/240x180.evt1", "--out", "{tmp}/e.csv", "--window-us", "0"],
          "window must be positive"),
         (["track", "--in", "{tmp}/20x20.evt1", "--out", "{tmp}/e.csv"], "chip 86x65 exceeds input 20x20"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "-5"], "duration_ms must be positive"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "0"], "duration_ms must be positive"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "nan"], "duration_ms must be positive"),
     ],
 )
 def test_out_of_range_option_fails_cleanly(tmp_path, args, message):

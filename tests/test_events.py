@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 from evtheremin.events import (
     CodecError,
     EventStream,
-    Frame,
     Hand,
     Resolution,
     StreamError,
     Trajectory,
-    TrajectorySample,
     _cell_map,
     add_noise_events,
     decode_evt1,
@@ -36,17 +34,18 @@ CHIP = Resolution(86, 65)
 
 
 @st.composite
-def hand_samples(draw, hand, width=RES.width, height=RES.height):
-    """1-6 samples of one hand, at strictly increasing times that start
-    anywhere in the first 5 ms and are 0.4-6 ms apart, anywhere in frame."""
+def hand_samples(draw, width=RES.width, height=RES.height):
+    """(t, x, y) columns of 1-6 samples of one hand, at strictly increasing
+    times that start anywhere in the first 5 ms and are 0.4-6 ms apart,
+    anywhere in frame."""
     t = draw(st.integers(0, 5000))
-    out = []
+    ts, xs, ys = [], [], []
     for _ in range(draw(st.integers(1, 6))):
-        x = draw(st.floats(0.0, width, exclude_max=True))
-        y = draw(st.floats(0.0, height, exclude_max=True))
-        out.append(TrajectorySample(t, hand, x, y))
+        xs.append(draw(st.floats(0.0, width, exclude_max=True)))
+        ys.append(draw(st.floats(0.0, height, exclude_max=True)))
+        ts.append(t)
         t += draw(st.integers(400, 6000))
-    return out
+    return ts, xs, ys
 
 
 def stream_of(triples, res=RES):
@@ -151,20 +150,20 @@ class TestEventValidation:
 class TestFrameAccumulate:
     def test_empty_stream_zero_frame(self):
         f = frame_accumulate(EventStream.empty(RES), 0, 100)
-        assert f.cells.sum() == 0
-        assert f.cells.shape == (RES.height, RES.width)
+        assert f.sum() == 0
+        assert f.shape == (RES.height, RES.width)
 
     def test_counts_by_hand(self):
         # three in-window events at (5,5), one outside the window
         s = stream_of([(10, 5, 5, 1), (20, 5, 5, -1), (30, 5, 5, 1), (99, 5, 5, 1)])
         f = frame_accumulate(s, 0, 50)
-        assert f.cells[5, 5] == 3
-        assert f.cells.sum() == 3
+        assert f[5, 5] == 3
+        assert f.sum() == 3
 
     def test_signed_mode_sums_polarity(self):
         s = stream_of([(10, 5, 5, 1), (20, 5, 5, -1), (30, 5, 5, -1)])
         f = frame_accumulate(s, 0, 50, signed=True)
-        assert f.cells[5, 5] == -1
+        assert f[5, 5] == -1
 
     def test_window_partition(self):
         rng = np.random.default_rng(3)
@@ -179,7 +178,7 @@ class TestFrameAccumulate:
         whole = frame_accumulate(s, 0, 1000)
         a = frame_accumulate(s, 0, 400)
         b = frame_accumulate(s, 400, 1000)
-        np.testing.assert_array_equal(whole.cells, a.cells + b.cells)
+        np.testing.assert_array_equal(whole, a + b)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
@@ -220,15 +219,13 @@ class TestFrameAccumulate:
         np.add.at(want, idx, weights)
         want = want.reshape(res.height, res.width)
         got = frame_accumulate(stream, t0, t1, signed=signed)
-        assert got.cells.dtype == np.int64
-        assert (got.t_start, got.t_end) == (t0, t1)
-        np.testing.assert_array_equal(got.cells, want)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
         # Straight into a coarser grid: the downsampled sensor frame.
         target = Resolution(data.draw(st.integers(1, res.width)), data.draw(st.integers(1, res.height)))
         got = frame_accumulate(stream, t0, t1, target, signed=signed)
-        assert got.resolution == target and got.cells.dtype == np.int64
-        assert (got.t_start, got.t_end) == (t0, t1)
-        np.testing.assert_array_equal(got.cells, scatter_add_downsample(want, target))
+        assert got.shape == (target.height, target.width) and got.dtype == np.int64
+        np.testing.assert_array_equal(got, scatter_add_downsample(want, target))
         wider = Resolution(res.width + data.draw(st.integers(1, 5)), res.height)
         taller = Resolution(res.width, res.height + data.draw(st.integers(1, 5)))
         for bigger in (wider, taller):
@@ -252,8 +249,8 @@ class TestFrameDownsample:
         # 120*86//240 = 43, 90*65//180 = 32
         s = stream_of([(1, 120, 90, 1)])
         f = frame_downsample(frame_accumulate(s, 0, 10), CHIP)
-        assert f.cells[32, 43] == 1
-        assert f.cells.sum() == 1
+        assert f[32, 43] == 1
+        assert f.sum() == 1
 
     def test_identity_when_same_resolution(self):
         s = stream_of([(1, 7, 9, 1), (2, 7, 9, 1)])
@@ -264,28 +261,26 @@ class TestFrameDownsample:
     def test_count_conservation_random(self):
         rng = np.random.default_rng(11)
         cells = rng.integers(0, 5, (RES.height, RES.width))
-        f = Frame(RES, cells, 0, 10)
-        g = frame_downsample(f, CHIP)
-        assert g.cells.sum() == cells.sum()
+        g = frame_downsample(cells, CHIP)
+        assert g.sum() == cells.sum()
 
     def test_against_bruteforce_mapping(self):
         rng = np.random.default_rng(12)
         cells = rng.integers(0, 4, (20, 30))
-        f = Frame(Resolution(30, 20), cells, 0, 1)
         target = Resolution(7, 6)
-        g = frame_downsample(f, target)
+        g = frame_downsample(cells, target)
         expect = np.zeros((6, 7), dtype=np.int64)
         for y in range(20):
             for x in range(30):
                 expect[y * 6 // 20, x * 7 // 30] += cells[y, x]
-        np.testing.assert_array_equal(g.cells, expect)
+        np.testing.assert_array_equal(g, expect)
 
     @given(st.integers(1, 60), st.integers(1, 60), st.data())
     def test_equals_scatter_add_reference(self, width, height, data):
         target = Resolution(data.draw(st.integers(1, width)), data.draw(st.integers(1, height)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         cells = rng.integers(-3, 50, (height, width))
-        got = frame_downsample(Frame(Resolution(width, height), cells, 0, 1), target).cells
+        got = frame_downsample(cells, target)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, scatter_add_downsample(cells, target))
 
@@ -307,7 +302,7 @@ class TestFrameDownsample:
                 pairs.append((src, Resolution(min(tw, src.width), min(th, src.height))))
         for src, target in pairs + pairs[::-1]:
             cells = rng.integers(-3, 50, (src.height, src.width))
-            got = frame_downsample(Frame(src, cells, 0, 1), target).cells
+            got = frame_downsample(cells, target)
             np.testing.assert_array_equal(got, scatter_add_downsample(cells, target))
 
     def test_cell_map_read_only(self):
@@ -318,19 +313,14 @@ class TestFrameDownsample:
         assert cell[90 * RES.width + 120] == 32 * CHIP.width + 43
 
     def test_upsample_rejected(self):
-        f = Frame(CHIP, np.zeros((65, 86), dtype=np.int64), 0, 1)
+        f = np.zeros((65, 86), dtype=np.int64)
         with pytest.raises(ValueError):
             frame_downsample(f, RES)
 
 
 class TestTrajectory:
     def test_position_interpolates(self):
-        traj = Trajectory(
-            [
-                TrajectorySample(0, Hand.LEFT, 10.0, 20.0),
-                TrajectorySample(1000, Hand.LEFT, 20.0, 40.0),
-            ]
-        )
+        traj = Trajectory({Hand.LEFT: ([0, 1000], [10.0, 20.0], [20.0, 40.0])})
         x, y = traj.position_at(Hand.LEFT, 500)
         assert (x, y) == (15.0, 30.0)
         with pytest.raises(KeyError):
@@ -338,66 +328,107 @@ class TestTrajectory:
 
     def test_json_roundtrip(self):
         traj = waving_trajectory(RES, 100)
-        text = traj.to_json()
-        assert json.loads(text)["unit"] == "px"
-        back = Trajectory.from_json(text)
-        assert back == traj
-        assert back.samples[3] == traj.samples[3]
-
-    def test_json_non_pixel_unit_rejected(self):
-        text = json.dumps({"unit": "m", "samples": [[0, "left", 0.5, 0.5]]})
-        with pytest.raises(ValueError, match="unit"):
-            Trajectory.from_json(text)
+        obj = json.loads(traj.to_json())
+        assert obj["unit"] == "px"
+        samples = obj["samples"]
+        assert len(samples) == sum(len(t) for t, _, _ in traj.tracks.values())
+        # in (t, hand) order, each hand's samples exactly its columns
+        assert [s[:2] for s in samples] == sorted(s[:2] for s in samples)
+        for hand, columns in traj.tracks.items():
+            mine = [s for s in samples if s[1] == hand.value]
+            assert all(isinstance(s[0], int) for s in mine)
+            for i, column in zip((0, 2, 3), columns):
+                assert [s[i] for s in mine] == column.tolist()
 
     def test_frozen_with_read_only_tracks(self):
         traj = waving_trajectory(RES, 100)
-        assert isinstance(traj.samples, tuple)
-        with pytest.raises(FrozenInstanceError):
-            traj.samples = ()
         with pytest.raises(FrozenInstanceError):
             traj.tracks = {}
         with pytest.raises(TypeError):
             traj.tracks[Hand.LEFT] = traj.tracks[Hand.RIGHT]
-        with pytest.raises(ValueError):
-            traj.tracks[Hand.LEFT][1][0] = 0.0
+        for column in traj.tracks[Hand.LEFT]:
+            with pytest.raises(ValueError):
+                column[0] = 0.0
         for copied in (copy.deepcopy(traj), pickle.loads(pickle.dumps(traj))):
             assert copied == traj
-            assert copied.hands() == traj.hands()
+            assert list(copied.tracks) == list(traj.tracks)
             assert not copied.tracks[Hand.LEFT][1].flags.writeable
 
     def test_non_increasing_times_rejected(self):
         with pytest.raises(ValueError, match="left not strictly increasing at t=5"):
-            Trajectory(
-                [
-                    TrajectorySample(5, Hand.LEFT, 1.0, 1.0),
-                    TrajectorySample(3, Hand.RIGHT, 1.0, 1.0),
-                    TrajectorySample(5, Hand.LEFT, 2.0, 1.0),
-                ]
-            )
+            Trajectory({Hand.RIGHT: ([3], [1.0], [1.0]), Hand.LEFT: ([5, 5], [1.0, 2.0], [1.0, 1.0])})
+        with pytest.raises(ValueError, match="right must not be negative, got t=-5000"):
+            Trajectory({Hand.LEFT: ([0], [1.0], [1.0]), Hand.RIGHT: ([-5000, 0], [1.0, 2.0], [1.0, 1.0])})
+        with pytest.raises(ValueError, match="left not strictly increasing at t=nan"):
+            Trajectory({Hand.LEFT: ([0, np.nan], [1.0, 2.0], [1.0, 1.0])})
+        with pytest.raises(ValueError, match="one length, got 2, 1, 2"):
+            Trajectory({Hand.LEFT: ([0, 5], [1.0], [1.0, 1.0])})
+        with pytest.raises(ValueError, match="non-empty"):
+            Trajectory({Hand.LEFT: ([], [], [])})
+
+    def test_equality_is_per_column(self):
+        traj = waving_trajectory(RES, 100)
+        assert traj == Trajectory(dict(traj.tracks))
+        assert traj != Trajectory({Hand.LEFT: traj.tracks[Hand.LEFT]})
+        t, x, y = traj.tracks[Hand.RIGHT]
+        assert traj != Trajectory({Hand.LEFT: traj.tracks[Hand.LEFT], Hand.RIGHT: (t, x, y + 1e-9)})
+        assert traj != traj.tracks
+
+    def test_shifted_moves_every_time(self):
+        traj = waving_trajectory(RES, 100)
+        later = traj.shifted(3_600_000)
+        assert list(later.tracks) == list(traj.tracks)
+        for (t, x, y), (t2, x2, y2) in zip(traj.tracks.values(), later.tracks.values()):
+            assert (t2 - t == 3_600_000).all()
+            assert np.array_equal(x2, x) and np.array_equal(y2, y)
+        assert later.shifted(-3_600_000) == traj
+        with pytest.raises(ValueError, match="must not be negative"):
+            traj.shifted(-1)
+
+    @given(st.data())
+    def test_first_outside_is_earliest_offender(self, data):
+        res = Resolution(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40)))
+        coord = st.floats(-5.0, 45.0) | st.just(float("nan"))
+        tracks = {}
+        for hand in data.draw(st.sampled_from([[Hand.LEFT], [Hand.RIGHT, Hand.LEFT]])):
+            ts = sorted(data.draw(st.sets(st.integers(0, 30), min_size=1, max_size=6)))
+            tracks[hand] = (ts, [data.draw(coord) for _ in ts], [data.draw(coord) for _ in ts])
+        traj = Trajectory(tracks)
+        # a scan of the samples in (t, hand) order
+        want = None
+        for t, hand, x, y in sorted((t, hand.value, x, y) for hand, cols in tracks.items()
+                                    for t, x, y in zip(*cols)):
+            if not (0 <= x < res.width and 0 <= y < res.height):
+                want = (t, x, y)
+                break
+        got = traj.first_outside(res)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0] and isinstance(got[0], int)
+            np.testing.assert_array_equal(got[1:], want[1:])
 
     @given(st.data())
     def test_position_at_matches_interp_over_samples(self, data):
         hands = data.draw(st.sampled_from([[Hand.LEFT], [Hand.RIGHT, Hand.LEFT]]))
-        samples = [s for hand in hands for s in data.draw(hand_samples(hand))]
-        traj = Trajectory(samples)
-        assert traj.hands() == hands
+        tracks = {hand: data.draw(hand_samples()) for hand in hands}
+        traj = Trajectory(tracks)
+        assert list(traj.tracks) == hands
         lo, hi = traj.span_us()
-        assert (lo, hi) == (min(s.t for s in samples), max(s.t for s in samples))
-        for hand in hands:
-            mine = [s for s in samples if s.hand is hand]
-            ts = [s.t for s in mine]
+        every_t = [t for ts, _, _ in tracks.values() for t in ts]
+        assert (lo, hi) == (min(every_t), max(every_t))
+        for hand, (ts, xs, ys) in tracks.items():
             # both clamped ends, every sample time and points in between
             for t in [ts[0] - 1000, ts[0], ts[-1], ts[-1] + 1000, *data.draw(
                 st.lists(st.integers(lo - 2000, hi + 2000), max_size=5)
             ), *ts]:
                 x, y = traj.position_at(hand, t)
-                assert x == np.interp(t, ts, [s.x for s in mine])
-                assert y == np.interp(t, ts, [s.y for s in mine])
+                assert x == np.interp(t, ts, xs)
+                assert y == np.interp(t, ts, ys)
 
     def test_waving_stays_in_bounds(self):
         traj = waving_trajectory(RES, 4000)
-        for s in traj.samples:
-            assert 0 <= s.x < RES.width and 0 <= s.y < RES.height
+        for _, x, y in traj.tracks.values():
+            assert ((0 <= x) & (x < RES.width) & (0 <= y) & (y < RES.height)).all()
 
     def test_waving_hands_move_in_antiphase(self):
         traj = waving_trajectory(RES, 2000)
@@ -431,10 +462,8 @@ def oracle_synth(traj, resolution, seed, blob_radius=8.0, contrast_threshold=0.0
     full-frame scan of the previous micro-frame, one global stable sort."""
 
     def position(hand, t):
-        mine = [s for s in traj.samples if s.hand is hand]
-        ts = np.array([s.t for s in mine], dtype=np.float64)
-        return (float(np.interp(t, ts, [s.x for s in mine])),
-                float(np.interp(t, ts, [s.y for s in mine])))
+        ts, xs, ys = traj.tracks[hand]
+        return float(np.interp(t, ts, xs)), float(np.interp(t, ts, ys))
 
     def support_box(img):
         ys, xs = np.nonzero(img)
@@ -453,7 +482,7 @@ def oracle_synth(traj, resolution, seed, blob_radius=8.0, contrast_threshold=0.0
     if t_max <= t_min:
         return EventStream.empty(resolution)
     rng = np.random.default_rng(seed)
-    hands = traj.hands()
+    hands = list(traj.tracks)
     shape = (resolution.height, resolution.width)
     prev = np.zeros(shape)
     _render_blobs(prev, [position(h, t_min) for h in hands], blob_radius)
@@ -493,9 +522,7 @@ class TestSynthHandEvents:
     def test_equals_oracle(self, data):
         res = Resolution(data.draw(st.integers(20, 64)), data.draw(st.integers(16, 48)))
         hands = data.draw(st.sampled_from([[Hand.LEFT], [Hand.LEFT, Hand.RIGHT]]))
-        samples = [s for hand in hands
-                   for s in data.draw(hand_samples(hand, res.width, res.height))]
-        traj = Trajectory(samples)
+        traj = Trajectory({hand: data.draw(hand_samples(res.width, res.height)) for hand in hands})
         params = dict(
             seed=data.draw(st.integers(0, 2**32 - 1)),
             blob_radius=data.draw(st.floats(1.0, 15.0)),
@@ -519,12 +546,10 @@ class TestSynthHandEvents:
         # frame edge, and they cross, so their disks overlap.  700 us steps
         # batch into 7 ms spans, which no 10 ms tracker window lines up
         # with, over five batches; the cut falls inside the third.
-        traj = Trajectory([
-            TrajectorySample(0, Hand.LEFT, 3.0, 88.0),
-            TrajectorySample(30_000, Hand.LEFT, 70.0, 96.0),
-            TrajectorySample(0, Hand.RIGHT, 60.0, 92.0),
-            TrajectorySample(30_000, Hand.RIGHT, 12.0, 90.0),
-        ])
+        traj = Trajectory({
+            Hand.LEFT: ([0, 30_000], [3.0, 70.0], [88.0, 96.0]),
+            Hand.RIGHT: ([0, 30_000], [60.0, 12.0], [92.0, 90.0]),
+        })
         params = dict(seed=21, micro_step_us=700, rate_scale=2.0)
         want = oracle_synth(traj, RES, **params)
         got = synth_hand_events(traj, RES, **params)
@@ -543,9 +568,7 @@ class TestSynthHandEvents:
             assert cut == full[full.t < until]
 
     def test_stationary_blob_emits_nothing(self):
-        traj = Trajectory(
-            [TrajectorySample(t, Hand.LEFT, 50.0, 50.0) for t in (0, 10_000, 20_000)]
-        )
+        traj = Trajectory({Hand.LEFT: ([0, 10_000, 20_000], [50.0] * 3, [50.0] * 3)})
         stream = synth_hand_events(traj, RES, seed=1)
         assert len(stream) == 0
 
@@ -560,12 +583,7 @@ class TestSynthHandEvents:
     def test_polarity_splits_leading_trailing(self):
         # blob gliding right: brightness rises ahead of the center and
         # falls behind it
-        traj = Trajectory(
-            [
-                TrajectorySample(0, Hand.LEFT, 60.0, 90.0),
-                TrajectorySample(50_000, Hand.LEFT, 110.0, 90.0),
-            ]
-        )
+        traj = Trajectory({Hand.LEFT: ([0, 50_000], [60.0, 110.0], [90.0, 90.0])})
         stream = synth_hand_events(traj, RES, seed=2, rate_scale=2.0)
         assert len(stream) > 0
         mid = stream.t > 20_000
@@ -575,12 +593,7 @@ class TestSynthHandEvents:
 
     def test_event_count_follows_differencing_rule(self):
         # one micro-step jump: per-pixel count is floor(rate*|delta|/threshold)
-        traj = Trajectory(
-            [
-                TrajectorySample(0, Hand.LEFT, 40.0, 40.0),
-                TrajectorySample(1000, Hand.LEFT, 43.0, 40.0),
-            ]
-        )
+        traj = Trajectory({Hand.LEFT: ([0, 1000], [40.0, 43.0], [40.0, 40.0])})
         radius, thresh, rate = 5.0, 0.05, 1.0
         stream = synth_hand_events(
             traj, RES, seed=3, blob_radius=radius, contrast_threshold=thresh,
@@ -600,8 +613,8 @@ class TestSynthHandEvents:
         np.testing.assert_array_equal(got, expect)
 
     def test_bounds_checked(self):
-        traj = Trajectory([TrajectorySample(0, Hand.LEFT, 500.0, 50.0)])
-        with pytest.raises(ValueError):
+        traj = Trajectory({Hand.LEFT: ([0], [500.0], [50.0])})
+        with pytest.raises(ValueError, match=r"t=0 \(500.0,50.0\) outside 240x180"):
             synth_hand_events(traj, RES, seed=1)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evtheremin.events import Frame, Resolution
+from evtheremin.events import Resolution
 from evtheremin.sigma_delta import (
     GradedSpike,
     SdState,
@@ -112,7 +112,7 @@ def count_frames(draw):
     sigma = draw(st.floats(0.3, 3.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counts = rng.poisson(rng.uniform(0.0, 8.0), (draw(st.integers(1, 6)), res.height, res.width))
-    return res, sigma, [Frame(res, cells, 0, 1) for cells in counts]
+    return res, sigma, list(counts)
 
 
 def run_detector(res, sigma, theta, frames):
@@ -132,7 +132,7 @@ class TestSigmaDeltaNetwork:
         det = SigmaDeltaDetector(res, sigma, 0.0)
         for frame in frames:
             det.heatmap(frame)
-            want = det.blur(frame.cells).ravel()
+            want = det.blur(frame).ravel()
             np.testing.assert_allclose(det.decoded, want, rtol=0, atol=1e-12 * max(1.0, want.max()))
 
     @given(count_frames(), st.floats(1e-3, 2.0))
@@ -142,7 +142,7 @@ class TestSigmaDeltaNetwork:
         det = SigmaDeltaDetector(res, sigma, theta)
         for frame in frames:
             det.heatmap(frame)
-            assert np.abs(det.decoded - det.blur(frame.cells).ravel()).max() < theta
+            assert np.abs(det.decoded - det.blur(frame).ravel()).max() < theta
 
     @given(count_frames(), st.floats(0.0, 2.0))
     def test_constant_input_goes_quiet(self, case, theta):
@@ -170,7 +170,7 @@ class TestSigmaDeltaNetwork:
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         res = Resolution(20, 15)
-        frames = [Frame(res, c, 0, 1) for c in rng.poisson(2.0, (30, 15, 20))]
+        frames = list(rng.poisson(2.0, (30, 15, 20)))
         a = SigmaDeltaDetector(res, 1.5, 0.05)
         b = SigmaDeltaDetector(res, 1.5, 0.05)
         for frame in frames:
@@ -179,7 +179,7 @@ class TestSigmaDeltaNetwork:
 
     def test_reset_restores_initial_state(self):
         res = Resolution(12, 9)
-        frame = Frame(res, np.random.default_rng(12).poisson(1.0, (9, 12)), 0, 1)
+        frame = np.random.default_rng(12).poisson(1.0, (9, 12))
         det = SigmaDeltaDetector(res, 1.0, 0.5)
         first = det.heatmap(frame)
         decoded, spikes = det.decoded.copy(), det.total_spikes

@@ -209,41 +209,42 @@ class TestScoreToTrajectory:
     def test_single_note_holds_exact_distance(self):
         score = parse_score("NOTE 60 1000\n")
         traj = score_to_trajectory(score, CAL, vibrato_px=0.0)
-        left = [s for s in traj.samples if s.hand == Hand.LEFT]
-        assert len(left) == 101
-        for s in left:
-            assert s.x == pytest.approx(200.0, abs=1e-9)
-            assert s.y == pytest.approx(90.0, abs=1e-9)
-        assert not any(s.hand == Hand.RIGHT for s in traj.samples)
+        _, xs, ys = traj.tracks[Hand.LEFT]
+        assert len(xs) == 101
+        for x, y in zip(xs, ys):
+            assert x == pytest.approx(200.0, abs=1e-9)
+            assert y == pytest.approx(90.0, abs=1e-9)
+        assert Hand.RIGHT not in traj.tracks
 
     def test_volume_hand_tracks_level(self):
         score = parse_score("NOTE 60 1000\nVOL 0 0\nVOL 1000 1\n")
         traj = score_to_trajectory(score, CAL, vibrato_px=0.0)
-        right = {s.t: s for s in traj.samples if s.hand == Hand.RIGHT}
-        assert right[0].y == pytest.approx(GEO.y_px_for_height(0.05))
-        assert right[500_000].y == pytest.approx(GEO.y_px_for_height(0.175))
-        assert right[1_000_000].y == pytest.approx(GEO.y_px_for_height(0.30))
-        assert right[0].x == pytest.approx(216.0)
+        ts, xs, ys = traj.tracks[Hand.RIGHT]
+        right = {int(t): (x, y) for t, x, y in zip(ts, xs, ys)}
+        assert right[0][1] == pytest.approx(GEO.y_px_for_height(0.05))
+        assert right[500_000][1] == pytest.approx(GEO.y_px_for_height(0.175))
+        assert right[1_000_000][1] == pytest.approx(GEO.y_px_for_height(0.30))
+        assert right[0][0] == pytest.approx(216.0)
 
     def test_note_change_ramps_linearly(self):
         score = parse_score("NOTE 60 500\nNOTE 72 500\n")
         traj = score_to_trajectory(score, CAL, vibrato_px=0.0)
-        by_t = {s.t: s for s in traj.samples if s.hand == Hand.LEFT}
-        assert by_t[490_000].x == pytest.approx(200.0)
+        ts, xs, _ = traj.tracks[Hand.LEFT]
+        x_at = dict(zip(ts.astype(int).tolist(), xs))
+        assert x_at[490_000] == pytest.approx(200.0)
         # 10 ms into the 30 ms ramp: a third of the way from 0.4 m to 0.16 m
-        assert by_t[510_000].x == pytest.approx(160.0, abs=1e-9)
-        assert by_t[540_000].x == pytest.approx(80.0)
+        assert x_at[510_000] == pytest.approx(160.0, abs=1e-9)
+        assert x_at[540_000] == pytest.approx(80.0)
 
     def test_tempo_scales_time(self):
         score = parse_score("NOTE 60 1000\n")
         traj = score_to_trajectory(score, CAL, tempo=2.0, vibrato_px=0.0)
-        assert max(s.t for s in traj.samples) == 500_000
+        assert traj.span_us() == (0, 500_000)
 
     def test_vibrato_wobbles_both_axes(self):
         score = parse_score("NOTE 60 2000\n")
-        traj = score_to_trajectory(score, CAL, vibrato_px=2.5, vibrato_hz=6.0)
-        xs = np.array([s.x for s in traj.samples if s.hand == Hand.LEFT])
-        ys = np.array([s.y for s in traj.samples if s.hand == Hand.LEFT])
+        traj = score_to_trajectory(score, CAL, vibrato_px=2.5)
+        _, xs, ys = traj.tracks[Hand.LEFT]
         assert xs.max() == pytest.approx(202.5, abs=0.1)
         assert xs.min() == pytest.approx(197.5, abs=0.1)
         assert ys.max() > 90.5 and ys.min() < 89.5
