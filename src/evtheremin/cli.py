@@ -19,6 +19,11 @@ from .events import (
     waving_trajectory,
 )
 from .harness import (
+    BOARD_W,
+    BOARDS,
+    CLUSTER_KW,
+    DEFAULT_CALIBRATION,
+    SYNTH_RATE_SCALE,
     RunReport,
     load_config,
     power_ratio,
@@ -28,12 +33,7 @@ from .harness import (
     write_demo_files,
 )
 from .neural_field import field_to_pgm
-from .theremin import (
-    PitchCalibration,
-    note_freq,
-    parse_score,
-    score_to_trajectory,
-)
+from .theremin import parse_score, score_to_trajectory
 from .tracker import HandTracker, TrackerConfig, format_estimates
 from .transport import ChannelConfig, dump_frame
 
@@ -74,7 +74,7 @@ def main():
               help="Length of the wave pattern.")
 @click.option("--resolution", default="240x180", show_default=True)
 @click.option("--blob-radius", type=float, default=8.0, show_default=True)
-@click.option("--rate-scale", type=float, default=2.0, show_default=True)
+@click.option("--rate-scale", type=float, default=SYNTH_RATE_SCALE, show_default=True)
 @click.option("--trajectory-out", type=click.Path(writable=True, dir_okay=False),
               help="Also save the ground-truth trajectory as JSON.")
 def synth(out_path, seed, pattern, score_path, duration_ms, resolution, blob_radius,
@@ -88,8 +88,7 @@ def synth(out_path, seed, pattern, score_path, duration_ms, resolution, blob_rad
             raise click.UsageError("--pattern score needs --score")
         with open(score_path) as f:
             score = _or_fail(parse_score, f.read())
-        cal = PitchCalibration(0.40, note_freq(60), 0.24)
-        traj = _or_fail(score_to_trajectory, score, cal, resolution=res)
+        traj = _or_fail(score_to_trajectory, score, DEFAULT_CALIBRATION, resolution=res)
     stream = _or_fail(synth_hand_events, traj, res, seed=seed, blob_radius=blob_radius,
                       rate_scale=rate_scale)
     data = _or_fail(encode_evt1, stream)
@@ -195,14 +194,13 @@ def dump(frame_file):
 
 
 @main.command()
-@click.option("--cluster-kw", type=float, default=6.5, show_default=True)
+@click.option("--cluster-kw", type=float, default=CLUSTER_KW, show_default=True)
 @click.option("--board-w", type=float, default=None,
               help="Single board power draw; defaults to both ends of the range.")
-@click.option("--boards", type=int, default=10, show_default=True)
+@click.option("--boards", type=int, default=BOARDS, show_default=True)
 def power(cluster_kw, board_w, boards):
     """Power ratio of a datacenter cluster vs a rack of neuromorphic boards."""
-    rows = [(board_w,)] if board_w is not None else [(120.0,), (48.0,)]
-    for (w,) in rows:
+    for w in [board_w] if board_w is not None else BOARD_W[::-1]:
         r = _or_fail(power_ratio, cluster_kw, w, boards)
         click.echo(f"{cluster_kw} kW cluster vs {boards} x {w:g} W boards: {r:.2f}x")
 

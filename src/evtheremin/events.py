@@ -13,8 +13,8 @@ little-endian records:
 Writers must zero the padding; readers ignore it.  An empty stream is a
 valid 12-byte file.
 
-A frame is a plain (height, width) int64 array of per-cell event counts
-or polarity sums.  A Trajectory holds each hand's positions as (t, x, y)
+A frame is a plain (height, width) int64 array of per-cell event
+counts.  A Trajectory holds each hand's positions as (t, x, y)
 float64 columns, the only form synthesis and the show read them in.
 """
 
@@ -138,11 +138,9 @@ def frame_accumulate(
     t0: int,
     t1: int,
     resolution: Resolution | None = None,
-    signed: bool = False,
 ) -> np.ndarray:
-    """Accumulate events with t0 <= t < t1 into a (height, width) int64 frame.
+    """Count events with t0 <= t < t1 per cell of a (height, width) int64 frame.
 
-    Unsigned mode counts events per cell; signed mode sums polarities.
     The frame is at `resolution`, the stream's by default.  A coarser one
     bins each event straight into the cell `frame_downsample` maps its
     pixel to, so the frame equals the downsampled sensor frame, which is
@@ -155,14 +153,14 @@ def frame_accumulate(
     if res.width > src.width or res.height > src.height:
         raise StreamError(f"stream is {src}, cannot accumulate into larger {res}")
     stream.validate()
-    t, x, y, p = stream.t, stream.x, stream.y, stream.p
+    t, x, y = stream.t, stream.x, stream.y
     # A window cut to [t0, t1) beforehand, as HandTracker.run cuts them,
     # needs no mask.
     if len(t) and (t.min() < t0 or t.max() >= t1):
         mask = (t >= t0) & (t < t1)
-        x, y, p = x[mask], y[mask], p[mask]
+        x, y = x[mask], y[mask]
     idx = _cell_map(src, res)[y.astype(np.int64) * src.width + x]
-    counts = np.bincount(idx, weights=p if signed else None, minlength=res.npixels)
+    counts = np.bincount(idx, minlength=res.npixels)
     return counts.reshape(res.height, res.width).astype(np.int64, copy=False)
 
 

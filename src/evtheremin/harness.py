@@ -95,25 +95,20 @@ class StageLatencies:
                 raise ValueError(f"{f.name} must be >= 0")
 
 
-@dataclass
-class EnergyConstants:
-    """Per-platform electrical constants; the report is linear in these."""
+# Per-platform electrical constants; the energy report is linear in these.
+EDGE_TRACKER_W = 0.004
+GPU_ALT_W = (5.0, 10.0)
+CLUSTER_KW = 6.5
+BOARD_W = (48.0, 120.0)
+BOARDS = 10
 
-    edge_tracker_w: float = 0.004
-    gpu_alt_w_min: float = 5.0
-    gpu_alt_w_max: float = 10.0
-    cluster_kw: float = 6.5
-    board_w_min: float = 48.0
-    board_w_max: float = 120.0
-    boards: int = 10
-
-
-@dataclass
-class SynthParams:
-    blob_radius_px: float = 8.0
-    contrast_threshold: float = 0.05
-    rate_scale: float = 2.0
-    micro_step_us: int = 1000
+# The show's synthesis rate; its other synthesis values are
+# synth_hand_events' defaults.
+SYNTH_RATE_SCALE = 2.0
+# The camera-to-theremin geometry of every show.
+GEOMETRY = PixelGeometry()
+# A config's calibration unless it sets one; `synth --pattern score` uses it too.
+DEFAULT_CALIBRATION = PitchCalibration(0.40, note_freq(60), 0.24)
 
 
 @dataclass
@@ -125,14 +120,9 @@ class SimConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     reorder_window: int = 8
-    calibration: PitchCalibration = field(
-        default_factory=lambda: PitchCalibration(0.40, note_freq(60), 0.24)
-    )
-    geometry: PixelGeometry = field(default_factory=PixelGeometry)
+    calibration: PitchCalibration = DEFAULT_CALIBRATION
     vol_range_m: tuple[float, float] = (0.05, 0.30)
     latencies: StageLatencies = field(default_factory=StageLatencies)
-    energy: EnergyConstants = field(default_factory=EnergyConstants)
-    synth: SynthParams = field(default_factory=SynthParams)
     sample_ms: float = 10.0
     ramp_ms: float = 30.0
     tempo: float = 1.0
@@ -331,16 +321,15 @@ class _ShowRun:
         self.link_stats = LinkStats()
         self.receiver = SafeReceiver(cfg.reorder_window, self.link_stats)
         self.lat = {name: LatencyStat() for name in STAGE_NAMES}
+        # Windows, estimates and frames sent are one count, link_stats.sent,
+        # which also numbers the next frame; records sent is
+        # link_stats.events_sent.  run_show fills those keys in.
         self.counts = {
             "events_generated": 0,
-            "frames_sent": 0,
-            "records_sent": 0,
-            "estimates": 0,
             "control_points": 0,
             "gui_messages": 0,
             "routed_dropped": 0,
             "detector_spikes": 0,
-            "windows": 0,
         }
         self.state_ms = {s.value: 0.0 for s in ShowState}
         self.pitch_err = LatencyStat()
@@ -348,7 +337,6 @@ class _ShowRun:
         self.track_err = LatencyStat()
         self.track_err_x = LatencyStat()
         self.calibration_drift = 0.0
-        self.seq = 0
 
 
 def run_show(
@@ -377,7 +365,7 @@ def run_show(
             score,
             cfg.calibration,
             tempo=cfg.tempo,
-            geometry=cfg.geometry,
+            geometry=GEOMETRY,
             vol_range_m=cfg.vol_range_m,
             resolution=cfg.tracker.input_res,
             sample_ms=cfg.sample_ms,
@@ -395,25 +383,25 @@ def run_show(
         elif seg.state is ShowState.CALIBRATING:
             run.calibration_drift = max(run.calibration_drift, _run_calibration(cfg, score))
 
-    run.receiver.close(run.seq)
+    run.receiver.close(run.link_stats.sent)
     sim_us = scenario[-1].t_ms * 1000 if scenario else 0.0
     tracker_active_s = (
         run.state_ms[ShowState.DUET.value]
         + run.state_ms[ShowState.TEACHING.value]
         + run.state_ms[ShowState.CALIBRATING.value]
     ) / 1000.0
-    e = cfg.energy
     energy = {
         "tracker_active_s": tracker_active_s,
-        "edge_tracker_j": e.edge_tracker_w * tracker_active_s,
-        "gpu_alt_j_min": e.gpu_alt_w_min * tracker_active_s,
-        "gpu_alt_j_max": e.gpu_alt_w_max * tracker_active_s,
-        "power_ratio_min": power_ratio(e.cluster_kw, e.board_w_max, e.boards),
-        "power_ratio_max": power_ratio(e.cluster_kw, e.board_w_min, e.boards),
+        "edge_tracker_j": EDGE_TRACKER_W * tracker_active_s,
+        "gpu_alt_j_min": GPU_ALT_W[0] * tracker_active_s,
+        "gpu_alt_j_max": GPU_ALT_W[1] * tracker_active_s,
+        "power_ratio_min": power_ratio(CLUSTER_KW, BOARD_W[1], BOARDS),
+        "power_ratio_max": power_ratio(CLUSTER_KW, BOARD_W[0], BOARDS),
     }
     wall_s = max(time.perf_counter() - wall_start, 1e-9)
     rtf = compute_rtf(sim_us / 1e6, wall_s)
-    cpp = cfg.geometry.cents_per_pixel(cfg.calibration)
+    cpp = GEOMETRY.cents_per_pixel(cfg.calibration)
+    frames, records = run.link_stats.sent, run.link_stats.events_sent
     bound = cpp * run.track_err_x.mean + 1.0 if run.track_err_x.count else 0.0
     return RunReport(
         seed=cfg.seed,
@@ -421,7 +409,8 @@ def run_show(
         state_ms=dict(run.state_ms),
         latency_us={name: run.lat[name].as_dict() for name in STAGE_NAMES},
         link=run.link_stats.as_dict(),
-        counts=run.counts,
+        counts={**run.counts, "windows": frames, "estimates": frames, "frames_sent": frames,
+                "records_sent": records},
         pitch_mean_cents=run.pitch_err.mean,
         pitch_max_cents=run.pitch_err.max if run.pitch_err.count else 0.0,
         pitch_nominal_mean_cents=run.pitch_nominal_err.mean,
@@ -460,10 +449,7 @@ def _run_tracking_segment(
         traj,
         cfg.tracker.input_res,
         seed=cfg.seed + seg_idx,
-        blob_radius=cfg.synth.blob_radius_px,
-        contrast_threshold=cfg.synth.contrast_threshold,
-        rate_scale=cfg.synth.rate_scale,
-        micro_step_us=cfg.synth.micro_step_us,
+        rate_scale=SYNTH_RATE_SCALE,
         until_us=t0_us + -(-(span_end - t0_us) // window_us) * window_us,
     )
     run.counts["events_generated"] += len(stream)
@@ -471,20 +457,15 @@ def _run_tracking_segment(
     sent_at: dict[int, float] = {}
     for est in run.tracker.run(stream, t0_us, span_end):
         w_end = est.t_us
-        run.counts["windows"] += 1
-        run.counts["estimates"] += 1
         t_sent = float(w_end) + L.sensor_us + L.tracker_us
         spikes = _estimate_to_spikes(est, run.pos_scale)
-        payload = safe_encode(spikes, seq=run.seq, timestamp_us=w_end)
+        payload = safe_encode(spikes, seq=run.link_stats.sent & 0xFFFFFFFF, timestamp_us=w_end)
         payloads.append(payload)
         send_times.append(t_sent)
         sent_at[w_end] = t_sent
-        run.counts["frames_sent"] += 1
-        run.counts["records_sent"] += len(spikes)
         run.link_stats.sent += 1
         run.link_stats.bytes_sent += len(payload)
         run.link_stats.events_sent += len(spikes)
-        run.seq = (run.seq + 1) & 0xFFFFFFFF
     if isinstance(run.tracker.detector, SigmaDeltaDetector):
         run.counts["detector_spikes"] = run.tracker.detector.total_spikes
     # Fresh sub-seed per segment so repeat visits to a state do not reuse
@@ -507,7 +488,7 @@ def _run_tracking_segment(
                 if HandLabel.PITCH not in message.hands:
                     continue
                 point = hands_to_control(
-                    message, cfg.calibration, cfg.vol_range_m, cfg.geometry
+                    message, cfg.calibration, cfg.vol_range_m, GEOMETRY
                 )
                 run.counts["control_points"] += 1
                 t_capture = float(t_abs)
@@ -528,7 +509,7 @@ def _run_tracking_segment(
                 # Bound-facing error is against the pitch the hand really
                 # played at capture time (vibrato included); the drift
                 # from the written note is reported separately.
-                f_played = cfg.calibration.freq_at(cfg.geometry.pitch_distance_m(tx))
+                f_played = cfg.calibration.freq_at(GEOMETRY.pitch_distance_m(tx))
                 f_nominal = score.freq_at_ms(t_rel_ms * cfg.tempo)
                 run.pitch_err.add(abs(cents_between(point.freq_hz, f_played)))
                 run.pitch_nominal_err.add(abs(cents_between(point.freq_hz, f_nominal)))
@@ -551,7 +532,7 @@ def _run_solo_segment(run: _ShowRun, traj: Trajectory, t0_us: int, t1_us: int) -
             vx, vy = traj.position_at(Hand.RIGHT, t)
             hands[HandLabel.VOLUME] = HandPoint(vx, vy, 1.0)
         est = HandEstimate(int(t0_us + t), hands)
-        hands_to_control(est, cfg.calibration, cfg.vol_range_m, cfg.geometry)
+        hands_to_control(est, cfg.calibration, cfg.vol_range_m, GEOMETRY)
         run.counts["control_points"] += 1
         run.lat["theremin"].add(cfg.latencies.theremin_us)
         t += step
@@ -600,20 +581,23 @@ class BenchResult:
         return "\n".join(lines)
 
 
+BENCH_BATCHES = (1, 10, 100, 1000)
+
+
 def protocol_bench(
     n_events: int = 10_000,
-    batches: tuple[int, ...] = (1, 10, 100, 1000),
     channel: ChannelConfig | None = None,
     seed: int = 0,
 ) -> BenchResult:
-    """Measure bytes/event for both wire profiles and optionally push the
-    traffic through the channel simulator with receiver accounting."""
+    """Measure bytes/event for both wire profiles at each of BENCH_BATCHES'
+    frame sizes, and optionally push the traffic through the channel
+    simulator with receiver accounting."""
     rng = np.random.default_rng(seed)
     addresses = rng.integers(0, 86 * 65, n_events)
     values = rng.choice(np.array([-3, -2, -1, 1, 2, 3]), n_events)
     spikes = [GradedSpike(int(a), int(v)) for a, v in zip(addresses, values)]
     rows = []
-    for batch in batches:
+    for batch in BENCH_BATCHES:
         if batch > n_events:
             raise ValueError(f"need at least {batch} events for batch size {batch}")
         group = spikes[:batch]

@@ -63,25 +63,26 @@ def tracker_field_params() -> tuple[FieldParams, KernelParams]:
     )
 
 
+# The tracker's one tuning.  Peaks are read off the field above
+# DETECT_THRESHOLD, at least MIN_SEPARATION_CELLS apart and of at least
+# MIN_PEAK_MASS; the argmax baseline ignores heat below ARGMAX_FLOOR.
+INPUT_GAIN = 15.0
+DETECT_THRESHOLD = 0.0
+MIN_SEPARATION_CELLS = 6.0
+MIN_PEAK_MASS = 1.0
+CONFIDENCE_DECAY = 0.5  # a held hand's confidence, per window without peaks
+BLUR_SIGMA_CELLS = 1.5
+SD_THETA = 0.02
+ARGMAX_FLOOR = 0.2
+
+
 @dataclass
 class TrackerConfig:
     input_res: Resolution = Resolution(240, 180)
     chip_res: Resolution = Resolution(86, 65)
     window_us: int = 10_000
     detector: str = "blob"  # "blob" or "sd_net"
-    field_params: FieldParams = dataclass_field(default_factory=lambda: tracker_field_params()[0])
-    kernel_params: KernelParams = dataclass_field(default_factory=lambda: tracker_field_params()[1])
-    input_gain: float = 15.0
-    detect_threshold: float = 0.0
-    min_separation_cells: float = 6.0
-    min_peak_mass: float = 1.0
-    mirror: bool = True
-    confidence_decay: float = 0.5
-    blur_sigma_cells: float = 1.5
-    sd_theta: float = 0.02
     use_field: bool = True  # False = raw argmax baseline, no field filtering
-    argmax_floor: float = 0.2  # baseline ignores heat below this
-    max_hands: int = 2
 
     def __post_init__(self):
         if self.detector not in ("blob", "sd_net"):
@@ -90,14 +91,6 @@ class TrackerConfig:
             raise ValueError(f"chip {self.chip_res} exceeds input {self.input_res}")
         if self.window_us <= 0:
             raise ValueError("window must be positive")
-        if not (0.0 < self.confidence_decay < 1.0):
-            raise ValueError("confidence decay must be in (0, 1)")
-        if self.max_hands not in (1, 2):
-            raise ValueError("tracker handles 1 or 2 hands")
-        if not (0.0 < self.blur_sigma_cells < math.inf):
-            raise ValueError(f"blur_sigma_cells must be finite and > 0, got {self.blur_sigma_cells}")
-        if not (0.0 <= self.sd_theta < math.inf):
-            raise ValueError(f"sd_theta must be finite and >= 0, got {self.sd_theta}")
 
 
 class GainControl:
@@ -206,19 +199,16 @@ def detect_heatmap(frame: np.ndarray, detector) -> np.ndarray:
     return heat
 
 
-def assign_hands(peaks: list[Peak], mirror: bool = True) -> dict[HandLabel, Peak]:
+def assign_hands(peaks: list[Peak]) -> dict[HandLabel, Peak]:
     """Label up to two peaks.  A single peak is the pitch hand.  With two,
-    the image-left peak is the pitch hand when mirror is set (a camera
-    facing the player sees their right hand on the image left); mirror
-    off swaps the roles."""
+    the image-left peak is the pitch hand: a camera facing the player
+    sees their right hand on the image left."""
     if not peaks:
         return {}
     if len(peaks) == 1:
         return {HandLabel.PITCH: peaks[0]}
     a, b = sorted(peaks[:2], key=lambda p: (p.x, p.y))
-    if mirror:
-        return {HandLabel.PITCH: a, HandLabel.VOLUME: b}
-    return {HandLabel.PITCH: b, HandLabel.VOLUME: a}
+    return {HandLabel.PITCH: a, HandLabel.VOLUME: b}
 
 
 class HandTracker:
@@ -228,15 +218,15 @@ class HandTracker:
         self.config = config or TrackerConfig()
         cfg = self.config
         if cfg.detector == "blob":
-            self.detector = BlobDetector(cfg.blur_sigma_cells)
+            self.detector = BlobDetector(BLUR_SIGMA_CELLS)
         else:
-            self.detector = SigmaDeltaDetector(cfg.chip_res, cfg.blur_sigma_cells, cfg.sd_theta)
-        self.kernel: LateralKernel = make_kernel(cfg.kernel_params)
+            self.detector = SigmaDeltaDetector(cfg.chip_res, BLUR_SIGMA_CELLS, SD_THETA)
+        self.field_params, kernel_params = tracker_field_params()
+        self.kernel: LateralKernel = make_kernel(kernel_params)
         self.reset()
 
     def reset(self) -> None:
-        cfg = self.config
-        self.field = Field.at_rest(cfg.chip_res, cfg.field_params)
+        self.field = Field.at_rest(self.config.chip_res, self.field_params)
         self.previous: HandEstimate | None = None
         self.detector.reset()
 
@@ -256,17 +246,17 @@ class HandTracker:
         chip = frame_downsample(frame_accumulate(window, t_start, t_end, cfg.chip_res), cfg.chip_res)
         heat = detect_heatmap(chip, self.detector)
         if cfg.use_field:
-            self.field = field_step(self.field, heat * cfg.input_gain, self.kernel)
-            peaks = detect_peaks(self.field, cfg.detect_threshold, cfg.min_separation_cells)
-            peaks = [p for p in peaks if p.mass >= cfg.min_peak_mass][: cfg.max_hands]
+            self.field = field_step(self.field, heat * INPUT_GAIN, self.kernel)
+            peaks = detect_peaks(self.field, DETECT_THRESHOLD, MIN_SEPARATION_CELLS)
+            peaks = [p for p in peaks if p.mass >= MIN_PEAK_MASS][:2]
         else:
-            peaks = _argmax_peaks(heat, cfg.max_hands, cfg.min_separation_cells, cfg.argmax_floor)
+            peaks = _argmax_peaks(heat)
         if peaks:
-            hands = {k: HandPoint(*self._upscale(p), 1.0) for k, p in assign_hands(peaks, cfg.mirror).items()}
+            hands = {k: HandPoint(*self._upscale(p), 1.0) for k, p in assign_hands(peaks).items()}
         else:
             # No peak: hold the last positions with decayed confidence.
             held = self.previous.hands if self.previous is not None else {}
-            hands = {k: HandPoint(p.x, p.y, p.confidence * cfg.confidence_decay) for k, p in held.items()}
+            hands = {k: HandPoint(p.x, p.y, p.confidence * CONFIDENCE_DECAY) for k, p in held.items()}
         self.previous = HandEstimate(t_end, hands)
         return self.previous
 
@@ -288,16 +278,14 @@ class HandTracker:
         return [self.step(stream[i0:i1], w_end) for w_end, i0, i1 in zip(ends, edges[:-1], edges[1:])]
 
 
-def _argmax_peaks(
-    heat: np.ndarray, max_hands: int, min_separation: float, floor: float = 0.0
-) -> list[Peak]:
-    """Raw detector baseline: greedy argmax with local suppression."""
+def _argmax_peaks(heat: np.ndarray) -> list[Peak]:
+    """Raw detector baseline: greedy argmax for two hands with local suppression."""
     work = heat.copy()
     h, w = work.shape
     peaks = []
-    r = max(1, int(round(min_separation)))
-    for _ in range(max_hands):
-        if work.max() <= floor:
+    r = max(1, int(round(MIN_SEPARATION_CELLS)))
+    for _ in range(2):
+        if work.max() <= ARGMAX_FLOOR:
             break
         iy, ix = np.unravel_index(int(np.argmax(work)), work.shape)
         peaks.append(Peak(float(ix), float(iy), float(work[iy, ix])))

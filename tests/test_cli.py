@@ -133,15 +133,15 @@ class TestShowAndReport:
             ({"tracker": {"input_res": [240]}}, "tracker.input_res must be [width, height]"),
             ({"channel": 5}, "channel must be an object"),
             ({"vol_range_m": 0.2}, "vol_range_m must be a list of 2"),
-            ({"tracker": {"field_params": [1]}}, "tracker.field_params must be an object"),
+            ({"tracker": {"field_params": [1]}}, "unknown key tracker.field_params"),
             ({"scenario": "missing-scenario.txt"}, "missing-scenario.txt"),
             ({"score": "missing-score.txt"}, "missing-score.txt"),
-            ({"tracker": {"blur_sigma_cells": -1}}, "blur_sigma_cells must be finite and > 0"),
+            ({"tracker": {"blur_sigma_cells": -1}}, "unknown key tracker.blur_sigma_cells"),
             ({"tracker": {"window_us": 0}}, "tracker: window must be positive"),
-            ({"tracker": {"confidence_decay": 1.0}}, "tracker: confidence decay must be in (0, 1)"),
+            ({"tracker": {"confidence_decay": 1.0}}, "unknown key tracker.confidence_decay"),
             ({"tracker": {"chip_res": [300, 200]}}, "tracker: chip 300x200 exceeds input 240x180"),
             ({"tracker": {"chip_res": [0, 65]}}, "tracker.chip_res: resolution must be positive"),
-            ({"tracker": {"field_params": {"tau": -1}}}, "tracker.field_params: tau and dt must be positive"),
+            ({"tracker": {"field_params": {"tau": -1}}}, "unknown key tracker.field_params"),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, fields, message):

@@ -7,16 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evtheremin.events import Resolution
-from evtheremin.harness import (
-    EnergyConstants,
-    SimConfig,
-    StageLatencies,
-    SynthParams,
-    config_from_dict,
-    config_to_dict,
-)
-from evtheremin.neural_field import FieldParams, KernelParams
-from evtheremin.theremin import PitchCalibration, PixelGeometry
+from evtheremin.harness import SimConfig, StageLatencies, config_from_dict, config_to_dict
+from evtheremin.theremin import PitchCalibration
 from evtheremin.tracker import TrackerConfig
 from evtheremin.transport import ChannelConfig
 
@@ -37,16 +29,6 @@ def resolutions(draw):
     return Resolution(w, h), Resolution(draw(st.integers(1, w)), draw(st.integers(1, h)))
 
 
-field_params = st.builds(
-    lambda tau, dt_frac, h, beta, tie_break: FieldParams(tau, h, beta, tau * dt_frac, tie_break),
-    positive, floats(1e-3, 1.0), floats(-1e3, -1e-3), positive, nonnegative,
-)
-kernel_params = st.builds(
-    lambda c_exc, sigma_exc, gap, c_inh, g_inh: KernelParams(c_exc, sigma_exc, c_inh, sigma_exc + gap, g_inh),
-    nonnegative, positive, positive, nonnegative, nonnegative,
-)
-
-
 @st.composite
 def tracker_configs(draw):
     input_res, chip_res = draw(resolutions())
@@ -55,19 +37,7 @@ def tracker_configs(draw):
         chip_res=chip_res,
         window_us=draw(st.integers(1, 10**9)),
         detector=draw(st.sampled_from(["blob", "sd_net"])),
-        field_params=draw(field_params),
-        kernel_params=draw(kernel_params),
-        input_gain=draw(floats()),
-        detect_threshold=draw(floats()),
-        min_separation_cells=draw(floats()),
-        min_peak_mass=draw(floats()),
-        mirror=draw(st.booleans()),
-        confidence_decay=draw(floats(1e-6, 1 - 1e-6)),
-        blur_sigma_cells=draw(positive),
-        sd_theta=draw(nonnegative),
         use_field=draw(st.booleans()),
-        argmax_floor=draw(floats()),
-        max_hands=draw(st.sampled_from([1, 2])),
     )
 
 
@@ -83,11 +53,8 @@ sim_configs = st.builds(
     ),
     reorder_window=st.integers(),
     calibration=st.builds(PitchCalibration, positive, positive, positive),
-    geometry=st.builds(PixelGeometry, positive, floats(), st.integers()),
     vol_range_m=st.tuples(floats(), floats()),
     latencies=st.builds(StageLatencies, nonnegative, nonnegative, nonnegative, nonnegative),
-    energy=st.builds(EnergyConstants, floats(), floats(), floats(), floats(), floats(), floats(), st.integers()),
-    synth=st.builds(SynthParams, floats(), floats(), floats(), st.integers()),
     sample_ms=floats(),
     ramp_ms=floats(),
     tempo=floats(),
@@ -149,10 +116,9 @@ def test_wrong_shape_is_a_value_error_naming_the_key(cfg, data):
 # (section, key, out-of-range value): each trips a section's __post_init__.
 out_of_range = st.one_of(
     st.tuples(st.just("tracker"), st.just("window_us"), st.integers(-10**9, 0)),
-    st.tuples(st.just("tracker"), st.just("confidence_decay"), st.one_of(floats(hi=0.0), floats(lo=1.0))),
-    st.tuples(st.just("tracker"), st.just("max_hands"), st.integers().filter(lambda n: n not in (1, 2))),
+    st.tuples(st.just("tracker"), st.just("detector"), st.text().filter(lambda d: d not in ("blob", "sd_net"))),
     st.tuples(st.just("tracker.input_res"), st.just(None), st.tuples(st.integers(-5, 0), st.integers(1, 9)).map(list)),
-    st.tuples(st.just("tracker.field_params"), st.just("tau"), floats(hi=0.0)),
+    st.tuples(st.just("calibration"), st.just("octave_m"), floats(hi=0.0)),
     st.tuples(st.just("channel"), st.just("loss_p"), floats(lo=1.0 + 1e-9)),
     st.tuples(st.just("latencies"), st.just("sensor_us"), floats(hi=-1e-9)),
 )

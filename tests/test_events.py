@@ -160,11 +160,6 @@ class TestFrameAccumulate:
         assert f[5, 5] == 3
         assert f.sum() == 3
 
-    def test_signed_mode_sums_polarity(self):
-        s = stream_of([(10, 5, 5, 1), (20, 5, 5, -1), (30, 5, 5, -1)])
-        f = frame_accumulate(s, 0, 50, signed=True)
-        assert f[5, 5] == -1
-
     def test_window_partition(self):
         rng = np.random.default_rng(3)
         n = 500
@@ -189,8 +184,8 @@ class TestFrameAccumulate:
         with pytest.raises(StreamError):
             frame_accumulate(s, 0, 10)
 
-    @given(valid_streams(), st.sampled_from(["inside", "edges", "partial", "before", "after"]), st.booleans(), st.data())
-    def test_equals_masked_bincount(self, stream, window, signed, data):
+    @given(valid_streams(), st.sampled_from(["inside", "edges", "partial", "before", "after"]), st.data())
+    def test_equals_masked_bincount(self, stream, window, data):
         t = stream.t.astype(np.int64)
         lo, hi = (int(t.min()), int(t.max())) if len(t) else (100, 199)
         if window == "inside":
@@ -214,23 +209,22 @@ class TestFrameAccumulate:
         res = stream.resolution
         m = (t >= t0) & (t < t1)
         idx = stream.y[m].astype(np.int64) * res.width + stream.x[m].astype(np.int64)
-        weights = stream.p[m].astype(np.int64) if signed else np.ones(len(idx), dtype=np.int64)
         want = np.zeros(res.npixels, dtype=np.int64)
-        np.add.at(want, idx, weights)
+        np.add.at(want, idx, 1)
         want = want.reshape(res.height, res.width)
-        got = frame_accumulate(stream, t0, t1, signed=signed)
+        got = frame_accumulate(stream, t0, t1)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
         # Straight into a coarser grid: the downsampled sensor frame.
         target = Resolution(data.draw(st.integers(1, res.width)), data.draw(st.integers(1, res.height)))
-        got = frame_accumulate(stream, t0, t1, target, signed=signed)
+        got = frame_accumulate(stream, t0, t1, target)
         assert got.shape == (target.height, target.width) and got.dtype == np.int64
         np.testing.assert_array_equal(got, scatter_add_downsample(want, target))
         wider = Resolution(res.width + data.draw(st.integers(1, 5)), res.height)
         taller = Resolution(res.width, res.height + data.draw(st.integers(1, 5)))
         for bigger in (wider, taller):
             with pytest.raises(StreamError, match="cannot accumulate into larger"):
-                frame_accumulate(stream, t0, t1, bigger, signed=signed)
+                frame_accumulate(stream, t0, t1, bigger)
 
 
 def scatter_add_downsample(cells, target):

@@ -23,7 +23,6 @@ from evtheremin.harness import (
     RunReport,
     SimConfig,
     StageLatencies,
-    SynthParams,
     _estimate_to_spikes,
     _pos_scale,
     _scenario_segments,
@@ -38,8 +37,7 @@ from evtheremin.harness import (
     single_bit_fuzz,
     write_demo_files,
 )
-from evtheremin.events import Resolution
-from evtheremin.neural_field import KernelParams
+from evtheremin.events import Resolution, synth_hand_events
 from evtheremin.orchestrator import ShowState, parse_scenario
 from evtheremin.theremin import ScoreError, parse_score
 from evtheremin.tracker import HandEstimate, HandLabel, HandPoint, TrackerConfig
@@ -290,7 +288,7 @@ class TestConfigCodec:
             tracker=TrackerConfig(
                 input_res=Resolution(120, 90),
                 window_us=5000,
-                kernel_params=KernelParams(c_exc=12.0),
+                detector="sd_net",
             ),
             channel=ChannelConfig(loss_p=0.1, delay_base_us=400.0, seed=4),
             sample_ms=5.0,
@@ -310,10 +308,22 @@ class TestConfigCodec:
     def test_unknown_nested_keys(self):
         with pytest.raises(ValueError, match=r"unknown key tracker\.bogus"):
             config_from_dict({"seed": 1, "tracker": {"bogus": 1}})
-        with pytest.raises(ValueError, match=r"unknown key tracker\.kernel_params\.zap"):
-            config_from_dict({"seed": 1, "tracker": {"kernel_params": {"zap": 1}}})
+        with pytest.raises(ValueError, match=r"unknown key calibration\.zap"):
+            config_from_dict({"seed": 1, "calibration": {"zap": 1}})
         with pytest.raises(ValueError, match=r"unknown key channel\.zap"):
             config_from_dict({"seed": 1, "channel": {"zap": 1}})
+
+    def test_constants_are_not_keys(self):
+        # The tracker tuning and the geometry, energy and synthesis values
+        # are constants in code; a config that sets one is refused.
+        for key in ("field_params", "kernel_params", "input_gain", "detect_threshold", "min_separation_cells",
+                    "min_peak_mass", "mirror", "confidence_decay", "blur_sigma_cells", "sd_theta",
+                    "argmax_floor", "max_hands"):
+            with pytest.raises(ValueError, match=rf"^unknown key tracker\.{key}$"):
+                config_from_dict({"seed": 1, "tracker": {key: 1}})
+        for section in ("geometry", "energy", "synth"):
+            with pytest.raises(ValueError, match=rf"^unknown config keys: \['{section}'\]$"):
+                config_from_dict({"seed": 1, section: {}})
 
     def test_resolution_from_list(self):
         cfg = config_from_dict({"seed": 1, "tracker": {"input_res": [120, 90]}})
@@ -565,18 +575,22 @@ class TestSynthesisStopTime:
         "AT 363 INTENT Done\n"
     )
 
-    def run(self, monkeypatch):
+    def run(self, monkeypatch, stop=True):
         payloads = []
 
         def recording_encode(*args, **kwargs):
             payloads.append(safe_encode(*args, **kwargs))
             return payloads[-1]
 
+        def synth(*args, until_us=None, **kwargs):
+            # Without stop, the whole trajectory is synthesised.
+            return synth_hand_events(*args, micro_step_us=3000, until_us=until_us if stop else None, **kwargs)
+
         monkeypatch.setattr(harness, "safe_encode", recording_encode)
+        monkeypatch.setattr(harness, "synth_hand_events", synth)
         cfg = SimConfig(
             seed=5,
             tracker=TrackerConfig(window_us=7000),
-            synth=SynthParams(micro_step_us=3000),
             channel=ChannelConfig(loss_p=0.2, seed=3),
         )
         rep = run_show(cfg, scenario_text=self.SCENARIO, score_text=self.SCORE)
@@ -584,13 +598,7 @@ class TestSynthesisStopTime:
 
     def test_last_window_sees_every_event(self, monkeypatch):
         rep, payloads = self.run(monkeypatch)
-        real_synth = harness.synth_hand_events
-
-        def whole_trajectory(*args, until_us=None, **kwargs):
-            return real_synth(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "synth_hand_events", whole_trajectory)
-        full, full_payloads = self.run(monkeypatch)
+        full, full_payloads = self.run(monkeypatch, stop=False)
         # 13 windows over the duet's 90 ms, 7 over the teaching's 43 ms.
         assert rep.counts["windows"] == 20
         assert payloads == full_payloads

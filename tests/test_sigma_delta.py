@@ -13,7 +13,8 @@ from evtheremin.sigma_delta import (
     delta_encode,
     sigma_decode,
 )
-from evtheremin.tracker import SigmaDeltaDetector, TrackerConfig
+from evtheremin.harness import config_from_dict
+from evtheremin.tracker import SD_THETA, SigmaDeltaDetector
 
 
 class TestDeltaEncode:
@@ -189,6 +190,8 @@ class TestSigmaDeltaNetwork:
         assert det.total_spikes == spikes
 
     def test_negative_theta_rejected(self):
-        for theta in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="sd_theta"):
-                TrackerConfig(detector="sd_net", sd_theta=theta)
+        # The tracker's theta is a constant, not a config value.
+        assert 0.0 <= SD_THETA < np.inf
+        for theta in (-1.0, 0.02):
+            with pytest.raises(ValueError, match=r"unknown key tracker\.sd_theta"):
+                config_from_dict({"seed": 1, "tracker": {"detector": "sd_net", "sd_theta": theta}})
