@@ -13,6 +13,7 @@ and seed give byte-identical reports modulo wall-clock fields.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, is_dataclass, replace
@@ -41,13 +42,14 @@ from .orchestrator import (
 )
 from .sigma_delta import GradedSpike
 from .theremin import (
+    RAMP_MS_DEFAULT,
     PitchCalibration,
     PixelGeometry,
     Score,
     calibrate_pitch,
     cents_between,
     hands_to_control,
-    in_ramp,
+    note_at,
     note_freq,
     parse_score,
     score_to_trajectory,
@@ -124,8 +126,18 @@ class SimConfig:
     vol_range_m: tuple[float, float] = (0.05, 0.30)
     latencies: StageLatencies = field(default_factory=StageLatencies)
     sample_ms: float = 10.0
-    ramp_ms: float = 30.0
+    ramp_ms: float = RAMP_MS_DEFAULT
     tempo: float = 1.0
+
+    def __post_init__(self):
+        for name in ("tempo", "sample_ms"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not 0 <= self.ramp_ms < math.inf:
+            raise ValueError(f"ramp_ms must be non-negative and finite, got {self.ramp_ms!r}")
+        low, high = self.vol_range_m
+        if not -math.inf < low < high < math.inf:
+            raise ValueError(f"vol_range_m must be finite with low < high, got {list(self.vol_range_m)}")
 
 
 def power_ratio(cluster_kw: float, board_w: float, boards: int) -> float:
@@ -442,6 +454,7 @@ def _run_tracking_segment(
     L = cfg.latencies
     on = control_signals(state)
     traj = score_traj.shifted(t0_us)
+    onsets = score.onsets_ms(cfg.tempo)
     span_end = min(t1_us, traj.span_us()[1])
     # The tracker's last window may end past span_end; synthesise up to it.
     window_us = cfg.tracker.window_us
@@ -502,15 +515,15 @@ def _run_tracking_segment(
                 run.lat["orchestrator"].add(L.orchestrator_us)
                 run.lat["theremin"].add(L.theremin_us)
                 run.lat["end_to_end"].add(t_control - t_capture)
-                t_rel_ms = (t_capture - t0_us) / 1000.0
-                if in_ramp(t_rel_ms, score, cfg.tempo, cfg.ramp_ms):
+                note, ramp = note_at(onsets, (t_capture - t0_us) / 1000.0, cfg.ramp_ms)
+                if ramp:
                     continue
                 tx, ty = traj.position_at(Hand.LEFT, t_capture)
                 # Bound-facing error is against the pitch the hand really
                 # played at capture time (vibrato included); the drift
                 # from the written note is reported separately.
                 f_played = cfg.calibration.freq_at(GEOMETRY.pitch_distance_m(tx))
-                f_nominal = score.freq_at_ms(t_rel_ms * cfg.tempo)
+                f_nominal = note_freq(score.notes[note].midi)
                 run.pitch_err.add(abs(cents_between(point.freq_hz, f_played)))
                 run.pitch_nominal_err.add(abs(cents_between(point.freq_hz, f_nominal)))
                 p = message.hands[HandLabel.PITCH]
@@ -519,20 +532,13 @@ def _run_tracking_segment(
 
 
 def _run_solo_segment(run: _ShowRun, traj: Trajectory, t0_us: int, t1_us: int) -> None:
-    """The robot plays the score itself: exact positions, no tracking."""
+    """The robot plays the score itself from exact positions: one control
+    point per sample.  Nothing reads those points, so they are counted."""
     cfg = run.cfg
     span = min(t1_us - t0_us, traj.span_us()[1])
-    has_vol = Hand.RIGHT in traj.tracks
     step = cfg.sample_ms * 1000.0
     t = 0.0
     while t <= span:
-        x, y = traj.position_at(Hand.LEFT, t)
-        hands = {HandLabel.PITCH: HandPoint(x, y, 1.0)}
-        if has_vol:
-            vx, vy = traj.position_at(Hand.RIGHT, t)
-            hands[HandLabel.VOLUME] = HandPoint(vx, vy, 1.0)
-        est = HandEstimate(int(t0_us + t), hands)
-        hands_to_control(est, cfg.calibration, cfg.vol_range_m, GEOMETRY)
         run.counts["control_points"] += 1
         run.lat["theremin"].add(cfg.latencies.theremin_us)
         t += step

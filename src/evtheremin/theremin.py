@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -159,26 +160,31 @@ class Score:
                 raise ScoreError(f"VOL level {level} outside [0, 1]")
             last = t_ms
 
-    def duration_ms(self) -> float:
-        return sum(n.duration_ms for n in self.notes)
+    def onsets_ms(self, tempo: float = 1.0) -> np.ndarray:
+        """The note table: each note's onset in ms at tempo, then the last
+        note's end.  It is the running sum of duration_ms / tempo, added
+        in score order."""
+        return np.fromiter(accumulate((n.duration_ms / tempo for n in self.notes), initial=0.0), np.float64)
 
-    def freq_at_ms(self, t_ms: float) -> float:
-        """Nominal score frequency at a time, ignoring transition ramps."""
-        if not self.notes:
-            raise ScoreError("empty score")
-        acc = 0.0
-        for n in self.notes:
-            acc += n.duration_ms
-            if t_ms < acc:
-                return note_freq(n.midi)
-        return note_freq(self.notes[-1].midi)
-
-    def level_at_ms(self, t_ms: float) -> float:
+    def level_at_ms(self, t_ms):
+        """Volume level at each time in t_ms, interpolated between VOL points."""
         if not self.volumes:
             return 1.0
         ts = [v[0] for v in self.volumes]
         ls = [v[1] for v in self.volumes]
-        return float(np.interp(t_ms, ts, ls))
+        return np.interp(t_ms, ts, ls)
+
+
+def note_at(onsets: np.ndarray, t_ms, ramp_ms: float):
+    """The note sounding at each time in t_ms, and whether the pitch hand
+    is still ramping into it from the previous note.
+
+    onsets is a Score.onsets_ms table.  A time before the score falls in
+    the first note and one after it in the last; the first note has no
+    ramp.
+    """
+    i = np.maximum(np.searchsorted(onsets[:-1], t_ms, side="right") - 1, 0)
+    return i, (i > 0) & (t_ms < onsets[i] + ramp_ms)
 
 
 def parse_score(text: str) -> Score:
@@ -237,12 +243,8 @@ def score_to_trajectory(
     h_min, h_max = vol_range_m
     pitch_y_px = 0.5 * resolution.height
     volume_x_px = 0.9 * resolution.width
-    durations = [n.duration_ms / tempo for n in score.notes]
-    starts, acc = [], 0.0
-    for d in durations:
-        starts.append(acc)
-        acc += d
-    total_ms = acc
+    onsets = score.onsets_ms(tempo)
+    total_ms = onsets[-1]
     dists = []
     for n in score.notes:
         d = cal.distance_for(note_freq(n.midi))
@@ -261,56 +263,43 @@ def score_to_trajectory(
                 f"to the volume hand at x={volume_x_px:.0f} px; raise the score"
             )
 
-    def dist_at(t_ms: float) -> float:
-        i = 0
-        while i + 1 < len(starts) and t_ms >= starts[i + 1]:
-            i += 1
-        if i > 0 and t_ms < starts[i] + ramp_ms:
-            frac = (t_ms - starts[i]) / ramp_ms
-            return dists[i - 1] + (dists[i] - dists[i - 1]) * frac
-        return dists[i]
-
     # Wobble speed must clear the sensor's contrast threshold or the
     # hand fades from view; 6 Hz sits comfortably above it.
     vibrato_hz = 6.0
     bob_px = 0.8 * vibrato_px
     bob_hz = 0.9 * vibrato_hz
     n_samples = max(2, int(math.floor(total_ms / sample_ms)) + 1)
-    pitch, volume = [], []
-    for k in range(n_samples):
-        t_ms = min(k * sample_ms, total_ms)
-        t_us = int(round(t_ms * 1000))
-        # Quadrature pairs trace a small ellipse, so hand speed never
-        # reaches zero and the event stream never goes dark.  The cross
-        # axis is the one that does not affect the played sound.
-        ph_v = 2 * math.pi * vibrato_hz * t_ms / 1000.0
-        x = geometry.pitch_x_px(dist_at(t_ms)) + vibrato_px * math.sin(ph_v)
-        y = pitch_y_px + bob_px * math.cos(ph_v)
-        pitch.append((t_us, x, y))
-        if score.volumes:
-            h = h_min + score.level_at_ms(t_ms * tempo) * (h_max - h_min)
-            ph_b = 2 * math.pi * bob_hz * t_ms / 1000.0
-            vy = geometry.y_px_for_height(h) + bob_px * math.sin(ph_b)
-            vx = volume_x_px + bob_px * math.cos(ph_b)
-            volume.append((t_us, vx, vy))
-    tracks = {Hand.LEFT: np.array(pitch).T}
-    if volume:
-        tracks[Hand.RIGHT] = np.array(volume).T
+    t_ms = np.minimum(np.arange(n_samples) * sample_ms, total_ms)
+    t_us = np.rint(t_ms * 1000)
+    note, ramp = note_at(onsets, t_ms, ramp_ms)
+    dists = np.array(dists)
+    dist = dists[note]
+    into = note[ramp]
+    frac = (t_ms[ramp] - onsets[into]) / ramp_ms
+    dist[ramp] = dists[into - 1] + (dists[into] - dists[into - 1]) * frac
+
+    def per_sample(fn, phase):
+        # math's sin and cos, not numpy's: those can be an ulp off.
+        return np.fromiter(map(fn, phase.tolist()), np.float64, len(phase))
+
+    # Quadrature pairs trace a small ellipse, so hand speed never
+    # reaches zero and the event stream never goes dark.  The cross
+    # axis is the one that does not affect the played sound.
+    ph_v = 2 * math.pi * vibrato_hz * t_ms / 1000.0
+    x = geometry.pitch_x_px(dist) + vibrato_px * per_sample(math.sin, ph_v)
+    y = pitch_y_px + bob_px * per_sample(math.cos, ph_v)
+    tracks = {Hand.LEFT: (t_us, x, y)}
+    if score.volumes:
+        h = h_min + score.level_at_ms(t_ms * tempo) * (h_max - h_min)
+        ph_b = 2 * math.pi * bob_hz * t_ms / 1000.0
+        vy = geometry.y_px_for_height(h) + bob_px * per_sample(math.sin, ph_b)
+        vx = volume_x_px + bob_px * per_sample(math.cos, ph_b)
+        tracks[Hand.RIGHT] = (t_us, vx, vy)
     traj = Trajectory(tracks)
     bad = traj.first_outside(resolution)
     if bad:
         raise ScoreError("score drives a hand to ({1:.1f},{2:.1f}), outside {3}".format(*bad, resolution))
     return traj
-
-
-def in_ramp(t_ms: float, score: Score, tempo: float = 1.0, ramp_ms: float = RAMP_MS_DEFAULT) -> bool:
-    """True when the pitch hand is mid-transition between notes."""
-    acc = 0.0
-    for i, n in enumerate(score.notes):
-        if i > 0 and acc <= t_ms < acc + ramp_ms:
-            return True
-        acc += n.duration_ms / tempo
-    return False
 
 
 def calibrate_pitch(samples: list[tuple[float, float]]) -> PitchCalibration:

@@ -45,7 +45,6 @@ from evtheremin.theremin import (
     calibrate_pitch,
     cents_between,
     hands_to_control,
-    in_ramp,
     note_freq,
     parse_score,
     score_to_trajectory,
@@ -62,6 +61,7 @@ from evtheremin.transport import (
     safe_encode,
     safe_overhead_bytes_per_event,
 )
+from score_oracle import in_ramp
 
 CHIP = Resolution(86, 65)
 SENSOR = Resolution(240, 180)

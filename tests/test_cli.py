@@ -142,6 +142,9 @@ class TestShowAndReport:
             ({"tracker": {"chip_res": [300, 200]}}, "tracker: chip 300x200 exceeds input 240x180"),
             ({"tracker": {"chip_res": [0, 65]}}, "tracker.chip_res: resolution must be positive"),
             ({"tracker": {"field_params": {"tau": -1}}}, "unknown key tracker.field_params"),
+            ({"ramp_ms": -5}, "config: ramp_ms must be non-negative and finite, got -5.0"),
+            ({"tempo": -1}, "config: tempo must be positive and finite, got -1.0"),
+            ({"vol_range_m": [0.3, 0.05]}, "config: vol_range_m must be finite with low < high, got [0.3, 0.05]"),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, fields, message):

@@ -1,6 +1,7 @@
 """Property tests of the config file codec over random valid configs."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,8 @@ def floats(lo=None, hi=None):
 positive = floats(1e-3, 1e3)
 nonnegative = floats(0.0, 1e6)
 probability = floats(0.0, 1.0)
+# Finite and above zero, however close.
+above_zero = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -53,11 +56,11 @@ sim_configs = st.builds(
     ),
     reorder_window=st.integers(),
     calibration=st.builds(PitchCalibration, positive, positive, positive),
-    vol_range_m=st.tuples(floats(), floats()),
+    vol_range_m=st.tuples(floats(), floats()).filter(lambda r: r[0] < r[1]),
     latencies=st.builds(StageLatencies, nonnegative, nonnegative, nonnegative, nonnegative),
-    sample_ms=floats(),
-    ramp_ms=floats(),
-    tempo=floats(),
+    sample_ms=above_zero,
+    ramp_ms=floats(0.0),
+    tempo=above_zero,
 )
 
 
@@ -113,7 +116,16 @@ def test_wrong_shape_is_a_value_error_naming_the_key(cfg, data):
     assert dotted in str(exc.value)
 
 
+not_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+# A range that is not finite with low < high.
+bad_ranges = st.one_of(
+    st.tuples(floats(), floats()).filter(lambda r: not r[0] < r[1]),
+    st.tuples(not_finite, floats()),
+    st.tuples(floats(), not_finite),
+).map(list)
+
 # (section, key, out-of-range value): each trips a section's __post_init__.
+# The top-level section is "", and its messages start with "config: <key>".
 out_of_range = st.one_of(
     st.tuples(st.just("tracker"), st.just("window_us"), st.integers(-10**9, 0)),
     st.tuples(st.just("tracker"), st.just("detector"), st.text().filter(lambda d: d not in ("blob", "sd_net"))),
@@ -121,6 +133,9 @@ out_of_range = st.one_of(
     st.tuples(st.just("calibration"), st.just("octave_m"), floats(hi=0.0)),
     st.tuples(st.just("channel"), st.just("loss_p"), floats(lo=1.0 + 1e-9)),
     st.tuples(st.just("latencies"), st.just("sensor_us"), floats(hi=-1e-9)),
+    st.tuples(st.just(""), st.sampled_from(["tempo", "sample_ms"]), st.floats(max_value=0.0) | not_finite),
+    st.tuples(st.just(""), st.just("ramp_ms"), st.floats(max_value=-1e-300) | not_finite),
+    st.tuples(st.just(""), st.just("vol_range_m"), bad_ranges),
 )
 
 
@@ -128,14 +143,11 @@ out_of_range = st.one_of(
 def test_range_error_names_the_section(cfg, bad):
     obj = config_to_dict(cfg)
     path, key, value = bad
-    *parents, last = path.split(".")
+    *parents, last = [name for name in (*path.split("."), key) if name]
     section = obj
     for name in parents:
         section = section[name]
-    if key is None:
-        section[last] = value
-    else:
-        section[last][key] = value
+    section[last] = value
     with pytest.raises(ValueError) as exc:
         config_from_dict(obj)
-    assert str(exc.value).startswith(f"{path}: ")
+    assert str(exc.value).startswith(f"{path}: " if path else f"config: {key} ")

@@ -343,7 +343,7 @@ class TestDemoFiles:
         assert sorted(paths) == ["config", "scenario", "score"]
         score = parse_score(open(paths["score"]).read())
         assert len(score.notes) == 8
-        assert score.duration_ms() == pytest.approx(3200.0)
+        assert score.onsets_ms()[-1] == pytest.approx(3200.0)
         events = parse_scenario(open(paths["scenario"]).read())
         assert len(events) == 5
         cfg = load_config(paths["config"])

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtheremin.events import Hand, Resolution
 from evtheremin.theremin import (
+    RAMP_MS_DEFAULT,
     CalibrationError,
     ControlPoint,
+    Note,
     PitchCalibration,
     PixelGeometry,
     Score,
@@ -16,12 +20,13 @@ from evtheremin.theremin import (
     calibrate_pitch,
     cents_between,
     hands_to_control,
-    in_ramp,
+    note_at,
     note_freq,
     parse_score,
     score_to_trajectory,
 )
 from evtheremin.tracker import HandEstimate, HandLabel, HandPoint
+import score_oracle
 
 CAL = PitchCalibration(d_ref_m=0.4, f_ref_hz=note_freq(60), octave_m=0.24)
 GEO = PixelGeometry()
@@ -150,15 +155,14 @@ class TestScore:
         return parse_score("NOTE 60 500\nNOTE 62 500\n")
 
     def test_nominal_freq_steps_at_note_boundary(self):
-        score = self.two_notes()
-        assert score.freq_at_ms(0.0) == note_freq(60)
-        assert score.freq_at_ms(499.9) == note_freq(60)
-        assert score.freq_at_ms(500.0) == note_freq(62)
-        assert score.freq_at_ms(5000.0) == note_freq(62)
+        onsets = self.two_notes().onsets_ms()
+        notes, _ = note_at(onsets, np.array([0.0, 499.9, 500.0, 5000.0]), RAMP_MS_DEFAULT)
+        assert notes.tolist() == [0, 0, 1, 1]
 
     def test_durations_and_starts(self):
         score = self.two_notes()
-        assert score.duration_ms() == 1000.0
+        assert score.onsets_ms().tolist() == [0.0, 500.0, 1000.0]
+        assert score.onsets_ms(tempo=2.0).tolist() == [0.0, 250.0, 500.0]
 
     def test_level_interpolation(self):
         score = parse_score("NOTE 60 1000\nVOL 0 0\nVOL 1000 1\n")
@@ -170,8 +174,7 @@ class TestScore:
         assert self.two_notes().level_at_ms(100.0) == 1.0
 
     def test_empty_score_has_no_freq(self):
-        with pytest.raises(ScoreError):
-            Score().freq_at_ms(0.0)
+        assert Score().onsets_ms().tolist() == [0.0]
 
     def test_volume_ordering_enforced(self):
         with pytest.raises(ScoreError):
@@ -270,21 +273,69 @@ class TestScoreToTrajectory:
 
 
 class TestInRamp:
+    @staticmethod
+    def in_ramp(t_ms, score, tempo=1.0):
+        return bool(note_at(score.onsets_ms(tempo), t_ms, RAMP_MS_DEFAULT)[1])
+
     def test_windows(self):
         score = parse_score("NOTE 60 500\nNOTE 62 500\n")
-        assert not in_ramp(0.0, score)
-        assert not in_ramp(499.0, score)
-        assert in_ramp(500.0, score)
-        assert in_ramp(529.9, score)
-        assert not in_ramp(530.0, score)
+        assert not self.in_ramp(0.0, score)
+        assert not self.in_ramp(499.0, score)
+        assert self.in_ramp(500.0, score)
+        assert self.in_ramp(529.9, score)
+        assert not self.in_ramp(530.0, score)
 
     def test_tempo_shifts_boundaries(self):
         score = parse_score("NOTE 60 500\nNOTE 62 500\n")
-        assert in_ramp(260.0, score, tempo=2.0)
-        assert not in_ramp(300.0, score, tempo=2.0)
+        assert self.in_ramp(260.0, score, tempo=2.0)
+        assert not self.in_ramp(300.0, score, tempo=2.0)
 
     def test_first_note_attack_is_not_a_ramp(self):
-        assert not in_ramp(5.0, parse_score("NOTE 60 500\n"))
+        assert not self.in_ramp(5.0, parse_score("NOTE 60 500\n"))
+
+
+@st.composite
+def schedules(draw):
+    """A score of 1-12 notes with fractional durations and 0-4 VOL points,
+    a tempo, a sample period and a ramp, 0 or longer than some notes.
+    Half the scores may reach notes that are out of frame, too close to
+    the volume hand or unplayable."""
+    low, high = draw(st.sampled_from([(60, 79), (50, 84)]))
+    notes = draw(st.lists(st.builds(Note, st.integers(low, high), st.floats(0.5, 120.0)), min_size=1, max_size=12))
+    times = sorted(draw(st.lists(st.floats(0.0, 1500.0), max_size=4)))
+    volumes = [(t, draw(st.floats(0.0, 1.0))) for t in times]
+    tempo = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.3, 3.0))
+    sample_ms = draw(st.floats(0.5, 40.0))
+    ramp_ms = draw(st.just(0.0) | st.floats(0.0, 200.0))
+    return Score(notes, volumes), tempo, sample_ms, ramp_ms
+
+
+def outcome(plant, *args, **kwargs):
+    """A trajectory's JSON bytes, or the error planting it raised."""
+    try:
+        return plant(*args, **kwargs).to_json()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(schedules(), st.lists(st.floats(-10.0, 3000.0), max_size=20))
+def test_note_table_equals_per_sample_walk(schedule, probes):
+    score, tempo, sample_ms, ramp_ms = schedule
+    kwargs = dict(tempo=tempo, sample_ms=sample_ms, ramp_ms=ramp_ms)
+    assert outcome(score_to_trajectory, score, CAL, **kwargs) == outcome(
+        score_oracle.score_to_trajectory, score, CAL, **kwargs)
+
+    onsets = score.onsets_ms(tempo)
+    # Each onset, just before it and where its ramp ends, samples, and probes.
+    times = np.concatenate([onsets, np.nextafter(onsets, -np.inf), onsets + ramp_ms,
+                            np.arange(0.0, onsets[-1], sample_ms), probes])
+    notes, ramps = note_at(onsets, times, ramp_ms)
+    for t, note, ramp in zip(times.tolist(), notes.tolist(), ramps.tolist()):
+        assert ramp == score_oracle.in_ramp(t, score, tempo, ramp_ms)
+        # Off powers of two, t * tempo against raw sums may round across a boundary.
+        if tempo in (0.5, 1.0, 2.0):
+            assert note_freq(score.notes[note].midi) == score_oracle.freq_at_ms(score, t * tempo)
 
 
 class TestCalibratePitch:
