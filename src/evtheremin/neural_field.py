@@ -7,9 +7,12 @@ The field is a leaky integrator over a grid of activations u:
 with sigmoid rate function f(u) = 1 / (1 + exp(-beta * u)), a local
 excitation / surround inhibition kernel K, and optional global
 inhibition g_inh.  K is a difference of two Gaussians, each the outer
-product of a 1-D profile with itself, so K * f(u) is applied as
-separable passes: per Gaussian, one zero-padded 1-D correlation along
-each axis (K is symmetric, so correlation equals convolution).
+product of a 1-D profile g with itself, so K * f(u) is separable: per
+Gaussian, a zero-padded 1-D correlation along each axis (K is
+symmetric, so correlation equals convolution).  Each such correlation
+is a banded matrix, built once per grid shape, so the lateral term is
+one matrix product over the columns of every term at once, then one per
+term over the rows.
 Localized input ignites a self-stabilizing supra-threshold peak; with
 g_inh > 0 the field becomes selective and at most one peak survives.
 
@@ -86,11 +89,31 @@ class LateralKernel:
         lengths = {len(g) if np.ndim(g) == 1 else 0 for _, g in self.terms}
         if len(lengths) != 1 or lengths.pop() % 2 == 0:
             raise ValueError("kernel profiles must be 1-D, of one odd length")
+        self._bands: dict = {}
 
     @property
     def weights(self) -> np.ndarray:
         """The 2-D kernel the terms add up to."""
         return sum(a * np.outer(g, g) for a, g in self.terms)
+
+    def bands(self, shape: tuple[int, int]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The terms as matrices on an (h, w) grid, built on first use:
+        cols stacks a * _band(g, h) of every term, (2h, h) for a
+        difference of Gaussians, and rows holds _band(g, w).T per term.
+        Term k adds (cols @ x)[k*h:(k+1)*h] @ rows[k] to K * x."""
+        if shape not in self._bands:
+            h, w = shape
+            cols = np.vstack([a * _band(g, h) for a, g in self.terms])
+            rows = tuple(np.ascontiguousarray(_band(g, w).T) for _, g in self.terms)
+            self._bands[shape] = cols, rows
+        return self._bands[shape]
+
+
+def _band(g: np.ndarray, n: int) -> np.ndarray:
+    """The (n, n) matrix of g's zero-padded correlation over n samples:
+    _band(g, n) @ x is correlate1d(x, g, mode="constant")."""
+    d = np.arange(n)[None, :] - np.arange(n)[:, None] + len(g) // 2
+    return np.where((d >= 0) & (d < len(g)), g[np.clip(d, 0, len(g) - 1)], 0.0)
 
 
 def make_kernel(params: KernelParams, radius: int | None = None) -> LateralKernel:
@@ -128,8 +151,7 @@ def _scan_ramp(shape: tuple[int, int]) -> np.ndarray:
 def field_step(field: Field, s: np.ndarray, kernel: LateralKernel) -> Field:
     """One Euler step of the field dynamics.  Pure: returns a new Field."""
     # scipy is imported where it is used, so a process that never steps a
-    # field never loads it; once loaded, each import is a dict lookup.
-    from scipy.ndimage import correlate1d
+    # field never loads it; once loaded, the import is a dict lookup.
     from scipy.special import expit
 
     s = np.asarray(s, dtype=np.float64)
@@ -137,14 +159,12 @@ def field_step(field: Field, s: np.ndarray, kernel: LateralKernel) -> Field:
         raise ValueError(f"input shape {s.shape} vs field {field.u.shape}")
     p = field.params
     rate = expit(p.beta * field.u)
-    # An explicit output dtype skips scipy's slower dtype-name lookup.
-    lateral = sum(
-        a * correlate1d(
-            correlate1d(rate, g, axis=0, output=np.float64, mode="constant"),
-            g, axis=1, output=np.float64, mode="constant",
-        )
-        for a, g in kernel.terms
-    )
+    # K * f(u): every term's scaled column pass in one product, then each
+    # term's row pass on its own block of rows.
+    cols, rows = kernel.bands(rate.shape)
+    h = rate.shape[0]
+    by_cols = cols @ rate
+    lateral = sum(by_cols[k * h : (k + 1) * h] @ row for k, row in enumerate(rows))
     drive = -field.u + p.h + s + lateral - kernel.g_inh * rate.sum()
     if p.tie_break > 0:
         drive = drive - p.tie_break * _scan_ramp(field.u.shape)
@@ -176,12 +196,13 @@ def detect_peaks(
 
     mask = field.u > threshold
     labels, n = label(mask, structure=np.ones((3, 3), dtype=int))
-    peaks: list[Peak] = []
-    for region in range(1, n + 1):
-        ys, xs = np.nonzero(labels == region)
-        w = field.u[ys, xs] - threshold
-        mass = float(w.sum())
-        peaks.append(Peak(float((w * xs).sum() / mass), float((w * ys).sum() / mass), mass))
+    # One pass over the supra-threshold cells sums each region's mass and
+    # first moments, indexed by region label.
+    ys, xs = np.nonzero(mask)
+    region = labels[ys, xs]
+    w = field.u[ys, xs] - threshold
+    mass, wx, wy = (np.bincount(region, v, n + 1)[1:] for v in (w, w * xs, w * ys))
+    peaks = [Peak(float(x / m), float(y / m), float(m)) for m, x, y in zip(mass, wx, wy)]
     if min_separation > 0:
         peaks = _merge_close(peaks, min_separation)
     peaks.sort(key=lambda p: (-p.mass, p.y, p.x))

@@ -141,8 +141,8 @@ class Note:
     duration_ms: float
 
     def __post_init__(self):
-        if self.duration_ms <= 0:
-            raise ValueError(f"note duration must be positive, got {self.duration_ms}")
+        if not 0 < self.duration_ms < math.inf:
+            raise ValueError(f"note duration must be positive and finite, got {self.duration_ms}")
         note_freq(self.midi)
 
 
@@ -152,13 +152,8 @@ class Score:
     volumes: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        last = -1.0
-        for t_ms, level in self.volumes:
-            if t_ms < last:
-                raise ScoreError("VOL timestamps must be non-decreasing")
-            if not (0.0 <= level <= 1.0):
-                raise ScoreError(f"VOL level {level} outside [0, 1]")
-            last = t_ms
+        for i, point in enumerate(self.volumes):
+            _check_vol(point, self.volumes[i - 1][0] if i else -1.0)
 
     def onsets_ms(self, tempo: float = 1.0) -> np.ndarray:
         """The note table: each note's onset in ms at tempo, then the last
@@ -173,6 +168,18 @@ class Score:
         ts = [v[0] for v in self.volumes]
         ls = [v[1] for v in self.volumes]
         return np.interp(t_ms, ts, ls)
+
+
+def _check_vol(point: tuple[float, float], last_ms: float) -> None:
+    """A VOL point is a finite time no earlier than the last one's and a
+    level in [0, 1]."""
+    t_ms, level = point
+    if not math.isfinite(t_ms):
+        raise ScoreError(f"VOL time must be finite, got {t_ms}")
+    if t_ms < last_ms:
+        raise ScoreError("VOL timestamps must be non-decreasing")
+    if not (0.0 <= level <= 1.0):
+        raise ScoreError(f"VOL level {level} outside [0, 1]")
 
 
 def note_at(onsets: np.ndarray, t_ms, ramp_ms: float):
@@ -199,7 +206,9 @@ def parse_score(text: str) -> Score:
             if parts[0] == "NOTE" and len(parts) == 3:
                 notes.append(Note(int(parts[1]), float(parts[2])))
             elif parts[0] == "VOL" and len(parts) == 3:
-                volumes.append((float(parts[1]), float(parts[2])))
+                point = (float(parts[1]), float(parts[2]))
+                _check_vol(point, volumes[-1][0] if volumes else -1.0)
+                volumes.append(point)
             else:
                 raise ScoreError(f"unrecognized directive {parts[0]!r}")
         except (ValueError, ScoreError) as exc:

@@ -1,0 +1,23 @@
+"""Peak detection as it was before the one-pass reduction, kept as the
+reference `detect_peaks` is tested against: every region's mass and
+first moments come from its own scan of the label grid."""
+
+import numpy as np
+from scipy.ndimage import label
+
+from evtheremin.neural_field import Field, Peak, _merge_close
+
+
+def detect_peaks(field: Field, threshold: float = 0.0, min_separation: float = 0.0) -> list[Peak]:
+    mask = field.u > threshold
+    labels, n = label(mask, structure=np.ones((3, 3), dtype=int))
+    peaks: list[Peak] = []
+    for region in range(1, n + 1):
+        ys, xs = np.nonzero(labels == region)
+        w = field.u[ys, xs] - threshold
+        mass = float(w.sum())
+        peaks.append(Peak(float((w * xs).sum() / mass), float((w * ys).sum() / mass), mass))
+    if min_separation > 0:
+        peaks = _merge_close(peaks, min_separation)
+    peaks.sort(key=lambda p: (-p.mass, p.y, p.x))
+    return peaks

@@ -76,6 +76,21 @@ class TestSynthAndTrack:
         assert result.exit_code != 0
         assert "--score" in result.output
 
+    @pytest.mark.parametrize(
+        "text", ["NOTE 60 inf\n", "NOTE 60 nan\n", "VOL nan 0.5\nNOTE 60 400\n", "VOL inf 0.5\nNOTE 60 400\n"]
+    )
+    def test_non_finite_score_value_fails_cleanly(self, tmp_path, text):
+        score = tmp_path / "score.txt"
+        score.write_text(text)
+        out = tmp_path / "x.evt1"
+        result = CliRunner().invoke(
+            main, ["synth", "--out", str(out), "--seed", "1", "--pattern", "score", "--score", str(score)]
+        )
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "line 1: " in result.output
+        assert not out.exists()
+
     def test_bad_resolution(self, tmp_path):
         result = CliRunner().invoke(
             main,

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import correlate1d
 from scipy.signal import convolve2d
 from scipy.special import expit
 
 import evtheremin
+import peaks_oracle
 from evtheremin.events import Resolution
 from evtheremin.neural_field import (
     Field,
@@ -181,6 +183,18 @@ class TestSeparableStep:
             field_step(f, s, kernel).u, reference_step(f, s, kernel), rtol=0, atol=tol
         )
 
+    @pytest.mark.parametrize("height, width", [(1, 1), (8, 10)])
+    def test_bands_equal_correlate1d_of_an_impulse(self, height, width):
+        # Radius 12 is wider than either grid, so every band is cut at both edges.
+        kernel = make_kernel(KernelParams(), 12)
+        cols, rows = kernel.bands((height, width))
+        assert cols.shape == (2 * height, height)
+        for k, (a, g) in enumerate(kernel.terms):
+            # Column j of a band is the correlation of the impulse at j.
+            by_col, by_row = (correlate1d(np.eye(n), g, axis=0, mode="constant") for n in (height, width))
+            np.testing.assert_array_equal(cols[k * height : (k + 1) * height], a * by_col)
+            np.testing.assert_array_equal(rows[k], by_row.T)
+
     @pytest.mark.parametrize("module", ["scipy", "scipy.signal", "scipy.sparse"])
     def test_import_leaves_module_unloaded(self, module):
         src = str(Path(evtheremin.__file__).resolve().parents[1])
@@ -327,6 +341,26 @@ class TestDetectPeaks:
 
     def test_empty_when_subthreshold(self):
         assert detect_peaks(Field.at_rest(Resolution(8, 8)), threshold=0.0) == []
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 30),
+        st.integers(1, 30),
+        st.floats(-4.0, 3.0),
+        st.one_of(st.just(0.0), st.floats(0.5, 20.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_region_oracle(self, height, width, threshold, min_separation, seed):
+        # Random activations on either side of the threshold make many
+        # regions of every size, and ties in mass or distance have
+        # probability zero.
+        rng = np.random.default_rng(seed)
+        f = Field(rng.uniform(-5.0, 5.0, (height, width)), FieldParams())
+        got = detect_peaks(f, threshold, min_separation)
+        want = peaks_oracle.detect_peaks(f, threshold, min_separation)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose([g.x, g.y, g.mass], [w.x, w.y, w.mass], rtol=1e-9, atol=0)
 
 
 class TestPgmDump:

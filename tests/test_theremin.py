@@ -182,6 +182,15 @@ class TestScore:
         with pytest.raises(ScoreError):
             Score(volumes=[(0.0, 1.5)])
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_refused(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Note(60, value)
+        with pytest.raises(ScoreError, match="finite"):
+            Score(volumes=[(0.0, 0.5), (value, 0.5)])
+        with pytest.raises(ScoreError, match="outside"):
+            Score(volumes=[(0.0, value)])
+
 
 class TestParseScore:
     def test_comments_and_blanks(self):
@@ -198,6 +207,21 @@ class TestParseScore:
     def test_line_numbers_in_errors(self):
         with pytest.raises(ScoreError, match="line 2"):
             parse_score("NOTE 60 400\nWAIT 100\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("NOTE 60 inf\n", 1),
+            ("NOTE 60 nan\n", 1),
+            ("NOTE 60 400\nVOL nan 0.5\n", 2),
+            ("NOTE 60 400\nVOL inf 0.5\n", 2),
+            ("NOTE 60 400\nVOL 0 nan\n", 2),
+            ("VOL 100 0.5\nNOTE 60 400\nVOL 50 0.5\n", 3),
+        ],
+    )
+    def test_bad_values_name_their_line(self, text, line):
+        with pytest.raises(ScoreError, match=f"^line {line}: "):
+            parse_score(text)
 
     def test_bad_note_values(self):
         with pytest.raises(ScoreError):
