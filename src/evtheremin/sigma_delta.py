@@ -43,10 +43,6 @@ class SpikeBatch:
     def __len__(self) -> int:
         return len(self.addresses)
 
-    def __iter__(self):
-        for a, v in zip(self.addresses, self.values):
-            yield GradedSpike(int(a), float(v))
-
 
 @dataclass
 class SdState:

@@ -153,7 +153,7 @@ class Score:
 
     def __post_init__(self):
         for i, point in enumerate(self.volumes):
-            _check_vol(point, self.volumes[i - 1][0] if i else -1.0)
+            _check_vol(point, self.volumes[i - 1] if i else None)
 
     def onsets_ms(self, tempo: float = 1.0) -> np.ndarray:
         """The note table: each note's onset in ms at tempo, then the last
@@ -170,13 +170,13 @@ class Score:
         return np.interp(t_ms, ts, ls)
 
 
-def _check_vol(point: tuple[float, float], last_ms: float) -> None:
-    """A VOL point is a finite time no earlier than the last one's and a
-    level in [0, 1]."""
+def _check_vol(point: tuple[float, float], previous: tuple[float, float] | None) -> None:
+    """A VOL point is a finite time no earlier than the previous point's
+    (any finite time, if it is the first) and a level in [0, 1]."""
     t_ms, level = point
     if not math.isfinite(t_ms):
         raise ScoreError(f"VOL time must be finite, got {t_ms}")
-    if t_ms < last_ms:
+    if previous is not None and t_ms < previous[0]:
         raise ScoreError("VOL timestamps must be non-decreasing")
     if not (0.0 <= level <= 1.0):
         raise ScoreError(f"VOL level {level} outside [0, 1]")
@@ -207,7 +207,7 @@ def parse_score(text: str) -> Score:
                 notes.append(Note(int(parts[1]), float(parts[2])))
             elif parts[0] == "VOL" and len(parts) == 3:
                 point = (float(parts[1]), float(parts[2]))
-                _check_vol(point, volumes[-1][0] if volumes else -1.0)
+                _check_vol(point, volumes[-1] if volumes else None)
                 volumes.append(point)
             else:
                 raise ScoreError(f"unrecognized directive {parts[0]!r}")

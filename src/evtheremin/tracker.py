@@ -66,6 +66,8 @@ def tracker_field_params() -> tuple[FieldParams, KernelParams]:
 # The tracker's one tuning.  Peaks are read off the field above
 # DETECT_THRESHOLD, at least MIN_SEPARATION_CELLS apart and of at least
 # MIN_PEAK_MASS; the argmax baseline ignores heat below ARGMAX_FLOOR.
+# The heatmap's reference level decays by GAIN_DECAY per step and rises
+# by at most GAIN_GROWTH.
 INPUT_GAIN = 15.0
 DETECT_THRESHOLD = 0.0
 MIN_SEPARATION_CELLS = 6.0
@@ -74,6 +76,8 @@ CONFIDENCE_DECAY = 0.5  # a held hand's confidence, per window without peaks
 BLUR_SIGMA_CELLS = 1.5
 SD_THETA = 0.02
 ARGMAX_FLOOR = 0.2
+GAIN_DECAY = 0.9
+GAIN_GROWTH = 1.5
 
 
 @dataclass
@@ -106,11 +110,7 @@ class GainControl:
     other, slower hand out of the normalized map.
     """
 
-    def __init__(self, decay: float = 0.9, growth: float = 1.5):
-        if not (0.0 < decay < 1.0) or growth <= 1.0:
-            raise ValueError("need 0 < decay < 1 and growth > 1")
-        self.decay = decay
-        self.growth = growth
+    def __init__(self):
         self.ref = 0.0
 
     def normalize(self, img: np.ndarray) -> np.ndarray:
@@ -118,13 +118,10 @@ class GainControl:
         if self.ref <= 0:
             self.ref = m
         else:
-            self.ref = min(max(self.ref * self.decay, m), self.ref * self.growth)
+            self.ref = min(max(self.ref * GAIN_DECAY, m), self.ref * GAIN_GROWTH)
         if self.ref <= 0:
             return np.zeros_like(img)
         return np.clip(img / self.ref, 0.0, 1.0)
-
-    def reset(self) -> None:
-        self.ref = 0.0
 
 
 class GaussianBlur:
@@ -160,9 +157,6 @@ class BlobDetector:
     def heatmap(self, cells: np.ndarray) -> np.ndarray:
         return self.gain.normalize(self.blur(cells))
 
-    def reset(self) -> None:
-        self.gain.reset()
-
 
 class SigmaDeltaDetector:
     """Spiking detector: the count frame's Gaussian blur, sent through one
@@ -175,7 +169,9 @@ class SigmaDeltaDetector:
         self.blur = GaussianBlur(sigma_cells, max(1, math.ceil(3 * sigma_cells)))
         self.theta = theta
         self.gain = GainControl()
-        self.reset()
+        self.state = SdState.zeros(resolution.npixels)
+        self.decoded = np.zeros(resolution.npixels)
+        self.total_spikes = 0
 
     def heatmap(self, cells: np.ndarray) -> np.ndarray:
         spikes = delta_encode(self.state, self.blur(cells).ravel(), self.theta)
@@ -183,12 +179,6 @@ class SigmaDeltaDetector:
         sigma_decode(self.decoded, spikes)
         img = np.clip(self.decoded, 0.0, None).reshape(self.resolution.height, self.resolution.width)
         return self.gain.normalize(img)
-
-    def reset(self) -> None:
-        self.state = SdState.zeros(self.resolution.npixels)
-        self.decoded = np.zeros(self.resolution.npixels)
-        self.total_spikes = 0
-        self.gain.reset()
 
 
 def detect_heatmap(frame: np.ndarray, detector) -> np.ndarray:
@@ -223,12 +213,8 @@ class HandTracker:
             self.detector = SigmaDeltaDetector(cfg.chip_res, BLUR_SIGMA_CELLS, SD_THETA)
         self.field_params, kernel_params = tracker_field_params()
         self.kernel: LateralKernel = make_kernel(kernel_params)
-        self.reset()
-
-    def reset(self) -> None:
-        self.field = Field.at_rest(self.config.chip_res, self.field_params)
+        self.field = Field.at_rest(cfg.chip_res, self.field_params)
         self.previous: HandEstimate | None = None
-        self.detector.reset()
 
     def _upscale(self, p: Peak) -> tuple[float, float]:
         cfg = self.config

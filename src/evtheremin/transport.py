@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -303,16 +303,7 @@ class LinkStats:
     events_sent: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "lost": self.lost,
-            "corrupted_dropped": self.corrupted_dropped,
-            "duplicate_dropped": self.duplicate_dropped,
-            "reordered": self.reordered,
-            "bytes_sent": self.bytes_sent,
-            "events_sent": self.events_sent,
-        }
+        return asdict(self)
 
 
 def _seq_delta(a: int, b: int) -> int:
@@ -327,7 +318,9 @@ class SafeReceiver:
     released in order; gaps that cannot close are charged as lost.
     Because a corrupted frame also leaves a sequence gap, gap frames are
     attributed to corruption first so every sent frame is counted
-    exactly once across delivered / lost / corrupted / duplicate.
+    exactly once across delivered / lost / corrupted / duplicate, except
+    a frame that arrives after a forced advance past it: that one is
+    charged as lost and then again as a duplicate (ROADMAP item 2).
     """
 
     def __init__(self, reorder_window: int = 8, stats: LinkStats | None = None):

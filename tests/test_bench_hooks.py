@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import evtheremin
 from evtheremin import events, harness, tracker, transport
 from evtheremin.sigma_delta import GradedSpike
 
@@ -46,6 +47,7 @@ def test_traced_targets_resolve(kind):
 def test_benchmark_entry_points_resolve():
     assert isinstance(harness.POS_SCALE, float)
     for owner, attr in [
+        (evtheremin, "load_config"),  # bench/run.py's set-up child
         (harness, "write_demo_files"),
         (harness, "load_config"),
         (harness, "run_show"),

@@ -217,11 +217,18 @@ class TestParseScore:
             ("NOTE 60 400\nVOL inf 0.5\n", 2),
             ("NOTE 60 400\nVOL 0 nan\n", 2),
             ("VOL 100 0.5\nNOTE 60 400\nVOL 50 0.5\n", 3),
+            ("NOTE 60 400\nVOL -5 0.5\nVOL -6 0.5\n", 3),
         ],
     )
     def test_bad_values_name_their_line(self, text, line):
         with pytest.raises(ScoreError, match=f"^line {line}: "):
             parse_score(text)
+
+    def test_first_vol_may_be_any_finite_time(self):
+        # Nothing precedes the first VOL point, so no time is too early.
+        for t in (-5.0, -1e9):
+            assert parse_score(f"NOTE 60 400\nVOL {t:g} 0.5\n").volumes == [(t, 0.5)]
+            assert Score(volumes=[(t, 0.5)]).volumes == [(t, 0.5)]
 
     def test_bad_note_values(self):
         with pytest.raises(ScoreError):

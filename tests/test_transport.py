@@ -551,6 +551,27 @@ class TestSafeReceiver:
             SafeReceiver(reorder_window=-1)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a frame that arrives after a forced advance is charged as lost "
+    "and then again as a duplicate",
+)
+@pytest.mark.parametrize("rx_window", [4, 6, 7])
+def test_late_frame_counted_once(rx_window):
+    # 20 ms of jitter at a 1 ms cadence delivers frames far behind the
+    # receiver's window, even one 3 above the channel's.  The sums today
+    # are 75, 70 and 68 of 64 sent; a window of 8 gives 64.
+    n = 64
+    payloads = [safe_encode([GradedSpike(i, 1 + i % 5)], seq=i, timestamp_us=i * 1000) for i in range(n)]
+    cfg = ChannelConfig(loss_p=0.1, delay_jitter_us=20_000, reorder_window=4, seed=5)
+    rx = SafeReceiver(reorder_window=rx_window)
+    for d in channel_transmit(payloads, cfg, t_send=[i * 1000.0 for i in range(n)]):
+        rx.receive_payload(d.payload)
+    rx.close(n)
+    s = rx.stats
+    assert s.delivered + s.lost + s.corrupted_dropped + s.duplicate_dropped == n
+
+
 class TestDumpFrame:
     def test_annotated_fields_present(self):
         text = dump_frame(safe_encode([GradedSpike(175, 1)], 3, 999, [7]))
