@@ -13,6 +13,7 @@ import click
 
 from .events import (
     Resolution,
+    check_evt1_resolution,
     decode_evt1,
     encode_evt1,
     synth_hand_events,
@@ -22,7 +23,6 @@ from .harness import (
     BOARD_W,
     BOARDS,
     CLUSTER_KW,
-    DEFAULT_CALIBRATION,
     SYNTH_RATE_SCALE,
     RunReport,
     load_config,
@@ -81,6 +81,8 @@ def synth(out_path, seed, pattern, score_path, duration_ms, resolution, blob_rad
           rate_scale, trajectory_out):
     """Generate a synthetic event stream and write it as an EVT1 file."""
     res = _parse_resolution(resolution)
+    # Refused before synthesis, which a wide sensor makes slow.
+    _or_fail(check_evt1_resolution, res)
     if pattern == "wave":
         traj = _or_fail(waving_trajectory, res, duration_ms)
     else:
@@ -88,7 +90,7 @@ def synth(out_path, seed, pattern, score_path, duration_ms, resolution, blob_rad
             raise click.UsageError("--pattern score needs --score")
         with open(score_path) as f:
             score = _or_fail(parse_score, f.read())
-        traj = _or_fail(score_to_trajectory, score, DEFAULT_CALIBRATION, resolution=res)
+        traj = _or_fail(score_to_trajectory, score, resolution=res)
     stream = _or_fail(synth_hand_events, traj, res, seed=seed, blob_radius=blob_radius,
                       rate_scale=rate_scale)
     data = _or_fail(encode_evt1, stream)

@@ -410,12 +410,17 @@ def add_noise_events(stream: EventStream, fraction: float, seed: int) -> EventSt
     return EventStream(*merged, res).time_sorted()
 
 
+def check_evt1_resolution(res: Resolution) -> None:
+    """EVT1 stores the sensor's width and height as u16 fields."""
+    if res.width > 0xFFFF or res.height > 0xFFFF:
+        raise CodecError(f"resolution {res} does not fit u16 fields")
+
+
 def encode_evt1(stream: EventStream) -> bytes:
     """Serialize a stream to EVT1 bytes (see module docstring for layout)."""
     stream.validate()
     res = stream.resolution
-    if res.width > 0xFFFF or res.height > 0xFFFF:
-        raise CodecError(f"resolution {res} does not fit u16 fields")
+    check_evt1_resolution(res)
     header = _EVT1_HEADER.pack(EVT1_MAGIC, res.width, res.height, 0)
     wire = np.zeros(len(stream), dtype=_WIRE_DTYPE)
     wire["t"], wire["x"], wire["y"], wire["p"] = stream.t, stream.x, stream.y, stream.p

@@ -3,7 +3,7 @@ power benchmarks and deterministic run reports.
 
 The simulator never sleeps: every timestamp is computed.  Pipeline
 stages (sensor, tracker, link, orchestrator, theremin) are sequential
-passes over ordered batches; stage latencies are configured constants,
+passes over ordered batches; stage latencies are fixed constants,
 link latency comes from the channel simulator, and each batch's
 end-to-end time is by construction the sum of its stage times.  Run in
 a single thread the whole simulation is deterministic: identical config
@@ -19,7 +19,7 @@ import time
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, is_dataclass, replace
 from itertools import groupby
 from operator import itemgetter
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,8 +42,9 @@ from .orchestrator import (
 )
 from .sigma_delta import GradedSpike
 from .theremin import (
-    RAMP_MS_DEFAULT,
-    PitchCalibration,
+    CALIBRATION,
+    RAMP_MS,
+    SAMPLE_MS,
     PixelGeometry,
     Score,
     calibrate_pitch,
@@ -84,17 +85,12 @@ POS_SCALE = 64.0
 CONF_SCALE = 1000.0
 
 
-@dataclass
-class StageLatencies:
-    sensor_us: float = 220.0
-    tracker_us: float = 1000.0
-    orchestrator_us: float = 200.0
-    theremin_us: float = 100.0
-
-    def __post_init__(self):
-        for f in dataclass_fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be >= 0")
+# Each stage's latency on the virtual clock (us); the link's comes from
+# the channel simulator.
+SENSOR_US = 220.0
+TRACKER_US = 1000.0
+ORCHESTRATOR_US = 200.0
+THEREMIN_US = 100.0
 
 
 # Per-platform electrical constants; the energy report is linear in these.
@@ -109,8 +105,6 @@ BOARDS = 10
 SYNTH_RATE_SCALE = 2.0
 # The camera-to-theremin geometry of every show.
 GEOMETRY = PixelGeometry()
-# A config's calibration unless it sets one; `synth --pattern score` uses it too.
-DEFAULT_CALIBRATION = PitchCalibration(0.40, note_freq(60), 0.24)
 
 
 @dataclass
@@ -122,22 +116,13 @@ class SimConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     reorder_window: int = 8
-    calibration: PitchCalibration = DEFAULT_CALIBRATION
-    vol_range_m: tuple[float, float] = (0.05, 0.30)
-    latencies: StageLatencies = field(default_factory=StageLatencies)
-    sample_ms: float = 10.0
-    ramp_ms: float = RAMP_MS_DEFAULT
     tempo: float = 1.0
 
     def __post_init__(self):
-        for name in ("tempo", "sample_ms"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        if not 0 <= self.ramp_ms < math.inf:
-            raise ValueError(f"ramp_ms must be non-negative and finite, got {self.ramp_ms!r}")
-        low, high = self.vol_range_m
-        if not -math.inf < low < high < math.inf:
-            raise ValueError(f"vol_range_m must be finite with low < high, got {list(self.vol_range_m)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0 < self.tempo < math.inf:
+            raise ValueError(f"tempo must be positive and finite, got {self.tempo!r}")
 
 
 def power_ratio(cluster_kw: float, board_w: float, boards: int) -> float:
@@ -373,16 +358,7 @@ def run_show(
     # never plays may carry an empty score.
     traj = None
     if any(seg.state in (ShowState.DUET, ShowState.TEACHING, ShowState.SOLO) for seg in segments):
-        traj = score_to_trajectory(
-            score,
-            cfg.calibration,
-            tempo=cfg.tempo,
-            geometry=GEOMETRY,
-            vol_range_m=cfg.vol_range_m,
-            resolution=cfg.tracker.input_res,
-            sample_ms=cfg.sample_ms,
-            ramp_ms=cfg.ramp_ms,
-        )
+        traj = score_to_trajectory(score, tempo=cfg.tempo, geometry=GEOMETRY, resolution=cfg.tracker.input_res)
 
     for seg_idx, seg in enumerate(segments):
         run.state_ms[seg.state.value] += seg.t1_ms - seg.t0_ms
@@ -393,7 +369,7 @@ def run_show(
         elif seg.state is ShowState.SOLO:
             _run_solo_segment(run, traj, t0_us, t1_us)
         elif seg.state is ShowState.CALIBRATING:
-            run.calibration_drift = max(run.calibration_drift, _run_calibration(cfg, score))
+            run.calibration_drift = max(run.calibration_drift, _run_calibration(score))
 
     run.receiver.close(run.link_stats.sent)
     sim_us = scenario[-1].t_ms * 1000 if scenario else 0.0
@@ -412,7 +388,7 @@ def run_show(
     }
     wall_s = max(time.perf_counter() - wall_start, 1e-9)
     rtf = compute_rtf(sim_us / 1e6, wall_s)
-    cpp = GEOMETRY.cents_per_pixel(cfg.calibration)
+    cpp = GEOMETRY.cents_per_pixel(CALIBRATION)
     frames, records = run.link_stats.sent, run.link_stats.events_sent
     bound = cpp * run.track_err_x.mean + 1.0 if run.track_err_x.count else 0.0
     return RunReport(
@@ -451,7 +427,6 @@ def _run_tracking_segment(
     """Score-driven hands seen by the sensor, tracked, shipped over the
     link, routed by the orchestrator, and (in a duet) played back."""
     cfg = run.cfg
-    L = cfg.latencies
     on = control_signals(state)
     traj = score_traj.shifted(t0_us)
     onsets = score.onsets_ms(cfg.tempo)
@@ -470,7 +445,7 @@ def _run_tracking_segment(
     sent_at: dict[int, float] = {}
     for est in run.tracker.run(stream, t0_us, span_end):
         w_end = est.t_us
-        t_sent = float(w_end) + L.sensor_us + L.tracker_us
+        t_sent = float(w_end) + SENSOR_US + TRACKER_US
         spikes = _estimate_to_spikes(est, run.pos_scale)
         payload = safe_encode(spikes, seq=run.link_stats.sent & 0xFFFFFFFF, timestamp_us=w_end)
         payloads.append(payload)
@@ -500,29 +475,27 @@ def _run_tracking_segment(
                     continue
                 if HandLabel.PITCH not in message.hands:
                     continue
-                point = hands_to_control(
-                    message, cfg.calibration, cfg.vol_range_m, GEOMETRY
-                )
+                point = hands_to_control(message, geometry=GEOMETRY)
                 run.counts["control_points"] += 1
                 t_capture = float(t_abs)
                 t_sent = sent_at.get(int(t_abs))
                 if t_sent is None:
                     continue
-                t_control = dv.time_us + L.orchestrator_us + L.theremin_us
-                run.lat["sensor"].add(L.sensor_us)
-                run.lat["tracker"].add(L.tracker_us)
+                t_control = dv.time_us + ORCHESTRATOR_US + THEREMIN_US
+                run.lat["sensor"].add(SENSOR_US)
+                run.lat["tracker"].add(TRACKER_US)
                 run.lat["link"].add(dv.time_us - t_sent)
-                run.lat["orchestrator"].add(L.orchestrator_us)
-                run.lat["theremin"].add(L.theremin_us)
+                run.lat["orchestrator"].add(ORCHESTRATOR_US)
+                run.lat["theremin"].add(THEREMIN_US)
                 run.lat["end_to_end"].add(t_control - t_capture)
-                note, ramp = note_at(onsets, (t_capture - t0_us) / 1000.0, cfg.ramp_ms)
+                note, ramp = note_at(onsets, (t_capture - t0_us) / 1000.0, RAMP_MS)
                 if ramp:
                     continue
                 tx, ty = traj.position_at(Hand.LEFT, t_capture)
                 # Bound-facing error is against the pitch the hand really
                 # played at capture time (vibrato included); the drift
                 # from the written note is reported separately.
-                f_played = cfg.calibration.freq_at(GEOMETRY.pitch_distance_m(tx))
+                f_played = CALIBRATION.freq_at(GEOMETRY.pitch_distance_m(tx))
                 f_nominal = note_freq(score.notes[note].midi)
                 run.pitch_err.add(abs(cents_between(point.freq_hz, f_played)))
                 run.pitch_nominal_err.add(abs(cents_between(point.freq_hz, f_nominal)))
@@ -534,26 +507,24 @@ def _run_tracking_segment(
 def _run_solo_segment(run: _ShowRun, traj: Trajectory, t0_us: int, t1_us: int) -> None:
     """The robot plays the score itself from exact positions: one control
     point per sample.  Nothing reads those points, so they are counted."""
-    cfg = run.cfg
     span = min(t1_us - t0_us, traj.span_us()[1])
-    step = cfg.sample_ms * 1000.0
+    step = SAMPLE_MS * 1000.0
     t = 0.0
     while t <= span:
         run.counts["control_points"] += 1
-        run.lat["theremin"].add(cfg.latencies.theremin_us)
+        run.lat["theremin"].add(THEREMIN_US)
         t += step
 
 
-def _run_calibration(cfg: SimConfig, score: Score) -> float:
+def _run_calibration(score: Score) -> float:
     """Sweep the true pitch law and refit; returns the worst drift in cents."""
-    cal = cfg.calibration
     midis = sorted({n.midi for n in score.notes}) or [60, 72]
-    dists = [cal.distance_for(note_freq(m)) for m in midis]
+    dists = [CALIBRATION.distance_for(note_freq(m)) for m in midis]
     sweep = np.linspace(min(dists), max(dists), max(5, len(dists)))
-    samples = [(float(d), cal.freq_at(float(d))) for d in sweep]
+    samples = [(float(d), CALIBRATION.freq_at(float(d))) for d in sweep]
     fitted = calibrate_pitch(samples)
     return float(
-        max(abs(cents_between(fitted.freq_at(float(d)), cal.freq_at(float(d)))) for d in sweep)
+        max(abs(cents_between(fitted.freq_at(float(d)), CALIBRATION.freq_at(float(d)))) for d in sweep)
     )
 
 
@@ -724,7 +695,7 @@ def write_demo_files(directory) -> dict[str, str]:
 
 # --- config file handling -------------------------------------------------
 # The JSON form follows the dataclass type hints: a nested dataclass is an
-# object, a Resolution is [width, height], a tuple is a list.
+# object, a Resolution is [width, height].
 
 
 def _key(f) -> str:
@@ -736,8 +707,6 @@ def _encode(value):
         return [value.width, value.height]
     if is_dataclass(value):
         return {_key(f): _encode(getattr(value, f.name)) for f in dataclass_fields(value)}
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
     return value
 
 
@@ -770,11 +739,6 @@ def _decode(tp, value, path: str):
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"config needs a {sub}")
         return _build(path, tp, **kwargs)
-    if get_origin(tp) is tuple:
-        args = get_args(tp)
-        if not (isinstance(value, (list, tuple)) and len(value) == len(args)):
-            raise ValueError(f"{path} must be a list of {len(args)}, got {value!r}")
-        return tuple(_decode(a, v, path) for a, v in zip(args, value))
     # JSON has one number type; an integer is a valid float, a bool is neither.
     accepted = (int, float) if tp is float else tp
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):

@@ -20,7 +20,11 @@ import numpy as np
 from .events import Hand, Resolution, Trajectory
 from .tracker import HandEstimate, HandLabel
 
-RAMP_MS_DEFAULT = 30.0
+# Every show's volume-hand height range (m), score sample period (ms) and
+# pitch-hand ramp between notes (ms).
+VOL_RANGE_M = (0.05, 0.30)
+SAMPLE_MS = 10.0
+RAMP_MS = 30.0
 
 
 class ScoreError(ValueError):
@@ -61,6 +65,10 @@ class PitchCalibration:
         if freq_hz <= 0:
             raise ValueError("frequency must be positive")
         return self.d_ref_m - self.octave_m * math.log2(freq_hz / self.f_ref_hz)
+
+
+# Every show's pitch law: middle C at 0.40 m, one octave per 0.24 m.
+CALIBRATION = PitchCalibration(0.40, note_freq(60), 0.24)
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,8 @@ class ControlPoint:
 
 def hands_to_control(
     est: HandEstimate,
-    cal: PitchCalibration,
-    vol_range_m: tuple[float, float],
+    cal: PitchCalibration = CALIBRATION,
+    vol_range_m: tuple[float, float] = VOL_RANGE_M,
     geometry: PixelGeometry = PixelGeometry(),
 ) -> ControlPoint:
     """Map a tracked-hand estimate to a theremin control point.
@@ -218,13 +226,13 @@ def parse_score(text: str) -> Score:
 
 def score_to_trajectory(
     score: Score,
-    cal: PitchCalibration,
+    cal: PitchCalibration = CALIBRATION,
     tempo: float = 1.0,
     geometry: PixelGeometry = PixelGeometry(),
-    vol_range_m: tuple[float, float] = (0.05, 0.30),
+    vol_range_m: tuple[float, float] = VOL_RANGE_M,
     resolution: Resolution = Resolution(240, 180),
-    sample_ms: float = 10.0,
-    ramp_ms: float = RAMP_MS_DEFAULT,
+    sample_ms: float = SAMPLE_MS,
+    ramp_ms: float = RAMP_MS,
     vibrato_px: float = 2.5,
 ) -> Trajectory:
     """Plant hand positions that would play the score.

@@ -78,12 +78,13 @@ SD_THETA = 0.02
 ARGMAX_FLOOR = 0.2
 GAIN_DECAY = 0.9
 GAIN_GROWTH = 1.5
+# The on-chip grid the field runs on.
+CHIP_RES = Resolution(86, 65)
 
 
 @dataclass
 class TrackerConfig:
     input_res: Resolution = Resolution(240, 180)
-    chip_res: Resolution = Resolution(86, 65)
     window_us: int = 10_000
     detector: str = "blob"  # "blob" or "sd_net"
     use_field: bool = True  # False = raw argmax baseline, no field filtering
@@ -91,10 +92,14 @@ class TrackerConfig:
     def __post_init__(self):
         if self.detector not in ("blob", "sd_net"):
             raise ValueError(f"unknown detector {self.detector!r}")
-        if self.chip_res.width > self.input_res.width or self.chip_res.height > self.input_res.height:
-            raise ValueError(f"chip {self.chip_res} exceeds input {self.input_res}")
+        if CHIP_RES.width > self.input_res.width or CHIP_RES.height > self.input_res.height:
+            raise ValueError(f"chip {CHIP_RES} exceeds input {self.input_res}")
         if self.window_us <= 0:
             raise ValueError("window must be positive")
+        # Window ends are u64 event times, and a window of 2**63 or more
+        # can push one past 2**64.
+        if self.window_us >= 2**63:
+            raise ValueError(f"window_us must be below 2**63, got {self.window_us}")
 
 
 class GainControl:
@@ -210,16 +215,16 @@ class HandTracker:
         if cfg.detector == "blob":
             self.detector = BlobDetector(BLUR_SIGMA_CELLS)
         else:
-            self.detector = SigmaDeltaDetector(cfg.chip_res, BLUR_SIGMA_CELLS, SD_THETA)
+            self.detector = SigmaDeltaDetector(CHIP_RES, BLUR_SIGMA_CELLS, SD_THETA)
         self.field_params, kernel_params = tracker_field_params()
         self.kernel: LateralKernel = make_kernel(kernel_params)
-        self.field = Field.at_rest(cfg.chip_res, self.field_params)
+        self.field = Field.at_rest(CHIP_RES, self.field_params)
         self.previous: HandEstimate | None = None
 
     def _upscale(self, p: Peak) -> tuple[float, float]:
         cfg = self.config
-        sx = cfg.input_res.width / cfg.chip_res.width
-        sy = cfg.input_res.height / cfg.chip_res.height
+        sx = cfg.input_res.width / CHIP_RES.width
+        sy = cfg.input_res.height / CHIP_RES.height
         # Cell-center rule: undoes the half-cell bias of floor downsampling.
         return ((p.x + 0.5) * sx, (p.y + 0.5) * sy)
 
@@ -229,7 +234,7 @@ class HandTracker:
         if window.resolution != cfg.input_res:
             raise StreamError(f"window is {window.resolution}, tracker input is {cfg.input_res}")
         # An identity on a chip-resolution frame; kept as the stage bench/tracing.py times.
-        chip = frame_downsample(frame_accumulate(window, t_start, t_end, cfg.chip_res), cfg.chip_res)
+        chip = frame_downsample(frame_accumulate(window, t_start, t_end, CHIP_RES), CHIP_RES)
         heat = detect_heatmap(chip, self.detector)
         if cfg.use_field:
             self.field = field_step(self.field, heat * INPUT_GAIN, self.kernel)

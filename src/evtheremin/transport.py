@@ -224,6 +224,8 @@ class ChannelConfig:
             raise ValueError("delays must be >= 0")
         if self.reorder_window < 0:
             raise ValueError("reorder_window must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

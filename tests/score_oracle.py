@@ -7,7 +7,9 @@ import numpy as np
 
 from evtheremin.events import Hand, Resolution, Trajectory
 from evtheremin.theremin import (
-    RAMP_MS_DEFAULT,
+    RAMP_MS,
+    SAMPLE_MS,
+    VOL_RANGE_M,
     PitchCalibration,
     PixelGeometry,
     Score,
@@ -36,7 +38,7 @@ def level_at_ms(score: Score, t_ms: float) -> float:
     return float(np.interp(t_ms, ts, ls))
 
 
-def in_ramp(t_ms: float, score: Score, tempo: float = 1.0, ramp_ms: float = RAMP_MS_DEFAULT) -> bool:
+def in_ramp(t_ms: float, score: Score, tempo: float = 1.0, ramp_ms: float = RAMP_MS) -> bool:
     """True when the pitch hand is mid-transition between notes."""
     acc = 0.0
     for i, n in enumerate(score.notes):
@@ -51,10 +53,10 @@ def score_to_trajectory(
     cal: PitchCalibration,
     tempo: float = 1.0,
     geometry: PixelGeometry = PixelGeometry(),
-    vol_range_m: tuple[float, float] = (0.05, 0.30),
+    vol_range_m: tuple[float, float] = VOL_RANGE_M,
     resolution: Resolution = Resolution(240, 180),
-    sample_ms: float = 10.0,
-    ramp_ms: float = RAMP_MS_DEFAULT,
+    sample_ms: float = SAMPLE_MS,
+    ramp_ms: float = RAMP_MS,
     vibrato_px: float = 2.5,
 ) -> Trajectory:
     if tempo <= 0:

@@ -6,6 +6,7 @@ the traced benchmark runs.  This pins every such name in the unit suite.
 """
 
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -55,3 +56,12 @@ def test_benchmark_entry_points_resolve():
         (transport.SafeReceiver, "close"),
     ]:
         assert callable(lookup(owner, attr)), f"{owner!r} has no {attr}"
+
+
+def test_benchmark_config_reads_resolve():
+    # bench/run.py reads a loaded show config's tempo and tracker window;
+    # bench/checks.py:replay_channel reads a channel's seed and impairments.
+    # Each must stay a config field, not become a constant.
+    assert {"tempo", "tracker"} <= {f.name for f in fields(harness.SimConfig)}
+    assert "window_us" in {f.name for f in fields(tracker.TrackerConfig)}
+    assert {"seed", "loss_p", "bitflip_p", "delay_jitter_us"} <= {f.name for f in fields(transport.ChannelConfig)}

@@ -6,6 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from evtheremin import cli
 from evtheremin.cli import main
 from evtheremin.events import EventStream, Resolution, encode_evt1
 from evtheremin.harness import RunReport
@@ -147,19 +148,23 @@ class TestShowAndReport:
         [
             ({"tracker": {"input_res": [240]}}, "tracker.input_res must be [width, height]"),
             ({"channel": 5}, "channel must be an object"),
-            ({"vol_range_m": 0.2}, "vol_range_m must be a list of 2"),
+            ({"vol_range_m": 0.2}, "unknown config keys: ['vol_range_m']"),
             ({"tracker": {"field_params": [1]}}, "unknown key tracker.field_params"),
             ({"scenario": "missing-scenario.txt"}, "missing-scenario.txt"),
             ({"score": "missing-score.txt"}, "missing-score.txt"),
             ({"tracker": {"blur_sigma_cells": -1}}, "unknown key tracker.blur_sigma_cells"),
             ({"tracker": {"window_us": 0}}, "tracker: window must be positive"),
             ({"tracker": {"confidence_decay": 1.0}}, "unknown key tracker.confidence_decay"),
-            ({"tracker": {"chip_res": [300, 200]}}, "tracker: chip 300x200 exceeds input 240x180"),
-            ({"tracker": {"chip_res": [0, 65]}}, "tracker.chip_res: resolution must be positive"),
+            ({"tracker": {"chip_res": [300, 200]}}, "unknown key tracker.chip_res"),
+            ({"tracker": {"input_res": [80, 60]}}, "tracker: chip 86x65 exceeds input 80x60"),
             ({"tracker": {"field_params": {"tau": -1}}}, "unknown key tracker.field_params"),
-            ({"ramp_ms": -5}, "config: ramp_ms must be non-negative and finite, got -5.0"),
+            ({"ramp_ms": -5}, "unknown config keys: ['ramp_ms']"),
             ({"tempo": -1}, "config: tempo must be positive and finite, got -1.0"),
-            ({"vol_range_m": [0.3, 0.05]}, "config: vol_range_m must be finite with low < high, got [0.3, 0.05]"),
+            ({"calibration": {"octave_m": 0.24}}, "unknown config keys: ['calibration']"),
+            ({"tracker": {"window_us": 2**64}}, "tracker: window_us must be below 2**63, got 18446744073709551616"),
+            ({"seed": -1}, "config: seed must be non-negative, got -1"),
+            ({"channel": {"seed": -3}}, "channel: seed must be non-negative, got -3"),
+            ({"latencies": {"sensor_us": 220.0}}, "unknown config keys: ['latencies']"),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, fields, message):
@@ -174,6 +179,8 @@ class TestShowAndReport:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert message in result.output
 
+    # The sample period is a constant, so a config that sets it is
+    # refused by name before the show runs.
     @pytest.mark.parametrize("sample_ms", [0, -5])
     def test_nonpositive_sample_ms_fails_cleanly(self, tmp_path, sample_ms):
         score = tmp_path / "score.txt"
@@ -191,7 +198,7 @@ class TestShowAndReport:
         result = CliRunner().invoke(main, ["show", "--config", str(config)])
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert "sample_ms must be positive" in result.output
+        assert "unknown config keys: ['sample_ms']" in result.output
 
     def test_truncated_report_fails_cleanly(self, tmp_path):
         path = tmp_path / "partial.json"
@@ -261,6 +268,8 @@ class TestPowerCommand:
         (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "-5"], "duration_ms must be positive"),
         (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "0"], "duration_ms must be positive"),
         (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "nan"], "duration_ms must be positive"),
+        (["track", "--in", "{tmp}/240x180.evt1", "--out", "{tmp}/e.csv", "--window-us", "18446744073709551615"],
+         "window_us must be below 2**63"),
     ],
 )
 def test_out_of_range_option_fails_cleanly(tmp_path, args, message):
@@ -270,3 +279,20 @@ def test_out_of_range_option_fails_cleanly(tmp_path, args, message):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: ") and message in result.output
+
+
+@pytest.mark.parametrize("pattern", [["--pattern", "wave"], ["--pattern", "score", "--score", "{tmp}/score.txt"]])
+def test_synth_refuses_wide_resolution_before_synthesis(tmp_path, monkeypatch, pattern):
+    # EVT1 stores the width as u16; the refusal must not wait for the events.
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesized before refusing the resolution")
+
+    monkeypatch.setattr(cli, "synth_hand_events", no_synthesis)
+    (tmp_path / "score.txt").write_text("NOTE 72 400\n")
+    out = tmp_path / "x.evt1"
+    args = ["synth", "--out", str(out), "--seed", "1", "--resolution", "70000x100"]
+    result = CliRunner().invoke(main, args + [a.format(tmp=tmp_path) for a in pattern])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and "does not fit u16" in result.output
+    assert not out.exists()

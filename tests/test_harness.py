@@ -22,7 +22,6 @@ from evtheremin.harness import (
     LatencyStat,
     RunReport,
     SimConfig,
-    StageLatencies,
     _estimate_to_spikes,
     _pos_scale,
     _scenario_segments,
@@ -40,7 +39,7 @@ from evtheremin.harness import (
 from evtheremin.events import Resolution, synth_hand_events
 from evtheremin.orchestrator import ShowState, parse_scenario
 from evtheremin.theremin import ScoreError, parse_score
-from evtheremin.tracker import HandEstimate, HandLabel, HandPoint, TrackerConfig
+from evtheremin.tracker import CHIP_RES, HandEstimate, HandLabel, HandPoint, TrackerConfig
 from evtheremin.transport import ChannelConfig, safe_encode
 
 # Two 400 ms notes; short enough that a full duet run stays under a
@@ -99,21 +98,6 @@ class TestLatencyStat:
         for v in (10.0, 30.0, 20.0):
             st.add(v)
         assert st.as_dict() == {"count": 3, "mean": 20.0, "min": 10.0, "max": 30.0}
-
-
-class TestStageLatencies:
-    def test_defaults(self):
-        L = StageLatencies()
-        assert (L.sensor_us, L.tracker_us, L.orchestrator_us, L.theremin_us) == (
-            220.0,
-            1000.0,
-            200.0,
-            100.0,
-        )
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="sensor_us"):
-            StageLatencies(sensor_us=-1.0)
 
 
 class TestTelemetryCodec:
@@ -284,14 +268,12 @@ class TestConfigCodec:
             scenario_path="s.txt",
             score_path="m.txt",
             reorder_window=3,
-            vol_range_m=(0.1, 0.2),
             tracker=TrackerConfig(
                 input_res=Resolution(120, 90),
                 window_us=5000,
                 detector="sd_net",
             ),
             channel=ChannelConfig(loss_p=0.1, delay_base_us=400.0, seed=4),
-            sample_ms=5.0,
             tempo=2.0,
         )
         wire = json.loads(json.dumps(config_to_dict(cfg)))
@@ -308,22 +290,22 @@ class TestConfigCodec:
     def test_unknown_nested_keys(self):
         with pytest.raises(ValueError, match=r"unknown key tracker\.bogus"):
             config_from_dict({"seed": 1, "tracker": {"bogus": 1}})
-        with pytest.raises(ValueError, match=r"unknown key calibration\.zap"):
-            config_from_dict({"seed": 1, "calibration": {"zap": 1}})
         with pytest.raises(ValueError, match=r"unknown key channel\.zap"):
             config_from_dict({"seed": 1, "channel": {"zap": 1}})
 
     def test_constants_are_not_keys(self):
-        # The tracker tuning and the geometry, energy and synthesis values
-        # are constants in code; a config that sets one is refused.
+        # The tracker tuning and chip grid, and the geometry, energy,
+        # synthesis, stage latency, calibration, volume range, sample period
+        # and ramp values are constants in code; a config that sets one is
+        # refused by name.
         for key in ("field_params", "kernel_params", "input_gain", "detect_threshold", "min_separation_cells",
                     "min_peak_mass", "mirror", "confidence_decay", "blur_sigma_cells", "sd_theta",
-                    "argmax_floor", "max_hands"):
+                    "argmax_floor", "max_hands", "chip_res"):
             with pytest.raises(ValueError, match=rf"^unknown key tracker\.{key}$"):
                 config_from_dict({"seed": 1, "tracker": {key: 1}})
-        for section in ("geometry", "energy", "synth"):
-            with pytest.raises(ValueError, match=rf"^unknown config keys: \['{section}'\]$"):
-                config_from_dict({"seed": 1, section: {}})
+        for key in ("geometry", "energy", "synth", "latencies", "calibration", "vol_range_m", "sample_ms", "ramp_ms"):
+            with pytest.raises(ValueError, match=rf"^unknown config keys: \['{key}'\]$"):
+                config_from_dict({"seed": 1, key: {}})
 
     def test_resolution_from_list(self):
         cfg = config_from_dict({"seed": 1, "tracker": {"input_res": [120, 90]}})
@@ -331,10 +313,10 @@ class TestConfigCodec:
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"seed": 5, "sample_ms": 20.0}))
+        path.write_text(json.dumps({"seed": 5, "tempo": 2.0}))
         cfg = load_config(path)
         assert cfg.seed == 5
-        assert cfg.sample_ms == 20.0
+        assert cfg.tempo == 2.0
 
 
 class TestDemoFiles:
@@ -545,7 +527,7 @@ class TestAnyResolution:
     # a side: sides of 512 px and more send positions at a scale below 64.
     @settings(max_examples=6, deadline=None)
     @example(640, 480)
-    @given(st.integers(TrackerConfig().chip_res.width, 1024), st.integers(TrackerConfig().chip_res.height, 1024))
+    @given(st.integers(CHIP_RES.width, 1024), st.integers(CHIP_RES.height, 1024))
     def test_show_runs_or_rejects_score(self, width, height):
         cfg = SimConfig(seed=3, tracker=TrackerConfig(input_res=Resolution(width, height)),
                         channel=ChannelConfig(loss_p=0.2, seed=5))

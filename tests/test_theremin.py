@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from evtheremin.events import Hand, Resolution
 from evtheremin.theremin import (
-    RAMP_MS_DEFAULT,
+    RAMP_MS,
     CalibrationError,
     ControlPoint,
     Note,
@@ -156,7 +156,7 @@ class TestScore:
 
     def test_nominal_freq_steps_at_note_boundary(self):
         onsets = self.two_notes().onsets_ms()
-        notes, _ = note_at(onsets, np.array([0.0, 499.9, 500.0, 5000.0]), RAMP_MS_DEFAULT)
+        notes, _ = note_at(onsets, np.array([0.0, 499.9, 500.0, 5000.0]), RAMP_MS)
         assert notes.tolist() == [0, 0, 1, 1]
 
     def test_durations_and_starts(self):
@@ -306,7 +306,7 @@ class TestScoreToTrajectory:
 class TestInRamp:
     @staticmethod
     def in_ramp(t_ms, score, tempo=1.0):
-        return bool(note_at(score.onsets_ms(tempo), t_ms, RAMP_MS_DEFAULT)[1])
+        return bool(note_at(score.onsets_ms(tempo), t_ms, RAMP_MS)[1])
 
     def test_windows(self):
         score = parse_score("NOTE 60 500\nNOTE 62 500\n")

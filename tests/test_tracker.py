@@ -266,10 +266,13 @@ class TestHandTracker:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrackerConfig(detector="cnn")
-        with pytest.raises(ValueError):
-            TrackerConfig(chip_res=Resolution(300, 200))
+        with pytest.raises(ValueError, match="chip 86x65 exceeds input 80x60"):
+            TrackerConfig(input_res=Resolution(80, 60))
         with pytest.raises(ValueError):
             TrackerConfig(window_us=0)
+        with pytest.raises(ValueError, match=r"window_us must be below 2\*\*63"):
+            TrackerConfig(window_us=2**63)
+        assert TrackerConfig(window_us=2**63 - 1).window_us == 2**63 - 1
 
     def test_tracking_preset_is_fast_and_nonselective(self):
         fp, kp = tracker_field_params()
