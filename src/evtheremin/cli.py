@@ -66,7 +66,7 @@ def main():
 
 @main.command()
 @click.option("--out", "out_path", required=True, type=click.Path(writable=True, dir_okay=False))
-@click.option("--seed", required=True, type=int, help="RNG seed; required, no default.")
+@click.option("--seed", required=True, type=click.IntRange(min=0), help="RNG seed; required, no default.")
 @click.option("--pattern", type=click.Choice(["wave", "score"]), default="wave", show_default=True)
 @click.option("--score", "score_path", type=click.Path(exists=True, dir_okay=False),
               help="Score file for --pattern score.")
@@ -161,7 +161,7 @@ def proto():
 
 @proto.command()
 @click.option("--events", type=int, default=10_000, show_default=True)
-@click.option("--seed", required=True, type=int)
+@click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--loss", type=float, default=0.0, show_default=True)
 @click.option("--bitflip", type=float, default=0.0, show_default=True)
 @click.option("--jitter-us", type=float, default=0.0, show_default=True)
@@ -178,7 +178,7 @@ def bench(events, seed, loss, bitflip, jitter_us, reorder):
 
 @proto.command()
 @click.option("--records", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def fuzz(records, seed):
     """Exhaustive single-bit corruption sweep over one frame."""
     result = _or_fail(single_bit_fuzz, n_records=records, seed=seed)

@@ -158,17 +158,27 @@ def field_step(field: Field, s: np.ndarray, kernel: LateralKernel) -> Field:
     if s.shape != field.u.shape:
         raise ValueError(f"input shape {s.shape} vs field {field.u.shape}")
     p = field.params
-    rate = expit(p.beta * field.u)
+    rate = p.beta * field.u
+    expit(rate, out=rate)
     # K * f(u): every term's scaled column pass in one product, then each
-    # term's row pass on its own block of rows.
+    # term's row pass on its own block of rows, summed in term order.
     cols, rows = kernel.bands(rate.shape)
     h = rate.shape[0]
     by_cols = cols @ rate
-    lateral = sum(by_cols[k * h : (k + 1) * h] @ row for k, row in enumerate(rows))
-    drive = -field.u + p.h + s + lateral - kernel.g_inh * rate.sum()
+    lateral = by_cols[:h] @ rows[0]
+    for k in range(1, len(rows)):
+        lateral += by_cols[k * h : (k + 1) * h] @ rows[k]
+    # drive = ((-u + h) + s) + lateral in that order, in one buffer (h - u
+    # is -u + h to the bit); zero global inhibition would subtract 0.0.
+    u_new = np.subtract(p.h, field.u)
+    u_new += s
+    u_new += lateral
+    if kernel.g_inh:
+        u_new -= kernel.g_inh * rate.sum()
     if p.tie_break > 0:
-        drive = drive - p.tie_break * _scan_ramp(field.u.shape)
-    u_new = field.u + (p.dt / p.tau) * drive
+        u_new -= p.tie_break * _scan_ramp(field.u.shape)
+    u_new *= p.dt / p.tau
+    u_new += field.u
     return Field(u_new, p)
 
 
@@ -195,11 +205,17 @@ def detect_peaks(
     from scipy.ndimage import label
 
     mask = field.u > threshold
-    labels, n = label(mask, structure=np.ones((3, 3), dtype=int))
+    ys, xs = np.nonzero(mask)
+    if len(ys) == 0:
+        return []
+    # Regions are labelled on the mask's bounding box: cropping keeps the
+    # raster order of the foreground cells, so the labels are the same.
+    y0, x0 = ys[0], xs.min()
+    box = mask[y0 : ys[-1] + 1, x0 : xs.max() + 1]
+    labels, n = label(box, structure=np.ones((3, 3), dtype=int))
     # One pass over the supra-threshold cells sums each region's mass and
     # first moments, indexed by region label.
-    ys, xs = np.nonzero(mask)
-    region = labels[ys, xs]
+    region = labels[ys - y0, xs - x0]
     w = field.u[ys, xs] - threshold
     mass, wx, wy = (np.bincount(region, v, n + 1)[1:] for v in (w, w * xs, w * ys))
     peaks = [Peak(float(x / m), float(y / m), float(m)) for m, x, y in zip(mass, wx, wy)]

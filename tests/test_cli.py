@@ -165,6 +165,7 @@ class TestShowAndReport:
             ({"seed": -1}, "config: seed must be non-negative, got -1"),
             ({"channel": {"seed": -3}}, "channel: seed must be non-negative, got -3"),
             ({"latencies": {"sensor_us": 220.0}}, "unknown config keys: ['latencies']"),
+            ({"reorder_window": -1}, "config: reorder_window must be non-negative, got -1"),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, fields, message):
@@ -296,3 +297,22 @@ def test_synth_refuses_wide_resolution_before_synthesis(tmp_path, monkeypatch, p
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: ") and "does not fit u16" in result.output
     assert not out.exists()
+
+
+# A seed is a non-negative integer; click refuses a negative one by the
+# option's name before the command runs, not with numpy's unnamed error.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "--out", "{tmp}/x.evt1", "--seed", "-1"],
+        ["proto", "bench", "--seed", "-1"],
+        ["proto", "fuzz", "--records", "3", "--seed", "-1"],
+    ],
+    ids=["synth", "proto-bench", "proto-fuzz"],
+)
+def test_negative_seed_is_refused_by_option(tmp_path, args):
+    result = CliRunner().invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Invalid value for '--seed'" in result.output
+    assert not (tmp_path / "x.evt1").exists()

@@ -44,7 +44,7 @@ sim_configs = st.builds(
         ChannelConfig, probability, probability, nonnegative, nonnegative,
         st.integers(0, 64), st.integers(0),
     ),
-    reorder_window=st.integers(),
+    reorder_window=st.integers(0),
     tempo=above_zero,
 )
 
@@ -114,6 +114,7 @@ out_of_range = st.one_of(
     st.tuples(st.just("channel"), st.just("loss_p"), floats(lo=1.0 + 1e-9)),
     st.tuples(st.just("channel"), st.just("seed"), st.integers(max_value=-1)),
     st.tuples(st.just(""), st.just("seed"), st.integers(max_value=-1)),
+    st.tuples(st.just(""), st.just("reorder_window"), st.integers(max_value=-1)),
     st.tuples(st.just(""), st.just("tempo"), st.floats(max_value=0.0) | not_finite),
 )
 

@@ -3,6 +3,7 @@ detection, and the PGM dump."""
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.signal import convolve2d
 from scipy.special import expit
 
 import evtheremin
+import field_oracle
 import peaks_oracle
 from evtheremin.events import Resolution
 from evtheremin.neural_field import (
@@ -27,6 +29,7 @@ from evtheremin.neural_field import (
     make_kernel,
     selective_params,
 )
+from evtheremin.tracker import tracker_field_params
 
 CHIP = Resolution(86, 65)
 
@@ -195,6 +198,29 @@ class TestSeparableStep:
             np.testing.assert_array_equal(cols[k * height : (k + 1) * height], a * by_col)
             np.testing.assert_array_equal(rows[k], by_row.T)
 
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([tracker_field_params(), selective_params()]),
+        st.sampled_from([0.0, 1.5]),
+        st.sampled_from([0.0, 0.05]),
+        st.integers(1, 65),
+        st.integers(1, 86),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(tracker_field_params(), 0.0, 0.0, 65, 86, 0)
+    @example(selective_params(), 1.5, 0.05, 65, 86, 1)
+    def test_bit_equal_to_expression_oracle(self, preset, g_inh, tie_break, height, width, seed):
+        # The step's arithmetic runs in one buffer in the expression's
+        # order, and skips global inhibition only where it is zero.
+        fp, kp = preset
+        fp, kernel = replace(fp, tie_break=tie_break), make_kernel(replace(kp, g_inh=g_inh))
+        rng = np.random.default_rng(seed)
+        got = want = Field(rng.uniform(-10.0, 5.0, (height, width)), fp)
+        for _ in range(3):
+            s = rng.uniform(0.0, 15.0, (height, width))
+            got, want = field_step(got, s, kernel), field_oracle.field_step(want, s, kernel)
+            np.testing.assert_array_equal(got.u.view(np.uint64), want.u.view(np.uint64))
+
     @pytest.mark.parametrize("module", ["scipy", "scipy.signal", "scipy.sparse"])
     def test_import_leaves_module_unloaded(self, module):
         src = str(Path(evtheremin.__file__).resolve().parents[1])
@@ -361,6 +387,33 @@ class TestDetectPeaks:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_allclose([g.x, g.y, g.mass], [w.x, w.y, w.mass], rtol=1e-9, atol=0)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 65),
+        st.integers(1, 86),
+        st.lists(
+            st.tuples(st.integers(0, 85), st.integers(0, 64), st.floats(0.0, 12.0), st.floats(0.3, 3.0)),
+            max_size=4,
+        ),
+        st.floats(-4.0, 3.0),
+        st.one_of(st.just(0.0), st.floats(0.5, 20.0)),
+    )
+    @example(65, 86, [], 0.0, 6.0)
+    @example(65, 86, [(20, 30, 4.0, 2.0), (60, 10, 4.5, 1.0)], 0.0, 6.0)
+    @example(65, 86, [(0, 0, 9.0, 1.5), (85, 64, 9.0, 1.5)], 0.0, 6.0)
+    @example(65, 86, [(85, 0, 9.0, 2.0), (0, 64, 7.0, 1.0), (40, 0, 8.0, 2.5), (0, 30, 8.0, 0.5)], 0.0, 0.0)
+    @example(65, 86, [(85, 30, 9.0, 2.0), (40, 64, 9.0, 3.0), (42, 60, 9.0, 1.0)], 0.0, 6.0)
+    def test_equals_full_grid_labelling(self, height, width, bumps, threshold, min_separation):
+        # A field at rest with a few bumps, any of which may sit on the
+        # border or stay below threshold: labelling on the bounding box of
+        # the supra-threshold cells gives exactly the full grid's peaks.
+        f = Field.at_rest(Resolution(width, height))
+        ys, xs = np.mgrid[0:height, 0:width]
+        for cx, cy, amp, sigma in bumps:
+            f.u = f.u + amp * np.exp(-((xs - cx % width) ** 2 + (ys - cy % height) ** 2) / (2 * sigma**2))
+        got = detect_peaks(f, threshold, min_separation)
+        assert got == peaks_oracle.detect_peaks_full_grid(f, threshold, min_separation)
 
 
 class TestPgmDump:

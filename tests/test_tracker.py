@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 from scipy.signal import convolve2d
@@ -88,6 +88,18 @@ def gaussian_kernel(sigma):
     return kern / kern.sum()
 
 
+def assert_blurs_equal_gaussian_filter(img, sigma):
+    """Each detector's blur is gaussian_filter with that detector's
+    radius rule, to the last bit."""
+    height, width = img.shape
+    want = gaussian_filter(img.astype(np.float64), sigma, mode="constant")
+    np.testing.assert_array_equal(BlobDetector(sigma).blur(img).view(np.uint64), want.view(np.uint64))
+    radius = max(1, math.ceil(3 * sigma))
+    want = gaussian_filter(img.astype(np.float64), sigma, mode="constant", radius=radius)
+    sd = SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur(img)
+    np.testing.assert_array_equal(sd.view(np.uint64), want.view(np.uint64))
+
+
 class TestBlurOperator:
     """The sd_net detector's blur."""
 
@@ -113,6 +125,36 @@ class TestBlurOperator:
         radius = max(1, math.ceil(3 * sigma))
         want = gaussian_filter(img.astype(np.float64), sigma, mode="constant", radius=radius)
         np.testing.assert_array_equal(sd.view(np.uint64), want.view(np.uint64))
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 86),
+        st.integers(1, 65),
+        st.floats(0.3, 3.0),
+        st.lists(
+            st.tuples(st.integers(0, 85), st.integers(0, 64), st.integers(0, 2), st.integers(1, 60)),
+            max_size=4,
+        ),
+    )
+    @example(86, 65, 1.5, [])
+    @example(86, 65, 1.5, [(3, 3, 1, 20), (80, 60, 2, 7)])
+    @example(86, 65, 3.0, [(2, 30, 1, 9), (84, 63, 0, 4), (40, 1, 2, 5)])
+    @example(86, 65, 0.3, [(0, 0, 0, 1), (85, 64, 0, 2)])
+    def test_bit_equal_to_gaussian_filter_on_sparse_frames(self, width, height, sigma, clusters):
+        # A few square clusters, anywhere: the blur runs on the box around
+        # the nonzero cells, which the dense frames above never crop.
+        img = np.zeros((height, width), dtype=np.int64)
+        for x, y, r, count in clusters:
+            x, y = x % width, y % height
+            img[max(y - r, 0) : y + r + 1, max(x - r, 0) : x + r + 1] += count
+        assert_blurs_equal_gaussian_filter(img, sigma)
+
+    @pytest.mark.parametrize("x, y", [(0, 0), (85, 0), (0, 64), (85, 64), (40, 0), (40, 64), (0, 30), (85, 30)])
+    @pytest.mark.parametrize("sigma", [0.3, 1.5, 3.0])
+    def test_single_cell_on_edge_or_corner_bit_equal(self, x, y, sigma):
+        img = np.zeros((CHIP.height, CHIP.width), dtype=np.int64)
+        img[y, x] = 3
+        assert_blurs_equal_gaussian_filter(img, sigma)
 
     def test_interior_mass_preserved(self):
         img = np.zeros((20, 20))
