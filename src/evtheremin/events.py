@@ -281,11 +281,83 @@ def waving_trajectory(resolution: Resolution, duration_ms: float) -> Trajectory:
     return traj
 
 
-# Micro-steps synthesized together.  A batch's events sort on their offset
-# from its start, so a span under 65.5 ms keeps the key in 16 bits, which
-# NumPy radix-sorts.  Ten steps measured fastest: longer batches scan a box
-# that grows as the hands move.
-_BATCH_STEPS = 10
+# Micro-steps synthesized together, capped so that a batch spans at most
+# 65,535 µs: its time offsets fit 16 bits, which leaves 16 for the pixel
+# rank in a 32-bit sort word.  The length does not change the output.  A
+# batch costs a fixed number of NumPy calls, and each hand's canvas spans
+# its moves over the batch: 32 steps measured fastest on the two-note
+# lossy show, whose hands move most; the demo's run about 10 % faster at 48.
+_BATCH_STEPS = 32
+
+
+def _disk_patches(left, top, cx, cy, side, radius):
+    """Soft-edged disks, clip(radius + 0.5 - distance, 0, 1), one per centre
+    (cx, cy), on square patches of len(side) pixels whose corners are at
+    (left, top): a (centres, rows, columns) array.
+
+    np.hypot runs only in the band around each disk's edge.  Off it, the
+    squared distance shows that the clip gives exactly 1 or 0: its margin,
+    1e-9 of the edge's radius, dwarfs its rounding and hypot's.
+    """
+    n = len(side)
+    dx = (left[:, None] + side) - cx[:, None]
+    dy = (top[:, None] + side) - cy[:, None]
+    edge = radius + 0.5
+    margin = 1e-9 * edge
+    dx2, dy2 = dx * dx, (dy * dy)[:, :, None]
+    inner = dx2[:, None, :] < max(radius - 0.5 - margin, 0.0) ** 2 - dy2
+    band = dx2[:, None, :] < (edge + margin) ** 2 - dy2
+    band ^= inner
+    disk = inner.astype(np.float64)
+    at = np.flatnonzero(band)
+    row, col = np.divmod(at, n)
+    disk.ravel()[at] = np.clip(edge - np.hypot(dx.ravel()[row // n * n + col], dy.ravel()[row]), 0.0, 1.0)
+    return disk
+
+
+def _changed_pixels(left, top, cx, cy, side, radius, threshold, rate_scale, resolution):
+    """The pixels of one batch whose brightness changes between successive
+    frames, as (step, x, y, sign, count) columns in step, then row-major,
+    order.  The frames' patch corners and blob centres come as (hand,
+    frame) arrays.
+    """
+    n_side = len(side)
+    lo_x, lo_y = left.min(axis=1), top.min(axis=1)
+    hi_x, hi_y = left.max(axis=1) + n_side, top.max(axis=1) + n_side
+    # A trajectory has at most two hands.  Each is drawn on a canvas of its
+    # own unless their boxes meet; then np.maximum composites both on one.
+    apart = lo_x.max() >= hi_x.min() or lo_y.max() >= hi_y.min()
+    groups = [[j] for j in range(len(left))] if apart else [list(range(len(left)))]
+    disks = _disk_patches(left.ravel(), top.ravel(), cx.ravel(), cy.ravel(), side, radius).reshape(
+        left.shape + (n_side, n_side))
+    parts = []
+    for g in groups:
+        x0, y0, x1, y1 = int(lo_x[g].min()), int(lo_y[g].min()), int(hi_x[g].max()), int(hi_y[g].max())
+        canvas = np.zeros((left.shape[1], y1 - y0, x1 - x0))
+        for j in g:
+            for frame, disk, px, py in zip(canvas, disks[j], (left[j] - x0).tolist(), (top[j] - y0).tolist()):
+                patch = frame[py:py + n_side, px:px + n_side]
+                if j == g[0]:
+                    patch[...] = disk
+                else:
+                    np.maximum(patch, disk, out=patch)
+        # The canvas cut to the sensor, whose row-major order it keeps.
+        sx0, sy0 = max(x0, 0), max(y0, 0)
+        frames = canvas[:, sy0 - y0:min(y1, resolution.height) - y0, sx0 - x0:min(x1, resolution.width) - x0]
+        diff = (frames[1:] - frames[:-1]).ravel()
+        mag = np.abs(diff)
+        at = np.flatnonzero(mag >= threshold)
+        counts = np.floor(rate_scale * mag[at] / threshold).astype(np.int64)
+        keep = counts > 0
+        at, counts = at[keep], counts[keep]
+        step, yx = np.divmod(at, frames[0].size)
+        y, x = np.divmod(yx, frames.shape[2])
+        parts.append((step, x + sx0, y + sy0, np.sign(diff[at]).astype(np.int8), counts))
+    if len(parts) == 1:
+        return parts[0]
+    step, x, y, sign, counts = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort((step * resolution.height + y) * resolution.width + x)
+    return step[order], x[order], y[order], sign[order], counts[order]
 
 
 def synth_hand_events(
@@ -312,8 +384,14 @@ def synth_hand_events(
     full run, and only events with t < until_us are kept: the result is the
     full stream's prefix before until_us.
     """
-    if contrast_threshold <= 0 or rate_scale < 0 or micro_step_us <= 0:
-        raise ValueError("bad synthesis parameters")
+    for name, value, ok, want in (
+        ("blob_radius", blob_radius, 0 < blob_radius < np.inf, "positive and finite"),
+        ("contrast_threshold", contrast_threshold, 0 < contrast_threshold < np.inf, "positive and finite"),
+        ("rate_scale", rate_scale, 0 <= rate_scale < np.inf, "non-negative and finite"),
+        ("micro_step_us", micro_step_us, micro_step_us > 0, "positive"),
+    ):
+        if not ok:
+            raise ValueError(f"bad synthesis parameters: {name} must be {want}, got {value}")
     bad = trajectory.first_outside(resolution)
     if bad:
         raise ValueError("trajectory sample at t={} ({:.1f},{:.1f}) outside {}".format(*bad, resolution))
@@ -329,64 +407,54 @@ def synth_hand_events(
     cx, cy = (np.array([np.interp(times, tr[0], tr[axis]) for tr in trajectory.tracks.values()])
               for axis in (1, 2))
     # Each disk is drawn on a square patch centred on the pixel holding its
-    # centre; the patch's pixels outside the sensor are cut off below.
+    # centre; the patch's pixels outside the sensor are cut off.
     pad = int(np.ceil(blob_radius)) + 2
     side = np.arange(2 * pad + 1)
     left, top = cx.astype(np.int64) - pad, cy.astype(np.int64) - pad
     batch = max(1, min(_BATCH_STEPS, 0xFFFF // micro_step_us))
-    out = []
+    changes = []
     for k0 in range(0, n_steps, batch):
         k1 = min(k0 + batch, n_steps)
-        # Frames k0..k1: the one before the batch's steps, then one per step,
-        # each on a canvas that holds every patch of all of them.
+        # Frames k0..k1: the one before the batch's steps, then one per step.
         f = slice(k0, k1 + 1)
-        x0, y0 = int(left[:, f].min()), int(top[:, f].min())
-        w, h = int(left[:, f].max()) - x0 + len(side), int(top[:, f].max()) - y0 + len(side)
-        canvas = np.zeros((k1 - k0 + 1) * h * w)
-        origin = np.arange(k1 - k0 + 1) * (h * w)
-        for hl, ht, hx, hy in zip(left[:, f], top[:, f], cx[:, f], cy[:, f]):
-            dx = (hl[:, None] + side) - hx[:, None]
-            dy = (ht[:, None] + side) - hy[:, None]
-            disk = np.clip(blob_radius + 0.5 - np.hypot(dx[:, None, :], dy[:, :, None]), 0.0, 1.0)
-            at = (origin + (ht - y0) * w + (hl - x0))[:, None, None] + side[:, None] * w + side
-            canvas[at] = np.maximum(canvas[at], disk)
-        # Change can only happen inside the frames' blobs, which the box cut
-        # to the sensor holds.  Its nonzero() order, step then row-major,
-        # is each step's order over any box that holds them.
-        sx0, sy0 = max(x0, 0), max(y0, 0)
-        frames = canvas.reshape(-1, h, w)[:, sy0 - y0:min(h, resolution.height - y0),
-                                          sx0 - x0:min(w, resolution.width - x0)]
-        diff = (frames[1:] - frames[:-1]).ravel()
-        mag = np.abs(diff)
-        at = np.flatnonzero(mag >= contrast_threshold)
-        counts = np.floor(rate_scale * mag[at] / contrast_threshold).astype(np.int64)
-        keep = counts > 0
-        at, counts = at[keep], counts[keep]
-        total = int(counts.sum())
-        if not total:
+        step, x, y, sign, counts = _changed_pixels(left[:, f], top[:, f], cx[:, f], cy[:, f], side,
+                                                   blob_radius, contrast_threshold, rate_scale, resolution)
+        per_step = np.bincount(step, counts, k1 - k0).astype(np.int64)
+        changes.append((k0, k1, per_step, x.astype(np.uint16), y.astype(np.uint16), sign, counts))
+    total = sum(int(c[2].sum()) for c in changes)
+    t_out, x_out, y_out, p_out = (np.empty(total, dtype) for dtype in (np.uint64, np.uint16, np.uint16, np.int8))
+    n = 0
+    for k0, k1, per_step, x, y, sign, counts in changes:
+        if not len(counts):
             continue
-        ss, yx = np.divmod(at, frames[0].size)
-        yy, xx = np.divmod(yx, frames.shape[2])
-        per_step = np.bincount(ss, counts, k1 - k0).astype(np.int64)
-        t_lo, dt = np.repeat(times[k0:k1], per_step), np.repeat(np.diff(times[f]), per_step)
+        t0, span = int(times[k0]), int(times[k1] - times[k0])
         # One draw for the batch gives the numbers one draw per step would.
-        ts = (t_lo + rng.random(total) * dt).astype(np.uint64)
-        # Steps follow each other in time, so a stable sort of the batch on
-        # the offset into it sorts each step stably and keeps them in order.
-        key = (ts - np.uint64(times[k0])).astype(np.min_scalar_type(times[k1] - times[k0]))
-        order = np.argsort(key, kind="stable")
+        # An event's time is floor(t_lo + r * dt) for its step's start t_lo
+        # and length dt.  That sum less t0 is exact in float64, so its floor
+        # is the time's offset from t0.
+        offset = rng.random(int(per_step.sum()))
+        offset *= np.repeat(np.diff(times[k0:k1 + 1]).astype(np.float64), per_step)
+        offset += np.repeat(times[k0:k1].astype(np.float64), per_step)
+        offset -= t0
+        # Events at one time from one pixel are equal, so sorting the
+        # offsets with the pixel's rank packed below them sorts the batch
+        # as a stable sort of the offsets would: each step stably, and the
+        # steps in order.
+        bits = (len(counts) - 1).bit_length()
+        word_type = np.uint32 if (span + 1) << bits <= 1 << 32 else np.uint64
+        word = offset.astype(word_type)
+        word <<= bits
+        word |= np.repeat(np.arange(len(counts), dtype=word_type), counts)
+        word.sort()
         if times[k1] >= stop:
-            order = order[ts[order] < stop]
-        pixel = np.repeat(np.arange(len(counts)), counts)[order]
-        out.append((
-            ts[order],
-            (xx + sx0).astype(np.uint16)[pixel],
-            (yy + sy0).astype(np.uint16)[pixel],
-            np.sign(diff[at]).astype(np.int8)[pixel],
-        ))
-    if not out:
-        return EventStream.empty(resolution)
-    return EventStream(*(np.concatenate(c) for c in zip(*out)), resolution)
+            word = word[:np.searchsorted(word, (stop - t0) << bits)]
+        rank = np.bitwise_and(word, (1 << bits) - 1, out=np.empty(len(word), np.intp))
+        end = n + len(word)
+        np.right_shift(word, bits, out=t_out[n:end])
+        t_out[n:end] += np.uint64(t0)
+        x_out[n:end], y_out[n:end], p_out[n:end] = x[rank], y[rank], sign[rank]
+        n = end
+    return EventStream(t_out[:n], x_out[:n], y_out[:n], p_out[:n], resolution)
 
 
 def add_noise_events(stream: EventStream, fraction: float, seed: int) -> EventStream:

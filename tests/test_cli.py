@@ -271,6 +271,11 @@ class TestPowerCommand:
         (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "nan"], "duration_ms must be positive"),
         (["track", "--in", "{tmp}/240x180.evt1", "--out", "{tmp}/e.csv", "--window-us", "18446744073709551615"],
          "window_us must be below 2**63"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--rate-scale", "inf"], "rate_scale must be"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--rate-scale", "nan"], "rate_scale must be"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "inf"], "blob_radius must be"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "nan"], "blob_radius must be"),
+        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "-1"], "blob_radius must be"),
     ],
 )
 def test_out_of_range_option_fails_cleanly(tmp_path, args, message):
@@ -280,6 +285,7 @@ def test_out_of_range_option_fails_cleanly(tmp_path, args, message):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: ") and message in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["20x20.evt1", "240x180.evt1"]
 
 
 @pytest.mark.parametrize("pattern", [["--pattern", "wave"], ["--pattern", "score", "--score", "{tmp}/score.txt"]])

@@ -5,6 +5,7 @@ import copy
 import json
 import pickle
 import struct
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -510,36 +511,71 @@ def oracle_synth(traj, resolution, seed, blob_radius=8.0, contrast_threshold=0.0
     return stream.time_sorted()
 
 
+@st.composite
+def synth_cases(draw):
+    """(resolution, tracks, synthesis parameters, until_us) for one or two
+    hands anywhere on a sensor up to 400 px wide, so that the hands' boxes
+    are apart in some cases and meet in others."""
+    res = Resolution(draw(st.integers(20, 400)), draw(st.integers(16, 48)))
+    hands = draw(st.sampled_from([[Hand.LEFT], [Hand.LEFT, Hand.RIGHT]]))
+    tracks = {hand: draw(hand_samples(res.width, res.height)) for hand in hands}
+    params = dict(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        blob_radius=draw(st.floats(1.0, 15.0)),
+        contrast_threshold=draw(st.sampled_from([0.05, 0.13, 0.4])),
+        rate_scale=draw(st.floats(0.0, 4.0)),
+        # steps of 700, 1300 and 2900 us fall between most sample times;
+        # 70 ms is one step longer than a 16-bit offset
+        micro_step_us=draw(st.sampled_from([250, 700, 1000, 1300, 2900, 70_000])),
+    )
+    lo, hi = min(t[0] for t, _, _ in tracks.values()), max(t[-1] for t, _, _ in tracks.values())
+    return res, tracks, params, draw(st.integers(lo - 1000, hi + 3000))
+
+
+def two_hands(left, right, times=(0, 6_000, 13_000)):
+    """Tracks of two hands that each move through the given (x, y) points."""
+    return {hand: (list(times), [p[0] for p in points], [p[1] for p in points])
+            for hand, points in ((Hand.LEFT, left), (Hand.RIGHT, right))}
+
+
+STEADY = dict(seed=5, blob_radius=4.0, contrast_threshold=0.05, rate_scale=2.0, micro_step_us=700)
+
+
 class TestSynthHandEvents:
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_equals_oracle(self, data):
-        res = Resolution(data.draw(st.integers(20, 64)), data.draw(st.integers(16, 48)))
-        hands = data.draw(st.sampled_from([[Hand.LEFT], [Hand.LEFT, Hand.RIGHT]]))
-        traj = Trajectory({hand: data.draw(hand_samples(res.width, res.height)) for hand in hands})
-        params = dict(
-            seed=data.draw(st.integers(0, 2**32 - 1)),
-            blob_radius=data.draw(st.floats(1.0, 15.0)),
-            contrast_threshold=data.draw(st.sampled_from([0.05, 0.13, 0.4])),
-            rate_scale=data.draw(st.floats(0.0, 4.0)),
-            # steps of 700, 1300 and 2900 us fall between most sample times;
-            # 70 ms is one step longer than a 16-bit offset
-            micro_step_us=data.draw(st.sampled_from([250, 700, 1000, 1300, 2900, 70_000])),
-        )
+    @given(synth_cases())
+    # Boxes apart: each hand on a canvas of its own.
+    @example((Resolution(400, 48), two_hands([(40.5, 20.2), (52.3, 24.9), (47.0, 22.0)],
+                                             [(330.7, 25.1), (318.2, 20.6), (325.0, 30.0)]), STEADY, 9_100))
+    # Boxes that meet around disks that do not touch: one canvas for both.
+    @example((Resolution(120, 40), two_hands([(40.3, 20.1), (42.8, 21.7), (41.0, 19.5)],
+                                             [(52.6, 19.8), (54.9, 21.3), (53.3, 22.4)]), STEADY, 4_000))
+    # Disks that overlap, as the hands cross.
+    @example((Resolution(120, 40), two_hands([(40.3, 20.1), (60.8, 21.7), (80.0, 19.5)],
+                                             [(80.6, 19.8), (60.2, 20.3), (40.3, 22.4)]),
+              dict(STEADY, blob_radius=8.5), 11_000))
+    # Each hand clipped at two sensor edges: left and top, right and bottom.
+    @example((Resolution(200, 30), two_hands([(0.4, 0.3), (3.9, 2.2), (1.2, 0.0)],
+                                             [(199.6, 29.7), (195.1, 27.4), (198.8, 29.9)]), STEADY, 7_350))
+    # 250 us steps over 40 ms: five batches, cut inside the third.
+    @example((Resolution(160, 40), two_hands([(20.5, 12.0), (90.2, 25.5), (130.0, 20.1)],
+                                             [(140.4, 30.2), (70.7, 14.9), (25.0, 22.6)], times=(0, 17_000, 40_000)),
+              dict(STEADY, micro_step_us=250), 21_130))
+    def test_equals_oracle(self, case):
+        res, tracks, params, until = case
+        traj = Trajectory(tracks)
         want = oracle_synth(traj, res, **params)
         got = synth_hand_events(traj, res, **params)
         assert got.resolution == res
         assert got == want
-        lo, hi = traj.span_us()
-        until = data.draw(st.integers(lo - 1000, hi + 3000))
         cut = synth_hand_events(traj, res, until_us=until, **params)
         assert cut == want[want.t < until]
 
     def test_batch_edges_equal_oracle(self):
         # Two hands on the full sensor: the left one starts clipped at the
         # frame edge, and they cross, so their disks overlap.  700 us steps
-        # batch into 7 ms spans, which no 10 ms tracker window lines up
-        # with, over five batches; the cut falls inside the third.
+        # batch into 22.4 ms spans, which no 10 ms tracker window lines up
+        # with, over two batches; the cut falls inside the first.
         traj = Trajectory({
             Hand.LEFT: ([0, 30_000], [3.0, 70.0], [88.0, 96.0]),
             Hand.RIGHT: ([0, 30_000], [60.0, 12.0], [92.0, 90.0]),
@@ -610,6 +646,35 @@ class TestSynthHandEvents:
         traj = Trajectory({Hand.LEFT: ([0], [500.0], [50.0])})
         with pytest.raises(ValueError, match=r"t=0 \(500.0,50.0\) outside 240x180"):
             synth_hand_events(traj, RES, seed=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("blob_radius", float("inf")), ("blob_radius", float("nan")), ("blob_radius", -1.0), ("blob_radius", 0.0),
+        ("rate_scale", float("inf")), ("rate_scale", float("nan")), ("rate_scale", -1.0),
+        ("contrast_threshold", float("inf")), ("contrast_threshold", float("nan")), ("contrast_threshold", 0.0),
+        ("micro_step_us", 0), ("micro_step_us", -1000),
+    ])
+    def test_bad_parameter_refused_by_name(self, name, value):
+        traj = waving_trajectory(RES, 20)
+        with pytest.raises(ValueError, match=rf"^bad synthesis parameters: {name} must be .*, got {value}$"):
+            synth_hand_events(traj, RES, seed=1, **{name: value})
+
+    def test_memory_follows_events_not_sensor_size(self):
+        # The same two-hand motion, in pixels, with the hands at the same
+        # fractions of a small and of a large sensor.
+        def peak_bytes(res):
+            traj = Trajectory({hand: ([0, 20_000, 40_000], [fx * res.width + dx for dx in (0.0, 25.3, 9.1)],
+                                      [0.5 * res.height + dy for dy in (0.0, 6.2, -4.4)])
+                               for hand, fx in ((Hand.LEFT, 0.28), (Hand.RIGHT, 0.72))})
+            tracemalloc.start()
+            try:
+                stream = synth_hand_events(traj, res, seed=1, rate_scale=2.0)
+                return len(stream), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(Resolution(240, 180)), peak_bytes(Resolution(2000, 1500))
+        assert small[0] > 50_000 and abs(large[0] - small[0]) < 0.01 * small[0]
+        assert large[1] <= 1.5 * small[1]
 
 
 class TestNoiseInjection:
