@@ -160,7 +160,7 @@ def proto():
 
 
 @proto.command()
-@click.option("--events", type=int, default=10_000, show_default=True)
+@click.option("--events", type=click.IntRange(min=0), default=10_000, show_default=True)
 @click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--loss", type=float, default=0.0, show_default=True)
 @click.option("--bitflip", type=float, default=0.0, show_default=True)
@@ -177,7 +177,7 @@ def bench(events, seed, loss, bitflip, jitter_us, reorder):
 
 
 @proto.command()
-@click.option("--records", type=int, default=100, show_default=True)
+@click.option("--records", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def fuzz(records, seed):
     """Exhaustive single-bit corruption sweep over one frame."""

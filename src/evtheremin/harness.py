@@ -343,8 +343,6 @@ def run_show(
 ) -> RunReport:
     """Simulate a full show.  Scenario and score may be passed inline or
     read from the paths in the config."""
-    # Built before the clock starts: the first tracker of a process loads
-    # scipy, and that one-off import is not the show's wall time.
     run = _ShowRun(cfg)
     wall_start = time.perf_counter()
     if scenario_text is None:

@@ -148,18 +148,23 @@ def _scan_ramp(shape: tuple[int, int]) -> np.ndarray:
     return (np.arange(n, dtype=np.float64) / denom).reshape(shape)
 
 
+def _rate(u: np.ndarray, beta: float) -> np.ndarray:
+    """f(u) = 1 / (1 + exp(-beta u)), in one new buffer.  Where -beta u
+    passes 709, exp overflows to inf and f is exactly 0.0."""
+    f = -beta * u
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(f, out=f)
+        f += 1.0
+        return np.divide(1.0, f, out=f)
+
+
 def field_step(field: Field, s: np.ndarray, kernel: LateralKernel) -> Field:
     """One Euler step of the field dynamics.  Pure: returns a new Field."""
-    # scipy is imported where it is used, so a process that never steps a
-    # field never loads it; once loaded, the import is a dict lookup.
-    from scipy.special import expit
-
     s = np.asarray(s, dtype=np.float64)
     if s.shape != field.u.shape:
         raise ValueError(f"input shape {s.shape} vs field {field.u.shape}")
     p = field.params
-    rate = p.beta * field.u
-    expit(rate, out=rate)
+    rate = _rate(field.u, p.beta)
     # K * f(u): every term's scaled column pass in one product, then each
     # term's row pass on its own block of rows, summed in term order.
     cols, rows = kernel.bands(rate.shape)
@@ -202,27 +207,56 @@ def detect_peaks(
         raise ValueError(
             f"threshold {threshold} must exceed resting level {field.params.h}"
         )
-    from scipy.ndimage import label
-
     mask = field.u > threshold
     ys, xs = np.nonzero(mask)
     if len(ys) == 0:
         return []
-    # Regions are labelled on the mask's bounding box: cropping keeps the
-    # raster order of the foreground cells, so the labels are the same.
-    y0, x0 = ys[0], xs.min()
-    box = mask[y0 : ys[-1] + 1, x0 : xs.max() + 1]
-    labels, n = label(box, structure=np.ones((3, 3), dtype=int))
     # One pass over the supra-threshold cells sums each region's mass and
-    # first moments, indexed by region label.
-    region = labels[ys - y0, xs - x0]
+    # first moments, indexed by region number.
+    region = _regions(ys, xs)
     w = field.u[ys, xs] - threshold
-    mass, wx, wy = (np.bincount(region, v, n + 1)[1:] for v in (w, w * xs, w * ys))
+    mass, wx, wy = (np.bincount(region, v) for v in (w, w * xs, w * ys))
     peaks = [Peak(float(x / m), float(y / m), float(m)) for m, x, y in zip(mass, wx, wy)]
     if min_separation > 0:
         peaks = _merge_close(peaks, min_separation)
     peaks.sort(key=lambda p: (-p.mass, p.y, p.x))
     return peaks
+
+
+def _regions(ys: np.ndarray, xs: np.ndarray) -> list[int]:
+    """The 8-connected region of each cell (ys, xs), given in raster
+    order, numbered from 0 in the raster order of each region's first
+    cell: for the cells of a mask, `label(mask, np.ones((3, 3)))[0][mask]
+    - 1` with scipy.ndimage's `label`.
+
+    Row runs are labelled in two scans (He, Chao & Suzuki, IEEE TIP
+    2008): a run joins every run of the row above whose columns touch or
+    overlap its own, under the earliest run; then each run takes its
+    root's number."""
+    runs: list[list[int]] = []  # [row, first column, last column + 1]
+    run_of = []
+    for y, x in zip(ys.tolist(), xs.tolist()):
+        if runs and runs[-1][0] == y and runs[-1][2] == x:
+            runs[-1][2] += 1
+        else:
+            runs.append([y, x, x + 1])
+        run_of.append(len(runs) - 1)
+    root = list(range(len(runs)))
+    for j, (y, c0, c1) in enumerate(runs):
+        for i in range(j - 1, -1, -1):
+            if runs[i][0] < y - 1:
+                break
+            if runs[i][0] == y - 1 and runs[i][1] <= c1 and c0 <= runs[i][2]:
+                a, b = i, j
+                while root[a] != a:
+                    a = root[a]
+                while root[b] != b:
+                    b = root[b]
+                root[max(a, b)] = min(a, b)
+    for k, r in enumerate(root):
+        root[k] = root[r]
+    number = {r: n for n, r in enumerate(sorted(set(root)))}
+    return [number[root[r]] for r in run_of]
 
 
 def _merge_close(peaks: list[Peak], min_separation: float) -> list[Peak]:

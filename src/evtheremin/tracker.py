@@ -13,9 +13,9 @@ distractor events; when nothing is detected the previous estimate is
 held with its confidence halved each step.
 
 A window costs what the hands touch, not the whole grid: the blur runs
-on the box around the window's nonzero cells, and peaks are labelled on
-the box around the field's supra-threshold cells.  Both are bit-equal
-to full-grid passes.
+on the box around the window's nonzero cells, and peak regions are
+joined from the row runs of the field's supra-threshold cells.  Both are
+bit-equal to full-grid passes.
 """
 
 from __future__ import annotations
@@ -137,20 +137,14 @@ class GainControl:
 class GaussianBlur:
     """Zero-padded Gaussian blur truncated at `radius` cells, bit-equal to
     `gaussian_filter(cells, sigma, mode="constant", radius=radius)`: its 1-D
-    weights, built once from `gaussian_filter1d`, along axis 0 then 1."""
+    weights, built as `gaussian_filter1d` builds them, along axis 0 then 1."""
 
     def __init__(self, sigma: float, radius: int):
-        # scipy is imported where it is used, so a process that never
-        # builds a tracker (link, control, synthesis) never loads it.
-        from scipy.ndimage import gaussian_filter1d
-
-        impulse = np.zeros(2 * radius + 1)
-        impulse[radius] = 1.0
-        self.weights = gaussian_filter1d(impulse, sigma, mode="constant", radius=radius)
+        x = np.arange(-radius, radius + 1)
+        phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+        self.weights = phi / phi.sum()
 
     def __call__(self, cells: np.ndarray) -> np.ndarray:
-        from scipy.ndimage import correlate1d
-
         # Only the box around the nonzero cells, widened by the radius, is
         # blurred; outside it input and blur are both exactly zero.  Inside
         # it each output reads the same taps in the same order as a
@@ -165,10 +159,21 @@ class GaussianBlur:
             slice(max(ys[0] - r, 0), ys[-1] + r + 1),
             slice(max(xs[0] - r, 0), xs[-1] + r + 1),
         )
-        # An explicit output dtype skips scipy's slower dtype-name lookup.
-        rows = correlate1d(cells[box].astype(np.float64), self.weights, axis=0, output=np.float64, mode="constant")
-        out[box] = correlate1d(rows, self.weights, axis=1, output=np.float64, mode="constant")
+        out[box] = _correlate_rows(_correlate_rows(cells[box], self.weights).T, self.weights).T
         return out
+
+
+def _correlate_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Zero-padded correlation of x with a symmetric, odd-length w along
+    axis 0, in `correlate1d`'s order: the centre times w[r], then each
+    pair (x[i - k] + x[i + k]) times w[r - k], farthest pair first."""
+    r, n = len(w) // 2, len(x)
+    pad = np.zeros((n + 2 * r, *x.shape[1:]))
+    pad[r : n + r] = x
+    out = pad[r : n + r] * w[r]
+    for k in range(r, 0, -1):
+        out += (pad[r - k : n + r - k] + pad[r + k : n + r + k]) * w[r - k]
+    return out
 
 
 class BlobDetector:

@@ -2,14 +2,15 @@
 arithmetic moved into one buffer; kept as the reference `field_step`
 must equal to the last bit."""
 
-from scipy.special import expit
+import numpy as np
 
 from evtheremin.neural_field import Field, LateralKernel, _scan_ramp
 
 
 def field_step(field: Field, s, kernel: LateralKernel) -> Field:
     p = field.params
-    rate = expit(p.beta * field.u)
+    with np.errstate(over="ignore"):
+        rate = 1.0 / (1.0 + np.exp(-(p.beta * field.u)))
     cols, rows = kernel.bands(rate.shape)
     h = rate.shape[0]
     by_cols = cols @ rate

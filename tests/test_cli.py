@@ -322,3 +322,21 @@ def test_negative_seed_is_refused_by_option(tmp_path, args):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Invalid value for '--seed'" in result.output
     assert not (tmp_path / "x.evt1").exists()
+
+
+# A count is a non-negative integer; click refuses a negative one by the
+# option's name, not with numpy's "negative dimensions are not allowed".
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["proto", "bench", "--seed", "1", "--events", "-5"], "--events"),
+        (["proto", "fuzz", "--records", "-3"], "--records"),
+    ],
+    ids=["proto-bench-events", "proto-fuzz-records"],
+)
+def test_negative_count_is_refused_by_option(args, option):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '{option}'" in result.output
+    assert "negative dimensions" not in result.output

@@ -3,6 +3,7 @@ detection, and the PGM dump."""
 
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import correlate1d
+from hypothesis.extra import numpy as hnp
+from scipy.ndimage import correlate1d, label
 from scipy.signal import convolve2d
 from scipy.special import expit
 
@@ -23,6 +25,8 @@ from evtheremin.neural_field import (
     FieldParams,
     KernelParams,
     LateralKernel,
+    _rate,
+    _regions,
     detect_peaks,
     field_step,
     field_to_pgm,
@@ -122,6 +126,20 @@ class TestFieldBasics:
         assert np.all(field_step(f, np.zeros((3, 4)), kernel).u == -5.0 - 12 * 0.5)
         f.u[:] = 2.0
         assert field_step(f, np.zeros((3, 4)), kernel).u[0, 0] == pytest.approx(-5.0 - 12 * expit(8.0))
+
+    def test_rate_within_4_ulp_of_expit(self):
+        # numpy's SIMD exp, where the CPU has one, may be 1 ulp off libm's;
+        # where 1 + exp(-u) lies just above 2**53 (u near -36.8) the sum's
+        # rounding adds to that, and the reciprocal of a denominator just
+        # above a power of two doubles the count.  With libm's exp the two
+        # are equal.
+        u = np.concatenate([np.linspace(-800.0, 800.0, 1_600_001), np.linspace(-37.5, -36.0, 300_001)])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = _rate(u, 1.0)
+        ulps = np.abs(got.view(np.int64) - expit(u).view(np.int64))
+        assert ulps.max() <= 4
+        assert got[0] == 0.0 and got[1_600_000] == 1.0
 
     def test_step_is_pure(self):
         f = Field.at_rest(Resolution(10, 8))
@@ -414,6 +432,17 @@ class TestDetectPeaks:
             f.u = f.u + amp * np.exp(-((xs - cx % width) ** 2 + (ys - cy % height) ** 2) / (2 * sigma**2))
         got = detect_peaks(f, threshold, min_separation)
         assert got == peaks_oracle.detect_peaks_full_grid(f, threshold, min_separation)
+
+
+    @settings(deadline=None, max_examples=300)
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24)))
+    @example(np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=bool))  # a U that closes on its last row
+    @example(np.eye(7, dtype=bool)[::-1])  # a diagonal chain
+    @example(np.ones((1, 1), dtype=bool))
+    @example(np.ones((5, 9), dtype=bool))
+    def test_regions_number_as_scipy_label(self, mask):
+        ys, xs = np.nonzero(mask)
+        assert _regions(ys, xs) == (label(mask, np.ones((3, 3)))[0][mask] - 1).tolist()
 
 
 class TestPgmDump:

@@ -612,3 +612,24 @@ def test_link_session_leaves_scipy_unloaded(tmp_path):
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# A fresh interpreter that runs the whole demo show, tracker included.
+SHOW_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from evtheremin import load_config, run_show
+from evtheremin.harness import write_demo_files
+report = run_show(load_config(write_demo_files(sys.argv[2])["config"]))
+assert report.pitch_samples > 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_demo_show_leaves_scipy_unloaded(tmp_path):
+    src = str(Path(evtheremin.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", SHOW_CHILD, src, str(tmp_path / "demo")],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
