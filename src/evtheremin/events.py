@@ -369,6 +369,7 @@ def synth_hand_events(
     rate_scale: float = 1.0,
     micro_step_us: int = 1000,
     until_us: int | None = None,
+    render: dict | None = None,
 ) -> EventStream:
     """Generate events from moving hand blobs by luminance frame differencing.
 
@@ -383,6 +384,12 @@ def synth_hand_events(
     only the steps that start before it are computed, each exactly as in a
     full run, and only events with t < until_us are kept: the result is the
     full stream's prefix before until_us.
+
+    The changed pixels depend only on the motion relative to its start and
+    on the rendering parameters.  Calls given one `render` dict draw each
+    batch of them once and share it; a show's segments, each its score
+    shifted to the segment's start, share the show's render of its score.
+    The events' times are drawn per call, so the result is the same without.
     """
     for name, value, ok, want in (
         ("blob_radius", blob_radius, 0 < blob_radius < np.inf, "positive and finite"),
@@ -398,7 +405,9 @@ def synth_hand_events(
     t_min, t_max = trajectory.span_us()
     stop = t_max + 1 if until_us is None else until_us
     n_steps = int(np.ceil((min(stop, t_max) - t_min) / micro_step_us))
-    if n_steps <= 0:
+    # A disk whose inner radius reaches the sensor's diagonal covers every
+    # on-sensor pixel in every frame, so no pixel changes.
+    if n_steps <= 0 or blob_radius - 0.5 >= np.hypot(resolution.width, resolution.height):
         return EventStream.empty(resolution)
     rng = np.random.default_rng(seed)
     # Every micro-frame's blob centres as (hand, frame) arrays, one
@@ -412,15 +421,32 @@ def synth_hand_events(
     side = np.arange(2 * pad + 1)
     left, top = cx.astype(np.int64) - pad, cy.astype(np.int64) - pad
     batch = max(1, min(_BATCH_STEPS, 0xFFFF // micro_step_us))
+    motion = tuple((hand, (t - t_min).tobytes(), x.tobytes(), y.tobytes())
+                   for hand, (t, x, y) in trajectory.tracks.items())
+    # Each batch drawn, by its first step k0: (k1, each step's first pixel
+    # and events, then the pixels' x, y, sign and count columns).
+    drawn = ({} if render is None else
+             render.setdefault((motion, resolution, blob_radius, contrast_threshold, rate_scale, micro_step_us), {}))
     changes = []
     for k0 in range(0, n_steps, batch):
         k1 = min(k0 + batch, n_steps)
-        # Frames k0..k1: the one before the batch's steps, then one per step.
-        f = slice(k0, k1 + 1)
-        step, x, y, sign, counts = _changed_pixels(left[:, f], top[:, f], cx[:, f], cy[:, f], side,
-                                                   blob_radius, contrast_threshold, rate_scale, resolution)
-        per_step = np.bincount(step, counts, k1 - k0).astype(np.int64)
-        changes.append((k0, k1, per_step, x.astype(np.uint16), y.astype(np.uint16), sign, counts))
+        if k0 not in drawn or drawn[k0][0] < k1:
+            # Frames k0..k1: the one before the batch's steps, then one per step.
+            f = slice(k0, k1 + 1)
+            step, x, y, sign, counts = _changed_pixels(left[:, f], top[:, f], cx[:, f], cy[:, f], side,
+                                                       blob_radius, contrast_threshold, rate_scale, resolution)
+            # A pixel's count rarely passes 255; a byte each keeps the render,
+            # which lives as long as the show, small.
+            drawn[k0] = (k1, np.searchsorted(step, np.arange(k1 - k0 + 1)),
+                         np.bincount(step, counts, k1 - k0).astype(np.int64),
+                         x.astype(np.uint16), y.astype(np.uint16), sign,
+                         counts.astype(np.uint8) if counts.max(initial=0) <= 0xFF else counts)
+        # A pixel's brightness in a frame is the largest of the disks over
+        # it, whichever canvas draws it, so the first steps of a batch drawn
+        # longer change the pixels these steps would.
+        _, starts, per_step, x, y, sign, counts = drawn[k0]
+        cut = starts[k1 - k0]
+        changes.append((k0, k1, per_step[:k1 - k0], x[:cut], y[:cut], sign[:cut], counts[:cut]))
     total = sum(int(c[2].sum()) for c in changes)
     t_out, x_out, y_out, p_out = (np.empty(total, dtype) for dtype in (np.uint64, np.uint16, np.uint16, np.int8))
     n = 0

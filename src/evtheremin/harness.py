@@ -317,6 +317,8 @@ class _ShowRun:
         self.cfg = cfg
         self.pos_scale = _pos_scale(cfg.tracker.input_res)
         self.tracker = HandTracker(cfg.tracker)
+        # The score's changed pixels, drawn once for all tracking segments.
+        self.render: dict = {}
         self.link_stats = LinkStats()
         self.receiver = SafeReceiver(cfg.reorder_window, self.link_stats)
         self.lat = {name: LatencyStat() for name in STAGE_NAMES}
@@ -439,6 +441,7 @@ def _run_tracking_segment(
         seed=cfg.seed + seg_idx,
         rate_scale=SYNTH_RATE_SCALE,
         until_us=t0_us + -(-(span_end - t0_us) // window_us) * window_us,
+        render=run.render,
     )
     run.counts["events_generated"] += len(stream)
     payloads, send_times = [], []

@@ -9,6 +9,7 @@ in that set and drops it otherwise.  Routing never reads the show state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -130,7 +131,8 @@ class ScenarioEvent:
 
 
 def parse_scenario(text: str) -> list[ScenarioEvent]:
-    """Lines of `AT <t_ms> INTENT <name>`; # comments; times non-decreasing."""
+    """Lines of `AT <t_ms> INTENT <name>`; # comments; times non-decreasing,
+    finite and below 2**53 µs, where whole µs stop being exact floats."""
     events = []
     last = float("-inf")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -144,6 +146,10 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
             t_ms = float(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad time {parts[1]!r}") from exc
+        if not math.isfinite(t_ms):
+            raise ValueError(f"line {lineno}: time must be finite, got {parts[1]}")
+        if t_ms * 1000 >= 2**53:
+            raise ValueError(f"line {lineno}: time must be below 2**53 us, got {parts[1]} ms")
         try:
             intent = Intention(parts[3])
         except ValueError as exc:

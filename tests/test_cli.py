@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from evtheremin import cli
 from evtheremin.cli import main
-from evtheremin.events import EventStream, Resolution, encode_evt1
+from evtheremin.events import EventStream, Resolution, decode_evt1, encode_evt1
 from evtheremin.harness import RunReport
 from evtheremin.transport import safe_encode
 
@@ -201,6 +201,25 @@ class TestShowAndReport:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "unknown config keys: ['sample_ms']" in result.output
 
+    # A scenario time is finite and below 2**53 us, where whole us stop
+    # being exact; the refusal names the line instead of a traceback.
+    @pytest.mark.parametrize("time, message", [
+        ("inf", "line 3: time must be finite, got inf"),
+        ("nan", "line 3: time must be finite, got nan"),
+        ("1e13", "line 3: time must be below 2**53 us, got 1e13 ms"),
+    ])
+    def test_unusable_scenario_time_fails_cleanly(self, tmp_path, time, message):
+        score = tmp_path / "score.txt"
+        scenario = tmp_path / "scenario.txt"
+        score.write_text("NOTE 60 100\n")
+        scenario.write_text(f"AT 0 INTENT StartConversation\nAT 10 INTENT AskDuet\nAT {time} INTENT Done\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "scenario": str(scenario), "score": str(score)}))
+        result = CliRunner().invoke(main, ["show", "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {message}\n"
+
     def test_truncated_report_fails_cleanly(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"seed": 3}))
@@ -286,6 +305,15 @@ def test_out_of_range_option_fails_cleanly(tmp_path, args, message):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: ") and message in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["20x20.evt1", "240x180.evt1"]
+
+
+def test_blob_past_the_sensor_diagonal_writes_no_events(tmp_path):
+    # Every pixel lies inside the disk in every frame, so nothing changes;
+    # the frames are never drawn.
+    out = tmp_path / "x.evt1"
+    result = invoke(["synth", "--out", str(out), "--seed", "3", "--blob-radius", "1e9"])
+    assert result.output.startswith("0 events ")
+    assert decode_evt1(out.read_bytes()) == EventStream.empty(Resolution(240, 180))
 
 
 @pytest.mark.parametrize("pattern", [["--pattern", "wave"], ["--pattern", "score", "--score", "{tmp}/score.txt"]])

@@ -7,12 +7,14 @@ import pickle
 import struct
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from evtheremin import events
 from evtheremin.events import (
     CodecError,
     EventStream,
@@ -541,6 +543,32 @@ def two_hands(left, right, times=(0, 6_000, 13_000)):
 STEADY = dict(seed=5, blob_radius=4.0, contrast_threshold=0.05, rate_scale=2.0, micro_step_us=700)
 
 
+@st.composite
+def shared_render_cases(draw):
+    """(resolution, two-hand tracks, rendering parameters, segments) where
+    each segment is (shift, seed, steps): the first stops before the
+    motion's end, the second inside a batch before the first's end, and
+    the third runs the whole motion."""
+    res = Resolution(draw(st.integers(20, 200)), draw(st.integers(16, 48)))
+    tracks = {hand: draw(hand_samples(res.width, res.height)) for hand in (Hand.LEFT, Hand.RIGHT)}
+    params = dict(
+        blob_radius=draw(st.floats(1.0, 12.0)),
+        # below 1/64 a pixel's count can pass 255
+        contrast_threshold=draw(st.sampled_from([0.004, 0.05, 0.13, 0.4])),
+        rate_scale=draw(st.floats(0.0, 4.0)),
+        micro_step_us=draw(st.sampled_from([250, 700, 1000, 1300])),
+    )
+    step = params["micro_step_us"]
+    batch = min(32, 0xFFFF // step)
+    t = [c[0] for c in tracks.values()]
+    n_steps = -(-(max(x[-1] for x in t) - min(x[0] for x in t)) // step)
+    assume(n_steps >= 3)
+    short = draw(st.integers(1, n_steps - 2).filter(lambda n: n % batch))
+    steps = (draw(st.integers(short + 1, n_steps - 1)), short, n_steps)
+    return res, tracks, params, [(draw(st.integers(0, 2**52)), draw(st.integers(0, 2**32 - 1)), n)
+                                 for n in steps]
+
+
 class TestSynthHandEvents:
     @settings(max_examples=60, deadline=None)
     @given(synth_cases())
@@ -570,6 +598,59 @@ class TestSynthHandEvents:
         assert got == want
         cut = synth_hand_events(traj, res, until_us=until, **params)
         assert cut == want[want.t < until]
+
+    @settings(max_examples=40, deadline=None)
+    @given(shared_render_cases())
+    # Five batches of 250 us steps with crossing hands: the first segment
+    # ends inside its fourth batch, the second inside its third.
+    @example((Resolution(160, 40), two_hands([(20.5, 12.0), (90.2, 25.5), (130.0, 20.1)],
+                                             [(140.4, 30.2), (70.7, 14.9), (25.0, 22.6)], times=(0, 17_000, 40_000)),
+              dict(blob_radius=6.5, contrast_threshold=0.05, rate_scale=2.0, micro_step_us=250),
+              [(7, 1, 100), (2**52, 2, 70), (123_456_789, 3, 160)]))
+    def test_segments_sharing_a_render_equal_cold_calls(self, case):
+        res, tracks, params, segments = case
+        traj = Trajectory(tracks)
+        t_min = traj.span_us()[0]
+        batch = min(32, 0xFFFF // params["micro_step_us"])
+        render = {}
+        with mock.patch.object(events, "_changed_pixels", wraps=events._changed_pixels) as draws:
+            for i, (shift, seed, n) in enumerate(segments):
+                moved = traj.shifted(shift)
+                # The last of n steps starts before until.
+                until = shift + t_min + (n - 1) * params["micro_step_us"] + 1
+                before = draws.call_count
+                got = synth_hand_events(moved, res, seed, until_us=until, render=render, **params)
+                new_draws = draws.call_count - before
+                assert got == synth_hand_events(moved, res, seed, until_us=until, **params)
+                want = oracle_synth(moved, res, seed, **params)
+                assert got == want[want.t < until]
+                # The first segment draws its batches, the second none; the
+                # third draws the rest and the first's last if it is cut short.
+                first = segments[0][2]
+                assert new_draws == [-(-first // batch), 0, -(-n // batch) - first // batch][i]
+        assert len(render) == 1
+        # The same positions at other times are another motion, with a render of its own.
+        slow = Trajectory({hand: (2 * t, x, y) for hand, (t, x, y) in traj.tracks.items()})
+        assert synth_hand_events(slow, res, 1, render=render, **params) == synth_hand_events(slow, res, 1, **params)
+        assert len(render) == 2
+
+    def test_radius_past_the_diagonal_draws_nothing(self, monkeypatch):
+        # Every on-sensor pixel lies inside every disk: no frame differs.
+        res = Resolution(30, 40)
+        traj = Trajectory({Hand.LEFT: ([0, 9_000], [29.9, 10.0], [39.8, 12.0]),
+                           Hand.RIGHT: ([0, 4_000, 9_000], [29.95, 20.2, 5.1], [39.95, 30.7, 8.3])})
+        # A hair inside the diagonal, the far corner's pixel still changes
+        # as the hands leave the opposite corner.
+        near = synth_hand_events(traj, res, seed=2, blob_radius=50.0)
+        assert near == oracle_synth(traj, res, seed=2, blob_radius=50.0) and len(near) > 0
+
+        def no_drawing(*args):
+            raise AssertionError("drew frames no pixel of which can change")
+
+        monkeypatch.setattr(events, "_changed_pixels", no_drawing)
+        for radius in (50.5, 1e9):
+            got = synth_hand_events(traj, res, seed=2, blob_radius=radius)
+            assert got == oracle_synth(traj, res, seed=2, blob_radius=radius) == EventStream.empty(res)
 
     def test_batch_edges_equal_oracle(self):
         # Two hands on the full sensor: the left one starts clipped at the

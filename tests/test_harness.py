@@ -483,6 +483,18 @@ class TestOtherShowStates:
         assert rep.state_ms["Teaching"] == 800.0
         assert rep.energy["tracker_active_s"] == pytest.approx(0.8)
 
+    def test_late_duet_plays_as_an_early_one(self):
+        # The score shifted to any start below 2**53 us is the same motion.
+        def duet(start_ms):
+            scenario = f"AT 0 INTENT StartConversation\nAT {start_ms} INTENT AskDuet\nAT {start_ms + 100} INTENT Done\n"
+            return run_show(SimConfig(seed=2), scenario_text=scenario, score_text=SHORT_SCORE)
+
+        early, late = duet(200), duet(9e12)
+        assert early.counts["events_generated"] > 0 and early.pitch_samples > 0
+        assert late.counts == early.counts and late.link == early.link
+        for name in ("pitch_mean_cents", "pitch_samples", "track_mean_px", "track_mean_x_px"):
+            assert getattr(late, name) == getattr(early, name), name
+
     def test_conversation_only_show_needs_no_score(self):
         # No state plays the score, so an empty one is never turned into
         # hand positions.

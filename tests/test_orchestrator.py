@@ -205,3 +205,18 @@ class TestScenarioIo:
     def test_bad_time(self):
         with pytest.raises(ValueError, match="bad time"):
             parse_scenario("AT soon INTENT Done\n")
+
+    @pytest.mark.parametrize("time", ["inf", "-inf", "nan", "Infinity"])
+    def test_time_must_be_finite(self, time):
+        with pytest.raises(ValueError, match=rf"^line 2: time must be finite, got {time}$"):
+            parse_scenario(f"AT 0 INTENT StartConversation\nAT {time} INTENT Done\n")
+
+    # Whole µs are exact floats below 2**53, so every shift of the score is.
+    @pytest.mark.parametrize("time", ["9007199254740.992", "1e13", "2e13"])
+    def test_time_must_be_below_2_53_us(self, time):
+        with pytest.raises(ValueError, match=rf"^line 2: time must be below 2\*\*53 us, got {time} ms$"):
+            parse_scenario(f"AT 0 INTENT StartConversation\nAT {time} INTENT Done\n")
+
+    def test_time_just_below_2_53_us(self):
+        events = parse_scenario("AT 9e12 INTENT AskDuet\nAT 9007199254740.991 INTENT Done\n")
+        assert [e.t_ms for e in events] == [9e12, 9007199254740.991]

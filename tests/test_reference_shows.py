@@ -20,10 +20,11 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
-from evtheremin import harness
+from evtheremin import events, harness
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -88,6 +89,21 @@ def test_report_and_wire_bytes_unchanged(name, tmp_path):
     first = next((i for i, (a, b) in enumerate(zip(digests, want)) if a != b), None)
     assert first is None, f"SAFE payload {first} differs"
     assert len(digests) == len(want)
+
+
+# A show renders its score once, however many segments replay it, and the
+# render ends with the show: 160 ms of duet, 80 of teaching and 100 of
+# resumed teaching need the score's five 32-step batches; the demo's one
+# 3.2 s duet needs 100.
+@pytest.mark.parametrize("name, batches", [("duet_teach_lossy-1", 5), ("demo_duet-7", 100)])
+def test_each_show_draws_its_score_once(name, batches, tmp_path):
+    show, seed, _ = SHOWS[name]
+    cfg = harness.load_config(getattr(load_workloads(), show)(SimpleNamespace(harness=harness), seed,
+                                                               str(tmp_path)).config_path)
+    with mock.patch.object(events, "_changed_pixels", wraps=events._changed_pixels) as draws:
+        for run in (1, 2):
+            harness.run_show(cfg)
+            assert draws.call_count == run * batches
 
 
 if __name__ == "__main__":
