@@ -91,6 +91,7 @@ SENSOR_US = 220.0
 TRACKER_US = 1000.0
 ORCHESTRATOR_US = 200.0
 THEREMIN_US = 100.0
+LATENCY_MODEL_US = dict(sensor=SENSOR_US, tracker=TRACKER_US, orchestrator=ORCHESTRATOR_US, theremin=THEREMIN_US)
 
 
 # Per-platform electrical constants; the energy report is linear in these.
@@ -166,14 +167,13 @@ class LatencyStat:
         return {"count": self.count, "mean": self.mean, "min": self.min, "max": self.max}
 
 
-STAGE_NAMES = ("sensor", "tracker", "link", "orchestrator", "theremin", "end_to_end")
-
-
 @dataclass
 class RunReport:
     seed: int
     sim_duration_us: float
     state_ms: dict[str, float]
+    # The fixed stage latencies; latency_us holds the measured link and end_to_end.
+    latency_model_us: dict[str, float]
     latency_us: dict[str, dict]
     link: dict
     counts: dict[str, int]
@@ -222,6 +222,8 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"report must be a JSON object, got {type(obj).__name__}")
         kwargs = {f.name: obj[f.name] for f in dataclass_fields(cls)}
         return cls(**kwargs)
 
@@ -232,11 +234,12 @@ class RunReport:
             f"rtf {self.rtf:.2f}{' (sub-real-time)' if self.sub_realtime else ''}",
             "  state durations (ms): "
             + ", ".join(f"{k}={v:g}" for k, v in self.state_ms.items() if v),
-            "  latency per stage (us):",
+            "  latency model per stage (us): "
+            + ", ".join(f"{k}={v:g}" for k, v in sorted(self.latency_model_us.items())),
+            "  latency per tracked control point (us):",
         ]
-        for name in STAGE_NAMES:
-            st = self.latency_us.get(name)
-            if st and st["count"]:
+        for name, st in sorted(self.latency_us.items()):
+            if st["count"]:
                 lines.append(
                     f"    {name:<12} mean {st['mean']:9.1f}  min {st['min']:9.1f}  max {st['max']:9.1f}"
                 )
@@ -321,8 +324,8 @@ class _ShowRun:
         self.render: dict = {}
         self.link_stats = LinkStats()
         self.receiver = SafeReceiver(cfg.reorder_window, self.link_stats)
-        self.lat = {name: LatencyStat() for name in STAGE_NAMES}
-        # Windows, estimates and frames sent are one count, link_stats.sent,
+        self.lat = {"link": LatencyStat(), "end_to_end": LatencyStat()}
+        # Windows and frames sent are one count, link_stats.sent,
         # which also numbers the next frame; records sent is
         # link_stats.events_sent.  run_show fills those keys in.
         self.counts = {
@@ -397,10 +400,10 @@ def run_show(
         seed=cfg.seed,
         sim_duration_us=sim_us,
         state_ms=dict(run.state_ms),
-        latency_us={name: run.lat[name].as_dict() for name in STAGE_NAMES},
+        latency_model_us=dict(LATENCY_MODEL_US),
+        latency_us={name: st.as_dict() for name, st in run.lat.items()},
         link=run.link_stats.as_dict(),
-        counts={**run.counts, "windows": frames, "estimates": frames, "frames_sent": frames,
-                "records_sent": records},
+        counts={**run.counts, "windows": frames, "frames_sent": frames, "records_sent": records},
         pitch_mean_cents=run.pitch_err.mean,
         pitch_max_cents=run.pitch_err.max if run.pitch_err.count else 0.0,
         pitch_nominal_mean_cents=run.pitch_nominal_err.mean,
@@ -485,11 +488,7 @@ def _run_tracking_segment(
                 if t_sent is None:
                     continue
                 t_control = dv.time_us + ORCHESTRATOR_US + THEREMIN_US
-                run.lat["sensor"].add(SENSOR_US)
-                run.lat["tracker"].add(TRACKER_US)
                 run.lat["link"].add(dv.time_us - t_sent)
-                run.lat["orchestrator"].add(ORCHESTRATOR_US)
-                run.lat["theremin"].add(THEREMIN_US)
                 run.lat["end_to_end"].add(t_control - t_capture)
                 note, ramp = note_at(onsets, (t_capture - t0_us) / 1000.0, RAMP_MS)
                 if ramp:
@@ -511,12 +510,8 @@ def _run_solo_segment(run: _ShowRun, traj: Trajectory, t0_us: int, t1_us: int) -
     """The robot plays the score itself from exact positions: one control
     point per sample.  Nothing reads those points, so they are counted."""
     span = min(t1_us - t0_us, traj.span_us()[1])
-    step = SAMPLE_MS * 1000.0
-    t = 0.0
-    while t <= span:
-        run.counts["control_points"] += 1
-        run.lat["theremin"].add(THEREMIN_US)
-        t += step
+    # Samples at 0, step, 2 step, ... up to span, both ends included.
+    run.counts["control_points"] += span // int(SAMPLE_MS * 1000) + 1
 
 
 def _run_calibration(score: Score) -> float:

@@ -132,7 +132,7 @@ class ScenarioEvent:
 
 def parse_scenario(text: str) -> list[ScenarioEvent]:
     """Lines of `AT <t_ms> INTENT <name>`; # comments; times non-decreasing,
-    finite and below 2**53 µs, where whole µs stop being exact floats."""
+    finite, >= 0 and below 2**53 µs, where whole µs stop being exact floats."""
     events = []
     last = float("-inf")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -148,6 +148,8 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
             raise ValueError(f"line {lineno}: bad time {parts[1]!r}") from exc
         if not math.isfinite(t_ms):
             raise ValueError(f"line {lineno}: time must be finite, got {parts[1]}")
+        if t_ms < 0:
+            raise ValueError(f"line {lineno}: time must be >= 0, got {parts[1]}")
         if t_ms * 1000 >= 2**53:
             raise ValueError(f"line {lineno}: time must be below 2**53 us, got {parts[1]} ms")
         try:

@@ -1,5 +1,6 @@
 """End-to-end smoke tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -129,6 +130,7 @@ class TestShowAndReport:
 
         out = invoke(["report", "--in", str(report_path)])
         assert "show run (seed 5)" in out.output
+        assert "latency model per stage (us): orchestrator=200, sensor=220, theremin=100, tracker=1000" in out.output
 
     def test_demo_writes_files(self, tmp_path):
         out = invoke(["demo", "--dir", str(tmp_path / "demo")])
@@ -201,12 +203,13 @@ class TestShowAndReport:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "unknown config keys: ['sample_ms']" in result.output
 
-    # A scenario time is finite and below 2**53 us, where whole us stop
-    # being exact; the refusal names the line instead of a traceback.
+    # A scenario time is finite, >= 0 and below 2**53 us, where whole us
+    # stop being exact; the refusal names the line instead of a traceback.
     @pytest.mark.parametrize("time, message", [
         ("inf", "line 3: time must be finite, got inf"),
         ("nan", "line 3: time must be finite, got nan"),
         ("1e13", "line 3: time must be below 2**53 us, got 1e13 ms"),
+        ("-50", "line 3: time must be >= 0, got -50"),
     ])
     def test_unusable_scenario_time_fails_cleanly(self, tmp_path, time, message):
         score = tmp_path / "score.txt"
@@ -226,6 +229,19 @@ class TestShowAndReport:
         result = CliRunner().invoke(main, ["report", "--in", str(path)])
         assert result.exit_code == 1
         assert "missing field" in result.output
+        # JSON that is not an object is refused by its type.
+        for doc, kind in (([1, 2], "list"), ("x", "str")):
+            path.write_text(json.dumps(doc))
+            result = CliRunner().invoke(main, ["report", "--in", str(path)])
+            assert result.exit_code == 1
+            assert result.output == f"Error: report must be a JSON object, got {kind}\n"
+        # A report saved before the stage latencies moved to latency_model_us.
+        old = {f.name: 0 for f in dataclasses.fields(RunReport) if f.name != "latency_model_us"}
+        old["latency_us"] = {"sensor": {"count": 2, "mean": 220.0, "min": 220.0, "max": 220.0}}
+        path.write_text(json.dumps(old))
+        result = CliRunner().invoke(main, ["report", "--in", str(path)])
+        assert result.exit_code == 1
+        assert result.output == "Error: missing field 'latency_model_us'\n"
 
     def test_corrupt_event_file_fails_cleanly(self, tmp_path):
         path = tmp_path / "junk.evt1"

@@ -211,6 +211,20 @@ class TestScenarioIo:
         with pytest.raises(ValueError, match=rf"^line 2: time must be finite, got {time}$"):
             parse_scenario(f"AT 0 INTENT StartConversation\nAT {time} INTENT Done\n")
 
+    # A negative time is refused by its line: the show's clock starts at 0.
+    @pytest.mark.parametrize("time", ["-50", "-0.001", "-1e13"])
+    def test_time_must_not_be_negative(self, time):
+        with pytest.raises(ValueError, match=rf"^line 2: time must be >= 0, got {time}$"):
+            parse_scenario(f"AT 0 INTENT StartConversation\nAT {time} INTENT Done\n")
+
+    def test_negative_first_time_names_line_1(self):
+        with pytest.raises(ValueError, match=r"^line 1: time must be >= 0, got -50$"):
+            parse_scenario("AT -50 INTENT AskDuet\nAT 50 INTENT Done\n")
+
+    def test_zero_and_negative_zero_are_accepted(self):
+        events = parse_scenario("AT -0 INTENT StartConversation\nAT 0 INTENT AskSolo\nAT 10 INTENT Done\n")
+        assert [e.t_ms for e in events] == [0.0, 0.0, 10.0]
+
     # Whole µs are exact floats below 2**53, so every shift of the score is.
     @pytest.mark.parametrize("time", ["9007199254740.992", "1e13", "2e13"])
     def test_time_must_be_below_2_53_us(self, time):
