@@ -150,6 +150,7 @@ def parse_scenario(text: str) -> list[ScenarioEvent]:
             raise ValueError(f"line {lineno}: time must be finite, got {parts[1]}")
         if t_ms < 0:
             raise ValueError(f"line {lineno}: time must be >= 0, got {parts[1]}")
+        t_ms += 0.0  # -0 becomes +0, so AT -0 and AT 0 report the same bytes
         if t_ms * 1000 >= 2**53:
             raise ValueError(f"line {lineno}: time must be below 2**53 us, got {parts[1]} ms")
         try:

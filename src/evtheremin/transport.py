@@ -31,8 +31,10 @@ reordering) and a receiver with sequence accounting close the loop.
 from __future__ import annotations
 
 import heapq
+import math
 import struct
 import zlib
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -50,6 +52,12 @@ _CRC = struct.Struct("<I")
 assert _HEADER.size == 18 and _RECORD.size == 8
 
 SAFE_FIXED_OVERHEAD = _HEADER.size + _CRC.size  # 22
+
+# Uniforms per generator call in the channel simulator, unless one unit
+# alone needs more: enough to spread a call's fixed cost over tens of
+# telemetry frames, and a bound on what a run that a flipped unit ends
+# early leaves drawn and unused.
+_RUN_DOUBLES = 4096
 
 
 def crc32(data: bytes) -> int:
@@ -207,7 +215,10 @@ class ChannelConfig:
     contract so tests can replay it: one uniform for loss; if the unit
     survives and bitflip_p > 0, one uniform per byte, then one integer
     in [0, 8) per flipped byte; if delay_jitter_us > 0, one uniform for
-    the jitter.  Lost units consume only the loss draw.
+    the jitter.  Lost units consume only the loss draw.  The simulator
+    draws the uniforms of a run of units in one call, then puts the
+    generator where this per-unit order leaves it, so the draws are
+    unchanged.  Delays must be finite and >= 0.
     """
 
     loss_p: float = 0.0
@@ -220,8 +231,10 @@ class ChannelConfig:
     def __post_init__(self):
         if not (0 <= self.loss_p <= 1) or not (0 <= self.bitflip_p <= 1):
             raise ValueError("probabilities must be in [0, 1]")
-        if self.delay_base_us < 0 or self.delay_jitter_us < 0:
-            raise ValueError("delays must be >= 0")
+        for name in ("delay_base_us", "delay_jitter_us"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.reorder_window < 0:
             raise ValueError("reorder_window must be >= 0")
         if self.seed < 0:
@@ -253,29 +266,76 @@ def channel_transmit(
         t_send = [0.0] * len(payloads)
     if len(t_send) != len(payloads):
         raise ValueError("one send time per payload required")
-    rng = np.random.default_rng(cfg.seed)
-    pending: list[tuple[float, int, bytes]] = []
-    for i, payload in enumerate(payloads):
-        if rng.random() < cfg.loss_p:
-            continue
-        data = payload
-        if cfg.bitflip_p > 0:
-            flips = rng.random(len(payload)) < cfg.bitflip_p
-            if flips.any():
-                buf = bytearray(data)
-                for j in np.nonzero(flips)[0]:
-                    buf[j] ^= 1 << int(rng.integers(0, 8))
-                data = bytes(buf)
-        jitter = rng.random() if cfg.delay_jitter_us > 0 else 0.0
-        arrival = float(t_send[i]) + cfg.delay_base_us + jitter * cfg.delay_jitter_us
-        pending.append((arrival, i, data))
-    ordered = _bounded_reorder(pending, cfg.reorder_window)
+    ordered = _bounded_reorder(_arrivals(payloads, cfg, t_send), cfg.reorder_window)
     deliveries = []
     clock = float("-inf")
     for arrival, i, data in ordered:
         clock = max(clock, arrival)
         deliveries.append(Delivery(clock, data, i))
     return deliveries
+
+
+def _arrivals(payloads: list[bytes], cfg: ChannelConfig, t_send) -> list[tuple[float, int, bytes]]:
+    """(arrival_us, index, data) per surviving unit in send order, by
+    ChannelConfig's draw order.  A run's uniforms come from one generator
+    call, drawn as if every unit in it survives intact, at most
+    _RUN_DOUBLES of them unless one unit alone needs more.  A unit with a
+    flipped byte ends the run, since its integer draws come before its
+    jitter uniform."""
+    rng = np.random.default_rng(cfg.seed)
+    bitgen = rng.bit_generator
+    loss_p, base_us, jitter_us = cfg.loss_p, cfg.delay_base_us, cfg.delay_jitter_us
+    byte_draws = [len(p) if cfg.bitflip_p > 0 else 0 for p in payloads]
+    jitter_draws = 1 if jitter_us > 0 else 0
+    out = []
+    i, n = 0, len(payloads)
+    while i < n:
+        stop, total = i + 1, 1 + byte_draws[i] + jitter_draws
+        while stop < n and total + 1 + byte_draws[stop] + jitter_draws <= _RUN_DOUBLES:
+            total += 1 + byte_draws[stop] + jitter_draws
+            stop += 1
+        saved = bitgen.state
+        u = rng.random(total)
+        uniform = u.item
+        # Positions of the uniforms below bitflip_p, then a sentinel.
+        hits = np.flatnonzero(u < cfg.bitflip_p).tolist() + [total]
+        h = used = 0
+        flipped = False
+        for i in range(i, stop):
+            used += 1
+            if uniform(used - 1) < loss_p:
+                continue
+            while hits[h] < used:
+                h += 1
+            used += byte_draws[i]
+            if hits[h] < used:
+                flipped = True
+                break
+            jitter = uniform(used) if jitter_draws else 0.0
+            out.append((float(t_send[i]) + base_us + jitter * jitter_us, i, payloads[i]))
+            used += jitter_draws
+        if used < total:
+            _advance_from(bitgen, saved, used)
+        if flipped:
+            buf = bytearray(payloads[i])
+            start = used - byte_draws[i]
+            flips = hits[h : bisect_left(hits, used, h)]
+            # One call gives the same bit indices as one call per byte.
+            for j, bit in zip(flips, rng.integers(0, 8, len(flips)).tolist()):
+                buf[j - start] ^= 1 << bit
+            jitter = rng.random() if jitter_draws else 0.0
+            out.append((float(t_send[i]) + base_us + jitter * jitter_us, i, bytes(buf)))
+        i += 1
+    return out
+
+
+def _advance_from(bitgen, saved: dict, used: int) -> None:
+    """Put the generator `used` draws past the state `saved`.  advance()
+    clears the buffered 32-bit half that integers() reads; put it back."""
+    bitgen.state = saved
+    bitgen.advance(used)
+    if saved["has_uint32"]:
+        bitgen.state = {**saved, "state": bitgen.state["state"]}
 
 
 def _bounded_reorder(pending, window: int):

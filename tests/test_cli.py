@@ -168,6 +168,8 @@ class TestShowAndReport:
             ({"channel": {"seed": -3}}, "channel: seed must be non-negative, got -3"),
             ({"latencies": {"sensor_us": 220.0}}, "unknown config keys: ['latencies']"),
             ({"reorder_window": -1}, "config: reorder_window must be non-negative, got -1"),
+            ({"channel": {"delay_base_us": float("nan")}},
+             "channel: delay_base_us must be finite and >= 0, got nan"),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, fields, message):
@@ -311,6 +313,8 @@ class TestPowerCommand:
         (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "inf"], "blob_radius must be"),
         (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "nan"], "blob_radius must be"),
         (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "-1"], "blob_radius must be"),
+        (["proto", "bench", "--seed", "1", "--jitter-us", "nan"], "delay_jitter_us must be finite and >= 0, got nan"),
+        (["proto", "bench", "--seed", "1", "--jitter-us", "inf"], "delay_jitter_us must be finite and >= 0, got inf"),
     ],
 )
 def test_out_of_range_option_fails_cleanly(tmp_path, args, message):

@@ -550,6 +550,14 @@ class TestOtherShowStates:
         assert rep.state_ms["Conversing"] == 100.0
         assert rep.sim_duration_us == 100_000.0
 
+    def test_negative_zero_time_reports_as_zero(self):
+        def kv(time):
+            scenario = f"AT {time} INTENT StartConversation\n"
+            rep = run_show(SimConfig(seed=2), scenario_text=scenario, score_text="")
+            return rep.to_kv_lines(include_wall=False)
+
+        assert kv("-0") == kv("0")
+
     def test_calibration_refit_has_negligible_drift(self):
         rep = run_show(
             SimConfig(seed=2), scenario_text=CALIBRATION_SCENARIO, score_text=SHORT_SCORE

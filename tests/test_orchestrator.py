@@ -1,5 +1,7 @@
 """Show state machine, module gates, and gated routing."""
 
+import math
+
 import pytest
 
 from evtheremin.orchestrator import (
@@ -224,6 +226,7 @@ class TestScenarioIo:
     def test_zero_and_negative_zero_are_accepted(self):
         events = parse_scenario("AT -0 INTENT StartConversation\nAT 0 INTENT AskSolo\nAT 10 INTENT Done\n")
         assert [e.t_ms for e in events] == [0.0, 0.0, 10.0]
+        assert [math.copysign(1.0, e.t_ms) for e in events] == [1.0, 1.0, 1.0]
 
     # Whole µs are exact floats below 2**53, so every shift of the score is.
     @pytest.mark.parametrize("time", ["9007199254740.992", "1e13", "2e13"])

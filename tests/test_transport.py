@@ -1,5 +1,6 @@
 """Wire profiles, channel impairment model, and the re-sequencing receiver."""
 
+import math
 import struct
 import subprocess
 import sys
@@ -8,10 +9,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evtheremin
+from evtheremin import transport
 from evtheremin.sigma_delta import GradedSpike
 from evtheremin.transport import (
     BadCrcError,
@@ -49,6 +51,72 @@ def scan_reorder(pending, window):
     while buf:
         out.append(buf.pop(min(range(len(buf)), key=lambda k: buf[k][:2])))
     return out
+
+
+def per_draw_transmit(payloads, cfg, t_send):
+    """The channel as a loop that calls the generator once per draw, in
+    ChannelConfig's documented order: (time_us, payload, sent_index) per
+    delivery, in arrival order."""
+    rng = np.random.default_rng(cfg.seed)
+    pending = []
+    for i, payload in enumerate(payloads):
+        if rng.random() < cfg.loss_p:
+            continue
+        data = payload
+        if cfg.bitflip_p > 0:
+            buf = bytearray(payload)
+            for j in np.flatnonzero(rng.random(len(payload)) < cfg.bitflip_p):
+                buf[j] ^= 1 << int(rng.integers(0, 8))
+            data = bytes(buf)
+        jitter = rng.random() if cfg.delay_jitter_us > 0 else 0.0
+        pending.append((float(t_send[i]) + cfg.delay_base_us + jitter * cfg.delay_jitter_us, i, data))
+    out, clock = [], float("-inf")
+    for arrival, i, data in scan_reorder(pending, cfg.reorder_window):
+        clock = max(clock, arrival)
+        out.append((clock, data, i))
+    return out
+
+
+def as_tuples(deliveries):
+    return [(d.time_us, d.payload, d.sent_index) for d in deliveries]
+
+
+class CountingGenerator:
+    """A numpy Generator that records the size of every random() call."""
+
+    def __init__(self, rng, sizes):
+        self._rng = rng
+        self.sizes = sizes
+
+    def random(self, size=None):
+        self.sizes.append(1 if size is None else size)
+        return self._rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.fixture
+def random_calls(monkeypatch):
+    """Sizes of the random() calls on generators the transport module makes."""
+    sizes = []
+    make = np.random.default_rng
+    monkeypatch.setattr(transport.np.random, "default_rng", lambda seed: CountingGenerator(make(seed), sizes))
+    return sizes
+
+
+def telemetry_payloads(n=200, seed=0):
+    """Hand-estimate frames: x, y and confidence of one hand, or of two on
+    four frames in five."""
+    rng = np.random.default_rng(seed)
+    return [
+        safe_encode(
+            [GradedSpike(a, int(v)) for a, v in enumerate(rng.integers(300, 15_000, 6 if i % 5 else 3))],
+            seq=i,
+            timestamp_us=i * 10_000,
+        )
+        for i in range(n)
+    ]
 
 
 def ref_crc32(data: bytes) -> int:
@@ -403,6 +471,71 @@ class TestChannel:
         pending = [(a, i, bytes([i % 256])) for a, i in zip(arrivals, index)]
         assert _bounded_reorder(list(pending), window) == scan_reorder(pending, window)
 
+    # One generator call per run of units must leave every draw where
+    # the per-draw loop puts it.  Payloads up to 5,000 bytes fill a run
+    # alone; tens of short ones share one, so both cross several runs.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        st.sampled_from([0.0, 1e-4, 5e-3, 0.3, 1.0]),
+        st.booleans(),
+        st.integers(0, 12),
+        st.one_of(
+            st.lists(st.integers(0, 5000), max_size=8),
+            st.lists(st.integers(0, 100), min_size=60, max_size=240),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(0.0, 1.0, True, 0, [0], 1)
+    # The first unit's three flips leave a buffered 32-bit half; the
+    # second unit is lost, and the third unit's bit index reads that half.
+    @example(0.5, 1.0, True, 2, [3, 2, 1, 4, 3, 5], 1)
+    def test_equals_per_draw_loop(self, loss_p, bitflip_p, jittered, window, sizes, seed):
+        rng = np.random.default_rng(seed)
+        payloads = [rng.integers(0, 256, n, dtype=np.uint8).tobytes() for n in sizes]
+        cfg = ChannelConfig(
+            loss_p=loss_p,
+            bitflip_p=bitflip_p,
+            delay_base_us=500.0,
+            delay_jitter_us=5000.0 if jittered else 0.0,
+            reorder_window=window,
+            seed=seed,
+        )
+        t_send = [i * 1000.0 for i in range(len(payloads))]
+        assert as_tuples(channel_transmit(payloads, cfg, t_send)) == per_draw_transmit(payloads, cfg, t_send)
+
+    def test_in_order_telemetry_draws_a_run_per_call(self, random_calls):
+        payloads = telemetry_payloads()
+        t_send = [i * 10_000.0 for i in range(len(payloads))]
+        cfg = ChannelConfig(loss_p=0.1, bitflip_p=5e-4, delay_base_us=500.0, seed=3)
+        expect = per_draw_transmit(payloads, cfg, t_send)
+        per_draw = list(random_calls)
+        random_calls.clear()
+        got = channel_transmit(payloads, cfg, t_send)
+        assert as_tuples(got) == expect
+        flipped = sum(d.payload != payloads[d.sent_index] for d in got)
+        assert flipped > 0 and len(per_draw) > 200
+        assert len(random_calls) <= math.ceil(sum(per_draw) / 4096) + flipped
+        assert max(random_calls) <= 4096
+
+    def test_runs_end_at_the_budget(self, random_calls):
+        # Two draws per unit: 2,048 units fill a run.
+        cfg = ChannelConfig(loss_p=0.3, delay_jitter_us=100.0, seed=8)
+        payloads = [b""] * 5000
+        t_send = [0.0] * 5000
+        expect = per_draw_transmit(payloads, cfg, t_send)
+        random_calls.clear()
+        assert as_tuples(channel_transmit(payloads, cfg, t_send)) == expect
+        assert random_calls == [4096, 4096, 1808]
+
+    def test_a_unit_past_the_budget_draws_alone(self, random_calls):
+        cfg = ChannelConfig(loss_p=0.3, bitflip_p=1e-4, seed=4)
+        payloads = [bytes(range(250)) * 20] * 12
+        expect = per_draw_transmit(payloads, cfg, [0.0] * 12)
+        random_calls.clear()
+        assert as_tuples(channel_transmit(payloads, cfg)) == expect
+        assert random_calls == [5001] * 12
+
     def test_raw_refuses_reordering_link(self):
         cfg = ChannelConfig(reorder_window=2)
         with pytest.raises(TransportError):
@@ -425,6 +558,11 @@ class TestChannel:
             ChannelConfig(delay_base_us=-1.0)
         with pytest.raises(ValueError):
             ChannelConfig(reorder_window=-1)
+        # nan < 0 is false, so a range check alone lets a nan delay through.
+        for name in ("delay_base_us", "delay_jitter_us"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value!r}$"):
+                    ChannelConfig(**{name: value})
         with pytest.raises(ValueError):
             channel_transmit([b"a"], ChannelConfig(), t_send=[0, 1])
 
