@@ -365,6 +365,9 @@ def run_show(
     if any(seg.state in (ShowState.DUET, ShowState.TEACHING, ShowState.SOLO) for seg in segments):
         traj = score_to_trajectory(score, tempo=cfg.tempo, geometry=GEOMETRY, resolution=cfg.tracker.input_res)
 
+    # The show's clock starts at 0 ms, idle until the scenario's first line.
+    if scenario:
+        run.state_ms[ShowState.IDLE.value] += scenario[0].t_ms
     for seg_idx, seg in enumerate(segments):
         run.state_ms[seg.state.value] += seg.t1_ms - seg.t0_ms
         t0_us = int(round(seg.t0_ms * 1000))

@@ -12,10 +12,20 @@ out as upscaled hand positions.  The field's inertia is what rejects
 distractor events; when nothing is detected the previous estimate is
 held with its confidence halved each step.
 
-A window costs what the hands touch, not the whole grid: the blur runs
-on the box around the window's nonzero cells, and peak regions are
-joined from the row runs of the field's supra-threshold cells.  Both are
-bit-equal to full-grid passes.
+The arithmetic is exact in any order.  The blur's weights are multiples
+of 2**-16 that sum to exactly 1, so a blurred count frame holds integer
+counts of 2**-32 below 2**53: its float64 sums, and the sigma-delta
+boundary's differences and accumulations, lose no bit, and the sd_net
+threshold acts as the integer ceil(theta * 2**32) on them.  The heatmap
+is an int64 count of 2**-16 (U_ONE is full scale): the gain rounds each
+cell's share of its reference level there, once, and the field
+(`neural_field`) takes it times INPUT_GAIN as its input.
+
+A window costs what the hands touch, not the whole grid: the blur is two
+banded products on the box around the window's nonzero cells, the field's
+lateral term reads only its firing cells, and peak regions are joined
+from the row runs of the field's supra-threshold cells.  Exact sums make
+each equal to its full-grid pass.
 """
 
 from __future__ import annotations
@@ -27,7 +37,18 @@ from enum import Enum
 import numpy as np
 
 from .events import EventStream, Resolution, StreamError, frame_accumulate, frame_downsample
-from .neural_field import Field, FieldParams, KernelParams, LateralKernel, Peak, detect_peaks, field_step, make_kernel
+from .neural_field import (
+    U_ONE,
+    Field,
+    FieldParams,
+    KernelParams,
+    LateralKernel,
+    Peak,
+    _band,
+    detect_peaks,
+    field_step,
+    make_kernel,
+)
 from .sigma_delta import SdState, delta_encode, sigma_decode
 
 
@@ -73,7 +94,7 @@ def tracker_field_params() -> tuple[FieldParams, KernelParams]:
 # MIN_PEAK_MASS; the argmax baseline ignores heat below ARGMAX_FLOOR.
 # The heatmap's reference level decays by GAIN_DECAY per step and rises
 # by at most GAIN_GROWTH.
-INPUT_GAIN = 15.0
+INPUT_GAIN = 15
 DETECT_THRESHOLD = 0.0
 MIN_SEPARATION_CELLS = 6.0
 MIN_PEAK_MASS = 1.0
@@ -83,6 +104,9 @@ SD_THETA = 0.02
 ARGMAX_FLOOR = 0.2
 GAIN_DECAY = 0.9
 GAIN_GROWTH = 1.5
+# A window's count saturates at COUNT_CAP per cell, which keeps every
+# blurred value, a count of 2**-32, below 2**53.
+COUNT_CAP = 1 << 20
 # The on-chip grid the field runs on.
 CHIP_RES = Resolution(86, 65)
 
@@ -124,56 +148,58 @@ class GainControl:
         self.ref = 0.0
 
     def normalize(self, img: np.ndarray) -> np.ndarray:
+        """A non-negative img over ref, at most 1, as int64 counts of
+        2**-16 rounded half to even: the gain's one rounding."""
         m = float(img.max())
         if self.ref <= 0:
             self.ref = m
         else:
             self.ref = min(max(self.ref * GAIN_DECAY, m), self.ref * GAIN_GROWTH)
         if self.ref <= 0:
-            return np.zeros_like(img)
-        return np.clip(img / self.ref, 0.0, 1.0)
+            return np.zeros(img.shape, dtype=np.int64)
+        heat = img * (U_ONE / self.ref)
+        np.rint(heat, out=heat)
+        np.minimum(heat, U_ONE, out=heat)
+        return heat.astype(np.int64)
 
 
 class GaussianBlur:
-    """Zero-padded Gaussian blur truncated at `radius` cells, bit-equal to
-    `gaussian_filter(cells, sigma, mode="constant", radius=radius)`: its 1-D
-    weights, built as `gaussian_filter1d` builds them, along axis 0 then 1."""
+    """Zero-padded Gaussian blur of a count frame truncated at `radius`
+    cells, along axis 0 then 1.  Its 1-D weights are `gaussian_filter1d`'s
+    rounded to multiples of 2**-16, the centre taking the remainder
+    so that they sum to exactly 1.  Counts above COUNT_CAP count as it."""
 
     def __init__(self, sigma: float, radius: int):
         x = np.arange(-radius, radius + 1)
         phi = np.exp(-0.5 / (sigma * sigma) * x**2)
-        self.weights = phi / phi.sum()
+        w = np.rint(phi / phi.sum() * U_ONE)
+        w[radius] += U_ONE - w.sum()
+        self.weights = w / U_ONE
+        self._bands: dict = {}
+
+    def bands(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) on an (h, w) grid, built on first use: the blur of
+        x is rows @ x @ cols, where cols is _band(weights, w).T."""
+        if shape not in self._bands:
+            h, w = shape
+            self._bands[shape] = _band(self.weights, h), _band(self.weights[::-1], w)
+        return self._bands[shape]
 
     def __call__(self, cells: np.ndarray) -> np.ndarray:
-        # Only the box around the nonzero cells, widened by the radius, is
-        # blurred; outside it input and blur are both exactly zero.  Inside
-        # it each output reads the same taps in the same order as a
-        # full-frame pass, since the crop's zero padding stands for zeros.
+        # Outside the box around the nonzero cells, widened by the radius,
+        # input and blur are both zero; inside it, the products need only
+        # the bands' rows and columns of those cells.
         out = np.zeros(cells.shape)
-        ys = np.flatnonzero(cells.any(axis=1))
+        ys, xs = np.divmod(np.flatnonzero(cells), cells.shape[1])
         if len(ys) == 0:
             return out
-        xs = np.flatnonzero(cells.any(axis=0))
+        (y0, y1), (x0, x1) = (ys[0], ys[-1] + 1), (xs.min(), xs.max() + 1)
         r = len(self.weights) // 2
-        box = (
-            slice(max(ys[0] - r, 0), ys[-1] + r + 1),
-            slice(max(xs[0] - r, 0), xs[-1] + r + 1),
-        )
-        out[box] = _correlate_rows(_correlate_rows(cells[box], self.weights).T, self.weights).T
+        box = (slice(max(y0 - r, 0), y1 + r), slice(max(x0 - r, 0), x1 + r))
+        rows, cols = self.bands(cells.shape)
+        counts = np.minimum(cells[y0:y1, x0:x1], COUNT_CAP).astype(np.float64)
+        out[box] = rows[box[0], y0:y1] @ counts @ cols[x0:x1, box[1]]
         return out
-
-
-def _correlate_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Zero-padded correlation of x with a symmetric, odd-length w along
-    axis 0, in `correlate1d`'s order: the centre times w[r], then each
-    pair (x[i - k] + x[i + k]) times w[r - k], farthest pair first."""
-    r, n = len(w) // 2, len(x)
-    pad = np.zeros((n + 2 * r, *x.shape[1:]))
-    pad[r : n + r] = x
-    out = pad[r : n + r] * w[r]
-    for k in range(r, 0, -1):
-        out += (pad[r - k : n + r - k] + pad[r + k : n + r + k]) * w[r - k]
-    return out
 
 
 class BlobDetector:
@@ -192,7 +218,9 @@ class SigmaDeltaDetector:
     """Spiking detector: the count frame's Gaussian blur, sent through one
     sigma-delta boundary each step, so between-step redundancy is carried
     by spikes only and the decoded blur is within theta of the true one
-    in every cell.  The blur is truncated at ceil(3 sigma) cells."""
+    in every cell.  The blur is truncated at ceil(3 sigma) cells.  Its
+    values are exact, so the decoded blur equals the encoder's last sent
+    values to the bit, and is never below 0."""
 
     def __init__(self, resolution: Resolution, sigma_cells: float, theta: float):
         self.resolution = resolution
@@ -207,12 +235,12 @@ class SigmaDeltaDetector:
         spikes = delta_encode(self.state, self.blur(cells).ravel(), self.theta)
         self.total_spikes += len(spikes)
         sigma_decode(self.decoded, spikes)
-        img = np.clip(self.decoded, 0.0, None).reshape(self.resolution.height, self.resolution.width)
-        return self.gain.normalize(img)
+        return self.gain.normalize(self.decoded.reshape(self.resolution.height, self.resolution.width))
 
 
 def detect_heatmap(frame: np.ndarray, detector) -> np.ndarray:
-    """Normalized [0, 1] detection heatmap of the frame's shape."""
+    """Normalized detection heatmap of the frame's shape: int64 counts of
+    2**-16, from 0 to U_ONE."""
     heat = detector.heatmap(frame)
     if heat.shape != frame.shape:
         raise ValueError("detector returned a heatmap of the wrong shape")
@@ -301,13 +329,13 @@ def _argmax_peaks(heat: np.ndarray) -> list[Peak]:
     peaks = []
     r = max(1, int(round(MIN_SEPARATION_CELLS)))
     for _ in range(2):
-        if work.max() <= ARGMAX_FLOOR:
+        if work.max() <= ARGMAX_FLOOR * U_ONE:
             break
         iy, ix = np.unravel_index(int(np.argmax(work)), work.shape)
-        peaks.append(Peak(float(ix), float(iy), float(work[iy, ix])))
+        peaks.append(Peak(float(ix), float(iy), float(work[iy, ix]) / U_ONE))
         y0, y1 = max(0, iy - r), min(h, iy + r + 1)
         x0, x1 = max(0, ix - r), min(w, ix + r + 1)
-        work[y0:y1, x0:x1] = 0.0
+        work[y0:y1, x0:x1] = 0
     return peaks
 
 

@@ -23,6 +23,7 @@ from evtheremin.harness import (
     single_bit_fuzz,
 )
 from evtheremin.neural_field import (
+    U_ONE,
     Field,
     FieldParams,
     KernelParams,
@@ -30,6 +31,7 @@ from evtheremin.neural_field import (
     field_step,
     make_kernel,
     selective_params,
+    to_units,
 )
 from evtheremin.orchestrator import (
     ControllerState,
@@ -148,8 +150,9 @@ def test_c2_spike_count_monotone_in_theta(coding_results):
 
 
 def gaussian_input(res, cx, cy, amp=6.0, sigma=2.0):
+    """A Gaussian bump of input, in the field's units."""
     ys, xs = np.mgrid[0 : res.height, 0 : res.width]
-    return amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sigma**2))
+    return to_units(amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sigma**2)))
 
 
 def run_field(field, kernel, s, steps):
@@ -164,16 +167,16 @@ def test_c3_field_property_suite():
         t0 = time.perf_counter()
         params = FieldParams()
         kernel = make_kernel(KernelParams())
-        zero = np.zeros((CHIP.height, CHIP.width))
+        zero = np.zeros((CHIP.height, CHIP.width), dtype=np.int64)
 
-        # Sub-ignition perturbations decay back to the no-input rest state.
+        # Sub-ignition perturbations decay back exactly to the no-input rest state.
         baseline = run_field(Field.at_rest(CHIP), kernel, zero, 300)
         bumped = Field(
             Field.at_rest(CHIP).u + gaussian_input(CHIP, 43, 32, amp=2.0), params
         )
         settled = run_field(bumped, kernel, zero, 300)
-        assert float(np.max(np.abs(settled.u - baseline.u))) < 1e-6
-        assert float(np.max(np.abs(settled.u - params.h))) < 1e-3
+        np.testing.assert_array_equal(settled.u, baseline.u)
+        assert np.all(settled.u == round(params.h * U_ONE))
 
         # A single-step impulse never crosses the detection threshold.
         f = field_step(Field.at_rest(CHIP), gaussian_input(CHIP, 43, 32), kernel)
@@ -203,7 +206,7 @@ def test_c3_field_property_suite():
         )
         rolled = np.roll(fa.u, (dy, dx), axis=(0, 1))
         m = 25
-        assert np.allclose(fb.u[m:-m, m:-m], rolled[m:-m, m:-m], atol=0.05)
+        assert np.allclose(fb.u[m:-m, m:-m], rolled[m:-m, m:-m], atol=0.05 * U_ONE)
 
         assert time.perf_counter() - t0 < 30.0
 

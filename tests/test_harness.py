@@ -36,7 +36,7 @@ from evtheremin.harness import (
     write_demo_files,
 )
 from evtheremin.events import Resolution, synth_hand_events
-from evtheremin.orchestrator import ShowState, parse_scenario
+from evtheremin.orchestrator import Intention, ShowState, parse_scenario
 from evtheremin.theremin import SAMPLE_MS, ScoreError, parse_score, score_to_trajectory
 from evtheremin.tracker import CHIP_RES, HandEstimate, HandLabel, HandPoint, TrackerConfig
 from evtheremin.transport import ChannelConfig, safe_encode
@@ -550,6 +550,13 @@ class TestOtherShowStates:
         assert rep.state_ms["Conversing"] == 100.0
         assert rep.sim_duration_us == 100_000.0
 
+    def test_time_before_the_first_line_is_idle(self):
+        scenario = "AT 100 INTENT StartConversation\nAT 300 INTENT Done\n"
+        rep = run_show(SimConfig(seed=2), scenario_text=scenario, score_text="")
+        assert rep.state_ms["Idle"] == 100.0
+        assert rep.state_ms["Conversing"] == 200.0
+        assert rep.sim_duration_us == 300_000.0
+
     def test_negative_zero_time_reports_as_zero(self):
         def kv(time):
             scenario = f"AT {time} INTENT StartConversation\n"
@@ -720,3 +727,48 @@ class TestSingleBitFuzz:
         text = single_bit_fuzz(n_records=2, seed=1).to_text()
         assert "(100.00%)" in text
         assert "UNDETECTED" not in text
+
+
+# A two-note score of 40 ms each: a tracking segment is at most 8 windows.
+WHOLE_SHOW_SCORE = "NOTE 60 40\nNOTE 67 40\nVOL 0 0.3\nVOL 40 0.9\n"
+
+
+@st.composite
+def scenarios(draw):
+    """Scenario text: 1-6 lines of any intent at whole-ms times that
+    start at 0 or later and never decrease, repeats and zero-length
+    segments included."""
+    t = draw(st.sampled_from([0, 0, 30]))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        lines.append(f"AT {t} INTENT {draw(st.sampled_from(list(Intention))).value}")
+        t += draw(st.sampled_from([0, 10, 25, 60]))
+    return "\n".join(lines) + "\n"
+
+
+class TestWholeScenarios:
+    """Properties of whole shows over drawn scenarios, links and detectors."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        scenarios(),
+        st.sampled_from(["blob", "sd_net"]),
+        st.builds(
+            ChannelConfig,
+            loss_p=st.sampled_from([0.0, 0.2, 0.5]),
+            bitflip_p=st.sampled_from([0.0, 5e-4]),
+            delay_jitter_us=st.sampled_from([0.0, 30_000.0]),
+            reorder_window=st.integers(0, 8),
+            seed=st.integers(0, 2**16),
+        ),
+        st.integers(0, 10),
+        st.integers(0, 2**16),
+    )
+    @example("AT 100 INTENT StartConversation\nAT 300 INTENT Done\n", "blob", ChannelConfig(), 8, 0)
+    def test_states_fill_the_show_and_a_rerun_is_identical(self, scenario, detector, channel, window, seed):
+        cfg = SimConfig(seed=seed, tracker=TrackerConfig(detector=detector), channel=channel, reorder_window=window)
+        first = run_show(cfg, scenario_text=scenario, score_text=WHOLE_SHOW_SCORE)
+        assert sum(first.state_ms.values()) == first.sim_duration_us / 1000
+        again = run_show(cfg, scenario_text=scenario, score_text=WHOLE_SHOW_SCORE)
+        kv = "\n".join(first.to_kv_lines(include_wall=False)).encode()
+        assert "\n".join(again.to_kv_lines(include_wall=False)).encode() == kv

@@ -1,9 +1,13 @@
 """Lateral-interaction field: kernel construction, Euler dynamics, peak
-detection, and the PGM dump."""
+detection, and the PGM dump.
+
+The field runs in integers (units in `neural_field`'s docstring).  Its
+step is tested for exactness (the same bits in any order, on any box)
+and for closeness to the float dynamics it rounds, with scipy's `expit`
+and a 2-D convolution as the float references."""
 
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,10 +25,15 @@ import field_oracle
 import peaks_oracle
 from evtheremin.events import Resolution
 from evtheremin.neural_field import (
+    EXACT_LIMIT,
+    K_ONE,
+    U_ONE,
     Field,
     FieldParams,
     KernelParams,
     LateralKernel,
+    _euler_ratio,
+    _lateral,
     _rate,
     _regions,
     detect_peaks,
@@ -32,6 +41,7 @@ from evtheremin.neural_field import (
     field_to_pgm,
     make_kernel,
     selective_params,
+    to_units,
 )
 from evtheremin.tracker import tracker_field_params
 
@@ -39,8 +49,13 @@ CHIP = Resolution(86, 65)
 
 
 def gaussian_input(res, cx, cy, amp=6.0, sigma=2.0):
+    """A Gaussian bump of input, in the field's units."""
     ys, xs = np.mgrid[0 : res.height, 0 : res.width]
-    return amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sigma**2))
+    return to_units(amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sigma**2)))
+
+
+def zeros(shape):
+    return np.zeros(shape, dtype=np.int64)
 
 
 def run_steps(field, s, kernel, n):
@@ -61,6 +76,11 @@ class TestParams:
             FieldParams(h=0.0)
         with pytest.raises(ValueError):
             FieldParams(beta=-1.0)
+        # The rate table's length grows as 1 / beta.
+        for beta in (2.0**-7, float("nan")):
+            with pytest.raises(ValueError, match="beta"):
+                FieldParams(beta=beta)
+        assert FieldParams(beta=2.0**-6).beta == 2.0**-6
         with pytest.raises(ValueError):
             FieldParams(tie_break=-0.1)
 
@@ -77,6 +97,20 @@ class TestParams:
     def test_presets(self):
         fp, kp = selective_params()
         assert kp.g_inh > 0.0 and fp.tie_break > 0.0
+
+    @pytest.mark.parametrize(
+        "dt, tau, ratio",
+        [(1.0, 3.0, (1, 3)), (1.0, 10.0, (1, 10)), (0.5, 2.0, (1, 4)), (2.0, 2.0, (1, 1)), (0.1, 1.0, (1, 10))],
+    )
+    def test_euler_ratio_is_the_nearest_small_fraction(self, dt, tau, ratio):
+        assert _euler_ratio(dt, tau) == ratio
+        assert FieldParams(dt=dt, tau=tau)
+
+    def test_euler_ratio_that_rounds_to_zero_rejected(self):
+        # The nearest fraction with denominator <= 2**16 to 1e-6 is 0: the field would never move.
+        with pytest.raises(ValueError, match="dt / tau"):
+            FieldParams(dt=1e-6, tau=1.0)
+        assert _euler_ratio(1.0, 65536.0) == (1, 65536)
 
 
 class TestMakeKernel:
@@ -101,6 +135,27 @@ class TestMakeKernel:
         assert k[r, r] > 0
         assert k[r, r + 10] < 0
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [make_kernel(KernelParams()), make_kernel(tracker_field_params()[1]), make_kernel(selective_params()[1])],
+        ids=["default", "tracker", "selective"],
+    )
+    def test_largest_partial_sum_below_2_53(self, kernel):
+        # The bound is reached by a grid that fires at full rate: every
+        # product's terms share a sign per band row, so its sum is the
+        # largest any order of its partial sums reaches.
+        assert kernel.max_partial_sum < EXACT_LIMIT == 2**53
+        n = 2 * kernel.radius + 1
+        cols, rows = kernel.bands((n, n))
+        by_cols = np.abs(cols) @ np.full((n, n), float(U_ONE))
+        assert by_cols.max() <= kernel.max_partial_sum
+        by_rows = sum(np.ceil(by_cols[k * n : (k + 1) * n] / K_ONE) @ np.abs(r) for k, r in enumerate(rows))
+        assert by_rows.max() <= kernel.max_partial_sum
+
+    def test_kernel_too_strong_for_exact_sums_rejected(self):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            LateralKernel(((2.0**30, np.ones(25)),))
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             LateralKernel(((1.0, np.zeros(4)),))
@@ -115,37 +170,44 @@ class TestMakeKernel:
 class TestFieldBasics:
     def test_at_rest(self):
         f = Field.at_rest(CHIP)
-        assert f.u.shape == (65, 86)
-        assert np.all(f.u == -5.0)
+        assert f.u.shape == (65, 86) and f.u.dtype == np.int64
+        assert np.all(f.u == -5 * U_ONE)
+
+    def test_state_must_be_int64(self):
+        with pytest.raises(TypeError, match="int64"):
+            Field(np.full((2, 2), -5.0), FieldParams())
 
     def test_rate_is_sigmoid_of_activation(self):
         # No lateral term and dt == tau: one step leaves h - g_inh * sum(f(u)).
         f = Field.at_rest(Resolution(4, 3), FieldParams(tau=1.0, dt=1.0, beta=4.0))
         kernel = LateralKernel(((0.0, np.ones(1)),), g_inh=1.0)
-        f.u[:] = 0.0
-        assert np.all(field_step(f, np.zeros((3, 4)), kernel).u == -5.0 - 12 * 0.5)
-        f.u[:] = 2.0
-        assert field_step(f, np.zeros((3, 4)), kernel).u[0, 0] == pytest.approx(-5.0 - 12 * expit(8.0))
+        f.u[:] = 0
+        assert np.all(field_step(f, zeros((3, 4)), kernel).u == -5 * U_ONE - 12 * U_ONE // 2)
+        f.u[:] = 2 * U_ONE
+        want = -5 * U_ONE - 12 * round(U_ONE * expit(8.0))
+        assert np.all(field_step(f, zeros((3, 4)), kernel).u == want)
 
-    def test_rate_within_4_ulp_of_expit(self):
-        # numpy's SIMD exp, where the CPU has one, may be 1 ulp off libm's;
-        # where 1 + exp(-u) lies just above 2**53 (u near -36.8) the sum's
-        # rounding adds to that, and the reciprocal of a denominator just
-        # above a power of two doubles the count.  With libm's exp the two
-        # are equal.
-        u = np.concatenate([np.linspace(-800.0, 800.0, 1_600_001), np.linspace(-37.5, -36.0, 300_001)])
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            got = _rate(u, 1.0)
-        ulps = np.abs(got.view(np.int64) - expit(u).view(np.int64))
-        assert ulps.max() <= 4
-        assert got[0] == 0.0 and got[1_600_000] == 1.0
+    @pytest.mark.parametrize("beta", [2.0**-6, 0.5, 1.0, 4.0, 13.0])
+    def test_rate_table_close_to_expit(self, beta):
+        # Each rate is f at u's nearest 2**-8 step, rounded to U_ONE units:
+        # within half a unit plus half a step times f's largest slope.
+        real = np.concatenate([np.linspace(-800.0, 800.0, 160_001), np.linspace(-40 / beta, 40 / beta, 200_001)])
+        u = to_units(real)
+        got = _rate(u, beta)
+        want = U_ONE * expit(beta * u / U_ONE)
+        assert np.abs(got - want).max() <= 0.5 + U_ONE * beta / 4 * 2.0**-9
+        assert np.all(got == np.rint(got)) and np.all(np.diff(got[np.argsort(u)]) >= 0)
+        assert got.min() == 0.0 and got.max() == U_ONE
+
+    @pytest.mark.parametrize("preset", [FieldParams(), tracker_field_params()[0], selective_params()[0]])
+    def test_rate_at_rest_is_exactly_zero(self, preset):
+        assert _rate(Field.at_rest(CHIP, preset).u, preset.beta).max() == 0.0
 
     def test_step_is_pure(self):
         f = Field.at_rest(Resolution(10, 8))
         before = f.u.copy()
         kernel = make_kernel(KernelParams(), radius=2)
-        g = field_step(f, np.ones((8, 10)), kernel)
+        g = field_step(f, np.full((8, 10), U_ONE), kernel)
         np.testing.assert_array_equal(f.u, before)
         assert g is not f
 
@@ -153,19 +215,43 @@ class TestFieldBasics:
         f = Field.at_rest(Resolution(10, 8))
         kernel = make_kernel(KernelParams(), radius=2)
         with pytest.raises(ValueError):
-            field_step(f, np.ones((10, 8)), kernel)
+            field_step(f, np.ones((10, 8), dtype=np.int64), kernel)
+        with pytest.raises(TypeError, match="int64"):
+            field_step(f, np.ones((8, 10)), kernel)
 
 
-def reference_step(field, s, kernel):
-    """field_step with the 2-D kernel applied by one zero-padded
-    convolve2d, as the tracker did before the separable passes."""
+def reference_step(field, s, kernel, rate=None, weights=None, g_inh=None, ratio=None):
+    """The step in float64 real units with the 2-D kernel applied by one
+    zero-padded convolve2d, as the tracker did before the separable
+    passes.  By default it is the float field: `expit` rates, the float
+    kernel, g_inh and dt / tau."""
     p = field.params
-    rate = expit(p.beta * field.u)
-    lateral = convolve2d(rate, kernel.weights, mode="same", boundary="fill", fillvalue=0.0)
-    drive = -field.u + p.h + s + lateral - kernel.g_inh * rate.sum()
-    n = field.u.size
-    ramp = (np.arange(n, dtype=np.float64) / max(n - 1, 1)).reshape(field.u.shape)
-    return field.u + (p.dt / p.tau) * (drive - p.tie_break * ramp)
+    u = field.u / U_ONE
+    rate = expit(p.beta * u) if rate is None else rate
+    weights = kernel.weights if weights is None else weights
+    g_inh = kernel.g_inh if g_inh is None else g_inh
+    lateral = convolve2d(rate, weights, mode="same", boundary="fill", fillvalue=0.0)
+    drive = -u + p.h + s / U_ONE + lateral - g_inh * rate.sum()
+    n = u.size
+    ramp = (np.arange(n, dtype=np.float64) / max(n - 1, 1)).reshape(u.shape)
+    return u + (p.dt / p.tau if ratio is None else ratio) * (drive - p.tie_break * ramp)
+
+
+def int_weights(kernel):
+    """The 2-D kernel the integer terms add up to, in real units."""
+    return sum(np.outer(ag, g) for ag, g in kernel.int_terms) / K_ONE**2
+
+
+def step_rounding(kernel):
+    """How far, in units of 2**-16, the step's roundings can move its
+    drive: the column pass rounds by half a unit, which the row pass
+    scales by its profile's mass, and the lateral term, the global
+    inhibition and the tie ramp round by half a unit each."""
+    return 0.5 * (1 + sum(np.abs(g).sum() for _, g in kernel.int_terms) / K_ONE) + 1.0
+
+
+def random_field(rng, height, width, params):
+    return Field(to_units(rng.uniform(-10.0, 5.0, (height, width))), params)
 
 
 @st.composite
@@ -193,16 +279,45 @@ class TestSeparableStep:
     @example(KernelParams(), 12, 1, 1, 0.0, 0)
     @example(KernelParams(), 12, 8, 10, 0.05, 1)
     def test_matches_2d_convolution(self, kp, radius, height, width, tie_break, seed):
+        # The separable passes against one 2-D convolution of the same
+        # integer kernel and rates, in float: they differ by the step's
+        # roundings only, and by less than a unit where the step rounds
+        # away from zero.
         rng = np.random.default_rng(seed)
-        f = Field(rng.uniform(-10.0, 5.0, (height, width)), FieldParams(tie_break=tie_break))
-        s = rng.uniform(0.0, 15.0, (height, width))
+        fp = FieldParams(tie_break=tie_break)
+        f = random_field(rng, height, width, fp)
+        s = to_units(rng.uniform(0.0, 15.0, (height, width)))
         kernel = make_kernel(kp, radius)
-        # Rates are at most 1, so no lateral input exceeds the kernel's
-        # absolute mass; both forms round at that scale.
-        tol = 1e-12 * max(1.0, float(np.abs(kernel.weights).sum()))
-        np.testing.assert_allclose(
-            field_step(f, s, kernel).u, reference_step(f, s, kernel), rtol=0, atol=tol
-        )
+        num, den = _euler_ratio(fp.dt, fp.tau)
+        rate = _rate(f.u, fp.beta) / U_ONE
+        want = reference_step(f, s, kernel, rate, int_weights(kernel), kernel.g_inh_units / K_ONE, num / den)
+        tol = (num / den * step_rounding(kernel) + 1.0) / U_ONE + 1e-12 * max(1.0, float(np.abs(kernel.weights).sum()))
+        np.testing.assert_allclose(field_step(f, s, kernel).u / U_ONE, want, rtol=0, atol=tol)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([tracker_field_params(), (FieldParams(), KernelParams())]),
+        st.integers(1, 65),
+        st.integers(1, 86),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((FieldParams(), KernelParams()), 65, 86, 0)
+    def test_close_to_float_field(self, preset, height, width, seed):
+        # One step against the float field it rounds (expit rates, float
+        # kernel): the rate table is off by at most half a unit plus half
+        # a 2**-8 step times f's largest slope, beta / 4, which the integer
+        # kernel's absolute mass scales; the integer kernel is off by its
+        # own absolute difference; and the step rounds as above.
+        fp, kp = preset
+        kernel = make_kernel(kp)
+        rng = np.random.default_rng(seed)
+        f = random_field(rng, height, width, fp)
+        s = to_units(rng.uniform(0.0, 15.0, (height, width)))
+        rate_err = 0.5 / U_ONE + fp.beta / 4 * 2.0**-9
+        kernel_err = np.abs(int_weights(kernel) - kernel.weights).sum()
+        tol = fp.dt / fp.tau * (np.abs(int_weights(kernel)).sum() * rate_err + kernel_err + step_rounding(kernel) / U_ONE)
+        got = field_step(f, s, kernel).u / U_ONE
+        assert np.abs(got - reference_step(f, s, kernel)).max() <= tol + 1.0 / U_ONE
 
     @pytest.mark.parametrize("height, width", [(1, 1), (8, 10)])
     def test_bands_equal_correlate1d_of_an_impulse(self, height, width):
@@ -210,10 +325,14 @@ class TestSeparableStep:
         kernel = make_kernel(KernelParams(), 12)
         cols, rows = kernel.bands((height, width))
         assert cols.shape == (2 * height, height)
-        for k, (a, g) in enumerate(kernel.terms):
+        for k, ((a, g), (ag_units, g_units)) in enumerate(zip(kernel.terms, kernel.int_terms)):
+            # The integer profiles are the float ones rounded to K_ONE units.
+            np.testing.assert_array_equal(ag_units, np.rint(a * g * K_ONE))
+            np.testing.assert_array_equal(g_units, np.rint(g * K_ONE))
             # Column j of a band is the correlation of the impulse at j.
-            by_col, by_row = (correlate1d(np.eye(n), g, axis=0, mode="constant") for n in (height, width))
-            np.testing.assert_array_equal(cols[k * height : (k + 1) * height], a * by_col)
+            by_col = correlate1d(np.eye(height), ag_units, axis=0, mode="constant")
+            by_row = correlate1d(np.eye(width), g_units, axis=0, mode="constant")
+            np.testing.assert_array_equal(cols[k * height : (k + 1) * height], by_col)
             np.testing.assert_array_equal(rows[k], by_row.T)
 
     @settings(deadline=None)
@@ -228,16 +347,47 @@ class TestSeparableStep:
     @example(tracker_field_params(), 0.0, 0.0, 65, 86, 0)
     @example(selective_params(), 1.5, 0.05, 65, 86, 1)
     def test_bit_equal_to_expression_oracle(self, preset, g_inh, tie_break, height, width, seed):
-        # The step's arithmetic runs in one buffer in the expression's
-        # order, and skips global inhibition only where it is zero.
+        # The oracle sums in another order over the whole grid: bands
+        # transposed and products reversed, every rate looked up.  The
+        # step reads the firing cells' box only.
         fp, kp = preset
         fp, kernel = replace(fp, tie_break=tie_break), make_kernel(replace(kp, g_inh=g_inh))
         rng = np.random.default_rng(seed)
-        got = want = Field(rng.uniform(-10.0, 5.0, (height, width)), fp)
+        got = want = random_field(rng, height, width, fp)
         for _ in range(3):
-            s = rng.uniform(0.0, 15.0, (height, width))
+            s = to_units(rng.uniform(0.0, 15.0, (height, width)))
             got, want = field_step(got, s, kernel), field_oracle.field_step(want, s, kernel)
-            np.testing.assert_array_equal(got.u.view(np.uint64), want.u.view(np.uint64))
+            np.testing.assert_array_equal(got.u, want.u)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 65),
+        st.integers(1, 86),
+        st.lists(st.tuples(st.integers(0, 85), st.integers(0, 64), st.integers(1, 6)), max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(65, 86, [(0, 0, 1), (85, 64, 1)], 0)
+    @example(65, 86, [(40, 30, 6)], 1)
+    def test_lateral_on_firing_box_equals_full_grid(self, height, width, patches, seed):
+        # Rates on a few patches, zero elsewhere: the products on the box
+        # around the nonzero rates give the full grid's term to the bit.
+        kernel = make_kernel(tracker_field_params()[1])
+        rng = np.random.default_rng(seed)
+        rate = np.zeros((height, width))
+        for x, y, r in patches:
+            x, y = x % width, y % height
+            patch = rate[max(y - r, 0) : y + r, max(x - r, 0) : x + r]
+            patch[:] = rng.integers(0, U_ONE + 1, patch.shape)
+        full = np.zeros((height, width), dtype=np.int64)
+        ys, xs, lateral = _lateral(kernel, rate, 0, 0, rate.shape)
+        full[ys, xs] = lateral
+        box = np.zeros_like(full)
+        rows, cols = np.flatnonzero(rate.any(axis=1)), np.flatnonzero(rate.any(axis=0))
+        if len(rows):
+            y0, y1, x0, x1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+            ys, xs, lateral = _lateral(kernel, rate[y0:y1, x0:x1], y0, x0, rate.shape)
+            box[ys, xs] = lateral
+        np.testing.assert_array_equal(box, full)
 
     @pytest.mark.parametrize("module", ["scipy", "scipy.signal", "scipy.sparse"])
     def test_import_leaves_module_unloaded(self, module):
@@ -260,23 +410,60 @@ class TestLinearizedDynamics:
         return make_kernel(KernelParams(c_exc=0.0, c_inh=0.0), radius=2)
 
     def test_fixed_point_is_rest_plus_input(self):
+        # Each step moves u at least one unit towards h + s and never past
+        # it, so the fixed point is reached exactly.
         params = FieldParams(tau=10, h=-5, dt=1)
         res = Resolution(6, 5)
         f = Field.at_rest(res, params)
-        s = np.full((5, 6), 2.0)
+        s = np.full((5, 6), 2 * U_ONE)
         f = run_steps(f, s, self.kernel(), 400)
-        np.testing.assert_allclose(f.u, -3.0, atol=1e-12)
+        np.testing.assert_array_equal(f.u, -3 * U_ONE)
 
     def test_geometric_decay_ratio(self):
+        self.test_decay_rounds_away_from_zero(8 * U_ONE)
+
+    @pytest.mark.parametrize("deviation", [8 * U_ONE, -8 * U_ONE, 7, -7, 1, -1])
+    def test_decay_rounds_away_from_zero(self, deviation):
+        # The deviation from rest shrinks by (1 - dt/tau) per step, its
+        # change rounded away from zero, that is by
+        # deviation * dt / tau rounded up in magnitude.
         params = FieldParams(tau=10, h=-5, dt=1)
         f = Field.at_rest(Resolution(6, 5), params)
-        f.u[2, 2] = 3.0
-        zero = np.zeros((5, 6))
+        f.u[2, 2] += deviation
+        zero = zeros((5, 6))
         g = field_step(f, zero, self.kernel())
         gg = field_step(g, zero, self.kernel())
-        # deviation from rest shrinks by exactly (1 - dt/tau) per step
-        assert (g.u[2, 2] + 5.0) == pytest.approx(0.9 * 8.0)
-        assert (gg.u[2, 2] + 5.0) == pytest.approx(0.9**2 * 8.0)
+        one = deviation - np.sign(deviation) * -(-abs(deviation) // 10)
+        assert g.u[2, 2] + 5 * U_ONE == one
+        assert gg.u[2, 2] + 5 * U_ONE == one - np.sign(one) * -(-abs(one) // 10)
+        assert abs(one - 0.9 * deviation) < 1
+        assert np.all(np.delete(g.u.ravel(), 2 * 6 + 2) == -5 * U_ONE)
+
+    @pytest.mark.parametrize(
+        "params, kernel_params",
+        [tracker_field_params(), (FieldParams(), KernelParams()), selective_params()],
+        ids=["tracker", "default", "selective"],
+    )
+    def test_resting_field_stays_exactly_at_rest(self, params, kernel_params):
+        # Without input a resting cell's rate is exactly 0, so no cell
+        # drives another; the selective preset's tie ramp is the one input.
+        params = replace(params, tie_break=0.0)
+        rest = Field.at_rest(CHIP, params)
+        f = run_steps(rest, zeros((CHIP.height, CHIP.width)), make_kernel(kernel_params), 20)
+        np.testing.assert_array_equal(f.u, rest.u)
+
+    @pytest.mark.parametrize(
+        "params, kernel_params",
+        [tracker_field_params(), (FieldParams(), KernelParams())],
+        ids=["tracker", "default"],
+    )
+    def test_sub_ignition_bump_returns_exactly_to_rest(self, params, kernel_params):
+        # Floor division would leave cells a unit or two below rest for
+        # good; rounding each step away from zero brings every cell back.
+        rest = Field.at_rest(CHIP, params)
+        f = Field(rest.u + gaussian_input(CHIP, 43, 32, amp=2.0) - gaussian_input(CHIP, 20, 20, amp=1.0), params)
+        f = run_steps(f, zeros((CHIP.height, CHIP.width)), make_kernel(kernel_params), 400)
+        np.testing.assert_array_equal(f.u, rest.u)
 
 
 class TestPeakDynamics:
@@ -290,7 +477,7 @@ class TestPeakDynamics:
         assert np.hypot(peaks[0].x - 43, peaks[0].y - 32) < 2.0
 
         # drop the input to 20 percent; the peak must hold its position
-        f = run_steps(f, 0.2 * s, kernel, 60)
+        f = run_steps(f, s // 5, kernel, 60)
         peaks = detect_peaks(f, threshold=0.0)
         assert len(peaks) == 1
         assert np.hypot(peaks[0].x - 43, peaks[0].y - 32) < 2.0
@@ -300,7 +487,7 @@ class TestPeakDynamics:
         kernel = make_kernel(kp)
         s = gaussian_input(CHIP, 43, 32)
         f = field_step(Field.at_rest(CHIP, fp), s, kernel)
-        zero = np.zeros((CHIP.height, CHIP.width))
+        zero = zeros((CHIP.height, CHIP.width))
         horizon = int(5 * fp.tau / fp.dt)
         for _ in range(horizon):
             f = field_step(f, zero, kernel)
@@ -346,7 +533,7 @@ class TestDetectPeaks:
         f = Field.at_rest(res)
         ys, xs = np.mgrid[0 : res.height, 0 : res.width]
         for cx, cy, amp in bumps:
-            f.u = f.u + amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * 2.0**2))
+            f.u = f.u + to_units(amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * 2.0**2)))
         return f
 
     def test_centroids_within_half_cell(self):
@@ -374,8 +561,8 @@ class TestDetectPeaks:
 
     def test_diagonal_cells_are_one_region(self):
         f = Field.at_rest(Resolution(8, 8))
-        f.u[2, 2] = 1.0
-        f.u[3, 3] = 1.0
+        f.u[2, 2] = U_ONE
+        f.u[3, 3] = U_ONE
         assert len(detect_peaks(f, threshold=0.0)) == 1
 
     def test_threshold_must_exceed_resting_level(self):
@@ -399,7 +586,7 @@ class TestDetectPeaks:
         # regions of every size, and ties in mass or distance have
         # probability zero.
         rng = np.random.default_rng(seed)
-        f = Field(rng.uniform(-5.0, 5.0, (height, width)), FieldParams())
+        f = Field(to_units(rng.uniform(-5.0, 5.0, (height, width))), FieldParams())
         got = detect_peaks(f, threshold, min_separation)
         want = peaks_oracle.detect_peaks(f, threshold, min_separation)
         assert len(got) == len(want)
@@ -429,7 +616,7 @@ class TestDetectPeaks:
         f = Field.at_rest(Resolution(width, height))
         ys, xs = np.mgrid[0:height, 0:width]
         for cx, cy, amp, sigma in bumps:
-            f.u = f.u + amp * np.exp(-((xs - cx % width) ** 2 + (ys - cy % height) ** 2) / (2 * sigma**2))
+            f.u = f.u + to_units(amp * np.exp(-((xs - cx % width) ** 2 + (ys - cy % height) ** 2) / (2 * sigma**2)))
         got = detect_peaks(f, threshold, min_separation)
         assert got == peaks_oracle.detect_peaks_full_grid(f, threshold, min_separation)
 

@@ -21,7 +21,7 @@ from evtheremin.events import (
     waving_trajectory,
 )
 from evtheremin.harness import config_from_dict
-from evtheremin.neural_field import Peak
+from evtheremin.neural_field import U_ONE, Peak
 from evtheremin.tracker import (
     BlobDetector,
     GainControl,
@@ -57,74 +57,108 @@ class TestGainControl:
         g = GainControl()
         out = g.normalize(np.full((2, 2), 10.0))
         assert g.ref == 10.0
-        np.testing.assert_array_equal(out, 1.0)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, U_ONE)
 
     def test_reference_decays_toward_quiet_frames(self):
         g = GainControl()
         g.normalize(np.full((2, 2), 10.0))
         out = g.normalize(np.full((2, 2), 5.0))
         assert g.ref == pytest.approx(9.0)
-        np.testing.assert_allclose(out, 5.0 / 9.0)
+        # 5 / 9 rounded to the nearest 2**-16, once.
+        assert np.all(np.abs(out - 5.0 / 9.0 * U_ONE) <= 0.5)
 
     def test_upward_slew_is_capped(self):
         g = GainControl()
         g.normalize(np.full((2, 2), 10.0))
         out = g.normalize(np.full((2, 2), 100.0))
         assert g.ref == pytest.approx(15.0)  # 1.5x the old reference
-        np.testing.assert_array_equal(out, 1.0)  # clipped, not rescaled
+        np.testing.assert_array_equal(out, U_ONE)  # clipped, not rescaled
 
     def test_all_zero_frames_stay_zero(self):
         g = GainControl()
         out = g.normalize(np.zeros((3, 3)))
         assert g.ref == 0.0
-        np.testing.assert_array_equal(out, 0.0)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, 0)
 
 
-def gaussian_kernel(sigma):
-    """Normalised 2-D Gaussian truncated at max(1, ceil(3 sigma)) cells."""
-    radius = max(1, int(np.ceil(3 * sigma)))
-    ax = np.arange(-radius, radius + 1)
-    kern = np.exp(-(ax[None, :] ** 2 + ax[:, None] ** 2) / (2 * sigma**2))
-    return kern / kern.sum()
-
-
-def assert_blurs_equal_gaussian_filter(img, sigma):
-    """Each detector's blur is gaussian_filter with that detector's
-    radius rule, to the last bit."""
+def blurs(img, sigma):
+    """(blur, radius) of each detector, each with its radius rule."""
     height, width = img.shape
-    want = gaussian_filter(img.astype(np.float64), sigma, mode="constant")
-    np.testing.assert_array_equal(BlobDetector(sigma).blur(img).view(np.uint64), want.view(np.uint64))
-    radius = max(1, math.ceil(3 * sigma))
+    return [
+        (BlobDetector(sigma).blur, int(4 * sigma + 0.5)),
+        (SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur, max(1, math.ceil(3 * sigma))),
+    ]
+
+
+def assert_blur_within_rounding_of_gaussian_filter(blur, radius, img, sigma):
+    """The blur against gaussian_filter with the same radius: each output
+    is off by at most the input's largest count times the absolute
+    difference of the rounded and the float 2-D weights."""
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    exact = np.outer(phi, phi) / phi.sum() ** 2
+    tol = img.max(initial=0) * np.abs(np.outer(blur.weights, blur.weights) - exact).sum() + 1e-12 * img.sum()
     want = gaussian_filter(img.astype(np.float64), sigma, mode="constant", radius=radius)
-    sd = SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur(img)
-    np.testing.assert_array_equal(sd.view(np.uint64), want.view(np.uint64))
+    assert np.abs(blur(img) - want).max() <= tol
+
+
+def assert_blurs_exact(img, sigma):
+    """Each detector's blur on the box around the nonzero cells is its
+    dense banded product over the whole frame to the last bit, and close
+    to gaussian_filter with that detector's radius rule."""
+    for blur, radius in blurs(img, sigma):
+        rows, cols = blur.bands(img.shape)
+        got = blur(img)
+        want = rows @ img.astype(np.float64) @ cols
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # The transposed product reversed sums in another order.
+        np.testing.assert_array_equal(got, (cols.T @ img.T.astype(np.float64) @ rows.T).T)
+        assert_blur_within_rounding_of_gaussian_filter(blur, radius, img, sigma)
 
 
 class TestBlurOperator:
-    """The sd_net detector's blur."""
+    """The detectors' blur."""
 
     @given(st.integers(1, 40), st.integers(1, 40), st.floats(0.3, 3.0), st.integers(0, 2**32 - 1))
     def test_matches_dense_convolution(self, width, height, sigma, seed):
+        # One 2-D convolution with the outer product of the rounded 1-D
+        # weights: sums of multiples of 2**-32 below 2**53, so equal to the bit.
         rng = np.random.default_rng(seed)
         img = rng.poisson(rng.uniform(0.0, 8.0), (height, width))
-        got = SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur(img)
-        want = convolve2d(img, gaussian_kernel(sigma), mode="same", boundary="fill")
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        blur = SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur
+        want = convolve2d(img, np.outer(blur.weights, blur.weights), mode="same", boundary="fill")
+        np.testing.assert_array_equal(blur(img), want)
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.5, 3.0])
+    def test_weights_are_rounded_and_sum_to_one(self, sigma):
+        for blur, radius in blurs(np.zeros((1, 1)), sigma):
+            w = blur.weights * U_ONE
+            assert len(w) == 2 * radius + 1 and w.sum() == U_ONE
+            assert np.all(w == np.rint(w)) and np.all(w == w[::-1])
 
     @given(st.integers(1, 86), st.integers(1, 65), st.floats(0.3, 3.0), st.integers(0, 2**32 - 1))
-    def test_bit_equal_to_gaussian_filter(self, width, height, sigma, seed):
-        # Each detector's blur is gaussian_filter with that detector's
-        # radius rule, to the last bit.
+    def test_close_to_gaussian_filter(self, width, height, sigma, seed):
         rng = np.random.default_rng(seed)
         img = rng.poisson(rng.uniform(0.0, 8.0), (height, width))
-        blob = BlobDetector(sigma).blur(img)
-        want = gaussian_filter(img.astype(np.float64), sigma, mode="constant")
-        assert blob.dtype == np.float64
-        np.testing.assert_array_equal(blob.view(np.uint64), want.view(np.uint64))
-        sd = SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur(img)
-        radius = max(1, math.ceil(3 * sigma))
-        want = gaussian_filter(img.astype(np.float64), sigma, mode="constant", radius=radius)
-        np.testing.assert_array_equal(sd.view(np.uint64), want.view(np.uint64))
+        for blur, radius in blurs(img, sigma):
+            assert_blur_within_rounding_of_gaussian_filter(blur, radius, img, sigma)
+
+    @given(st.integers(1, 86), st.integers(1, 65), st.floats(0.3, 3.0), st.integers(0, 2**32 - 1))
+    def test_box_products_bit_equal_to_dense_bands(self, width, height, sigma, seed):
+        rng = np.random.default_rng(seed)
+        assert_blurs_exact(rng.poisson(rng.uniform(0.0, 8.0), (height, width)), sigma)
+
+    def test_counts_saturate_below_exact_limit(self):
+        # A cell's count saturates at COUNT_CAP, where the largest partial
+        # sum, the cap times the weights' total 2**32, is still below 2**53.
+        assert tracker_module.COUNT_CAP * U_ONE**2 < 2**53
+        img = np.zeros((CHIP.height, CHIP.width), dtype=np.int64)
+        img[30, 40] = 2**62
+        blur = BlobDetector(1.5).blur
+        np.testing.assert_array_equal(blur(img), blur(np.minimum(img, tracker_module.COUNT_CAP)))
 
     @settings(deadline=None)
     @given(
@@ -140,27 +174,27 @@ class TestBlurOperator:
     @example(86, 65, 1.5, [(3, 3, 1, 20), (80, 60, 2, 7)])
     @example(86, 65, 3.0, [(2, 30, 1, 9), (84, 63, 0, 4), (40, 1, 2, 5)])
     @example(86, 65, 0.3, [(0, 0, 0, 1), (85, 64, 0, 2)])
-    def test_bit_equal_to_gaussian_filter_on_sparse_frames(self, width, height, sigma, clusters):
+    def test_bit_equal_to_dense_bands_on_sparse_frames(self, width, height, sigma, clusters):
         # A few square clusters, anywhere: the blur runs on the box around
         # the nonzero cells, which the dense frames above never crop.
         img = np.zeros((height, width), dtype=np.int64)
         for x, y, r, count in clusters:
             x, y = x % width, y % height
             img[max(y - r, 0) : y + r + 1, max(x - r, 0) : x + r + 1] += count
-        assert_blurs_equal_gaussian_filter(img, sigma)
+        assert_blurs_exact(img, sigma)
 
     @pytest.mark.parametrize("x, y", [(0, 0), (85, 0), (0, 64), (85, 64), (40, 0), (40, 64), (0, 30), (85, 30)])
     @pytest.mark.parametrize("sigma", [0.3, 1.5, 3.0])
     def test_single_cell_on_edge_or_corner_bit_equal(self, x, y, sigma):
         img = np.zeros((CHIP.height, CHIP.width), dtype=np.int64)
         img[y, x] = 3
-        assert_blurs_equal_gaussian_filter(img, sigma)
+        assert_blurs_exact(img, sigma)
 
     def test_interior_mass_preserved(self):
-        img = np.zeros((20, 20))
-        img[10, 10] = 4.0
+        img = np.zeros((20, 20), dtype=np.int64)
+        img[10, 10] = 4
         out = SigmaDeltaDetector(Resolution(20, 20), 1.5, 0.0).blur(img)
-        assert out.sum() == pytest.approx(4.0)
+        assert out.sum() == 4.0
 
 
 class TestDetectors:
@@ -174,7 +208,7 @@ class TestDetectors:
         heat = detect_heatmap(self.blob_frame(43, 32), det)
         assert heat.shape == (CHIP.height, CHIP.width)
         assert np.unravel_index(np.argmax(heat), heat.shape) == (32, 43)
-        assert heat.max() == pytest.approx(1.0)
+        assert heat.dtype == np.int64 and heat.max() == U_ONE
 
     def test_blob_sigma_validated(self):
         # The blur width is the tracker's constant, not a config value.
