@@ -57,15 +57,22 @@ class TestSynthAndTrack:
             (["--seed", "3", "--pattern", "score", "--score", "{demo}/score.txt"],
              "00f860e5ad5a3695d40e366cf549921137e783783ce7a4af6bf2ca0baae2874c",
              "cf56854de6c11f3555c581cc909fade9f5f45c53f06eabdb4981b7661b05c4e8"),
+            # The lossy show's two-hand score on a sensor taller than the
+            # 180 px the camera geometry assumes, so that image height and
+            # sensor height cannot stand in for each other.
+            (["--seed", "3", "--pattern", "score", "--score", "{lossy}", "--resolution", "640x480"],
+             "eae32fbdaeada934cb254418eb67048c52ca1214431799c89a4243a1d309efa0",
+             "548001e0805a9dc055877cf786181dacdaf56ad18fb2b008f2fce9aee9c24b5e"),
         ],
-        ids=["wave", "score"],
+        ids=["wave", "score", "lossy-640x480"],
     )
     def test_trajectory_out_bytes_pinned(self, tmp_path, args, evt1_sha, json_sha):
-        demo = tmp_path / "demo"
+        demo, lossy = tmp_path / "demo", tmp_path / "lossy.txt"
         invoke(["demo", "--dir", str(demo)])
+        lossy.write_text("NOTE 60 80\nNOTE 67 80\nVOL 0 0.2\nVOL 80 0.9\nVOL 160 0.4\n")
         ev, traj = tmp_path / "hands.evt1", tmp_path / "traj.json"
         invoke(["synth", "--out", str(ev), "--trajectory-out", str(traj),
-                *(a.format(demo=demo) for a in args)])
+                *(a.format(demo=demo, lossy=lossy) for a in args)])
         assert hashlib.sha256(ev.read_bytes()).hexdigest() == evt1_sha
         assert hashlib.sha256(traj.read_bytes()).hexdigest() == json_sha
 
