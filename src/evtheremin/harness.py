@@ -43,9 +43,9 @@ from .orchestrator import (
 from .sigma_delta import GradedSpike
 from .theremin import (
     CALIBRATION,
+    CENTS_PER_PIXEL,
     RAMP_MS,
     SAMPLE_MS,
-    PixelGeometry,
     Score,
     calibrate_pitch,
     cents_between,
@@ -53,6 +53,7 @@ from .theremin import (
     note_at,
     note_freq,
     parse_score,
+    pitch_distance_m,
     score_to_trajectory,
 )
 from .tracker import (
@@ -104,8 +105,6 @@ BOARDS = 10
 # The show's synthesis rate; its other synthesis values are
 # synth_hand_events' defaults.
 SYNTH_RATE_SCALE = 2.0
-# The camera-to-theremin geometry of every show.
-GEOMETRY = PixelGeometry()
 
 
 @dataclass
@@ -363,7 +362,7 @@ def run_show(
     # never plays may carry an empty score.
     traj = None
     if any(seg.state in (ShowState.DUET, ShowState.TEACHING, ShowState.SOLO) for seg in segments):
-        traj = score_to_trajectory(score, tempo=cfg.tempo, geometry=GEOMETRY, resolution=cfg.tracker.input_res)
+        traj = score_to_trajectory(score, tempo=cfg.tempo, resolution=cfg.tracker.input_res)
 
     # The show's clock starts at 0 ms, idle until the scenario's first line.
     if scenario:
@@ -396,9 +395,8 @@ def run_show(
     }
     wall_s = max(time.perf_counter() - wall_start, 1e-9)
     rtf = compute_rtf(sim_us / 1e6, wall_s)
-    cpp = GEOMETRY.cents_per_pixel(CALIBRATION)
     frames, records = run.link_stats.sent, run.link_stats.events_sent
-    bound = cpp * run.track_err_x.mean + 1.0 if run.track_err_x.count else 0.0
+    bound = CENTS_PER_PIXEL * run.track_err_x.mean + 1.0 if run.track_err_x.count else 0.0
     return RunReport(
         seed=cfg.seed,
         sim_duration_us=sim_us,
@@ -413,7 +411,7 @@ def run_show(
         pitch_samples=run.pitch_err.count,
         track_mean_px=run.track_err.mean,
         track_mean_x_px=run.track_err_x.mean,
-        cents_per_pixel=cpp,
+        cents_per_pixel=CENTS_PER_PIXEL,
         pitch_bound_cents=bound,
         calibration_drift_cents=run.calibration_drift,
         energy=energy,
@@ -484,7 +482,7 @@ def _run_tracking_segment(
                     continue
                 if HandLabel.PITCH not in message.hands:
                     continue
-                point = hands_to_control(message, geometry=GEOMETRY)
+                point = hands_to_control(message)
                 run.counts["control_points"] += 1
                 t_capture = float(t_abs)
                 t_sent = sent_at.get(int(t_abs))
@@ -500,7 +498,7 @@ def _run_tracking_segment(
                 # Bound-facing error is against the pitch the hand really
                 # played at capture time (vibrato included); the drift
                 # from the written note is reported separately.
-                f_played = CALIBRATION.freq_at(GEOMETRY.pitch_distance_m(tx))
+                f_played = CALIBRATION.freq_at(pitch_distance_m(tx))
                 f_nominal = note_freq(score.notes[note].midi)
                 run.pitch_err.add(abs(cents_between(point.freq_hz, f_played)))
                 run.pitch_nominal_err.add(abs(cents_between(point.freq_hz, f_nominal)))

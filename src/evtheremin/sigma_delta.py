@@ -9,7 +9,10 @@ is exact.
 
 The tracker's `SigmaDeltaDetector` sends its blurred count frame through
 one such encode/decode boundary (O'Connor & Welling, "Sigma Delta
-Quantized Networks", arXiv:1611.02024).
+Quantized Networks", arXiv:1611.02024).  The blur's values are exact, so
+the decoder's accumulator is the encoder's last-sent state to the bit;
+the detector reads that state, and `sigma_decode` stays the reference
+decoder the tests check it against.
 """
 
 from __future__ import annotations

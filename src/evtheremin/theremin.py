@@ -5,8 +5,11 @@ Pitch follows an exponential distance law around a reference point,
     freq(d) = f_ref * 2 ** ((d_ref - d) / octave_m)
 
 so every octave_m meters toward the pitch antenna raises the pitch one
-octave.  Volume is a linear ramp of the volume hand's height between
-h_min and h_max.  Scores are text files of NOTE/VOL lines.
+octave.  Volume is a linear ramp of the volume hand's height over
+VOL_RANGE_M.  Both are read off one camera: PIXEL_M meters per pixel,
+the pitch antenna at image column 0 and heights measured up from the
+bottom of an IMAGE_HEIGHT_PX tall image.  Scores are text files of
+NOTE/VOL lines.
 """
 
 from __future__ import annotations
@@ -70,36 +73,30 @@ class PitchCalibration:
 # Every show's pitch law: middle C at 0.40 m, one octave per 0.24 m.
 CALIBRATION = PitchCalibration(0.40, note_freq(60), 0.24)
 
+# Every show's camera: meters per pixel and the height of the image its
+# heights are measured in.  The pitch antenna sits at image column 0.
+PIXEL_M = 0.002
+IMAGE_HEIGHT_PX = 180
+# How far one pixel of pitch-hand error moves the pitch.
+CENTS_PER_PIXEL = 1200.0 * PIXEL_M / CALIBRATION.octave_m
 
-@dataclass(frozen=True)
-class PixelGeometry:
-    """Camera-to-theremin geometry.  The pitch antenna sits at a fixed
-    image column; hand distance is horizontal pixel distance times the
-    pixel pitch, volume-hand height is distance above the image bottom."""
 
-    pixel_to_meter: float = 0.002
-    antenna_x_px: float = 0.0
-    image_height_px: int = 180
+def pitch_distance_m(x_px):
+    """Meters from the antenna to a pitch hand at image column x_px."""
+    return abs(x_px) * PIXEL_M
 
-    def __post_init__(self):
-        if self.pixel_to_meter <= 0:
-            raise ValueError("pixel_to_meter must be positive")
 
-    def pitch_distance_m(self, x_px: float) -> float:
-        return abs(x_px - self.antenna_x_px) * self.pixel_to_meter
+def pitch_x_px(d_m):
+    return d_m / PIXEL_M
 
-    def pitch_x_px(self, d_m: float) -> float:
-        return self.antenna_x_px + d_m / self.pixel_to_meter
 
-    def height_m(self, y_px: float) -> float:
-        return (self.image_height_px - y_px) * self.pixel_to_meter
+def height_m(y_px):
+    """The volume hand's height above the image bottom at row y_px."""
+    return (IMAGE_HEIGHT_PX - y_px) * PIXEL_M
 
-    def y_px_for_height(self, h_m: float) -> float:
-        return self.image_height_px - h_m / self.pixel_to_meter
 
-    def cents_per_pixel(self, cal: PitchCalibration) -> float:
-        """How far one pixel of pitch-hand error moves the pitch."""
-        return 1200.0 * self.pixel_to_meter / cal.octave_m
+def y_px_for_height(h_m):
+    return IMAGE_HEIGHT_PX - h_m / PIXEL_M
 
 
 @dataclass(frozen=True)
@@ -115,31 +112,22 @@ class ControlPoint:
             raise ValueError(f"amplitude must be in [0, 1], got {self.amp}")
 
 
-def hands_to_control(
-    est: HandEstimate,
-    cal: PitchCalibration = CALIBRATION,
-    vol_range_m: tuple[float, float] = VOL_RANGE_M,
-    geometry: PixelGeometry = PixelGeometry(),
-) -> ControlPoint:
+def hands_to_control(est: HandEstimate) -> ControlPoint:
     """Map a tracked-hand estimate to a theremin control point.
 
     The pitch hand must be present.  A missing volume hand plays at full
     amplitude, like a theremin with nothing near its volume loop.
     """
-    h_min, h_max = vol_range_m
-    if not h_min < h_max:
-        raise ValueError(f"bad volume range [{h_min}, {h_max}]")
     pitch = est.hands.get(HandLabel.PITCH)
     if pitch is None:
         raise ValueError("estimate has no pitch hand")
-    d = geometry.pitch_distance_m(pitch.x)
-    freq = cal.freq_at(d)
+    freq = CALIBRATION.freq_at(pitch_distance_m(pitch.x))
     vol = est.hands.get(HandLabel.VOLUME)
     if vol is None:
         amp = 1.0
     else:
-        h = geometry.height_m(vol.y)
-        amp = float(np.clip((h - h_min) / (h_max - h_min), 0.0, 1.0))
+        h_min, h_max = VOL_RANGE_M
+        amp = float(np.clip((height_m(vol.y) - h_min) / (h_max - h_min), 0.0, 1.0))
     return ControlPoint(est.t_us, freq, amp)
 
 
@@ -226,10 +214,7 @@ def parse_score(text: str) -> Score:
 
 def score_to_trajectory(
     score: Score,
-    cal: PitchCalibration = CALIBRATION,
     tempo: float = 1.0,
-    geometry: PixelGeometry = PixelGeometry(),
-    vol_range_m: tuple[float, float] = VOL_RANGE_M,
     resolution: Resolution = Resolution(240, 180),
     sample_ms: float = SAMPLE_MS,
     ramp_ms: float = RAMP_MS,
@@ -251,20 +236,19 @@ def score_to_trajectory(
     silence can only hold a stale position.  Set vibrato_px to 0 for the
     mathematically frozen trajectory.
     """
-    if tempo <= 0:
-        raise ValueError("tempo must be positive")
+    if not 0 < tempo < math.inf:
+        raise ValueError(f"tempo must be positive and finite, got {tempo!r}")
     if not sample_ms > 0:  # also rejects nan
         raise ValueError("sample_ms must be positive")
     if not score.notes:
         raise ScoreError("empty score")
-    h_min, h_max = vol_range_m
     pitch_y_px = 0.5 * resolution.height
     volume_x_px = 0.9 * resolution.width
     onsets = score.onsets_ms(tempo)
     total_ms = onsets[-1]
     dists = []
     for n in score.notes:
-        d = cal.distance_for(note_freq(n.midi))
+        d = CALIBRATION.distance_for(note_freq(n.midi))
         if d <= 0:
             raise ScoreError(
                 f"note {n.midi} needs distance {d:.3f} m, outside playable range"
@@ -273,7 +257,7 @@ def score_to_trajectory(
     if score.volumes:
         # The tracker labels hands by image x order, so the pitch hand must
         # stay clearly left of the volume hand for every note in the score.
-        x_worst = max(geometry.pitch_x_px(d) for d in dists) + vibrato_px
+        x_worst = max(pitch_x_px(d) for d in dists) + vibrato_px
         if x_worst >= volume_x_px - 8.0:
             raise ScoreError(
                 f"lowest note puts the pitch hand at x={x_worst:.0f} px, too close "
@@ -303,13 +287,14 @@ def score_to_trajectory(
     # reaches zero and the event stream never goes dark.  The cross
     # axis is the one that does not affect the played sound.
     ph_v = 2 * math.pi * vibrato_hz * t_ms / 1000.0
-    x = geometry.pitch_x_px(dist) + vibrato_px * per_sample(math.sin, ph_v)
+    x = pitch_x_px(dist) + vibrato_px * per_sample(math.sin, ph_v)
     y = pitch_y_px + bob_px * per_sample(math.cos, ph_v)
     tracks = {Hand.LEFT: (t_us, x, y)}
     if score.volumes:
+        h_min, h_max = VOL_RANGE_M
         h = h_min + score.level_at_ms(t_ms * tempo) * (h_max - h_min)
         ph_b = 2 * math.pi * bob_hz * t_ms / 1000.0
-        vy = geometry.y_px_for_height(h) + bob_px * per_sample(math.sin, ph_b)
+        vy = y_px_for_height(h) + bob_px * per_sample(math.sin, ph_b)
         vx = volume_x_px + bob_px * per_sample(math.cos, ph_b)
         tracks[Hand.RIGHT] = (t_us, vx, vy)
     traj = Trajectory(tracks)

@@ -49,7 +49,7 @@ from .neural_field import (
     field_step,
     make_kernel,
 )
-from .sigma_delta import SdState, delta_encode, sigma_decode
+from .sigma_delta import SdState, delta_encode
 
 
 class HandLabel(Enum):
@@ -219,8 +219,9 @@ class SigmaDeltaDetector:
     sigma-delta boundary each step, so between-step redundancy is carried
     by spikes only and the decoded blur is within theta of the true one
     in every cell.  The blur is truncated at ceil(3 sigma) cells.  Its
-    values are exact, so the decoded blur equals the encoder's last sent
-    values to the bit, and is never below 0."""
+    values are exact, so the decoder's accumulator is the encoder's
+    last-sent state to the bit: the heatmap normalizes that state, which
+    is never below 0."""
 
     def __init__(self, resolution: Resolution, sigma_cells: float, theta: float):
         self.resolution = resolution
@@ -228,14 +229,12 @@ class SigmaDeltaDetector:
         self.theta = theta
         self.gain = GainControl()
         self.state = SdState.zeros(resolution.npixels)
-        self.decoded = np.zeros(resolution.npixels)
         self.total_spikes = 0
 
     def heatmap(self, cells: np.ndarray) -> np.ndarray:
         spikes = delta_encode(self.state, self.blur(cells).ravel(), self.theta)
         self.total_spikes += len(spikes)
-        sigma_decode(self.decoded, spikes)
-        return self.gain.normalize(self.decoded.reshape(self.resolution.height, self.resolution.width))
+        return self.gain.normalize(self.state.last_sent.reshape(self.resolution.height, self.resolution.width))
 
 
 def detect_heatmap(frame: np.ndarray, detector) -> np.ndarray:

@@ -7,14 +7,15 @@ import numpy as np
 
 from evtheremin.events import Hand, Resolution, Trajectory
 from evtheremin.theremin import (
+    CALIBRATION,
     RAMP_MS,
     SAMPLE_MS,
     VOL_RANGE_M,
-    PitchCalibration,
-    PixelGeometry,
     Score,
     ScoreError,
     note_freq,
+    pitch_x_px,
+    y_px_for_height,
 )
 
 
@@ -50,22 +51,19 @@ def in_ramp(t_ms: float, score: Score, tempo: float = 1.0, ramp_ms: float = RAMP
 
 def score_to_trajectory(
     score: Score,
-    cal: PitchCalibration,
     tempo: float = 1.0,
-    geometry: PixelGeometry = PixelGeometry(),
-    vol_range_m: tuple[float, float] = VOL_RANGE_M,
     resolution: Resolution = Resolution(240, 180),
     sample_ms: float = SAMPLE_MS,
     ramp_ms: float = RAMP_MS,
     vibrato_px: float = 2.5,
 ) -> Trajectory:
-    if tempo <= 0:
-        raise ValueError("tempo must be positive")
+    if not 0 < tempo < math.inf:
+        raise ValueError(f"tempo must be positive and finite, got {tempo!r}")
     if not sample_ms > 0:  # also rejects nan
         raise ValueError("sample_ms must be positive")
     if not score.notes:
         raise ScoreError("empty score")
-    h_min, h_max = vol_range_m
+    h_min, h_max = VOL_RANGE_M
     pitch_y_px = 0.5 * resolution.height
     volume_x_px = 0.9 * resolution.width
     durations = [n.duration_ms / tempo for n in score.notes]
@@ -76,14 +74,14 @@ def score_to_trajectory(
     total_ms = acc
     dists = []
     for n in score.notes:
-        d = cal.distance_for(note_freq(n.midi))
+        d = CALIBRATION.distance_for(note_freq(n.midi))
         if d <= 0:
             raise ScoreError(
                 f"note {n.midi} needs distance {d:.3f} m, outside playable range"
             )
         dists.append(d)
     if score.volumes:
-        x_worst = max(geometry.pitch_x_px(d) for d in dists) + vibrato_px
+        x_worst = max(pitch_x_px(d) for d in dists) + vibrato_px
         if x_worst >= volume_x_px - 8.0:
             raise ScoreError(
                 f"lowest note puts the pitch hand at x={x_worst:.0f} px, too close "
@@ -108,13 +106,13 @@ def score_to_trajectory(
         t_ms = min(k * sample_ms, total_ms)
         t_us = int(round(t_ms * 1000))
         ph_v = 2 * math.pi * vibrato_hz * t_ms / 1000.0
-        x = geometry.pitch_x_px(dist_at(t_ms)) + vibrato_px * math.sin(ph_v)
+        x = pitch_x_px(dist_at(t_ms)) + vibrato_px * math.sin(ph_v)
         y = pitch_y_px + bob_px * math.cos(ph_v)
         pitch.append((t_us, x, y))
         if score.volumes:
             h = h_min + level_at_ms(score, t_ms * tempo) * (h_max - h_min)
             ph_b = 2 * math.pi * bob_hz * t_ms / 1000.0
-            vy = geometry.y_px_for_height(h) + bob_px * math.sin(ph_b)
+            vy = y_px_for_height(h) + bob_px * math.sin(ph_b)
             vx = volume_x_px + bob_px * math.cos(ph_b)
             volume.append((t_us, vx, vy))
     tracks = {Hand.LEFT: np.array(pitch).T}

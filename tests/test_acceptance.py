@@ -42,8 +42,8 @@ from evtheremin.orchestrator import (
 )
 from evtheremin.sigma_delta import GradedSpike, SdState, delta_encode, sigma_decode
 from evtheremin.theremin import (
+    CALIBRATION,
     PitchCalibration,
-    PixelGeometry,
     calibrate_pitch,
     cents_between,
     hands_to_control,
@@ -295,15 +295,13 @@ def test_c5_protocol_overheads_and_integrity():
 
 # --- criterion 6: pitch round trip and calibration -----------------------
 
-CAL = PitchCalibration(0.40, note_freq(60), 0.24)
-GEO = PixelGeometry()
-
-
 def test_c6_score_round_trip_and_calibration():
     with criterion(6, "scale round trip within 1 cent outside ramps; "
                       "calibration recovers the model"):
+        # The show's pitch law, which the 1-cent round trip is judged on.
+        assert CALIBRATION == PitchCalibration(0.40, note_freq(60), 0.24)
         score = parse_score(SCALE_SCORE)
-        traj = score_to_trajectory(score, CAL, vibrato_px=0.0)
+        traj = score_to_trajectory(score, vibrato_px=0.0)
         midis = (60, 62, 64, 65, 67, 69, 71, 72)
         checked = 0
         for t, x, y in zip(*(c.tolist() for c in traj.tracks[Hand.LEFT])):
@@ -311,7 +309,7 @@ def test_c6_score_round_trip_and_calibration():
             if in_ramp(t_ms, score):
                 continue
             est = HandEstimate(int(t), {HandLabel.PITCH: HandPoint(x, y, 1.0)})
-            point = hands_to_control(est, CAL, (0.05, 0.30), GEO)
+            point = hands_to_control(est)
             midi = midis[min(int(t_ms // 400), len(midis) - 1)]
             oracle_hz = 440.0 * 2.0 ** ((midi - 69) / 12.0)
             assert abs(cents_between(point.freq_hz, oracle_hz)) <= 1.0

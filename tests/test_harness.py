@@ -512,7 +512,7 @@ class TestOtherShowStates:
             f"AT {(start_us + solo_us) / 1000} INTENT Done\n"
         )
         rep = run_show(SimConfig(seed=2), scenario_text=scenario, score_text=score)
-        traj = score_to_trajectory(parse_score(score), geometry=harness.GEOMETRY)
+        traj = score_to_trajectory(parse_score(score))
         span_us = min(solo_us, traj.span_us()[1])
         assert rep.counts["control_points"] == self.solo_oracle(span_us)
 

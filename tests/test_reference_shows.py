@@ -22,7 +22,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from evtheremin import events, harness
@@ -107,9 +106,9 @@ def test_each_show_draws_its_score_once(name, batches, tmp_path):
             assert draws.call_count == run * batches
 
 
-def test_sd_net_decoded_blur_equals_last_sent(tmp_path):
-    # The detector's sums are exact, so after a whole show the decoder's
-    # accumulated spikes are the encoder's last sent values to the bit.
+def test_sd_net_report_counts_every_spike(tmp_path):
+    # The decoder's accumulator is the encoder's last-sent state, which
+    # tests/test_sigma_delta.py checks window by window.
     show, seed, _ = SHOWS["duet_teach_lossy-1"]
     cfg = harness.load_config(getattr(load_workloads(), show)(SimpleNamespace(harness=harness), seed,
                                                                str(tmp_path)).config_path)
@@ -124,8 +123,6 @@ def test_sd_net_decoded_blur_equals_last_sent(tmp_path):
         report = harness.run_show(cfg)
     (detector,) = (t.detector for t in trackers)
     assert report.counts["detector_spikes"] == detector.total_spikes > 0
-    assert detector.decoded.any()
-    np.testing.assert_array_equal(detector.decoded.view(np.uint64), detector.state.last_sent.view(np.uint64))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Sigma-delta encode/decode pair and the detector's one-layer network."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evtheremin import tracker
 from evtheremin.events import Resolution
 from evtheremin.sigma_delta import (
     GradedSpike,
@@ -125,7 +128,27 @@ def run_detector(res, sigma, theta, frames):
 
 class TestSigmaDeltaNetwork:
     """The sd_net detector: the count frame's blur through one delta
-    encoder and one sigma decoder."""
+    encoder, read back as the encoder's last-sent state."""
+
+    @given(count_frames(), st.floats(0.0, 2.0))
+    def test_decoder_accumulator_is_last_sent(self, case, theta):
+        # The blur's values are exact, so a sigma decoder fed each
+        # window's spikes holds the encoder's last-sent state to the bit.
+        res, sigma, frames = case
+        det = SigmaDeltaDetector(res, sigma, theta)
+        acc = np.zeros(res.npixels)
+        sent = []
+
+        def encode(*args):
+            sent.append(delta_encode(*args))
+            return sent[-1]
+
+        with mock.patch.object(tracker, "delta_encode", encode):
+            for frame in frames:
+                det.heatmap(frame)
+                sigma_decode(acc, sent[-1])
+                np.testing.assert_array_equal(acc.view(np.uint64), det.state.last_sent.view(np.uint64))
+        assert len(sent) == len(frames)
 
     @given(count_frames())
     def test_zero_theta_matches_dense_forward(self, case):
@@ -134,7 +157,7 @@ class TestSigmaDeltaNetwork:
         for frame in frames:
             det.heatmap(frame)
             want = det.blur(frame).ravel()
-            np.testing.assert_allclose(det.decoded, want, rtol=0, atol=1e-12 * max(1.0, want.max()))
+            np.testing.assert_allclose(det.state.last_sent, want, rtol=0, atol=1e-12 * max(1.0, want.max()))
 
     @given(count_frames(), st.floats(1e-3, 2.0))
     def test_output_error_bounded_by_propagated_theta(self, case, theta):
@@ -143,7 +166,7 @@ class TestSigmaDeltaNetwork:
         det = SigmaDeltaDetector(res, sigma, theta)
         for frame in frames:
             det.heatmap(frame)
-            assert np.abs(det.decoded - det.blur(frame).ravel()).max() < theta
+            assert np.abs(det.state.last_sent - det.blur(frame).ravel()).max() < theta
 
     @given(count_frames(), st.floats(0.0, 2.0))
     def test_constant_input_goes_quiet(self, case, theta):
@@ -176,7 +199,7 @@ class TestSigmaDeltaNetwork:
         b = SigmaDeltaDetector(res, 1.5, 0.05)
         for frame in frames:
             np.testing.assert_array_equal(a.heatmap(frame), b.heatmap(frame))
-        np.testing.assert_array_equal(a.decoded, b.decoded)
+        np.testing.assert_array_equal(a.state.last_sent, b.state.last_sent)
         assert a.total_spikes == b.total_spikes
 
     def test_negative_theta_rejected(self):

@@ -9,28 +9,30 @@ from hypothesis import strategies as st
 
 from evtheremin.events import Hand, Resolution
 from evtheremin.theremin import (
+    CENTS_PER_PIXEL,
     RAMP_MS,
     CalibrationError,
     ControlPoint,
     Note,
     PitchCalibration,
-    PixelGeometry,
     Score,
     ScoreError,
     calibrate_pitch,
     cents_between,
     hands_to_control,
+    height_m,
     note_at,
     note_freq,
     parse_score,
+    pitch_distance_m,
+    pitch_x_px,
     score_to_trajectory,
+    y_px_for_height,
 )
 from evtheremin.tracker import HandEstimate, HandLabel, HandPoint
 import score_oracle
 
 CAL = PitchCalibration(d_ref_m=0.4, f_ref_hz=note_freq(60), octave_m=0.24)
-GEO = PixelGeometry()
-VOL_RANGE = (0.05, 0.30)
 
 
 class TestNoteFreq:
@@ -96,20 +98,16 @@ class TestPitchCalibrationLaw:
 
 class TestPixelGeometry:
     def test_pitch_distance(self):
-        assert GEO.pitch_distance_m(80.0) == pytest.approx(0.16)
-        assert GEO.pitch_x_px(0.16) == pytest.approx(80.0)
+        assert pitch_distance_m(80.0) == pytest.approx(0.16)
+        assert pitch_x_px(0.16) == pytest.approx(80.0)
 
     def test_height(self):
-        assert GEO.height_m(180.0) == 0.0
-        assert GEO.height_m(30.0) == pytest.approx(0.30)
-        assert GEO.y_px_for_height(0.30) == pytest.approx(30.0)
+        assert height_m(180.0) == 0.0
+        assert height_m(30.0) == pytest.approx(0.30)
+        assert y_px_for_height(0.30) == pytest.approx(30.0)
 
     def test_cents_per_pixel(self):
-        assert GEO.cents_per_pixel(CAL) == pytest.approx(10.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PixelGeometry(pixel_to_meter=0.0)
+        assert CENTS_PER_PIXEL == pytest.approx(10.0)
 
 
 class TestHandsToControl:
@@ -120,28 +118,24 @@ class TestHandsToControl:
         return HandEstimate(50_000, hands)
 
     def test_pitch_and_volume_mapping(self):
-        cp = hands_to_control(self.estimate(), CAL, VOL_RANGE, GEO)
+        cp = hands_to_control(self.estimate())
         assert cp.t_us == 50_000
         assert cp.freq_hz == pytest.approx(523.2511, abs=5e-5)
         # y=105 is 0.15 m high: 40 percent of the 0.05..0.30 range
         assert cp.amp == pytest.approx(0.4)
 
     def test_missing_volume_hand_plays_full(self):
-        cp = hands_to_control(self.estimate(with_volume=False), CAL, VOL_RANGE, GEO)
+        cp = hands_to_control(self.estimate(with_volume=False))
         assert cp.amp == 1.0
 
     def test_amp_clipped_to_unit_range(self):
-        assert hands_to_control(self.estimate(vol_y=180.0), CAL, VOL_RANGE, GEO).amp == 0.0
-        assert hands_to_control(self.estimate(vol_y=0.0), CAL, VOL_RANGE, GEO).amp == 1.0
+        assert hands_to_control(self.estimate(vol_y=180.0)).amp == 0.0
+        assert hands_to_control(self.estimate(vol_y=0.0)).amp == 1.0
 
     def test_missing_pitch_hand_rejected(self):
         est = HandEstimate(0, {HandLabel.VOLUME: HandPoint(216.0, 90.0, 1.0)})
         with pytest.raises(ValueError, match="pitch"):
-            hands_to_control(est, CAL, VOL_RANGE, GEO)
-
-    def test_bad_volume_range(self):
-        with pytest.raises(ValueError):
-            hands_to_control(self.estimate(), CAL, (0.3, 0.05), GEO)
+            hands_to_control(est)
 
     def test_control_point_validation(self):
         with pytest.raises(ValueError):
@@ -242,7 +236,7 @@ class TestParseScore:
 class TestScoreToTrajectory:
     def test_single_note_holds_exact_distance(self):
         score = parse_score("NOTE 60 1000\n")
-        traj = score_to_trajectory(score, CAL, vibrato_px=0.0)
+        traj = score_to_trajectory(score, vibrato_px=0.0)
         _, xs, ys = traj.tracks[Hand.LEFT]
         assert len(xs) == 101
         for x, y in zip(xs, ys):
@@ -252,17 +246,17 @@ class TestScoreToTrajectory:
 
     def test_volume_hand_tracks_level(self):
         score = parse_score("NOTE 60 1000\nVOL 0 0\nVOL 1000 1\n")
-        traj = score_to_trajectory(score, CAL, vibrato_px=0.0)
+        traj = score_to_trajectory(score, vibrato_px=0.0)
         ts, xs, ys = traj.tracks[Hand.RIGHT]
         right = {int(t): (x, y) for t, x, y in zip(ts, xs, ys)}
-        assert right[0][1] == pytest.approx(GEO.y_px_for_height(0.05))
-        assert right[500_000][1] == pytest.approx(GEO.y_px_for_height(0.175))
-        assert right[1_000_000][1] == pytest.approx(GEO.y_px_for_height(0.30))
+        assert right[0][1] == pytest.approx(y_px_for_height(0.05))
+        assert right[500_000][1] == pytest.approx(y_px_for_height(0.175))
+        assert right[1_000_000][1] == pytest.approx(y_px_for_height(0.30))
         assert right[0][0] == pytest.approx(216.0)
 
     def test_note_change_ramps_linearly(self):
         score = parse_score("NOTE 60 500\nNOTE 72 500\n")
-        traj = score_to_trajectory(score, CAL, vibrato_px=0.0)
+        traj = score_to_trajectory(score, vibrato_px=0.0)
         ts, xs, _ = traj.tracks[Hand.LEFT]
         x_at = dict(zip(ts.astype(int).tolist(), xs))
         assert x_at[490_000] == pytest.approx(200.0)
@@ -272,12 +266,12 @@ class TestScoreToTrajectory:
 
     def test_tempo_scales_time(self):
         score = parse_score("NOTE 60 1000\n")
-        traj = score_to_trajectory(score, CAL, tempo=2.0, vibrato_px=0.0)
+        traj = score_to_trajectory(score, tempo=2.0, vibrato_px=0.0)
         assert traj.span_us() == (0, 500_000)
 
     def test_vibrato_wobbles_both_axes(self):
         score = parse_score("NOTE 60 2000\n")
-        traj = score_to_trajectory(score, CAL, vibrato_px=2.5)
+        traj = score_to_trajectory(score, vibrato_px=2.5)
         _, xs, ys = traj.tracks[Hand.LEFT]
         assert xs.max() == pytest.approx(202.5, abs=0.1)
         assert xs.min() == pytest.approx(197.5, abs=0.1)
@@ -285,22 +279,23 @@ class TestScoreToTrajectory:
 
     def test_unplayable_high_note_rejected(self):
         with pytest.raises(ScoreError, match="playable"):
-            score_to_trajectory(parse_score("NOTE 108 400\n"), CAL)
+            score_to_trajectory(parse_score("NOTE 108 400\n"))
 
     def test_low_note_walks_out_of_frame(self):
         with pytest.raises(ScoreError):
-            score_to_trajectory(parse_score("NOTE 24 400\n"), CAL, vibrato_px=0.0)
+            score_to_trajectory(parse_score("NOTE 24 400\n"), vibrato_px=0.0)
 
     def test_low_note_collides_with_volume_hand(self):
         score = parse_score("NOTE 48 400\nVOL 0 0.5\n")
         with pytest.raises(ScoreError, match="volume hand"):
-            score_to_trajectory(score, CAL)
+            score_to_trajectory(score)
 
     def test_empty_and_bad_tempo(self):
         with pytest.raises(ScoreError):
-            score_to_trajectory(Score(), CAL)
-        with pytest.raises(ValueError):
-            score_to_trajectory(parse_score("NOTE 60 100\n"), CAL, tempo=0.0)
+            score_to_trajectory(Score())
+        for tempo in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tempo"):
+                score_to_trajectory(parse_score("NOTE 60 100\n"), tempo=tempo)
 
 
 class TestInRamp:
@@ -354,8 +349,8 @@ def outcome(plant, *args, **kwargs):
 def test_note_table_equals_per_sample_walk(schedule, probes):
     score, tempo, sample_ms, ramp_ms = schedule
     kwargs = dict(tempo=tempo, sample_ms=sample_ms, ramp_ms=ramp_ms)
-    assert outcome(score_to_trajectory, score, CAL, **kwargs) == outcome(
-        score_oracle.score_to_trajectory, score, CAL, **kwargs)
+    assert outcome(score_to_trajectory, score, **kwargs) == outcome(
+        score_oracle.score_to_trajectory, score, **kwargs)
 
     onsets = score.onsets_ms(tempo)
     # Each onset, just before it and where its ramp ends, samples, and probes.
