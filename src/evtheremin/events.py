@@ -38,6 +38,9 @@ EVT1_MAGIC = b"EVT1"
 _EVT1_HEADER = struct.Struct("<4sHHI")
 assert _EVT1_HEADER.size == 12
 
+# An EventStream's t, x, y and p columns.
+_COLUMN_DTYPES = (np.uint64, np.uint16, np.uint16, np.int8)
+
 class StreamError(ValueError):
     """Structurally invalid event data."""
 
@@ -69,7 +72,16 @@ class Resolution:
 
 
 class EventStream:
-    """A batch of events as four columns plus the resolution they were captured at."""
+    """A batch of events as four columns plus the resolution they were captured at.
+
+    `sorted_valid` is True only for a stream `synth_hand_events` made, and
+    for its contiguous slices: its events are valid, its times never
+    decrease, and its columns are read-only, all by construction, so
+    `validate`, `time_sorted`, `frame_accumulate` and `HandTracker.run`
+    skip their scans of it.  Every other stream, from an EVT1 file, from
+    columns a caller built, from a copy, or from a mask, an index array or
+    a strided slice, is checked in full.
+    """
 
     def __init__(self, t, x, y, p, resolution: Resolution):
         t = np.asarray(t)
@@ -77,18 +89,31 @@ class EventStream:
         if len(neg):
             raise StreamError(f"event {neg[0]} has negative time {t[neg[0]]}")
         self.t, self.x, self.y, self.p = (np.ascontiguousarray(c, dtype) for c, dtype in
-                                          zip((t, x, y, p), (np.uint64, np.uint16, np.uint16, np.int8)))
+                                          zip((t, x, y, p), _COLUMN_DTYPES))
         if not len(self.t) == len(self.x) == len(self.y) == len(self.p):
             raise StreamError(f"column lengths differ: {len(self.t)}, {len(self.x)}, {len(self.y)}, {len(self.p)}")
         self.resolution = resolution
+        self._sorted_valid = False
+
+    @property
+    def sorted_valid(self) -> bool:
+        """Valid and time-sorted by construction, with read-only columns."""
+        return self._sorted_valid
+
+    def __getstate__(self):
+        # Copied or unpickled columns are writeable: the copy is checked in full.
+        return {**self.__dict__, "_sorted_valid": False}
 
     @classmethod
     def empty(cls, resolution: Resolution) -> "EventStream":
         return cls([], [], [], [], resolution)
 
     def __getitem__(self, key) -> "EventStream":
-        """The events a slice, mask or index array picks; a slice gives views."""
-        return EventStream(self.t[key], self.x[key], self.y[key], self.p[key], self.resolution)
+        """The events a slice, mask or index array picks; a slice gives views.
+        A contiguous slice keeps `sorted_valid`."""
+        part = EventStream(self.t[key], self.x[key], self.y[key], self.p[key], self.resolution)
+        part._sorted_valid = self._sorted_valid and isinstance(key, slice) and key.step in (None, 1)
+        return part
 
     def __len__(self) -> int:
         return len(self.t)
@@ -100,27 +125,36 @@ class EventStream:
             np.array_equal(getattr(self, c), getattr(other, c)) for c in "txyp")
 
     def validate(self) -> None:
-        """Raise StreamError naming the first offending event, if any."""
-        x, y, p, res = self.x, self.y, self.p, self.resolution
-        # A reduction per column accepts a valid stream; only an invalid one
-        # pays for the scan that names its first offending event.
-        if not len(p) or (x.max() < res.width and y.max() < res.height
-                          and p.min() >= -1 and p.max() <= 1 and np.count_nonzero(p) == len(p)):
-            return
-        bad = np.flatnonzero((x >= res.width) | (y >= res.height))
-        if len(bad):
-            i = int(bad[0])
-            raise StreamError(f"event {i} at ({x[i]},{y[i]}) outside {res}")
-        i = int(np.flatnonzero((p != 1) & (p != -1))[0])
-        raise StreamError(f"event {i} has polarity {p[i]}, want +1 or -1")
+        """Raise StreamError naming the first event off the sensor or of a
+        polarity other than +1 or -1, if any.  A `sorted_valid` stream has
+        none and is not scanned."""
+        if not self._sorted_valid:
+            _check_pixels(self.x, self.y, self.p, self.resolution, "event")
 
     def time_sorted(self) -> "EventStream":
-        return self[np.argsort(self.t, kind="stable")]
+        """The events stably sorted by time; a `sorted_valid` stream as it is."""
+        return self if self._sorted_valid else self[np.argsort(self.t, kind="stable")]
 
     def span_us(self) -> tuple[int, int]:
         if len(self) == 0:
             return (0, 0)
         return int(self.t.min()), int(self.t.max())
+
+
+def _check_pixels(x, y, p, res: Resolution, item: str) -> None:
+    """Raise StreamError naming the first (x, y, p) item off the sensor or
+    of a polarity other than +1 or -1."""
+    # A reduction per column accepts valid columns; only invalid ones pay
+    # for the scan that names the first offending item.
+    if not len(p) or (x.max() < res.width and y.max() < res.height
+                      and p.min() >= -1 and p.max() <= 1 and np.count_nonzero(p) == len(p)):
+        return
+    bad = np.flatnonzero((x >= res.width) | (y >= res.height))
+    if len(bad):
+        i = int(bad[0])
+        raise StreamError(f"{item} {i} at ({x[i]},{y[i]}) outside {res}")
+    i = int(np.flatnonzero((p != 1) & (p != -1))[0])
+    raise StreamError(f"{item} {i} has polarity {p[i]}, want +1 or -1")
 
 
 @functools.lru_cache(maxsize=8)
@@ -155,10 +189,13 @@ def frame_accumulate(
     stream.validate()
     t, x, y = stream.t, stream.x, stream.y
     # A window cut to [t0, t1) beforehand, as HandTracker.run cuts them,
-    # needs no mask.
-    if len(t) and (t.min() < t0 or t.max() >= t1):
-        mask = (t >= t0) & (t < t1)
-        x, y = x[mask], y[mask]
+    # needs no mask.  A sorted_valid window's first and last times are its
+    # range.
+    if len(t):
+        lo, hi = (t[0], t[-1]) if stream.sorted_valid else (t.min(), t.max())
+        if lo < t0 or hi >= t1:
+            mask = (t >= t0) & (t < t1)
+            x, y = x[mask], y[mask]
     idx = _cell_map(src, res)[y.astype(np.int64) * src.width + x]
     counts = np.bincount(idx, minlength=res.npixels)
     return counts.reshape(res.height, res.width).astype(np.int64, copy=False)
@@ -385,6 +422,12 @@ def synth_hand_events(
     full run, and only events with t < until_us are kept: the result is the
     full stream's prefix before until_us.
 
+    The stream is valid and time-sorted by construction, so it comes back
+    `sorted_valid`, with read-only columns.  Each batch's changed pixels
+    are checked by `validate`'s rules once, when drawn, and every event
+    copies one of them.  Each batch's times come out of one sort, the
+    batches follow in time, and the until_us cut keeps a prefix.
+
     The changed pixels depend only on the motion relative to its start and
     on the rendering parameters.  Calls given one `render` dict draw each
     batch of them once and share it; a show's segments, each its score
@@ -408,7 +451,7 @@ def synth_hand_events(
     # A disk whose inner radius reaches the sensor's diagonal covers every
     # on-sensor pixel in every frame, so no pixel changes.
     if n_steps <= 0 or blob_radius - 0.5 >= np.hypot(resolution.width, resolution.height):
-        return EventStream.empty(resolution)
+        return _sealed([np.empty(0, dtype) for dtype in _COLUMN_DTYPES], 0, resolution)
     rng = np.random.default_rng(seed)
     # Every micro-frame's blob centres as (hand, frame) arrays, one
     # interpolation per hand and axis.
@@ -435,11 +478,12 @@ def synth_hand_events(
             f = slice(k0, k1 + 1)
             step, x, y, sign, counts = _changed_pixels(left[:, f], top[:, f], cx[:, f], cy[:, f], side,
                                                        blob_radius, contrast_threshold, rate_scale, resolution)
+            x, y = x.astype(np.uint16), y.astype(np.uint16)
+            _check_pixels(x, y, sign, resolution, "changed pixel")
             # A pixel's count rarely passes 255; a byte each keeps the render,
             # which lives as long as the show, small.
             drawn[k0] = (k1, np.searchsorted(step, np.arange(k1 - k0 + 1)),
-                         np.bincount(step, counts, k1 - k0).astype(np.int64),
-                         x.astype(np.uint16), y.astype(np.uint16), sign,
+                         np.bincount(step, counts, k1 - k0).astype(np.int64), x, y, sign,
                          counts.astype(np.uint8) if counts.max(initial=0) <= 0xFF else counts)
         # A pixel's brightness in a frame is the largest of the disks over
         # it, whichever canvas draws it, so the first steps of a batch drawn
@@ -448,7 +492,7 @@ def synth_hand_events(
         cut = starts[k1 - k0]
         changes.append((k0, k1, per_step[:k1 - k0], x[:cut], y[:cut], sign[:cut], counts[:cut]))
     total = sum(int(c[2].sum()) for c in changes)
-    t_out, x_out, y_out, p_out = (np.empty(total, dtype) for dtype in (np.uint64, np.uint16, np.uint16, np.int8))
+    t_out, x_out, y_out, p_out = (np.empty(total, dtype) for dtype in _COLUMN_DTYPES)
     n = 0
     for k0, k1, per_step, x, y, sign, counts in changes:
         if not len(counts):
@@ -480,7 +524,18 @@ def synth_hand_events(
         t_out[n:end] += np.uint64(t0)
         x_out[n:end], y_out[n:end], p_out[n:end] = x[rank], y[rank], sign[rank]
         n = end
-    return EventStream(t_out[:n], x_out[:n], y_out[:n], p_out[:n], resolution)
+    return _sealed((t_out, x_out, y_out, p_out), n, resolution)
+
+
+def _sealed(columns, n: int, resolution: Resolution) -> EventStream:
+    """The first n events of synthesized columns as a `sorted_valid` stream.
+    The whole columns are made read-only, so no view of them can be made
+    writeable again."""
+    for c in columns:
+        c.flags.writeable = False
+    stream = EventStream(*(c[:n] for c in columns), resolution)
+    stream._sorted_valid = True
+    return stream
 
 
 def add_noise_events(stream: EventStream, fraction: float, seed: int) -> EventStream:

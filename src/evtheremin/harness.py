@@ -43,6 +43,7 @@ from .orchestrator import (
 from .sigma_delta import GradedSpike
 from .theremin import (
     CALIBRATION,
+    CAMERA_RES,
     CENTS_PER_PIXEL,
     RAMP_MS,
     SAMPLE_MS,
@@ -125,6 +126,9 @@ class SimConfig:
             raise ValueError(f"reorder_window must be non-negative, got {self.reorder_window}")
         if not 0 < self.tempo < math.inf:
             raise ValueError(f"tempo must be positive and finite, got {self.tempo!r}")
+        res = self.tracker.input_res
+        if res.width < CAMERA_RES.width or res.height < CAMERA_RES.height:
+            raise ValueError(f"tracker.input_res must be at least the show's camera, {CAMERA_RES}, got {res}")
 
 
 def power_ratio(cluster_kw: float, board_w: float, boards: int) -> float:

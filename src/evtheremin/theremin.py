@@ -77,6 +77,10 @@ CALIBRATION = PitchCalibration(0.40, note_freq(60), 0.24)
 # heights are measured in.  The pitch antenna sits at image column 0.
 PIXEL_M = 0.002
 IMAGE_HEIGHT_PX = 180
+# The camera's sensor, the smallest a show runs on.  A larger one only
+# moves the volume hand right, at 0.9 of the width, and the pitch hand
+# down, at half the height, so a score that fits this one fits it too.
+CAMERA_RES = Resolution(240, IMAGE_HEIGHT_PX)
 # How far one pixel of pitch-hand error moves the pitch.
 CENTS_PER_PIXEL = 1200.0 * PIXEL_M / CALIBRATION.octave_m
 
@@ -215,7 +219,7 @@ def parse_score(text: str) -> Score:
 def score_to_trajectory(
     score: Score,
     tempo: float = 1.0,
-    resolution: Resolution = Resolution(240, 180),
+    resolution: Resolution = CAMERA_RES,
     sample_ms: float = SAMPLE_MS,
     ramp_ms: float = RAMP_MS,
     vibrato_px: float = 2.5,

@@ -313,7 +313,8 @@ class HandTracker:
             t_start = lo if t_start is None else t_start
             t_end = hi + 1 if t_end is None else t_end
         t = stream.t
-        if not (t[1:] >= t[:-1]).all():
+        # A synthesized stream is sorted by construction; any other is scanned.
+        if not stream.sorted_valid and not (t[1:] >= t[:-1]).all():
             stream = stream.time_sorted()
         ends = range(t_start + cfg.window_us, t_end + cfg.window_us, cfg.window_us)
         # Keys of the column's dtype: Python-int keys make NumPy cast the whole column.

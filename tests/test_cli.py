@@ -177,6 +177,10 @@ class TestShowAndReport:
             ({"reorder_window": -1}, "config: reorder_window must be non-negative, got -1"),
             ({"channel": {"delay_base_us": float("nan")}},
              "channel: delay_base_us must be finite and >= 0, got nan"),
+            ({"tracker": {"input_res": [239, 180]}},
+             "config: tracker.input_res must be at least the show's camera, 240x180, got 239x180"),
+            ({"tracker": {"input_res": [240, 179]}},
+             "config: tracker.input_res must be at least the show's camera, 240x180, got 240x179"),
         ],
     )
     def test_malformed_config_fails_cleanly(self, tmp_path, fields, message):

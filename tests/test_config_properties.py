@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from evtheremin.events import Resolution
 from evtheremin.harness import SimConfig, config_from_dict, config_to_dict
+from evtheremin.theremin import CAMERA_RES
 from evtheremin.tracker import CHIP_RES, TrackerConfig
 from evtheremin.transport import ChannelConfig
 
@@ -23,23 +24,24 @@ probability = floats(0.0, 1.0)
 above_zero = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
-# An input no smaller than the chip.
-resolutions = st.builds(Resolution, st.integers(CHIP_RES.width, 4096), st.integers(CHIP_RES.height, 4096))
-tracker_configs = st.builds(
-    TrackerConfig,
-    input_res=resolutions,
-    window_us=st.integers(1, 2**63 - 1),
-    detector=st.sampled_from(["blob", "sd_net"]),
-    use_field=st.booleans(),
-)
+def tracker_configs(smallest: Resolution):
+    """Tracker configs whose input is no smaller than `smallest`."""
+    return st.builds(
+        TrackerConfig,
+        input_res=st.builds(Resolution, st.integers(smallest.width, 4096), st.integers(smallest.height, 4096)),
+        window_us=st.integers(1, 2**63 - 1),
+        detector=st.sampled_from(["blob", "sd_net"]),
+        use_field=st.booleans(),
+    )
 
 
+# A tracker takes any input from the chip's size up; a show, from its camera's.
 sim_configs = st.builds(
     SimConfig,
     seed=st.integers(0),
     scenario_path=st.text(),
     score_path=st.text(),
-    tracker=tracker_configs,
+    tracker=tracker_configs(CAMERA_RES),
     channel=st.builds(
         ChannelConfig, probability, probability, nonnegative, nonnegative,
         st.integers(0, 64), st.integers(0),
@@ -61,6 +63,15 @@ def slots(obj, path=""):
 @given(sim_configs)
 def test_roundtrip_through_json(cfg):
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+@given(tracker_configs(CHIP_RES))
+def test_show_refuses_a_sensor_smaller_than_its_camera(tracker):
+    if tracker.input_res.width >= CAMERA_RES.width and tracker.input_res.height >= CAMERA_RES.height:
+        assert SimConfig(seed=1, tracker=tracker).tracker == tracker
+    else:
+        with pytest.raises(ValueError, match=r"^tracker\.input_res must be at least the show's camera, 240x180"):
+            SimConfig(seed=1, tracker=tracker)
 
 
 @given(sim_configs, st.data())

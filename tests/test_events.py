@@ -758,6 +758,114 @@ class TestSynthHandEvents:
         assert large[1] <= 1.5 * small[1]
 
 
+def unflagged(stream):
+    """A stream of copies of the stream's columns, which is checked in full."""
+    return EventStream(*(np.array(getattr(stream, c)) for c in "txyp"), stream.resolution)
+
+
+@st.composite
+def sorted_valid_cases(draw):
+    """(resolution, tracks, micro-step, until_us or None) for one or two
+    hands anywhere on a sensor from the chip's size up to 640x480.  No
+    micro-step divides the tracker's 10 ms window."""
+    res = Resolution(draw(st.integers(CHIP.width, 640)), draw(st.integers(CHIP.height, 480)))
+    hands = draw(st.sampled_from([[Hand.LEFT], [Hand.LEFT, Hand.RIGHT]]))
+    tracks = {hand: draw(hand_samples(res.width, res.height)) for hand in hands}
+    lo, hi = min(t[0] for t, _, _ in tracks.values()), max(t[-1] for t, _, _ in tracks.values())
+    step = draw(st.sampled_from([700, 1300, 2900, 3000]))
+    return res, tracks, step, draw(st.none() | st.integers(lo - 1000, hi + 3000))
+
+
+# A hand clipped at the left and bottom edges of a chip-sized sensor.
+CLIPPED = (CHIP, {Hand.LEFT: ([0, 6_000, 13_000], [0.3, 4.1, 1.2], [64.7, 60.2, 64.9])}, 700, 9_100)
+
+
+def synth_case(case, seed):
+    res, tracks, step, until = case
+    return synth_hand_events(Trajectory(tracks), res, seed, rate_scale=2.0, micro_step_us=step, until_us=until)
+
+
+class TestSortedValid:
+    @settings(max_examples=25, deadline=None)
+    @given(sorted_valid_cases(), st.integers(0, 2**32 - 1))
+    @example(CLIPPED, 3)
+    def test_synthesized_stream_is_flagged_truthfully(self, case, seed):
+        stream = synth_case(case, seed)
+        assert stream.sorted_valid
+        for c in "txyp":
+            column = getattr(stream, c)
+            with pytest.raises(ValueError):
+                column[:1] = 1
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+        plain = unflagged(stream)
+        assert not plain.sorted_valid
+        plain.validate()
+        assert (plain.t[1:] >= plain.t[:-1]).all()
+
+    @pytest.fixture
+    def synthesized(self):
+        stream = synth_hand_events(waving_trajectory(RES, 60), RES, seed=5)
+        assert len(stream) > 100
+        return stream
+
+    def test_contiguous_slice_keeps_the_flag(self, synthesized):
+        plain = unflagged(synthesized)
+        n = len(synthesized)
+        for key in (slice(10, n // 2), slice(n // 2, None), slice(-7, None), slice(3, 40, 1), slice(0, 0)):
+            part = synthesized[key]
+            assert part.sorted_valid and not part.t.flags.writeable
+            assert part == plain[key]
+
+    @pytest.mark.parametrize("derive", [
+        lambda s: s[s.p > 0],
+        lambda s: s[np.arange(0, len(s), 3)],
+        lambda s: s[5:80:3],
+        lambda s: s[::-1],
+        lambda s: unflagged(s[::-1]).time_sorted(),
+        lambda s: add_noise_events(s, 0.3, seed=2),
+        lambda s: EventStream(s.t, s.x, s.y, s.p, s.resolution),
+        lambda s: decode_evt1(encode_evt1(s)),
+        lambda s: pickle.loads(pickle.dumps(s)),
+        copy.deepcopy,
+    ], ids=["mask", "index", "strided", "reversed", "time_sorted", "noise", "columns", "evt1", "pickle", "deepcopy"])
+    def test_every_other_stream_starts_unflagged(self, synthesized, derive):
+        derived = derive(synthesized)
+        assert not derived.sorted_valid
+        derived.validate()
+
+    def test_flag_skips_the_scans(self, synthesized, monkeypatch):
+        assert synthesized.time_sorted() is synthesized
+
+        def no_scan(*args):
+            raise AssertionError("scanned a sorted_valid stream")
+
+        monkeypatch.setattr(events, "_check_pixels", no_scan)
+        synthesized.validate()
+        encode_evt1(synthesized)
+        with pytest.raises(AssertionError):
+            unflagged(synthesized).validate()
+
+    @settings(max_examples=15, deadline=None)
+    @given(sorted_valid_cases(), st.integers(0, 2**32 - 1), st.integers(500, 12_000))
+    @example(CLIPPED, 3, 10_000)
+    def test_frames_equal_an_unflagged_copy(self, case, seed, window_us):
+        stream = synth_case(case, seed)
+        plain = unflagged(stream)
+        lo, hi = stream.span_us()
+        for t0 in range(max(lo - window_us // 2, 0), hi + 1, window_us):
+            t1 = t0 + window_us
+            # The window masked out of the whole stream, and cut out of it
+            # as HandTracker.run cuts it.
+            i0, i1 = np.searchsorted(stream.t, np.array([t0, t1], np.uint64))
+            assert stream[i0:i1].sorted_valid
+            for target in (stream.resolution, CHIP):
+                np.testing.assert_array_equal(frame_accumulate(stream, t0, t1, target),
+                                              frame_accumulate(plain, t0, t1, target))
+                np.testing.assert_array_equal(frame_accumulate(stream[i0:i1], t0, t1, target),
+                                              frame_accumulate(plain[i0:i1], t0, t1, target))
+
+
 class TestNoiseInjection:
     def test_fraction_counts(self):
         traj = waving_trajectory(RES, 300)

@@ -3,6 +3,7 @@ files, protocol benchmarks, and short end-to-end show runs."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,9 +37,9 @@ from evtheremin.harness import (
     write_demo_files,
 )
 from evtheremin.events import Resolution, synth_hand_events
-from evtheremin.orchestrator import Intention, ShowState, parse_scenario
-from evtheremin.theremin import SAMPLE_MS, ScoreError, parse_score, score_to_trajectory
-from evtheremin.tracker import CHIP_RES, HandEstimate, HandLabel, HandPoint, TrackerConfig
+from evtheremin.orchestrator import ControllerState, Intention, ShowState, parse_scenario, transition
+from evtheremin.theremin import CAMERA_RES, SAMPLE_MS, parse_score, score_to_trajectory
+from evtheremin.tracker import HandEstimate, HandLabel, HandPoint, TrackerConfig
 from evtheremin.transport import ChannelConfig, safe_encode
 
 # Two 400 ms notes; short enough that a full duet run stays under a
@@ -270,7 +271,7 @@ class TestConfigCodec:
             score_path="m.txt",
             reorder_window=3,
             tracker=TrackerConfig(
-                input_res=Resolution(120, 90),
+                input_res=Resolution(320, 240),
                 window_us=5000,
                 detector="sd_net",
             ),
@@ -309,8 +310,8 @@ class TestConfigCodec:
                 config_from_dict({"seed": 1, key: {}})
 
     def test_resolution_from_list(self):
-        cfg = config_from_dict({"seed": 1, "tracker": {"input_res": [120, 90]}})
-        assert cfg.tracker.input_res == Resolution(120, 90)
+        cfg = config_from_dict({"seed": 1, "tracker": {"input_res": [320, 240]}})
+        assert cfg.tracker.input_res == Resolution(320, 240)
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -324,10 +325,10 @@ class TestDemoFiles:
     def test_demo_files_are_usable(self, tmp_path):
         paths = write_demo_files(tmp_path / "demo")
         assert sorted(paths) == ["config", "scenario", "score"]
-        score = parse_score(open(paths["score"]).read())
+        score = parse_score(Path(paths["score"]).read_text())
         assert len(score.notes) == 8
         assert score.onsets_ms()[-1] == pytest.approx(3200.0)
-        events = parse_scenario(open(paths["scenario"]).read())
+        events = parse_scenario(Path(paths["scenario"]).read_text())
         assert len(events) == 5
         cfg = load_config(paths["config"])
         assert cfg.seed == 7
@@ -595,19 +596,17 @@ class TestAnyResolution:
         assert _pos_scale(Resolution(2000, 1500)) == 16.0
 
     # The brief two-note score with its VOL lines, on a lossy link that
-    # does not reorder, over any sensor from the chip's size up to 1024 px
-    # a side: sides of 512 px and more send positions at a scale below 64.
+    # does not reorder, over any sensor a show config accepts, from the
+    # show's camera up to 1024 px a side: sides of 512 px and more send
+    # positions at a scale below 64.
     @settings(max_examples=6, deadline=None)
+    @example(CAMERA_RES.width, CAMERA_RES.height)
     @example(640, 480)
-    @given(st.integers(CHIP_RES.width, 1024), st.integers(CHIP_RES.height, 1024))
-    def test_show_runs_or_rejects_score(self, width, height):
+    @given(st.integers(CAMERA_RES.width, 1024), st.integers(CAMERA_RES.height, 1024))
+    def test_show_runs_at_any_accepted_size(self, width, height):
         cfg = SimConfig(seed=3, tracker=TrackerConfig(input_res=Resolution(width, height)),
                         channel=ChannelConfig(loss_p=0.2, seed=5))
-        try:
-            rep = run_show(cfg, scenario_text=BRIEF_SCENARIO, score_text=BRIEF_SCORE)
-        except ScoreError as exc:
-            assert "outside" in str(exc) or "too close" in str(exc)
-            return
+        rep = run_show(cfg, scenario_text=BRIEF_SCENARIO, score_text=BRIEF_SCORE)
         link = rep.link
         assert rep.counts["frames_sent"] == rep.counts["windows"] == 12
         assert (
@@ -731,6 +730,23 @@ class TestSingleBitFuzz:
 
 # A two-note score of 40 ms each: a tracking segment is at most 8 windows.
 WHOLE_SHOW_SCORE = "NOTE 60 40\nNOTE 67 40\nVOL 0 0.3\nVOL 40 0.9\n"
+WHOLE_SHOW_SCORE_MS = 80
+
+
+def oracle_windows(scenario_text, score_ms, window_us):
+    """The windows a show tracks: each line's stretch, up to the next
+    line, that leaves the controller in Duet or Teaching, cut into
+    window_us steps up to the stretch's end or the score's, whichever
+    comes first (bench/checks.expected_windows' rule)."""
+    lines = parse_scenario(scenario_text)
+    state, total = ControllerState(), 0
+    for line, following in zip(lines, lines[1:]):
+        state = transition(state, line.intent)
+        if state.show in (ShowState.DUET, ShowState.TEACHING):
+            t0 = round(line.t_ms * 1000)
+            end = min(round(following.t_ms * 1000), t0 + score_ms * 1000)
+            total += max(0, -(-(end - t0) // window_us))
+    return total
 
 
 @st.composite
@@ -765,10 +781,14 @@ class TestWholeScenarios:
         st.integers(0, 2**16),
     )
     @example("AT 100 INTENT StartConversation\nAT 300 INTENT Done\n", "blob", ChannelConfig(), 8, 0)
+    # Teaching resumed after a calibration detour, for longer than the score.
+    @example("AT 0 INTENT StartConversation\nAT 10 INTENT AskTeaching\nAT 45 INTENT RequestCalibration\n"
+             "AT 60 INTENT Done\nAT 155 INTENT Done\n", "sd_net", ChannelConfig(loss_p=0.2), 8, 1)
     def test_states_fill_the_show_and_a_rerun_is_identical(self, scenario, detector, channel, window, seed):
         cfg = SimConfig(seed=seed, tracker=TrackerConfig(detector=detector), channel=channel, reorder_window=window)
         first = run_show(cfg, scenario_text=scenario, score_text=WHOLE_SHOW_SCORE)
         assert sum(first.state_ms.values()) == first.sim_duration_us / 1000
+        assert first.counts["windows"] == oracle_windows(scenario, WHOLE_SHOW_SCORE_MS, cfg.tracker.window_us)
         again = run_show(cfg, scenario_text=scenario, score_text=WHOLE_SHOW_SCORE)
         kv = "\n".join(first.to_kv_lines(include_wall=False)).encode()
         assert "\n".join(again.to_kv_lines(include_wall=False)).encode() == kv

@@ -376,6 +376,17 @@ class TestRun:
         assert any(e.hands for e in a)
         assert a == b
 
+    @pytest.mark.parametrize("detector", ["blob", "sd_net"])
+    def test_synthesized_stream_tracks_like_an_unflagged_copy(self, detector):
+        stream = synth_hand_events(waving_trajectory(RES, 400), RES, seed=5, rate_scale=2.0, micro_step_us=700)
+        copy = EventStream(*(np.array(getattr(stream, c)) for c in "txyp"), RES)
+        assert stream.sorted_valid and not copy.sorted_valid
+        config = TrackerConfig(detector=detector)
+        for span in ((), (3_000, 397_000)):
+            got = HandTracker(config).run(stream, *span)
+            assert sum(bool(e.hands) for e in got) > 20
+            assert got == HandTracker(config).run(copy, *span)
+
     def test_deterministic(self):
         traj = waving_trajectory(RES, 400)
         stream = synth_hand_events(traj, RES, seed=5)
