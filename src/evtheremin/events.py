@@ -80,7 +80,8 @@ class EventStream:
     `validate`, `time_sorted`, `frame_accumulate` and `HandTracker.run`
     skip their scans of it.  Every other stream, from an EVT1 file, from
     columns a caller built, from a copy, or from a mask, an index array or
-    a strided slice, is checked in full.
+    a strided slice, is checked in full, and so is this stream once a
+    column or its resolution is rebound.
     """
 
     def __init__(self, t, x, y, p, resolution: Resolution):
@@ -88,12 +89,21 @@ class EventStream:
         neg = np.flatnonzero(t < 0) if t.dtype.kind in "if" else ()  # u8 would wrap them
         if len(neg):
             raise StreamError(f"event {neg[0]} has negative time {t[neg[0]]}")
-        self.t, self.x, self.y, self.p = (np.ascontiguousarray(c, dtype) for c, dtype in
+        # Written through __dict__, past __setattr__: a window's stream is
+        # built once per tracker window.
+        d = self.__dict__
+        d["t"], d["x"], d["y"], d["p"] = (np.ascontiguousarray(c, dtype) for c, dtype in
                                           zip((t, x, y, p), _COLUMN_DTYPES))
         if not len(self.t) == len(self.x) == len(self.y) == len(self.p):
             raise StreamError(f"column lengths differ: {len(self.t)}, {len(self.x)}, {len(self.y)}, {len(self.p)}")
-        self.resolution = resolution
-        self._sorted_valid = False
+        d["resolution"] = resolution
+        d["_sorted_valid"] = False
+
+    def __setattr__(self, name, value):
+        # A rebound column or resolution is no longer what synthesis checked.
+        if name in ("t", "x", "y", "p", "resolution"):
+            self.__dict__["_sorted_valid"] = False
+        object.__setattr__(self, name, value)
 
     @property
     def sorted_valid(self) -> bool:
@@ -112,7 +122,7 @@ class EventStream:
         """The events a slice, mask or index array picks; a slice gives views.
         A contiguous slice keeps `sorted_valid`."""
         part = EventStream(self.t[key], self.x[key], self.y[key], self.p[key], self.resolution)
-        part._sorted_valid = self._sorted_valid and isinstance(key, slice) and key.step in (None, 1)
+        part.__dict__["_sorted_valid"] = self._sorted_valid and isinstance(key, slice) and key.step in (None, 1)
         return part
 
     def __len__(self) -> int:
@@ -534,7 +544,7 @@ def _sealed(columns, n: int, resolution: Resolution) -> EventStream:
     for c in columns:
         c.flags.writeable = False
     stream = EventStream(*(c[:n] for c in columns), resolution)
-    stream._sorted_valid = True
+    stream.__dict__["_sorted_valid"] = True
     return stream
 
 

@@ -45,8 +45,6 @@ from .theremin import (
     CALIBRATION,
     CAMERA_RES,
     CENTS_PER_PIXEL,
-    RAMP_MS,
-    SAMPLE_MS,
     Score,
     calibrate_pitch,
     cents_between,
@@ -362,8 +360,10 @@ def run_show(
     scenario = parse_scenario(scenario_text)
     score = parse_score(score_text)
     segments = _scenario_segments(scenario)
-    # Only the playing states need the score's hand positions; a show that
-    # never plays may carry an empty score.
+    # Every playing state needs a playable score.  The robot plays its solo
+    # from the score with no camera, so only the duet and teaching segments
+    # track the hand positions, but a solo still refuses a score it cannot
+    # play.  A show that never plays may carry an empty score.
     traj = None
     if any(seg.state in (ShowState.DUET, ShowState.TEACHING, ShowState.SOLO) for seg in segments):
         traj = score_to_trajectory(score, tempo=cfg.tempo, resolution=cfg.tracker.input_res)
@@ -377,8 +377,6 @@ def run_show(
         t1_us = int(round(seg.t1_ms * 1000))
         if seg.state in (ShowState.DUET, ShowState.TEACHING):
             _run_tracking_segment(run, score, traj, seg.state, t0_us, t1_us, seg_idx)
-        elif seg.state is ShowState.SOLO:
-            _run_solo_segment(run, traj, t0_us, t1_us)
         elif seg.state is ShowState.CALIBRATING:
             run.calibration_drift = max(run.calibration_drift, _run_calibration(score))
 
@@ -495,7 +493,7 @@ def _run_tracking_segment(
                 t_control = dv.time_us + ORCHESTRATOR_US + THEREMIN_US
                 run.lat["link"].add(dv.time_us - t_sent)
                 run.lat["end_to_end"].add(t_control - t_capture)
-                note, ramp = note_at(onsets, (t_capture - t0_us) / 1000.0, RAMP_MS)
+                note, ramp = note_at(onsets, (t_capture - t0_us) / 1000.0)
                 if ramp:
                     continue
                 tx, ty = traj.position_at(Hand.LEFT, t_capture)
@@ -509,14 +507,6 @@ def _run_tracking_segment(
                 p = message.hands[HandLabel.PITCH]
                 run.track_err.add(float(np.hypot(p.x - tx, p.y - ty)))
                 run.track_err_x.add(abs(p.x - tx))
-
-
-def _run_solo_segment(run: _ShowRun, traj: Trajectory, t0_us: int, t1_us: int) -> None:
-    """The robot plays the score itself from exact positions: one control
-    point per sample.  Nothing reads those points, so they are counted."""
-    span = min(t1_us - t0_us, traj.span_us()[1])
-    # Samples at 0, step, 2 step, ... up to span, both ends included.
-    run.counts["control_points"] += span // int(SAMPLE_MS * 1000) + 1
 
 
 def _run_calibration(score: Score) -> float:

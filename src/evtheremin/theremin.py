@@ -182,16 +182,16 @@ def _check_vol(point: tuple[float, float], previous: tuple[float, float] | None)
         raise ScoreError(f"VOL level {level} outside [0, 1]")
 
 
-def note_at(onsets: np.ndarray, t_ms, ramp_ms: float):
+def note_at(onsets: np.ndarray, t_ms):
     """The note sounding at each time in t_ms, and whether the pitch hand
-    is still ramping into it from the previous note.
+    is still ramping into it from the previous note (RAMP_MS).
 
     onsets is a Score.onsets_ms table.  A time before the score falls in
     the first note and one after it in the last; the first note has no
     ramp.
     """
     i = np.maximum(np.searchsorted(onsets[:-1], t_ms, side="right") - 1, 0)
-    return i, (i > 0) & (t_ms < onsets[i] + ramp_ms)
+    return i, (i > 0) & (t_ms < onsets[i] + RAMP_MS)
 
 
 def parse_score(text: str) -> Score:
@@ -220,17 +220,15 @@ def score_to_trajectory(
     score: Score,
     tempo: float = 1.0,
     resolution: Resolution = CAMERA_RES,
-    sample_ms: float = SAMPLE_MS,
-    ramp_ms: float = RAMP_MS,
     vibrato_px: float = 2.5,
 ) -> Trajectory:
     """Plant hand positions that would play the score.
 
     The pitch hand holds the distance for each note, moving linearly
-    over ramp_ms at note changes; outside those ramps the realized pitch
+    over RAMP_MS at note changes; outside those ramps the realized pitch
     center is exact.  If the score has VOL points the volume hand tracks
     the interpolated level as a height, otherwise it is omitted entirely.
-    Positions are emitted in image pixels on a sample_ms grid, the pitch
+    Positions are emitted in image pixels on a SAMPLE_MS grid, the pitch
     hand's at half the sensor's height and the volume hand's at 0.9 of
     its width.
 
@@ -242,8 +240,6 @@ def score_to_trajectory(
     """
     if not 0 < tempo < math.inf:
         raise ValueError(f"tempo must be positive and finite, got {tempo!r}")
-    if not sample_ms > 0:  # also rejects nan
-        raise ValueError("sample_ms must be positive")
     if not score.notes:
         raise ScoreError("empty score")
     pitch_y_px = 0.5 * resolution.height
@@ -273,14 +269,14 @@ def score_to_trajectory(
     vibrato_hz = 6.0
     bob_px = 0.8 * vibrato_px
     bob_hz = 0.9 * vibrato_hz
-    n_samples = max(2, int(math.floor(total_ms / sample_ms)) + 1)
-    t_ms = np.minimum(np.arange(n_samples) * sample_ms, total_ms)
+    n_samples = max(2, int(math.floor(total_ms / SAMPLE_MS)) + 1)
+    t_ms = np.minimum(np.arange(n_samples) * SAMPLE_MS, total_ms)
     t_us = np.rint(t_ms * 1000)
-    note, ramp = note_at(onsets, t_ms, ramp_ms)
+    note, ramp = note_at(onsets, t_ms)
     dists = np.array(dists)
     dist = dists[note]
     into = note[ramp]
-    frac = (t_ms[ramp] - onsets[into]) / ramp_ms
+    frac = (t_ms[ramp] - onsets[into]) / RAMP_MS
     dist[ramp] = dists[into - 1] + (dists[into] - dists[into - 1]) * frac
 
     def per_sample(fn, phase):

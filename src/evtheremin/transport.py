@@ -40,8 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sigma_delta import GradedSpike
-
 SAFE_MAGIC = 0xAE52
 SAFE_VERSION = 1
 RAW_WORD_BYTES = 4
@@ -114,18 +112,6 @@ def raw_encode(spikes) -> bytes:
             raise TransportError("zero-valued spikes are not transmitted")
         words[i] = (int(v) & 0xFF) << ADDRESS_BITS | s.address
     return words.astype("<u4").tobytes()
-
-
-def raw_decode(data: bytes) -> list[GradedSpike]:
-    if len(data) % RAW_WORD_BYTES != 0:
-        raise TruncatedError(f"{len(data)} bytes is not a whole number of words")
-    words = np.frombuffer(data, dtype="<u4")
-    addresses = words & ((1 << ADDRESS_BITS) - 1)
-    values = (words >> ADDRESS_BITS).astype(np.uint8).astype(np.int8)
-    if np.any(values == 0):
-        i = int(np.nonzero(values == 0)[0][0])
-        raise DecodeError(f"word {i} carries a zero value")
-    return [GradedSpike(int(a), int(v)) for a, v in zip(addresses, values)]
 
 
 class SafeFrame(NamedTuple):
@@ -241,8 +227,7 @@ class ChannelConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     time_us: float
     payload: bytes
     sent_index: int

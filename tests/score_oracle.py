@@ -39,11 +39,11 @@ def level_at_ms(score: Score, t_ms: float) -> float:
     return float(np.interp(t_ms, ts, ls))
 
 
-def in_ramp(t_ms: float, score: Score, tempo: float = 1.0, ramp_ms: float = RAMP_MS) -> bool:
+def in_ramp(t_ms: float, score: Score, tempo: float = 1.0) -> bool:
     """True when the pitch hand is mid-transition between notes."""
     acc = 0.0
     for i, n in enumerate(score.notes):
-        if i > 0 and acc <= t_ms < acc + ramp_ms:
+        if i > 0 and acc <= t_ms < acc + RAMP_MS:
             return True
         acc += n.duration_ms / tempo
     return False
@@ -53,14 +53,10 @@ def score_to_trajectory(
     score: Score,
     tempo: float = 1.0,
     resolution: Resolution = Resolution(240, 180),
-    sample_ms: float = SAMPLE_MS,
-    ramp_ms: float = RAMP_MS,
     vibrato_px: float = 2.5,
 ) -> Trajectory:
     if not 0 < tempo < math.inf:
         raise ValueError(f"tempo must be positive and finite, got {tempo!r}")
-    if not sample_ms > 0:  # also rejects nan
-        raise ValueError("sample_ms must be positive")
     if not score.notes:
         raise ScoreError("empty score")
     h_min, h_max = VOL_RANGE_M
@@ -92,18 +88,18 @@ def score_to_trajectory(
         i = 0
         while i + 1 < len(starts) and t_ms >= starts[i + 1]:
             i += 1
-        if i > 0 and t_ms < starts[i] + ramp_ms:
-            frac = (t_ms - starts[i]) / ramp_ms
+        if i > 0 and t_ms < starts[i] + RAMP_MS:
+            frac = (t_ms - starts[i]) / RAMP_MS
             return dists[i - 1] + (dists[i] - dists[i - 1]) * frac
         return dists[i]
 
     vibrato_hz = 6.0
     bob_px = 0.8 * vibrato_px
     bob_hz = 0.9 * vibrato_hz
-    n_samples = max(2, int(math.floor(total_ms / sample_ms)) + 1)
+    n_samples = max(2, int(math.floor(total_ms / SAMPLE_MS)) + 1)
     pitch, volume = [], []
     for k in range(n_samples):
-        t_ms = min(k * sample_ms, total_ms)
+        t_ms = min(k * SAMPLE_MS, total_ms)
         t_us = int(round(t_ms * 1000))
         ph_v = 2 * math.pi * vibrato_hz * t_ms / 1000.0
         x = pitch_x_px(dist_at(t_ms)) + vibrato_px * math.sin(ph_v)

@@ -834,6 +834,19 @@ class TestSortedValid:
         assert not derived.sorted_valid
         derived.validate()
 
+    @pytest.mark.parametrize("name", ["t", "x", "y", "p", "resolution"])
+    def test_rebinding_clears_the_flag(self, synthesized, name):
+        value = getattr(synthesized, name)
+        setattr(synthesized, name, value if name == "resolution" else np.array(value))
+        assert not synthesized.sorted_valid
+        synthesized.validate()
+
+    def test_a_rebound_resolution_is_checked(self, synthesized):
+        assert synthesized.x.max() >= 100
+        synthesized.resolution = Resolution(100, 100)
+        with pytest.raises(StreamError):
+            synthesized.validate()
+
     def test_flag_skips_the_scans(self, synthesized, monkeypatch):
         assert synthesized.time_sorted() is synthesized
 

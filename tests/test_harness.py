@@ -38,7 +38,7 @@ from evtheremin.harness import (
 )
 from evtheremin.events import Resolution, synth_hand_events
 from evtheremin.orchestrator import ControllerState, Intention, ShowState, parse_scenario, transition
-from evtheremin.theremin import CAMERA_RES, SAMPLE_MS, parse_score, score_to_trajectory
+from evtheremin.theremin import CAMERA_RES, ScoreError, parse_score
 from evtheremin.tracker import HandEstimate, HandLabel, HandPoint, TrackerConfig
 from evtheremin.transport import ChannelConfig, safe_encode
 
@@ -479,43 +479,22 @@ class TestOtherShowStates:
         rep = run_show(SimConfig(seed=2), scenario_text=SOLO_SCENARIO, score_text=SHORT_SCORE)
         assert rep.counts["windows"] == 0
         assert rep.counts["frames_sent"] == 0
-        # 800 ms at a 10 ms stride, both endpoints included.
-        assert rep.counts["control_points"] == 81
+        # The robot plays from the score: no frame, so no control point.
+        assert rep.counts["control_points"] == 0
         assert rep.pitch_samples == 0
         assert rep.pitch_bound_cents == 0.0
         assert rep.latency_us["end_to_end"]["count"] == 0
         assert rep.state_ms["Solo"] == 800.0
         assert rep.energy["tracker_active_s"] == 0.0
 
-    # The solo count as the harness once computed it: one sample per
-    # SAMPLE_MS step from 0 to the segment's span, both ends included.
-    @staticmethod
-    def solo_oracle(span_us):
-        n, t = 0, 0.0
-        while t <= span_us:
-            n += 1
-            t += SAMPLE_MS * 1000.0
-        return n
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        start_us=st.integers(0, 50_000),
-        solo_us=st.one_of(st.integers(1, 40).map(lambda k: k * 10_000), st.integers(1, 400_000)),
-        note_us=st.one_of(st.integers(1, 30).map(lambda k: k * 10_000), st.integers(1_000, 300_000)),
-    )
-    @example(start_us=0, solo_us=800_000, note_us=400_000)
-    @example(start_us=100_000, solo_us=200_000, note_us=200_000)
-    @example(start_us=1, solo_us=10_000, note_us=290_001)
-    def test_solo_count_equals_the_per_sample_loop(self, start_us, solo_us, note_us):
-        score = f"NOTE 60 {note_us / 1000}\nNOTE 64 {note_us / 1000}\n"
-        scenario = (
-            f"AT 0 INTENT StartConversation\nAT {start_us / 1000} INTENT AskSolo\n"
-            f"AT {(start_us + solo_us) / 1000} INTENT Done\n"
-        )
-        rep = run_show(SimConfig(seed=2), scenario_text=scenario, score_text=score)
-        traj = score_to_trajectory(parse_score(score))
-        span_us = min(solo_us, traj.span_us()[1])
-        assert rep.counts["control_points"] == self.solo_oracle(span_us)
+    @pytest.mark.parametrize("score, message", [
+        ("", "empty score"),
+        ("NOTE 108 100\n", "needs distance -0.560 m"),
+    ])
+    def test_solo_refuses_a_score_it_cannot_play(self, score, message):
+        # The solo tracks nothing, yet it plays the score, so it is planted.
+        with pytest.raises(ScoreError, match=message):
+            run_show(SimConfig(seed=2), scenario_text=SOLO_SCENARIO, score_text=score)
 
     def test_teaching_tracks_but_never_plays(self):
         rep = run_show(SimConfig(seed=2), scenario_text=TEACHING_SCENARIO, score_text=SHORT_SCORE)
@@ -784,11 +763,15 @@ class TestWholeScenarios:
     # Teaching resumed after a calibration detour, for longer than the score.
     @example("AT 0 INTENT StartConversation\nAT 10 INTENT AskTeaching\nAT 45 INTENT RequestCalibration\n"
              "AT 60 INTENT Done\nAT 155 INTENT Done\n", "sd_net", ChannelConfig(loss_p=0.2), 8, 1)
+    # A solo plays from the score: it sends no frame and makes no control point.
+    @example("AT 0 INTENT StartConversation\nAT 0 INTENT AskSolo\nAT 60 INTENT Done\n", "blob", ChannelConfig(), 8, 0)
     def test_states_fill_the_show_and_a_rerun_is_identical(self, scenario, detector, channel, window, seed):
         cfg = SimConfig(seed=seed, tracker=TrackerConfig(detector=detector), channel=channel, reorder_window=window)
         first = run_show(cfg, scenario_text=scenario, score_text=WHOLE_SHOW_SCORE)
         assert sum(first.state_ms.values()) == first.sim_duration_us / 1000
         assert first.counts["windows"] == oracle_windows(scenario, WHOLE_SHOW_SCORE_MS, cfg.tracker.window_us)
+        # Every control point is played from a frame the link delivered.
+        assert first.counts["control_points"] <= first.link["delivered"]
         again = run_show(cfg, scenario_text=scenario, score_text=WHOLE_SHOW_SCORE)
         kv = "\n".join(first.to_kv_lines(include_wall=False)).encode()
         assert "\n".join(again.to_kv_lines(include_wall=False)).encode() == kv

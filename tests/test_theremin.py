@@ -11,6 +11,7 @@ from evtheremin.events import Hand, Resolution
 from evtheremin.theremin import (
     CENTS_PER_PIXEL,
     RAMP_MS,
+    SAMPLE_MS,
     CalibrationError,
     ControlPoint,
     Note,
@@ -150,7 +151,7 @@ class TestScore:
 
     def test_nominal_freq_steps_at_note_boundary(self):
         onsets = self.two_notes().onsets_ms()
-        notes, _ = note_at(onsets, np.array([0.0, 499.9, 500.0, 5000.0]), RAMP_MS)
+        notes, _ = note_at(onsets, np.array([0.0, 499.9, 500.0, 5000.0]))
         assert notes.tolist() == [0, 0, 1, 1]
 
     def test_durations_and_starts(self):
@@ -301,7 +302,7 @@ class TestScoreToTrajectory:
 class TestInRamp:
     @staticmethod
     def in_ramp(t_ms, score, tempo=1.0):
-        return bool(note_at(score.onsets_ms(tempo), t_ms, RAMP_MS)[1])
+        return bool(note_at(score.onsets_ms(tempo), t_ms)[1])
 
     def test_windows(self):
         score = parse_score("NOTE 60 500\nNOTE 62 500\n")
@@ -322,18 +323,15 @@ class TestInRamp:
 
 @st.composite
 def schedules(draw):
-    """A score of 1-12 notes with fractional durations and 0-4 VOL points,
-    a tempo, a sample period and a ramp, 0 or longer than some notes.
-    Half the scores may reach notes that are out of frame, too close to
+    """A score of 1-12 notes with fractional durations, some shorter than
+    the ramp, 0-4 VOL points and a tempo.  Half the scores may reach notes that are out of frame, too close to
     the volume hand or unplayable."""
     low, high = draw(st.sampled_from([(60, 79), (50, 84)]))
     notes = draw(st.lists(st.builds(Note, st.integers(low, high), st.floats(0.5, 120.0)), min_size=1, max_size=12))
     times = sorted(draw(st.lists(st.floats(0.0, 1500.0), max_size=4)))
     volumes = [(t, draw(st.floats(0.0, 1.0))) for t in times]
     tempo = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.3, 3.0))
-    sample_ms = draw(st.floats(0.5, 40.0))
-    ramp_ms = draw(st.just(0.0) | st.floats(0.0, 200.0))
-    return Score(notes, volumes), tempo, sample_ms, ramp_ms
+    return Score(notes, volumes), tempo
 
 
 def outcome(plant, *args, **kwargs):
@@ -347,18 +345,17 @@ def outcome(plant, *args, **kwargs):
 @settings(deadline=None)
 @given(schedules(), st.lists(st.floats(-10.0, 3000.0), max_size=20))
 def test_note_table_equals_per_sample_walk(schedule, probes):
-    score, tempo, sample_ms, ramp_ms = schedule
-    kwargs = dict(tempo=tempo, sample_ms=sample_ms, ramp_ms=ramp_ms)
-    assert outcome(score_to_trajectory, score, **kwargs) == outcome(
-        score_oracle.score_to_trajectory, score, **kwargs)
+    score, tempo = schedule
+    assert outcome(score_to_trajectory, score, tempo=tempo) == outcome(
+        score_oracle.score_to_trajectory, score, tempo=tempo)
 
     onsets = score.onsets_ms(tempo)
     # Each onset, just before it and where its ramp ends, samples, and probes.
-    times = np.concatenate([onsets, np.nextafter(onsets, -np.inf), onsets + ramp_ms,
-                            np.arange(0.0, onsets[-1], sample_ms), probes])
-    notes, ramps = note_at(onsets, times, ramp_ms)
+    times = np.concatenate([onsets, np.nextafter(onsets, -np.inf), onsets + RAMP_MS,
+                            np.arange(0.0, onsets[-1], SAMPLE_MS), probes])
+    notes, ramps = note_at(onsets, times)
     for t, note, ramp in zip(times.tolist(), notes.tolist(), ramps.tolist()):
-        assert ramp == score_oracle.in_ramp(t, score, tempo, ramp_ms)
+        assert ramp == score_oracle.in_ramp(t, score, tempo)
         # Off powers of two, t * tempo against raw sums may round across a boundary.
         if tempo in (0.5, 1.0, 2.0):
             assert note_freq(score.notes[note].midi) == score_oracle.freq_at_ms(score, t * tempo)
