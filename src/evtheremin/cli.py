@@ -123,7 +123,7 @@ def track(in_path, out_path, detector, window_us, no_field, field_pgm):
         use_field=not no_field,
     )
     tracker = HandTracker(cfg)
-    estimates = tracker.run(stream)
+    estimates = _or_fail(tracker.run, stream)
     with open(out_path, "w") as f:
         f.write(format_estimates(estimates))
     if field_pgm:

@@ -168,13 +168,13 @@ def _check_pixels(x, y, p, res: Resolution, item: str) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _cell_map(src: Resolution, target: Resolution) -> np.ndarray:
-    """Flat target-cell index of each flat source pixel, read-only."""
-    xmap = (np.arange(src.width, dtype=np.int64) * target.width) // src.width
-    ymap = (np.arange(src.height, dtype=np.int64) * target.height) // src.height
-    cell = (ymap[:, None] * target.width + xmap).ravel()
-    cell.flags.writeable = False
-    return cell
+def _axis_maps(src: Resolution, target: Resolution) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols), read-only: source pixel (x, y) lands in flat target
+    cell rows[y] + cols[x], that is cell (x*tw//sw, y*th//sh)."""
+    cols = np.arange(src.width, dtype=np.int64) * target.width // src.width
+    rows = np.arange(src.height, dtype=np.int64) * target.height // src.height * target.width
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def frame_accumulate(
@@ -186,9 +186,9 @@ def frame_accumulate(
     """Count events with t0 <= t < t1 per cell of a (height, width) int64 frame.
 
     The frame is at `resolution`, the stream's by default.  A coarser one
-    bins each event straight into the cell `frame_downsample` maps its
-    pixel to, so the frame equals the downsampled sensor frame, which is
-    never built.
+    bins pixel (x, y) into cell (x*tw//sw, y*th//sh), through one map per
+    axis, so its memory follows the sensor's sides, not its area, and no
+    sensor-sized frame is built.
     """
     if t1 <= t0:
         raise ValueError(f"bad window [{t0}, {t1})")
@@ -206,28 +206,20 @@ def frame_accumulate(
         if lo < t0 or hi >= t1:
             mask = (t >= t0) & (t < t1)
             x, y = x[mask], y[mask]
-    idx = _cell_map(src, res)[y.astype(np.int64) * src.width + x]
+    rows, cols = _axis_maps(src, res)
+    idx = rows.take(y)
+    idx += cols.take(x)
     counts = np.bincount(idx, minlength=res.npixels)
     return counts.reshape(res.height, res.width).astype(np.int64, copy=False)
 
 
 def frame_downsample(cells: np.ndarray, target: Resolution) -> np.ndarray:
-    """Sum a (height, width) frame's cells into target cells via floor index mapping.
-
-    Source pixel (x, y) lands in target cell (x*tw//sw, y*th//sh).  Total
-    count is conserved exactly.  A frame already at the target size is
-    returned as it is.
-    """
-    src = Resolution(cells.shape[1], cells.shape[0])
-    if target == src:
-        return cells
-    if target.width > src.width or target.height > src.height:
-        raise ValueError(f"cannot downsample {src} to larger {target}")
-    flat = cells.astype(np.int64, copy=False).ravel()
-    nz = np.flatnonzero(flat)
-    # Float sums of integer counts are exact while they stay below 2**53.
-    sums = np.bincount(_cell_map(src, target)[nz], weights=flat[nz], minlength=target.npixels)
-    return sums.astype(np.int64).reshape(target.height, target.width)
+    """A frame already at the target size, as it is; any other size is
+    refused.  `frame_accumulate` bins events straight into target cells,
+    so no sensor frame is ever built to downsample."""
+    if cells.shape != (target.height, target.width):
+        raise ValueError(f"frame is {cells.shape[1]}x{cells.shape[0]}, not {target}")
+    return cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,13 +320,20 @@ def waving_trajectory(resolution: Resolution, duration_ms: float) -> Trajectory:
     return traj
 
 
-# Micro-steps synthesized together, capped so that a batch spans at most
-# 65,535 µs: its time offsets fit 16 bits, which leaves 16 for the pixel
-# rank in a 32-bit sort word.  The length does not change the output.  A
-# batch costs a fixed number of NumPy calls, and each hand's canvas spans
-# its moves over the batch: 32 steps measured fastest on the two-note
-# lossy show, whose hands move most; the demo's run about 10 % faster at 48.
+# Synthesis renders the hands every MICRO_STEP_US; a pixel whose
+# brightness changes by at least CONTRAST_THRESHOLD between two renders
+# fires.
+CONTRAST_THRESHOLD = 0.05
+MICRO_STEP_US = 1000
+
+# Micro-steps synthesized together.  A batch spans at most 65,535 µs, so
+# its time offsets fit 16 bits, which leaves 16 for the pixel rank in a
+# 32-bit sort word.  The length does not change the output.  A batch
+# costs a fixed number of NumPy calls, and each hand's canvas spans its
+# moves over the batch: 32 steps measured fastest on the two-note lossy
+# show, whose hands move most; the demo's run about 10 % faster at 48.
 _BATCH_STEPS = 32
+assert _BATCH_STEPS * MICRO_STEP_US <= 0xFFFF
 
 
 def _disk_patches(left, top, cx, cy, side, radius):
@@ -362,7 +361,7 @@ def _disk_patches(left, top, cx, cy, side, radius):
     return disk
 
 
-def _changed_pixels(left, top, cx, cy, side, radius, threshold, rate_scale, resolution):
+def _changed_pixels(left, top, cx, cy, side, radius, rate_scale, resolution):
     """The pixels of one batch whose brightness changes between successive
     frames, as (step, x, y, sign, count) columns in step, then row-major,
     order.  The frames' patch corners and blob centres come as (hand,
@@ -393,8 +392,8 @@ def _changed_pixels(left, top, cx, cy, side, radius, threshold, rate_scale, reso
         frames = canvas[:, sy0 - y0:min(y1, resolution.height) - y0, sx0 - x0:min(x1, resolution.width) - x0]
         diff = (frames[1:] - frames[:-1]).ravel()
         mag = np.abs(diff)
-        at = np.flatnonzero(mag >= threshold)
-        counts = np.floor(rate_scale * mag[at] / threshold).astype(np.int64)
+        at = np.flatnonzero(mag >= CONTRAST_THRESHOLD)
+        counts = np.floor(rate_scale * mag[at] / CONTRAST_THRESHOLD).astype(np.int64)
         keep = counts > 0
         at, counts = at[keep], counts[keep]
         step, yx = np.divmod(at, frames[0].size)
@@ -412,18 +411,16 @@ def synth_hand_events(
     resolution: Resolution,
     seed: int,
     blob_radius: float = 8.0,
-    contrast_threshold: float = 0.05,
     rate_scale: float = 1.0,
-    micro_step_us: int = 1000,
     until_us: int | None = None,
     render: dict | None = None,
 ) -> EventStream:
     """Generate events from moving hand blobs by luminance frame differencing.
 
-    The trajectory is rendered as soft-edged disks at micro_step_us
-    intervals; wherever the luminance changes by at least
-    contrast_threshold between successive micro-frames, the pixel emits
-    floor(rate_scale * |delta| / contrast_threshold) events with the sign
+    The trajectory is rendered as soft-edged disks every MICRO_STEP_US;
+    wherever the luminance changes by at least CONTRAST_THRESHOLD between
+    successive micro-frames, the pixel emits
+    floor(rate_scale * |delta| / CONTRAST_THRESHOLD) events with the sign
     of the change, timestamps jittered uniformly inside the step.
     A stationary scene therefore emits nothing.
 
@@ -439,16 +436,14 @@ def synth_hand_events(
     batches follow in time, and the until_us cut keeps a prefix.
 
     The changed pixels depend only on the motion relative to its start and
-    on the rendering parameters.  Calls given one `render` dict draw each
+    on blob_radius and rate_scale.  Calls given one `render` dict draw each
     batch of them once and share it; a show's segments, each its score
     shifted to the segment's start, share the show's render of its score.
     The events' times are drawn per call, so the result is the same without.
     """
     for name, value, ok, want in (
         ("blob_radius", blob_radius, 0 < blob_radius < np.inf, "positive and finite"),
-        ("contrast_threshold", contrast_threshold, 0 < contrast_threshold < np.inf, "positive and finite"),
         ("rate_scale", rate_scale, 0 <= rate_scale < np.inf, "non-negative and finite"),
-        ("micro_step_us", micro_step_us, micro_step_us > 0, "positive"),
     ):
         if not ok:
             raise ValueError(f"bad synthesis parameters: {name} must be {want}, got {value}")
@@ -457,7 +452,7 @@ def synth_hand_events(
         raise ValueError("trajectory sample at t={} ({:.1f},{:.1f}) outside {}".format(*bad, resolution))
     t_min, t_max = trajectory.span_us()
     stop = t_max + 1 if until_us is None else until_us
-    n_steps = int(np.ceil((min(stop, t_max) - t_min) / micro_step_us))
+    n_steps = int(np.ceil((min(stop, t_max) - t_min) / MICRO_STEP_US))
     # A disk whose inner radius reaches the sensor's diagonal covers every
     # on-sensor pixel in every frame, so no pixel changes.
     if n_steps <= 0 or blob_radius - 0.5 >= np.hypot(resolution.width, resolution.height):
@@ -465,7 +460,7 @@ def synth_hand_events(
     rng = np.random.default_rng(seed)
     # Every micro-frame's blob centres as (hand, frame) arrays, one
     # interpolation per hand and axis.
-    times = np.minimum(t_min + micro_step_us * np.arange(n_steps + 1), t_max)
+    times = np.minimum(t_min + MICRO_STEP_US * np.arange(n_steps + 1), t_max)
     cx, cy = (np.array([np.interp(times, tr[0], tr[axis]) for tr in trajectory.tracks.values()])
               for axis in (1, 2))
     # Each disk is drawn on a square patch centred on the pixel holding its
@@ -473,21 +468,20 @@ def synth_hand_events(
     pad = int(np.ceil(blob_radius)) + 2
     side = np.arange(2 * pad + 1)
     left, top = cx.astype(np.int64) - pad, cy.astype(np.int64) - pad
-    batch = max(1, min(_BATCH_STEPS, 0xFFFF // micro_step_us))
     motion = tuple((hand, (t - t_min).tobytes(), x.tobytes(), y.tobytes())
                    for hand, (t, x, y) in trajectory.tracks.items())
     # Each batch drawn, by its first step k0: (k1, each step's first pixel
     # and events, then the pixels' x, y, sign and count columns).
     drawn = ({} if render is None else
-             render.setdefault((motion, resolution, blob_radius, contrast_threshold, rate_scale, micro_step_us), {}))
+             render.setdefault((motion, resolution, blob_radius, rate_scale), {}))
     changes = []
-    for k0 in range(0, n_steps, batch):
-        k1 = min(k0 + batch, n_steps)
+    for k0 in range(0, n_steps, _BATCH_STEPS):
+        k1 = min(k0 + _BATCH_STEPS, n_steps)
         if k0 not in drawn or drawn[k0][0] < k1:
             # Frames k0..k1: the one before the batch's steps, then one per step.
             f = slice(k0, k1 + 1)
             step, x, y, sign, counts = _changed_pixels(left[:, f], top[:, f], cx[:, f], cy[:, f], side,
-                                                       blob_radius, contrast_threshold, rate_scale, resolution)
+                                                       blob_radius, rate_scale, resolution)
             x, y = x.astype(np.uint16), y.astype(np.uint16)
             _check_pixels(x, y, sign, resolution, "changed pixel")
             # A pixel's count rarely passes 255; a byte each keeps the render,
@@ -596,11 +590,10 @@ def decode_evt1(data: bytes) -> EventStream:
     body = len(data) - _EVT1_HEADER.size
     if body % _WIRE_DTYPE.itemsize != 0:
         raise CodecError(f"truncated record section: {body} bytes")
-    res = Resolution(width, height)
     wire = np.frombuffer(data, dtype=_WIRE_DTYPE, offset=_EVT1_HEADER.size)
-    stream = EventStream(wire["t"], wire["x"], wire["y"], wire["p"], res)
     try:
+        stream = EventStream(wire["t"], wire["x"], wire["y"], wire["p"], Resolution(width, height))
         stream.validate()
-    except StreamError as exc:
+    except ValueError as exc:
         raise CodecError(str(exc)) from exc
     return stream

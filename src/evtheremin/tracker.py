@@ -2,7 +2,7 @@
 
 Pipeline per step: accumulate the window's events straight into the
 on-chip grid's cells, a plain (height, width) int64 count array, through
-a pixel-to-cell map built once per sensor and chip size (`run` cuts each
+one map per sensor axis built once per sensor and chip size (`run` cuts each
 window inside its span, so no time mask is needed, and no sensor-sized
 frame is built), turn counts into a detector heatmap (a Gaussian blur of
 the counts, weights built once per detector, sent as is by the blob
@@ -304,7 +304,8 @@ class HandTracker:
         return self.previous
 
     def run(self, stream: EventStream, t_start: int | None = None, t_end: int | None = None) -> list[HandEstimate]:
-        """Track a whole stream in fixed windows; timestamps at window ends."""
+        """Track a whole stream in fixed windows; timestamps at window ends.
+        A last window that would end past the u64 time limit is refused."""
         cfg = self.config
         if t_start is None or t_end is None:
             if len(stream) == 0:
@@ -317,6 +318,10 @@ class HandTracker:
         if not stream.sorted_valid and not (t[1:] >= t[:-1]).all():
             stream = stream.time_sorted()
         ends = range(t_start + cfg.window_us, t_end + cfg.window_us, cfg.window_us)
+        # Window ends are keys of the u64 time column.
+        if ends and ends[-1] >= 2**64:
+            raise StreamError(f"events up to time {t_end - 1} need a window ending at {ends[-1]}, "
+                              "past the u64 time limit 2**64 - 1")
         # Keys of the column's dtype: Python-int keys make NumPy cast the whole column.
         edges = np.searchsorted(stream.t, np.array([t_start, *ends], dtype=t.dtype))
         return [self.step(stream[i0:i1], w_end) for w_end, i0, i1 in zip(ends, edges[:-1], edges[1:])]

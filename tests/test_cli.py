@@ -265,6 +265,21 @@ class TestShowAndReport:
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    def test_window_past_the_last_u64_time_fails_cleanly(self, tmp_path):
+        path = tmp_path / "late.evt1"
+        path.write_bytes(encode_evt1(EventStream([2**64 - 1], [3], [4], [1], Resolution(240, 180))))
+        csv = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, ["track", "--in", str(path), "--out", str(csv)])
+        assert result.exit_code == 1 and "past the u64 time limit 2**64 - 1" in result.output
+        assert isinstance(result.exception, SystemExit) and not csv.exists()
+
+    def test_track_at_the_largest_sensor(self, tmp_path):
+        path = tmp_path / "wide.evt1"
+        res = Resolution(65535, 65535)
+        path.write_bytes(encode_evt1(EventStream([5], [65534], [3], [1], res)))
+        csv = tmp_path / "o.csv"
+        assert "1 windows" in invoke(["track", "--in", str(path), "--out", str(csv)]).output
+
 
 class TestProtoCommands:
     def test_bench_table(self):

@@ -22,7 +22,6 @@ from evtheremin.events import (
     Resolution,
     StreamError,
     Trajectory,
-    _cell_map,
     add_noise_events,
     decode_evt1,
     encode_evt1,
@@ -245,41 +244,16 @@ class TestFrameDownsample:
         # source pixel (120, 90) must land in chip cell (43, 32):
         # 120*86//240 = 43, 90*65//180 = 32
         s = stream_of([(1, 120, 90, 1)])
-        f = frame_downsample(frame_accumulate(s, 0, 10), CHIP)
+        f = frame_accumulate(s, 0, 10, CHIP)
         assert f[32, 43] == 1
         assert f.sum() == 1
+        np.testing.assert_array_equal(f, scatter_add_downsample(frame_accumulate(s, 0, 10), CHIP))
 
     def test_identity_when_same_resolution(self):
         s = stream_of([(1, 7, 9, 1), (2, 7, 9, 1)])
         f = frame_accumulate(s, 0, 10)
         g = frame_downsample(f, RES)
         assert g is f
-
-    def test_count_conservation_random(self):
-        rng = np.random.default_rng(11)
-        cells = rng.integers(0, 5, (RES.height, RES.width))
-        g = frame_downsample(cells, CHIP)
-        assert g.sum() == cells.sum()
-
-    def test_against_bruteforce_mapping(self):
-        rng = np.random.default_rng(12)
-        cells = rng.integers(0, 4, (20, 30))
-        target = Resolution(7, 6)
-        g = frame_downsample(cells, target)
-        expect = np.zeros((6, 7), dtype=np.int64)
-        for y in range(20):
-            for x in range(30):
-                expect[y * 6 // 20, x * 7 // 30] += cells[y, x]
-        np.testing.assert_array_equal(g, expect)
-
-    @given(st.integers(1, 60), st.integers(1, 60), st.data())
-    def test_equals_scatter_add_reference(self, width, height, data):
-        target = Resolution(data.draw(st.integers(1, width)), data.draw(st.integers(1, height)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        cells = rng.integers(-3, 50, (height, width))
-        got = frame_downsample(cells, target)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, scatter_add_downsample(cells, target))
 
     @given(
         st.lists(
@@ -291,28 +265,35 @@ class TestFrameDownsample:
     )
     def test_interleaved_resolution_pairs(self, dims, seed):
         # Pairs that share a width, a height or a target follow each other,
-        # so a map cached under a partial key gives a wrong sum.
+        # so maps cached under a partial key give a wrong frame.
         rng = np.random.default_rng(seed)
         pairs = []
         for sw, sh, tw, th in dims:
             for src in (Resolution(sw, sh), Resolution(sw, sh + 1), Resolution(sw + 1, sh)):
                 pairs.append((src, Resolution(min(tw, src.width), min(th, src.height))))
         for src, target in pairs + pairs[::-1]:
-            cells = rng.integers(-3, 50, (src.height, src.width))
-            got = frame_downsample(cells, target)
-            np.testing.assert_array_equal(got, scatter_add_downsample(cells, target))
+            n = int(rng.integers(0, 200))
+            stream = EventStream(rng.integers(0, 10, n), rng.integers(0, src.width, n),
+                                 rng.integers(0, src.height, n), rng.choice([-1, 1], n), src)
+            got = frame_accumulate(stream, 0, 10, target)
+            np.testing.assert_array_equal(got, scatter_add_downsample(frame_accumulate(stream, 0, 10), target))
 
     def test_cell_map_read_only(self):
-        cell = _cell_map(RES, CHIP)
-        assert not cell.flags.writeable
-        with pytest.raises(ValueError):
-            cell[0] = 5
-        assert cell[90 * RES.width + 120] == 32 * CHIP.width + 43
+        rows, cols = events._axis_maps(RES, CHIP)
+        assert (len(rows), len(cols)) == (RES.height, RES.width)
+        for m in (rows, cols):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0] = 5
+        assert rows[90] + cols[120] == 32 * CHIP.width + 43
 
     def test_upsample_rejected(self):
-        f = np.zeros((65, 86), dtype=np.int64)
-        with pytest.raises(ValueError):
-            frame_downsample(f, RES)
+        # Only a frame already at the target size passes: a larger, a
+        # smaller or a transposed one is refused.
+        chip = np.zeros((65, 86), dtype=np.int64)
+        for cells, target in ((chip, RES), (np.zeros((180, 240), dtype=np.int64), CHIP), (chip.T, CHIP)):
+            with pytest.raises(ValueError, match=f"not {target}"):
+                frame_downsample(cells, target)
 
 
 class TestTrajectory:
@@ -452,11 +433,12 @@ def _render_blobs(canvas: np.ndarray, positions, radius: float) -> list[tuple[in
     return boxes
 
 
-def oracle_synth(traj, resolution, seed, blob_radius=8.0, contrast_threshold=0.05,
-                 rate_scale=1.0, micro_step_us=1000):
+def oracle_synth(traj, resolution, seed, blob_radius=8.0, rate_scale=1.0):
     """Reference synthesizer, written for clarity over speed: positions
-    interpolated from the samples at every step, the change region from a
-    full-frame scan of the previous micro-frame, one global stable sort."""
+    interpolated from the samples at every 1 ms step, the change region
+    from a full-frame scan of the previous micro-frame, events where the
+    change reaches 0.05, one global stable sort."""
+    contrast_threshold, micro_step_us = 0.05, 1000
 
     def position(hand, t):
         ts, xs, ys = traj.tracks[hand]
@@ -513,22 +495,26 @@ def oracle_synth(traj, resolution, seed, blob_radius=8.0, contrast_threshold=0.0
     return stream.time_sorted()
 
 
+def stretched(samples, factor):
+    """(t, x, y) columns with every time multiplied by factor."""
+    t, x, y = samples
+    return [factor * v for v in t], x, y
+
+
 @st.composite
 def synth_cases(draw):
     """(resolution, tracks, synthesis parameters, until_us) for one or two
     hands anywhere on a sensor up to 400 px wide, so that the hands' boxes
-    are apart in some cases and meet in others."""
+    are apart in some cases and meet in others.  Times stretched 4-fold
+    span several batches."""
     res = Resolution(draw(st.integers(20, 400)), draw(st.integers(16, 48)))
     hands = draw(st.sampled_from([[Hand.LEFT], [Hand.LEFT, Hand.RIGHT]]))
-    tracks = {hand: draw(hand_samples(res.width, res.height)) for hand in hands}
+    tracks = {hand: stretched(draw(hand_samples(res.width, res.height)), draw(st.sampled_from([1, 4])))
+              for hand in hands}
     params = dict(
         seed=draw(st.integers(0, 2**32 - 1)),
         blob_radius=draw(st.floats(1.0, 15.0)),
-        contrast_threshold=draw(st.sampled_from([0.05, 0.13, 0.4])),
         rate_scale=draw(st.floats(0.0, 4.0)),
-        # steps of 700, 1300 and 2900 us fall between most sample times;
-        # 70 ms is one step longer than a 16-bit offset
-        micro_step_us=draw(st.sampled_from([250, 700, 1000, 1300, 2900, 70_000])),
     )
     lo, hi = min(t[0] for t, _, _ in tracks.values()), max(t[-1] for t, _, _ in tracks.values())
     return res, tracks, params, draw(st.integers(lo - 1000, hi + 3000))
@@ -540,7 +526,7 @@ def two_hands(left, right, times=(0, 6_000, 13_000)):
             for hand, points in ((Hand.LEFT, left), (Hand.RIGHT, right))}
 
 
-STEADY = dict(seed=5, blob_radius=4.0, contrast_threshold=0.05, rate_scale=2.0, micro_step_us=700)
+STEADY = dict(seed=5, blob_radius=4.0, rate_scale=2.0)
 
 
 @st.composite
@@ -548,20 +534,19 @@ def shared_render_cases(draw):
     """(resolution, two-hand tracks, rendering parameters, segments) where
     each segment is (shift, seed, steps): the first stops before the
     motion's end, the second inside a batch before the first's end, and
-    the third runs the whole motion."""
+    the third runs the whole motion.  Times stretched 4-fold span
+    several batches."""
     res = Resolution(draw(st.integers(20, 200)), draw(st.integers(16, 48)))
-    tracks = {hand: draw(hand_samples(res.width, res.height)) for hand in (Hand.LEFT, Hand.RIGHT)}
+    factor = draw(st.sampled_from([1, 4]))
+    tracks = {hand: stretched(draw(hand_samples(res.width, res.height)), factor) for hand in (Hand.LEFT, Hand.RIGHT)}
     params = dict(
         blob_radius=draw(st.floats(1.0, 12.0)),
-        # below 1/64 a pixel's count can pass 255
-        contrast_threshold=draw(st.sampled_from([0.004, 0.05, 0.13, 0.4])),
-        rate_scale=draw(st.floats(0.0, 4.0)),
-        micro_step_us=draw(st.sampled_from([250, 700, 1000, 1300])),
+        # above 12.75 a pixel's count can pass 255
+        rate_scale=draw(st.floats(0.0, 4.0) | st.floats(12.0, 16.0)),
     )
-    step = params["micro_step_us"]
-    batch = min(32, 0xFFFF // step)
+    batch = events._BATCH_STEPS
     t = [c[0] for c in tracks.values()]
-    n_steps = -(-(max(x[-1] for x in t) - min(x[0] for x in t)) // step)
+    n_steps = -(-(max(x[-1] for x in t) - min(x[0] for x in t)) // events.MICRO_STEP_US)
     assume(n_steps >= 3)
     short = draw(st.integers(1, n_steps - 2).filter(lambda n: n % batch))
     steps = (draw(st.integers(short + 1, n_steps - 1)), short, n_steps)
@@ -585,10 +570,10 @@ class TestSynthHandEvents:
     # Each hand clipped at two sensor edges: left and top, right and bottom.
     @example((Resolution(200, 30), two_hands([(0.4, 0.3), (3.9, 2.2), (1.2, 0.0)],
                                              [(199.6, 29.7), (195.1, 27.4), (198.8, 29.9)]), STEADY, 7_350))
-    # 250 us steps over 40 ms: five batches, cut inside the third.
+    # 1 ms steps over 160 ms: five batches, cut inside the third.
     @example((Resolution(160, 40), two_hands([(20.5, 12.0), (90.2, 25.5), (130.0, 20.1)],
-                                             [(140.4, 30.2), (70.7, 14.9), (25.0, 22.6)], times=(0, 17_000, 40_000)),
-              dict(STEADY, micro_step_us=250), 21_130))
+                                             [(140.4, 30.2), (70.7, 14.9), (25.0, 22.6)], times=(0, 68_000, 160_000)),
+              STEADY, 84_520))
     def test_equals_oracle(self, case):
         res, tracks, params, until = case
         traj = Trajectory(tracks)
@@ -601,23 +586,23 @@ class TestSynthHandEvents:
 
     @settings(max_examples=40, deadline=None)
     @given(shared_render_cases())
-    # Five batches of 250 us steps with crossing hands: the first segment
+    # Five batches of 1 ms steps with crossing hands: the first segment
     # ends inside its fourth batch, the second inside its third.
     @example((Resolution(160, 40), two_hands([(20.5, 12.0), (90.2, 25.5), (130.0, 20.1)],
-                                             [(140.4, 30.2), (70.7, 14.9), (25.0, 22.6)], times=(0, 17_000, 40_000)),
-              dict(blob_radius=6.5, contrast_threshold=0.05, rate_scale=2.0, micro_step_us=250),
+                                             [(140.4, 30.2), (70.7, 14.9), (25.0, 22.6)], times=(0, 68_000, 160_000)),
+              dict(blob_radius=6.5, rate_scale=2.0),
               [(7, 1, 100), (2**52, 2, 70), (123_456_789, 3, 160)]))
     def test_segments_sharing_a_render_equal_cold_calls(self, case):
         res, tracks, params, segments = case
         traj = Trajectory(tracks)
         t_min = traj.span_us()[0]
-        batch = min(32, 0xFFFF // params["micro_step_us"])
+        batch = events._BATCH_STEPS
         render = {}
         with mock.patch.object(events, "_changed_pixels", wraps=events._changed_pixels) as draws:
             for i, (shift, seed, n) in enumerate(segments):
                 moved = traj.shifted(shift)
                 # The last of n steps starts before until.
-                until = shift + t_min + (n - 1) * params["micro_step_us"] + 1
+                until = shift + t_min + (n - 1) * events.MICRO_STEP_US + 1
                 before = draws.call_count
                 got = synth_hand_events(moved, res, seed, until_us=until, render=render, **params)
                 new_draws = draws.call_count - before
@@ -654,14 +639,14 @@ class TestSynthHandEvents:
 
     def test_batch_edges_equal_oracle(self):
         # Two hands on the full sensor: the left one starts clipped at the
-        # frame edge, and they cross, so their disks overlap.  700 us steps
-        # batch into 22.4 ms spans, which no 10 ms tracker window lines up
+        # frame edge, and they cross, so their disks overlap.  1 ms steps
+        # batch into 32 ms spans, which no 10 ms tracker window lines up
         # with, over two batches; the cut falls inside the first.
         traj = Trajectory({
-            Hand.LEFT: ([0, 30_000], [3.0, 70.0], [88.0, 96.0]),
-            Hand.RIGHT: ([0, 30_000], [60.0, 12.0], [92.0, 90.0]),
+            Hand.LEFT: ([0, 50_000], [3.0, 70.0], [88.0, 96.0]),
+            Hand.RIGHT: ([0, 50_000], [60.0, 12.0], [92.0, 90.0]),
         })
-        params = dict(seed=21, micro_step_us=700, rate_scale=2.0)
+        params = dict(seed=21, rate_scale=2.0)
         want = oracle_synth(traj, RES, **params)
         got = synth_hand_events(traj, RES, **params)
         assert got == want
@@ -672,10 +657,10 @@ class TestSynthHandEvents:
 
     def test_stop_time_keeps_prefix(self):
         traj = waving_trajectory(RES, 60)
-        full = synth_hand_events(traj, RES, seed=4, micro_step_us=700)
+        full = synth_hand_events(traj, RES, seed=4)
         assert np.all(np.diff(full.t.astype(np.int64)) >= 0)
         for until in (0, 1, 20_000, 20_350, 59_999, 60_000, 10**9):
-            cut = synth_hand_events(traj, RES, seed=4, micro_step_us=700, until_us=until)
+            cut = synth_hand_events(traj, RES, seed=4, until_us=until)
             assert cut == full[full.t < until]
 
     def test_stationary_blob_emits_nothing(self):
@@ -706,10 +691,7 @@ class TestSynthHandEvents:
         # one micro-step jump: per-pixel count is floor(rate*|delta|/threshold)
         traj = Trajectory({Hand.LEFT: ([0, 1000], [40.0, 43.0], [40.0, 40.0])})
         radius, thresh, rate = 5.0, 0.05, 1.0
-        stream = synth_hand_events(
-            traj, RES, seed=3, blob_radius=radius, contrast_threshold=thresh,
-            rate_scale=rate, micro_step_us=1000,
-        )
+        stream = synth_hand_events(traj, RES, seed=3, blob_radius=radius, rate_scale=rate)
 
         def disk(cx):
             ys, xs = np.mgrid[0:RES.height, 0:RES.width]
@@ -731,8 +713,6 @@ class TestSynthHandEvents:
     @pytest.mark.parametrize("name, value", [
         ("blob_radius", float("inf")), ("blob_radius", float("nan")), ("blob_radius", -1.0), ("blob_radius", 0.0),
         ("rate_scale", float("inf")), ("rate_scale", float("nan")), ("rate_scale", -1.0),
-        ("contrast_threshold", float("inf")), ("contrast_threshold", float("nan")), ("contrast_threshold", 0.0),
-        ("micro_step_us", 0), ("micro_step_us", -1000),
     ])
     def test_bad_parameter_refused_by_name(self, name, value):
         traj = waving_trajectory(RES, 20)
@@ -765,24 +745,22 @@ def unflagged(stream):
 
 @st.composite
 def sorted_valid_cases(draw):
-    """(resolution, tracks, micro-step, until_us or None) for one or two
-    hands anywhere on a sensor from the chip's size up to 640x480.  No
-    micro-step divides the tracker's 10 ms window."""
+    """(resolution, tracks, until_us or None) for one or two hands
+    anywhere on a sensor from the chip's size up to 640x480."""
     res = Resolution(draw(st.integers(CHIP.width, 640)), draw(st.integers(CHIP.height, 480)))
     hands = draw(st.sampled_from([[Hand.LEFT], [Hand.LEFT, Hand.RIGHT]]))
     tracks = {hand: draw(hand_samples(res.width, res.height)) for hand in hands}
     lo, hi = min(t[0] for t, _, _ in tracks.values()), max(t[-1] for t, _, _ in tracks.values())
-    step = draw(st.sampled_from([700, 1300, 2900, 3000]))
-    return res, tracks, step, draw(st.none() | st.integers(lo - 1000, hi + 3000))
+    return res, tracks, draw(st.none() | st.integers(lo - 1000, hi + 3000))
 
 
 # A hand clipped at the left and bottom edges of a chip-sized sensor.
-CLIPPED = (CHIP, {Hand.LEFT: ([0, 6_000, 13_000], [0.3, 4.1, 1.2], [64.7, 60.2, 64.9])}, 700, 9_100)
+CLIPPED = (CHIP, {Hand.LEFT: ([0, 6_000, 13_000], [0.3, 4.1, 1.2], [64.7, 60.2, 64.9])}, 9_100)
 
 
 def synth_case(case, seed):
-    res, tracks, step, until = case
-    return synth_hand_events(Trajectory(tracks), res, seed, rate_scale=2.0, micro_step_us=step, until_us=until)
+    res, tracks, until = case
+    return synth_hand_events(Trajectory(tracks), res, seed, rate_scale=2.0, until_us=until)
 
 
 class TestSortedValid:
@@ -860,8 +838,9 @@ class TestSortedValid:
             unflagged(synthesized).validate()
 
     @settings(max_examples=15, deadline=None)
+    # 7.5 ms windows end inside synthesis' 1 ms steps.
     @given(sorted_valid_cases(), st.integers(0, 2**32 - 1), st.integers(500, 12_000))
-    @example(CLIPPED, 3, 10_000)
+    @example(CLIPPED, 3, 7_500)
     def test_frames_equal_an_unflagged_copy(self, case, seed, window_us):
         stream = synth_case(case, seed)
         plain = unflagged(stream)
@@ -933,6 +912,13 @@ class TestEvt1Codec:
     def test_truncated_header_rejected(self):
         with pytest.raises(CodecError):
             decode_evt1(b"EVT1\x00")
+
+    @pytest.mark.parametrize("width, height", [(0, 180), (240, 0), (0, 0)])
+    def test_empty_sensor_rejected(self, width, height):
+        header = b"EVT1" + struct.pack("<HHI", width, height, 0)
+        for data in (header, header + struct.pack("<QHHb", 7, 0, 0, 1) + bytes(3)):
+            with pytest.raises(CodecError, match=f"resolution must be positive, got {width}x{height}"):
+                decode_evt1(data)
 
     def test_out_of_bounds_coordinates_rejected(self):
         good = encode_evt1(stream_of([(1, 1, 1, 1)], Resolution(4, 4)))

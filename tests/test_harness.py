@@ -576,11 +576,12 @@ class TestAnyResolution:
 
     # The brief two-note score with its VOL lines, on a lossy link that
     # does not reorder, over any sensor a show config accepts, from the
-    # show's camera up to 1024 px a side: sides of 512 px and more send
-    # positions at a scale below 64.
+    # show's camera up to 1024 px a side, and the largest an EVT1 header
+    # can name: sides of 512 px and more send positions at a scale below 64.
     @settings(max_examples=6, deadline=None)
     @example(CAMERA_RES.width, CAMERA_RES.height)
     @example(640, 480)
+    @example(65535, 65535)
     @given(st.integers(CAMERA_RES.width, 1024), st.integers(CAMERA_RES.height, 1024))
     def test_show_runs_at_any_accepted_size(self, width, height):
         cfg = SimConfig(seed=3, tracker=TrackerConfig(input_res=Resolution(width, height)),
@@ -596,8 +597,9 @@ class TestAnyResolution:
 
 class TestSynthesisStopTime:
     # A 93 ms score sampled every 10 ms spans 90 ms, and the teaching
-    # segment cuts its replay at 43 ms: with 7 ms windows neither is a
-    # whole number of windows, and 3 ms micro-steps do not divide them.
+    # segment cuts its replay at 43 ms: with 6.5 ms windows neither is a
+    # whole number of windows, and odd windows end inside 1 ms
+    # micro-steps, the teaching segment's last at 45.5 ms.
     SCORE = "NOTE 60 45\nNOTE 64 48\nVOL 0 0.8\nVOL 60 0.3\n"
     SCENARIO = (
         "AT 0 INTENT StartConversation\n"
@@ -616,13 +618,13 @@ class TestSynthesisStopTime:
 
         def synth(*args, until_us=None, **kwargs):
             # Without stop, the whole trajectory is synthesised.
-            return synth_hand_events(*args, micro_step_us=3000, until_us=until_us if stop else None, **kwargs)
+            return synth_hand_events(*args, until_us=until_us if stop else None, **kwargs)
 
         monkeypatch.setattr(harness, "safe_encode", recording_encode)
         monkeypatch.setattr(harness, "synth_hand_events", synth)
         cfg = SimConfig(
             seed=5,
-            tracker=TrackerConfig(window_us=7000),
+            tracker=TrackerConfig(window_us=6500),
             channel=ChannelConfig(loss_p=0.2, seed=3),
         )
         rep = run_show(cfg, scenario_text=self.SCENARIO, score_text=self.SCORE)
@@ -631,8 +633,8 @@ class TestSynthesisStopTime:
     def test_last_window_sees_every_event(self, monkeypatch):
         rep, payloads = self.run(monkeypatch)
         full, full_payloads = self.run(monkeypatch, stop=False)
-        # 13 windows over the duet's 90 ms, 7 over the teaching's 43 ms.
-        assert rep.counts["windows"] == 20
+        # 14 windows over the duet's 90 ms, 7 over the teaching's 43 ms.
+        assert rep.counts["windows"] == 21
         assert payloads == full_payloads
         lines = rep.to_kv_lines(include_wall=False)
         full_lines = full.to_kv_lines(include_wall=False)
@@ -748,6 +750,8 @@ class TestWholeScenarios:
     @given(
         scenarios(),
         st.sampled_from(["blob", "sd_net"]),
+        # Sides that do not divide by the chip's, and a wider sensor.
+        st.sampled_from([Resolution(240, 180), Resolution(257, 193), Resolution(640, 480)]),
         st.builds(
             ChannelConfig,
             loss_p=st.sampled_from([0.0, 0.2, 0.5]),
@@ -759,14 +763,16 @@ class TestWholeScenarios:
         st.integers(0, 10),
         st.integers(0, 2**16),
     )
-    @example("AT 100 INTENT StartConversation\nAT 300 INTENT Done\n", "blob", ChannelConfig(), 8, 0)
+    @example("AT 100 INTENT StartConversation\nAT 300 INTENT Done\n", "blob", Resolution(240, 180), ChannelConfig(), 8, 0)
     # Teaching resumed after a calibration detour, for longer than the score.
     @example("AT 0 INTENT StartConversation\nAT 10 INTENT AskTeaching\nAT 45 INTENT RequestCalibration\n"
-             "AT 60 INTENT Done\nAT 155 INTENT Done\n", "sd_net", ChannelConfig(loss_p=0.2), 8, 1)
+             "AT 60 INTENT Done\nAT 155 INTENT Done\n", "sd_net", Resolution(240, 180), ChannelConfig(loss_p=0.2), 8, 1)
     # A solo plays from the score: it sends no frame and makes no control point.
-    @example("AT 0 INTENT StartConversation\nAT 0 INTENT AskSolo\nAT 60 INTENT Done\n", "blob", ChannelConfig(), 8, 0)
-    def test_states_fill_the_show_and_a_rerun_is_identical(self, scenario, detector, channel, window, seed):
-        cfg = SimConfig(seed=seed, tracker=TrackerConfig(detector=detector), channel=channel, reorder_window=window)
+    @example("AT 0 INTENT StartConversation\nAT 0 INTENT AskSolo\nAT 60 INTENT Done\n", "blob", Resolution(240, 180),
+             ChannelConfig(), 8, 0)
+    def test_states_fill_the_show_and_a_rerun_is_identical(self, scenario, detector, res, channel, window, seed):
+        cfg = SimConfig(seed=seed, tracker=TrackerConfig(input_res=res, detector=detector), channel=channel,
+                        reorder_window=window)
         first = run_show(cfg, scenario_text=scenario, score_text=WHOLE_SHOW_SCORE)
         assert sum(first.state_ms.values()) == first.sim_duration_us / 1000
         assert first.counts["windows"] == oracle_windows(scenario, WHOLE_SHOW_SCORE_MS, cfg.tracker.window_us)

@@ -1,6 +1,7 @@
 """Hand tracker: gain control, detectors, labeling, windowing, estimate IO."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,6 @@ from evtheremin.events import (
     EventStream,
     Resolution,
     StreamError,
-    frame_accumulate,
-    frame_downsample,
     synth_hand_events,
     waving_trajectory,
 )
@@ -378,10 +377,11 @@ class TestRun:
 
     @pytest.mark.parametrize("detector", ["blob", "sd_net"])
     def test_synthesized_stream_tracks_like_an_unflagged_copy(self, detector):
-        stream = synth_hand_events(waving_trajectory(RES, 400), RES, seed=5, rate_scale=2.0, micro_step_us=700)
+        stream = synth_hand_events(waving_trajectory(RES, 400), RES, seed=5, rate_scale=2.0)
         copy = EventStream(*(np.array(getattr(stream, c)) for c in "txyp"), RES)
         assert stream.sorted_valid and not copy.sorted_valid
-        config = TrackerConfig(detector=detector)
+        # 7.5 ms windows end inside synthesis' 1 ms steps.
+        config = TrackerConfig(detector=detector, window_us=7_500)
         for span in ((), (3_000, 397_000)):
             got = HandTracker(config).run(stream, *span)
             assert sum(bool(e.hands) for e in got) > 20
@@ -414,9 +414,40 @@ class TestRun:
         assert len(estimates) == spy.call_count == 3
         for est, call in zip(estimates, spy.call_args_list):
             chip, t0 = call.args[0], est.t_us - 10_000
-            want = frame_downsample(frame_accumulate(stream, t0, est.t_us, res), CHIP)
+            # Scatter-add reference: event pixel (x, y) counts in cell (x*cw//w, y*ch//h).
+            m = (stream.t >= t0) & (stream.t < est.t_us)
+            want = np.zeros((CHIP.height, CHIP.width), dtype=np.int64)
+            np.add.at(want, (stream.y[m].astype(np.int64) * CHIP.height // height,
+                             stream.x[m].astype(np.int64) * CHIP.width // width), 1)
             assert chip.shape == (CHIP.height, CHIP.width) and chip.dtype == np.int64
             np.testing.assert_array_equal(chip, want)
+
+    def test_memory_follows_the_sensors_sides(self):
+        # One event on a 4096x4096 sensor: a per-pixel cell table would
+        # take 134 MB, the per-axis maps take 64 kB.
+        res = Resolution(4096, 4096)
+        tracker = HandTracker(TrackerConfig(input_res=res))
+        tracemalloc.start()
+        try:
+            estimates = tracker.run(EventStream([5], [4095], [2048], [1], res))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.t_us for e in estimates] == [10_005]
+        assert peak < 2_000_000
+
+    # Spans from the stream, and given: the first's last window passes the
+    # last u64 time, the second's ends on it.
+    @pytest.mark.parametrize("past, on", [
+        ((), ()),
+        ((2**64 - 20_000, 2**64 - 5_000), (2**64 - 20_001, 2**64 - 1)),
+    ])
+    def test_window_past_the_u64_time_limit_refused(self, past, on):
+        last = 2**64 - 1
+        with pytest.raises(StreamError, match=r"need a window ending at \d+, past the u64 time limit 2\*\*64 - 1"):
+            HandTracker().run(EventStream([last], [3], [4], [1], RES), *past)
+        stream = EventStream([last - 10_000], [3], [4], [1], RES)
+        assert HandTracker().run(stream, *on)[-1].t_us == last
 
     def test_window_at_other_resolution_rejected(self):
         window = cluster_window([((10, 10), 5)], 0, 10_000, res=Resolution(320, 240))
