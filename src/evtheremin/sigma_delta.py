@@ -10,9 +10,11 @@ is exact.
 The tracker's `SigmaDeltaDetector` sends its blurred count frame through
 one such encode/decode boundary (O'Connor & Welling, "Sigma Delta
 Quantized Networks", arXiv:1611.02024).  The blur's values are exact, so
-the decoder's accumulator is the encoder's last-sent state to the bit;
-the detector reads that state, and `sigma_decode` stays the reference
-decoder the tests check it against.
+the decoder's accumulator is the encoder's last-sent state to the bit.
+The detector keeps that state itself: it updates it in place and counts
+its spikes only where a window's blur can change it, and builds no spike
+batch.  `delta_encode` and `sigma_decode` are the reference pair the
+tests check it against, window by window.
 """
 
 from __future__ import annotations

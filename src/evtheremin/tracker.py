@@ -22,10 +22,13 @@ cell's share of its reference level there, once, and the field
 (`neural_field`) takes it times INPUT_GAIN as its input.
 
 A window costs what the hands touch, not the whole grid: the blur is two
-banded products on the box around the window's nonzero cells, the field's
-lateral term reads only its firing cells, and peak regions are joined
-from the row runs of the field's supra-threshold cells.  Exact sums make
-each equal to its full-grid pass.
+banded products on the box around the window's nonzero cells, handed on
+as that box and its values; the sd_net boundary encodes only the union of
+this window's box and the last one's, because after each window every
+cell outside its box holds a last-sent value that a zero input leaves
+unsent; the field's lateral term reads only its firing cells, and peak
+regions are joined from the row runs of the field's supra-threshold
+cells.  Exact sums make each equal to its full-grid pass.
 """
 
 from __future__ import annotations
@@ -49,7 +52,10 @@ from .neural_field import (
     field_step,
     make_kernel,
 )
-from .sigma_delta import SdState, delta_encode
+from .sigma_delta import SdState
+
+# A (rows, columns) pair of slices of the chip grid.
+Box = tuple[slice, slice]
 
 
 class HandLabel(Enum):
@@ -109,6 +115,10 @@ GAIN_GROWTH = 1.5
 COUNT_CAP = 1 << 20
 # The on-chip grid the field runs on.
 CHIP_RES = Resolution(86, 65)
+# A run keeps one estimate per window: about 250 B without hands and 660 B
+# with two (tracemalloc, 10,000 windows), so a run of MAX_WINDOWS, 2.9 h of
+# 10 ms windows, holds at most about 0.7 GB.
+MAX_WINDOWS = 1 << 20
 
 
 @dataclass
@@ -147,17 +157,22 @@ class GainControl:
     def __init__(self):
         self.ref = 0.0
 
-    def normalize(self, img: np.ndarray) -> np.ndarray:
+    def normalize(self, img: np.ndarray, peak: float | None = None) -> np.ndarray:
         """A non-negative img over ref, at most 1, as int64 counts of
-        2**-16 rounded half to even: the gain's one rounding."""
-        m = float(img.max())
+        2**-16 rounded half to even: the gain's one rounding.  A caller
+        that knows img's maximum passes it as peak."""
+        m = float(img.max() if peak is None else peak)
         if self.ref <= 0:
             self.ref = m
         else:
             self.ref = min(max(self.ref * GAIN_DECAY, m), self.ref * GAIN_GROWTH)
-        if self.ref <= 0:
+        scale = U_ONE / self.ref if self.ref > 0 else math.inf
+        # A long quiet stretch decays ref toward 0: one so small that the
+        # scaled frame would overflow counts as none.
+        if not math.isfinite(scale * max(m, 1.0)):
+            self.ref = 0.0
             return np.zeros(img.shape, dtype=np.int64)
-        heat = img * (U_ONE / self.ref)
+        heat = img * scale
         np.rint(heat, out=heat)
         np.minimum(heat, U_ONE, out=heat)
         return heat.astype(np.int64)
@@ -185,20 +200,28 @@ class GaussianBlur:
             self._bands[shape] = _band(self.weights, h), _band(self.weights[::-1], w)
         return self._bands[shape]
 
-    def __call__(self, cells: np.ndarray) -> np.ndarray:
+    def boxed(self, cells: np.ndarray) -> tuple[Box, np.ndarray] | None:
+        """(box, values): the blur is values on the grid's box and 0
+        outside it; None when every cell is 0."""
         # Outside the box around the nonzero cells, widened by the radius,
         # input and blur are both zero; inside it, the products need only
         # the bands' rows and columns of those cells.
-        out = np.zeros(cells.shape)
-        ys, xs = np.divmod(np.flatnonzero(cells), cells.shape[1])
+        h, w = cells.shape
+        ys = np.flatnonzero(cells.any(axis=1))
         if len(ys) == 0:
-            return out
-        (y0, y1), (x0, x1) = (ys[0], ys[-1] + 1), (xs.min(), xs.max() + 1)
+            return None
+        xs = np.flatnonzero(cells.any(axis=0))
+        (y0, y1), (x0, x1) = (int(ys[0]), int(ys[-1]) + 1), (int(xs[0]), int(xs[-1]) + 1)
         r = len(self.weights) // 2
-        box = (slice(max(y0 - r, 0), y1 + r), slice(max(x0 - r, 0), x1 + r))
+        box = (slice(max(y0 - r, 0), min(y1 + r, h)), slice(max(x0 - r, 0), min(x1 + r, w)))
         rows, cols = self.bands(cells.shape)
         counts = np.minimum(cells[y0:y1, x0:x1], COUNT_CAP).astype(np.float64)
-        out[box] = rows[box[0], y0:y1] @ counts @ cols[x0:x1, box[1]]
+        return box, rows[box[0], y0:y1] @ counts @ cols[x0:x1, box[1]]
+
+    def __call__(self, cells: np.ndarray) -> np.ndarray:
+        out = np.zeros(cells.shape)
+        if (boxed := self.boxed(cells)) is not None:
+            out[boxed[0]] = boxed[1]
         return out
 
 
@@ -221,20 +244,53 @@ class SigmaDeltaDetector:
     in every cell.  The blur is truncated at ceil(3 sigma) cells.  Its
     values are exact, so the decoder's accumulator is the encoder's
     last-sent state to the bit: the heatmap normalizes that state, which
-    is never below 0."""
+    is never below 0.
+
+    Invariant: once a window is encoded, every cell outside its blur box
+    holds a last-sent value that a zero input does not spike, below theta
+    (0 at theta 0).  So the next window can spike only in the union of its
+    box and this one's, and a union maximum of at least theta is the
+    grid's.  The boundary updates last_sent in place there and counts its
+    spikes, with no spike batch built: values, counts and heatmaps equal
+    `delta_encode`'s over the whole grid, the reference the tests use."""
 
     def __init__(self, resolution: Resolution, sigma_cells: float, theta: float):
+        if not theta >= 0:
+            raise ValueError(f"theta must be >= 0, got {theta}")
         self.resolution = resolution
         self.blur = GaussianBlur(sigma_cells, max(1, math.ceil(3 * sigma_cells)))
         self.theta = theta
         self.gain = GainControl()
         self.state = SdState.zeros(resolution.npixels)
         self.total_spikes = 0
+        self._box: Box | None = None  # the last window's blur box
 
     def heatmap(self, cells: np.ndarray) -> np.ndarray:
-        spikes = delta_encode(self.state, self.blur(cells).ravel(), self.theta)
-        self.total_spikes += len(spikes)
-        return self.gain.normalize(self.state.last_sent.reshape(self.resolution.height, self.resolution.width))
+        sent = self.state.last_sent.reshape(self.resolution.height, self.resolution.width)
+        if cells.shape != sent.shape:
+            raise ValueError(f"got a {cells.shape} frame for a {sent.shape} detector")
+        boxed = self.blur.boxed(cells)
+        box = None if boxed is None else boxed[0]
+        union, self._box = _union(box, self._box), box
+        if union is None:
+            return self.gain.normalize(sent)
+        blurred = np.zeros((union[0].stop - union[0].start, union[1].stop - union[1].start))
+        if boxed is not None:
+            blurred[tuple(slice(b.start - u.start, b.stop - u.start) for b, u in zip(box, union))] = boxed[1]
+        last = sent[union]
+        change = np.abs(blurred - last)
+        spiking = change >= self.theta if self.theta > 0 else change != 0
+        np.copyto(last, blurred, where=spiking)
+        self.total_spikes += int(np.count_nonzero(spiking))
+        m = last.max()
+        return self.gain.normalize(sent, m if m >= self.theta else None)
+
+
+def _union(a: Box | None, b: Box | None) -> Box | None:
+    """The smallest box holding both; None when neither is a box."""
+    if a is None or b is None:
+        return a or b
+    return tuple(slice(min(p.start, q.start), max(p.stop, q.stop)) for p, q in zip(a, b))
 
 
 def detect_heatmap(frame: np.ndarray, detector) -> np.ndarray:
@@ -305,7 +361,8 @@ class HandTracker:
 
     def run(self, stream: EventStream, t_start: int | None = None, t_end: int | None = None) -> list[HandEstimate]:
         """Track a whole stream in fixed windows; timestamps at window ends.
-        A last window that would end past the u64 time limit is refused."""
+        A last window that would end past the u64 time limit is refused, and
+        so is a span of more than MAX_WINDOWS windows."""
         cfg = self.config
         if t_start is None or t_end is None:
             if len(stream) == 0:
@@ -322,6 +379,11 @@ class HandTracker:
         if ends and ends[-1] >= 2**64:
             raise StreamError(f"events up to time {t_end - 1} need a window ending at {ends[-1]}, "
                               "past the u64 time limit 2**64 - 1")
+        # len(ends), which len() cannot take past 2**63 - 1.
+        windows = max(0, -(-(t_end - t_start) // cfg.window_us))
+        if windows > MAX_WINDOWS:
+            raise StreamError(f"a span from time {t_start} to {t_end - 1} needs {windows} windows "
+                              f"of {cfg.window_us} us, more than the {MAX_WINDOWS} a run tracks")
         # Keys of the column's dtype: Python-int keys make NumPy cast the whole column.
         edges = np.searchsorted(stream.t, np.array([t_start, *ends], dtype=t.dtype))
         return [self.step(stream[i0:i1], w_end) for w_end, i0, i1 in zip(ends, edges[:-1], edges[1:])]

@@ -11,6 +11,7 @@ from evtheremin import cli
 from evtheremin.cli import main
 from evtheremin.events import EventStream, Resolution, decode_evt1, encode_evt1
 from evtheremin.harness import RunReport
+from evtheremin.tracker import MAX_WINDOWS
 from evtheremin.transport import safe_encode
 
 
@@ -271,6 +272,16 @@ class TestShowAndReport:
         csv = tmp_path / "o.csv"
         result = CliRunner().invoke(main, ["track", "--in", str(path), "--out", str(csv)])
         assert result.exit_code == 1 and "past the u64 time limit 2**64 - 1" in result.output
+        assert isinstance(result.exception, SystemExit) and not csv.exists()
+
+    def test_span_of_too_many_windows_fails_cleanly(self, tmp_path):
+        # 9.2e14 windows between the two events: refused, not unpacked.
+        path = tmp_path / "far.evt1"
+        path.write_bytes(encode_evt1(EventStream([5, 2**63], [3, 3], [4, 4], [1, 1], Resolution(240, 180))))
+        csv = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, ["track", "--in", str(path), "--out", str(csv)])
+        assert result.exit_code == 1 and "needs 922337203685478 windows" in result.output
+        assert f"more than the {MAX_WINDOWS} a run tracks" in result.output
         assert isinstance(result.exception, SystemExit) and not csv.exists()
 
     def test_track_at_the_largest_sensor(self, tmp_path):

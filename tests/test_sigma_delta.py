@@ -1,13 +1,10 @@
 """Sigma-delta encode/decode pair and the detector's one-layer network."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evtheremin import tracker
 from evtheremin.events import Resolution
 from evtheremin.sigma_delta import (
     GradedSpike,
@@ -17,7 +14,7 @@ from evtheremin.sigma_delta import (
     sigma_decode,
 )
 from evtheremin.harness import config_from_dict
-from evtheremin.tracker import SD_THETA, SigmaDeltaDetector
+from evtheremin.tracker import SD_THETA, GainControl, SigmaDeltaDetector
 
 
 class TestDeltaEncode:
@@ -119,6 +116,39 @@ def count_frames(draw):
     return res, sigma, list(counts)
 
 
+CHIP = Resolution(86, 65)
+
+
+def hand(x, y, res=CHIP, radius=2, count=30):
+    """A count frame holding one square blob of events at cell (x, y)."""
+    frame = np.zeros((res.height, res.width), dtype=np.int64)
+    frame[max(y - radius, 0) : y + radius + 1, max(x - radius, 0) : x + radius + 1] = count
+    return frame
+
+
+def empty(res=CHIP):
+    return np.zeros((res.height, res.width), dtype=np.int64)
+
+
+@st.composite
+def sparse_count_frames(draw):
+    """A grid of 1x1 to 86x65 cells, a blur sigma of 0.3-3 cells and one
+    to eight count frames, each empty or holding up to three square blobs
+    at drawn cells: blur boxes that appear, move, jump and empty, where
+    `count_frames`' dense frames fill the whole grid."""
+    res = Resolution(draw(st.integers(1, 86)), draw(st.integers(1, 65)))
+    sigma = draw(st.floats(0.3, 3.0))
+    blob = st.tuples(st.integers(0, res.width - 1), st.integers(0, res.height - 1),
+                     st.integers(0, 3), st.integers(1, 60))
+    frames = []
+    for blobs in draw(st.lists(st.lists(blob, max_size=3), min_size=1, max_size=8)):
+        frame = empty(res)
+        for x, y, radius, count in blobs:
+            frame += hand(x, y, res, radius, count)
+        frames.append(frame)
+    return res, sigma, frames
+
+
 def run_detector(res, sigma, theta, frames):
     det = SigmaDeltaDetector(res, sigma, theta)
     for frame in frames:
@@ -132,23 +162,42 @@ class TestSigmaDeltaNetwork:
 
     @given(count_frames(), st.floats(0.0, 2.0))
     def test_decoder_accumulator_is_last_sent(self, case, theta):
-        # The blur's values are exact, so a sigma decoder fed each
-        # window's spikes holds the encoder's last-sent state to the bit.
+        # The blur's values are exact, so a sigma decoder fed the reference
+        # encoder's spikes each window holds the detector's last-sent state
+        # to the bit, and the two count the same spikes.
         res, sigma, frames = case
         det = SigmaDeltaDetector(res, sigma, theta)
-        acc = np.zeros(res.npixels)
-        sent = []
+        reference, acc = SdState.zeros(res.npixels), np.zeros(res.npixels)
+        for frame in frames:
+            before = det.total_spikes
+            det.heatmap(frame)
+            spikes = delta_encode(reference, det.blur(frame).ravel(), theta)
+            sigma_decode(acc, spikes)
+            np.testing.assert_array_equal(acc.view(np.uint64), det.state.last_sent.view(np.uint64))
+            assert det.total_spikes - before == len(spikes)
 
-        def encode(*args):
-            sent.append(delta_encode(*args))
-            return sent[-1]
-
-        with mock.patch.object(tracker, "delta_encode", encode):
-            for frame in frames:
-                det.heatmap(frame)
-                sigma_decode(acc, sent[-1])
-                np.testing.assert_array_equal(acc.view(np.uint64), det.state.last_sent.view(np.uint64))
-        assert len(sent) == len(frames)
+    @given(sparse_count_frames(), st.sampled_from([0.0, SD_THETA]) | st.floats(0.0, 2.0))
+    @example((CHIP, 1.5, [hand(10, 10), hand(10, 10), empty(), hand(80, 60), empty(), empty()]), SD_THETA)
+    @example((CHIP, 1.5, [hand(40, 30), hand(45, 32), hand(70, 5), empty(), hand(0, 64)]), 0.0)
+    # Two cells left below theta outside the union, the larger the grid's
+    # maximum once the gain's reference has decayed to it.
+    @example((CHIP, 1.5, [hand(20, 20, radius=0, count=28) + hand(40, 40, radius=0, count=26),
+                          hand(20, 20, radius=0, count=13) + hand(40, 40, radius=0, count=11), empty()]
+              + [hand(70, 50, radius=0, count=1)] * 9), 1.0)
+    def test_boxed_boundary_is_the_full_grid_encoder(self, case, theta):
+        # The detector encodes only the union of this window's blur box and
+        # the last one's, and takes the gain's peak from there: last-sent
+        # values, spike counts and heatmaps are those of delta_encode over
+        # the whole grid followed by the gain's full-grid maximum.
+        res, sigma, frames = case
+        det = SigmaDeltaDetector(res, sigma, theta)
+        reference, gain, total = SdState.zeros(res.npixels), GainControl(), 0
+        for frame in frames:
+            heat = det.heatmap(frame)
+            total += len(delta_encode(reference, det.blur(frame).ravel(), theta))
+            np.testing.assert_array_equal(det.state.last_sent.view(np.uint64), reference.last_sent.view(np.uint64))
+            assert det.total_spikes == total
+            np.testing.assert_array_equal(heat, gain.normalize(reference.last_sent.reshape(frame.shape)))
 
     @given(count_frames())
     def test_zero_theta_matches_dense_forward(self, case):
@@ -201,6 +250,12 @@ class TestSigmaDeltaNetwork:
             np.testing.assert_array_equal(a.heatmap(frame), b.heatmap(frame))
         np.testing.assert_array_equal(a.state.last_sent, b.state.last_sent)
         assert a.total_spikes == b.total_spikes
+
+    def test_frame_of_another_shape_rejected(self):
+        det = SigmaDeltaDetector(Resolution(20, 15), 1.5, 0.02)
+        with pytest.raises(ValueError, match=r"got a \(15, 21\) frame for a \(15, 20\) detector"):
+            det.heatmap(np.ones((15, 21), dtype=np.int64))
+        assert det.total_spikes == 0 and not det.state.last_sent.any()
 
     def test_negative_theta_rejected(self):
         # The tracker's theta is a constant, not a config value.

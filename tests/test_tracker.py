@@ -1,5 +1,7 @@
 """Hand tracker: gain control, detectors, labeling, windowing, estimate IO."""
 
+import copy
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -14,14 +16,17 @@ from scipy.signal import convolve2d
 from evtheremin import tracker as tracker_module
 from evtheremin.events import (
     EventStream,
+    Hand,
     Resolution,
     StreamError,
+    Trajectory,
     synth_hand_events,
     waving_trajectory,
 )
 from evtheremin.harness import config_from_dict
 from evtheremin.neural_field import U_ONE, Peak
 from evtheremin.tracker import (
+    MAX_WINDOWS,
     BlobDetector,
     GainControl,
     HandEstimate,
@@ -449,10 +454,78 @@ class TestRun:
         stream = EventStream([last - 10_000], [3], [4], [1], RES)
         assert HandTracker().run(stream, *on)[-1].t_us == last
 
+    def test_span_of_too_many_windows_refused(self):
+        # Two events 2**63 us apart would need 9.2e14 window ends.
+        stream = EventStream([5, 2**63], [3, 3], [4, 4], [1, 1], RES)
+        with pytest.raises(StreamError, match=rf"needs 922337203685478 windows of 10000 us, "
+                                              rf"more than the {MAX_WINDOWS} a run tracks"):
+            HandTracker().run(stream)
+        with mock.patch.object(tracker_module, "MAX_WINDOWS", 3):
+            assert len(HandTracker().run(stream, 0, 30_000)) == 3
+            with pytest.raises(StreamError, match="needs 4 windows"):
+                HandTracker().run(stream, 0, 30_001)
+
     def test_window_at_other_resolution_rejected(self):
         window = cluster_window([((10, 10), 5)], 0, 10_000, res=Resolution(320, 240))
         with pytest.raises(StreamError, match="tracker input is 240x180"):
             HandTracker().step(window, 10_000)
+
+
+def waving(duration_ms, start_us, hands=(Hand.LEFT, Hand.RIGHT)):
+    """The events of `waving_trajectory`'s given hands, from start_us on."""
+    traj = waving_trajectory(RES, duration_ms)
+    return synth_hand_events(Trajectory({h: traj.tracks[h] for h in hands}).shifted(start_us), RES, seed=1)
+
+
+def joined(*streams):
+    return EventStream(*(np.concatenate([getattr(s, c) for s in streams]) for c in "txyp"), RES)
+
+
+class TestQuietStretches:
+    """Windows without events, which no golden show has: blur boxes that
+    empty, jump and come back."""
+
+    # sha256 of format_estimates over 300 ms of both hands waving, a 500 ms
+    # pause, 200 ms of the left hand alone and 300 ms of both hands again,
+    # pinned while the sd_net boundary still encoded the whole grid.
+    DIGESTS = {
+        "blob": "cca485260b1dce3d5bd059821a12a3fa327d78aee09a0d00d0e29bce39ae408e",
+        "sd_net": "1e6cdc2432e190e800d9510bd37378d76523861853e08d80223caeab4a61a9b2",
+    }
+
+    @pytest.mark.parametrize("detector", ["blob", "sd_net"])
+    def test_estimates_pinned(self, detector):
+        stream = joined(waving(300, 0), waving(200, 800_000, (Hand.LEFT,)), waving(300, 1_000_000))
+        out = format_estimates(HandTracker(TrackerConfig(detector=detector)).run(stream))
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[detector]
+
+    @pytest.mark.parametrize("detector", ["blob", "sd_net"])
+    def test_long_pause_keeps_the_gain_finite(self, detector):
+        # Without events the gain's reference decays by GAIN_DECAY a window:
+        # some 6,600 windows on, U_ONE over it overflows.  A pause of 80 s
+        # must leave heat in [0, U_ONE], warn of nothing, and track what
+        # follows as after a 75 s pause, when the reference is 0.
+        heat_range = [U_ONE, 0]
+
+        def recorded(frame, det):
+            heat = detect_heatmap(frame, det)
+            heat_range[:] = min(heat_range[0], heat.min()), max(heat_range[1], heat.max())
+            return heat
+
+        def resumed(tracker, start):
+            return [(e.t_us - start, e.hands) for e in tracker.run(waving(200, start), start, start + 200_000)]
+
+        quiet = EventStream.empty(RES)
+        tracker = HandTracker(TrackerConfig(detector=detector))
+        with mock.patch.object(tracker_module, "detect_heatmap", recorded):
+            tracker.run(waving(200, 0), 0, 200_000)
+            tracker.run(quiet, 200_000, 75_200_000)
+            after_75 = resumed(copy.deepcopy(tracker), 75_200_000)
+            tracker.run(quiet, 75_200_000, 80_200_000)
+            after_80 = resumed(tracker, 80_200_000)
+        assert 0 <= heat_range[0] and heat_range[1] <= U_ONE
+        assert any(hands for _, hands in after_80)
+        assert after_80 == after_75
 
 
 def parse_estimates(text):
