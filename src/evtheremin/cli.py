@@ -34,7 +34,7 @@ from .harness import (
 )
 from .neural_field import field_to_pgm
 from .theremin import parse_score, score_to_trajectory
-from .tracker import HandTracker, TrackerConfig, format_estimates
+from .tracker import DETECTORS, HandTracker, TrackerConfig, format_estimates
 from .transport import ChannelConfig, dump_frame
 
 
@@ -105,7 +105,7 @@ def synth(out_path, seed, pattern, score_path, duration_ms, resolution, blob_rad
 @main.command()
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(writable=True, dir_okay=False))
-@click.option("--detector", type=click.Choice(["blob", "sd_net"]), default="blob",
+@click.option("--detector", type=click.Choice(list(DETECTORS)), default=TrackerConfig.detector,
               show_default=True)
 @click.option("--window-us", type=int, default=10_000, show_default=True)
 @click.option("--no-field", is_flag=True, help="Raw argmax baseline, skip the field filter.")

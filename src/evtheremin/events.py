@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -38,8 +39,9 @@ EVT1_MAGIC = b"EVT1"
 _EVT1_HEADER = struct.Struct("<4sHHI")
 assert _EVT1_HEADER.size == 12
 
-# An EventStream's t, x, y and p columns.
+# An EventStream's t, x, y and p columns, and what an error calls each value.
 _COLUMN_DTYPES = (np.uint64, np.uint16, np.uint16, np.int8)
+_COLUMN_VALUES = ("time", "x", "y", "polarity")
 
 class StreamError(ValueError):
     """Structurally invalid event data."""
@@ -85,15 +87,10 @@ class EventStream:
     """
 
     def __init__(self, t, x, y, p, resolution: Resolution):
-        t = np.asarray(t)
-        neg = np.flatnonzero(t < 0) if t.dtype.kind in "if" else ()  # u8 would wrap them
-        if len(neg):
-            raise StreamError(f"event {neg[0]} has negative time {t[neg[0]]}")
         # Written through __dict__, past __setattr__: a window's stream is
         # built once per tracker window.
         d = self.__dict__
-        d["t"], d["x"], d["y"], d["p"] = (np.ascontiguousarray(c, dtype) for c, dtype in
-                                          zip((t, x, y, p), _COLUMN_DTYPES))
+        d["t"], d["x"], d["y"], d["p"] = map(_exact_column, "txyp", (t, x, y, p), _COLUMN_DTYPES, _COLUMN_VALUES)
         if not len(self.t) == len(self.x) == len(self.y) == len(self.p):
             raise StreamError(f"column lengths differ: {len(self.t)}, {len(self.x)}, {len(self.y)}, {len(self.p)}")
         d["resolution"] = resolution
@@ -149,6 +146,42 @@ class EventStream:
         if len(self) == 0:
             return (0, 0)
         return int(self.t.min()), int(self.t.max())
+
+
+def _exact_column(name: str, values, dtype, value: str) -> np.ndarray:
+    """values as a contiguous column of dtype.  Raises StreamError naming
+    the first event whose value dtype cannot hold exactly, rather than
+    wrap or truncate it; a column of dtype already is taken as it is."""
+    c = np.asarray(values)
+    if c.dtype == dtype:
+        return np.ascontiguousarray(c)
+    # NumPy reads a list of ints past int64's range, of both signs, as floats.
+    if c.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        c = np.array(values, dtype=object)
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    if c.dtype.kind not in "biufO":
+        raise StreamError(f"the {name} column holds {c.dtype}, not integers")
+    if c.dtype.kind == "f":
+        # NaN fails every comparison, and hi + 1 is a power of two, exact as a float.
+        ok = (c >= np.float64(lo)) & (c < np.float64(hi + 1)) & (np.trunc(c) == c)
+    elif c.dtype.kind == "O":
+        ok = np.array([isinstance(v, numbers.Real) and lo <= v <= hi and v == int(v) for v in c.flat], dtype=bool)
+    else:
+        # A bound is compared only where c's dtype reaches past it.
+        src = np.iinfo(c.dtype) if c.dtype.kind != "b" else np.iinfo(np.uint8)
+        ok = np.ones(c.shape, dtype=bool)
+        if src.min < lo:
+            ok &= c >= lo
+        if src.max > hi:
+            ok &= c <= hi
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        v = c.flat[i]
+        sign = "negative " if isinstance(v, numbers.Real) and v < 0 <= lo else ""
+        raise StreamError(f"event {i} has {sign}{value} {v}, which the {np.dtype(dtype)} {name} column cannot hold")
+    if c.dtype.kind == "O":
+        c = np.array([int(v) for v in c.flat], dtype).reshape(c.shape)
+    return np.ascontiguousarray(c, dtype)
 
 
 def _check_pixels(x, y, p, res: Resolution, item: str) -> None:

@@ -56,11 +56,11 @@ from .theremin import (
     score_to_trajectory,
 )
 from .tracker import (
+    CHIP_RES,
     HandEstimate,
     HandLabel,
     HandPoint,
     HandTracker,
-    SigmaDeltaDetector,
     TrackerConfig,
 )
 from .transport import (
@@ -463,7 +463,8 @@ def _run_tracking_segment(
         run.link_stats.sent += 1
         run.link_stats.bytes_sent += len(payload)
         run.link_stats.events_sent += len(spikes)
-    if isinstance(run.tracker.detector, SigmaDeltaDetector):
+    # Spikes are counted with a threshold only: at theta 0 every change is one.
+    if run.tracker.detector.theta > 0:
         run.counts["detector_spikes"] = run.tracker.detector.total_spikes
     # Fresh sub-seed per segment so repeat visits to a state do not reuse
     # the identical impairment sequence.
@@ -563,7 +564,7 @@ def protocol_bench(
     frame sizes, and optionally push the traffic through the channel
     simulator with receiver accounting."""
     rng = np.random.default_rng(seed)
-    addresses = rng.integers(0, 86 * 65, n_events)
+    addresses = rng.integers(0, CHIP_RES.npixels, n_events)
     values = rng.choice(np.array([-3, -2, -1, 1, 2, 3]), n_events)
     spikes = [GradedSpike(int(a), int(v)) for a, v in zip(addresses, values)]
     rows = []

@@ -7,14 +7,15 @@ spike values reconstructs the activation to within `theta` at every
 step.  With theta = 0 any change at all is sent and the reconstruction
 is exact.
 
-The tracker's `SigmaDeltaDetector` sends its blurred count frame through
-one such encode/decode boundary (O'Connor & Welling, "Sigma Delta
-Quantized Networks", arXiv:1611.02024).  The blur's values are exact, so
-the decoder's accumulator is the encoder's last-sent state to the bit.
-The detector keeps that state itself: it updates it in place and counts
-its spikes only where a window's blur can change it, and builds no spike
-batch.  `delta_encode` and `sigma_decode` are the reference pair the
-tests check it against, window by window.
+The tracker's one detector, `SigmaDeltaDetector`, sends its blurred count
+frame through one such boundary (O'Connor & Welling, "Sigma Delta
+Quantized Networks", arXiv:1611.02024); `blob` is its theta 0.  The
+blur's values are exact, so the decoder's accumulator is the encoder's
+last-sent grid to the bit.  The detector keeps that grid itself: it
+updates it in place and counts its spikes only where a window's blur can
+change it, and builds no spike batch.  `delta_encode`, on a plain array
+of last-sent values, and `sigma_decode` are the reference pair the tests
+check it against, window by window.
 """
 
 from __future__ import annotations
@@ -49,43 +50,27 @@ class SpikeBatch:
         return len(self.addresses)
 
 
-@dataclass
-class SdState:
-    """Per-neuron last-sent values for one encoder."""
+def delta_encode(last_sent: np.ndarray, activations: np.ndarray, theta: float) -> SpikeBatch:
+    """Emit residual spikes for neurons that moved >= theta from last_sent,
+    a 1-D float64 array of one value per neuron, addressed by index.
 
-    last_sent: np.ndarray
-
-    @classmethod
-    def zeros(cls, size: int) -> "SdState":
-        if size < 1:
-            raise ValueError(f"population size must be >= 1, got {size}")
-        return cls(np.zeros(size, dtype=np.float64))
-
-    @property
-    def size(self) -> int:
-        return len(self.last_sent)
-
-
-def delta_encode(state: SdState, activations: np.ndarray, theta: float) -> SpikeBatch:
-    """Emit residual spikes for neurons that moved >= theta from last_sent.
-
-    theta = 0 means any change spikes.  Updates state in place.
+    theta = 0 means any change spikes.  Updates last_sent in place.
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     activations = np.asarray(activations, dtype=np.float64)
-    if activations.shape != (state.size,):
-        raise ValueError(f"got {activations.shape} activations for size-{state.size} state")
+    if activations.shape != last_sent.shape:
+        raise ValueError(f"got {activations.shape} activations for {last_sent.shape} last-sent values")
     if not np.all(np.isfinite(activations)):
         raise ValueError("activations must be finite")
-    diff = activations - state.last_sent
+    diff = activations - last_sent
     if theta > 0:
         mask = np.abs(diff) >= theta
     else:
         mask = diff != 0
     addresses = np.nonzero(mask)[0]
     values = diff[addresses].copy()
-    state.last_sent[addresses] = activations[addresses]
+    last_sent[addresses] = activations[addresses]
     return SpikeBatch(addresses, values)
 
 

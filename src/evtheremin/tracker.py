@@ -4,31 +4,31 @@ Pipeline per step: accumulate the window's events straight into the
 on-chip grid's cells, a plain (height, width) int64 count array, through
 one map per sensor axis built once per sensor and chip size (`run` cuts each
 window inside its span, so no time mask is needed, and no sensor-sized
-frame is built), turn counts into a detector heatmap (a Gaussian blur of
-the counts, weights built once per detector, sent as is by the blob
-detector or through one sigma-delta boundary by the `sd_net` detector),
-drive the neural field one step with the heatmap, and read peaks back
-out as upscaled hand positions.  The field's inertia is what rejects
-distractor events; when nothing is detected the previous estimate is
-held with its confidence halved each step.
+frame is built), turn counts into a heatmap with the one detector (a
+Gaussian blur of the counts, weights built once, sent through one
+sigma-delta boundary: `blob` is its theta 0, where every change is sent,
+`sd_net` its SD_THETA), drive the neural field one step with the heatmap,
+and read peaks back out as upscaled hand positions.  The field's inertia
+is what rejects distractor events; when nothing is detected the previous
+estimate is held with its confidence halved each step.
 
 The arithmetic is exact in any order.  The blur's weights are multiples
 of 2**-16 that sum to exactly 1, so a blurred count frame holds integer
 counts of 2**-32 below 2**53: its float64 sums, and the sigma-delta
-boundary's differences and accumulations, lose no bit, and the sd_net
-threshold acts as the integer ceil(theta * 2**32) on them.  The heatmap
-is an int64 count of 2**-16 (U_ONE is full scale): the gain rounds each
-cell's share of its reference level there, once, and the field
+boundary's differences and accumulations, lose no bit, and a threshold
+acts as the integer ceil(theta * 2**32) on them.  The heatmap is an int64
+count of 2**-16 (U_ONE is full scale): the gain rounds each cell's
+share of its reference level there, once, and the field
 (`neural_field`) takes it times INPUT_GAIN as its input.
 
 A window costs what the hands touch, not the whole grid: the blur is two
 banded products on the box around the window's nonzero cells, handed on
-as that box and its values; the sd_net boundary encodes only the union of
-this window's box and the last one's, because after each window every
-cell outside its box holds a last-sent value that a zero input leaves
-unsent; the field's lateral term reads only its firing cells, and peak
-regions are joined from the row runs of the field's supra-threshold
-cells.  Exact sums make each equal to its full-grid pass.
+as that box and its values; the boundary encodes only the union of this
+window's box and the last one's, because after each window every cell
+outside its box holds a last-sent value that a zero input leaves unsent;
+the field's lateral term reads only its firing cells, and peak regions
+are joined from the row runs of the field's supra-threshold cells.  Exact
+sums make each equal to its full-grid pass.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .neural_field import (
     field_step,
     make_kernel,
 )
-from .sigma_delta import SdState
 
 # A (rows, columns) pair of slices of the chip grid.
 Box = tuple[slice, slice]
@@ -115,6 +114,10 @@ GAIN_GROWTH = 1.5
 COUNT_CAP = 1 << 20
 # The on-chip grid the field runs on.
 CHIP_RES = Resolution(86, 65)
+# The one detector's settings by name, (theta, blur radius); the first is
+# the default.  blob's radius truncates the blur as `gaussian_filter` does.
+DETECTORS = {"blob": (0.0, int(4 * BLUR_SIGMA_CELLS + 0.5)),
+             "sd_net": (SD_THETA, max(1, math.ceil(3 * BLUR_SIGMA_CELLS)))}
 # A run keeps one estimate per window: about 250 B without hands and 660 B
 # with two (tracemalloc, 10,000 windows), so a run of MAX_WINDOWS, 2.9 h of
 # 10 ms windows, holds at most about 0.7 GB.
@@ -125,11 +128,11 @@ MAX_WINDOWS = 1 << 20
 class TrackerConfig:
     input_res: Resolution = Resolution(240, 180)
     window_us: int = 10_000
-    detector: str = "blob"  # "blob" or "sd_net"
+    detector: str = next(iter(DETECTORS))  # a DETECTORS key
     use_field: bool = True  # False = raw argmax baseline, no field filtering
 
     def __post_init__(self):
-        if self.detector not in ("blob", "sd_net"):
+        if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
         if CHIP_RES.width > self.input_res.width or CHIP_RES.height > self.input_res.height:
             raise ValueError(f"chip {CHIP_RES} exceeds input {self.input_res}")
@@ -219,32 +222,22 @@ class GaussianBlur:
         return box, rows[box[0], y0:y1] @ counts @ cols[x0:x1, box[1]]
 
     def __call__(self, cells: np.ndarray) -> np.ndarray:
+        """The blur on the whole grid: the reference the detector's tests use."""
         out = np.zeros(cells.shape)
         if (boxed := self.boxed(cells)) is not None:
             out[boxed[0]] = boxed[1]
         return out
 
 
-class BlobDetector:
-    """Normalized local event density: Gaussian blur of the count frame,
-    truncated at int(4 sigma + 0.5) cells as `gaussian_filter` truncates."""
-
-    def __init__(self, sigma_cells: float):
-        self.blur = GaussianBlur(sigma_cells, int(4 * sigma_cells + 0.5))
-        self.gain = GainControl()
-
-    def heatmap(self, cells: np.ndarray) -> np.ndarray:
-        return self.gain.normalize(self.blur(cells))
-
-
 class SigmaDeltaDetector:
-    """Spiking detector: the count frame's Gaussian blur, sent through one
-    sigma-delta boundary each step, so between-step redundancy is carried
-    by spikes only and the decoded blur is within theta of the true one
-    in every cell.  The blur is truncated at ceil(3 sigma) cells.  Its
-    values are exact, so the decoder's accumulator is the encoder's
-    last-sent state to the bit: the heatmap normalizes that state, which
-    is never below 0.
+    """The tracker's detector: the count frame's Gaussian blur, truncated
+    at `radius` cells and sent through one sigma-delta boundary each step,
+    so between-step redundancy is carried by spikes only and the decoded
+    blur is within theta of the true one in every cell.  Its values are
+    exact, so the decoder's accumulator is the encoder's last-sent grid,
+    `last_sent`, to the bit: the heatmap normalizes that grid, which is
+    never below 0.  At theta 0 every change is sent, `last_sent` is the
+    blur and the heatmap is the gain's of the blur.
 
     Invariant: once a window is encoded, every cell outside its blur box
     holds a last-sent value that a zero input does not spike, below theta
@@ -254,19 +247,18 @@ class SigmaDeltaDetector:
     spikes, with no spike batch built: values, counts and heatmaps equal
     `delta_encode`'s over the whole grid, the reference the tests use."""
 
-    def __init__(self, resolution: Resolution, sigma_cells: float, theta: float):
+    def __init__(self, resolution: Resolution, sigma_cells: float, theta: float, radius: int):
         if not theta >= 0:
             raise ValueError(f"theta must be >= 0, got {theta}")
-        self.resolution = resolution
-        self.blur = GaussianBlur(sigma_cells, max(1, math.ceil(3 * sigma_cells)))
+        self.blur = GaussianBlur(sigma_cells, radius)
         self.theta = theta
         self.gain = GainControl()
-        self.state = SdState.zeros(resolution.npixels)
+        self.last_sent = np.zeros((resolution.height, resolution.width))
         self.total_spikes = 0
         self._box: Box | None = None  # the last window's blur box
 
     def heatmap(self, cells: np.ndarray) -> np.ndarray:
-        sent = self.state.last_sent.reshape(self.resolution.height, self.resolution.width)
+        sent = self.last_sent
         if cells.shape != sent.shape:
             raise ValueError(f"got a {cells.shape} frame for a {sent.shape} detector")
         boxed = self.blur.boxed(cells)
@@ -274,12 +266,13 @@ class SigmaDeltaDetector:
         union, self._box = _union(box, self._box), box
         if union is None:
             return self.gain.normalize(sent)
-        blurred = np.zeros((union[0].stop - union[0].start, union[1].stop - union[1].start))
+        blurred = np.zeros(sent.shape)
         if boxed is not None:
-            blurred[tuple(slice(b.start - u.start, b.stop - u.start) for b, u in zip(box, union))] = boxed[1]
+            blurred[box] = boxed[1]
+        blurred = blurred[union]
         last = sent[union]
-        change = np.abs(blurred - last)
-        spiking = change >= self.theta if self.theta > 0 else change != 0
+        # At theta 0 every change is sent: the union takes the blur's values.
+        spiking = np.abs(blurred - last) >= self.theta if self.theta > 0 else blurred != last
         np.copyto(last, blurred, where=spiking)
         self.total_spikes += int(np.count_nonzero(spiking))
         m = last.max()
@@ -290,16 +283,14 @@ def _union(a: Box | None, b: Box | None) -> Box | None:
     """The smallest box holding both; None when neither is a box."""
     if a is None or b is None:
         return a or b
-    return tuple(slice(min(p.start, q.start), max(p.stop, q.stop)) for p, q in zip(a, b))
+    (ay, ax), (by, bx) = a, b
+    return slice(min(ay.start, by.start), max(ay.stop, by.stop)), slice(min(ax.start, bx.start), max(ax.stop, bx.stop))
 
 
 def detect_heatmap(frame: np.ndarray, detector) -> np.ndarray:
     """Normalized detection heatmap of the frame's shape: int64 counts of
     2**-16, from 0 to U_ONE."""
-    heat = detector.heatmap(frame)
-    if heat.shape != frame.shape:
-        raise ValueError("detector returned a heatmap of the wrong shape")
-    return heat
+    return detector.heatmap(frame)
 
 
 def assign_hands(peaks: list[Peak]) -> dict[HandLabel, Peak]:
@@ -320,10 +311,7 @@ class HandTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         cfg = self.config
-        if cfg.detector == "blob":
-            self.detector = BlobDetector(BLUR_SIGMA_CELLS)
-        else:
-            self.detector = SigmaDeltaDetector(CHIP_RES, BLUR_SIGMA_CELLS, SD_THETA)
+        self.detector = SigmaDeltaDetector(CHIP_RES, BLUR_SIGMA_CELLS, *DETECTORS[cfg.detector])
         self.field_params, kernel_params = tracker_field_params()
         self.kernel: LateralKernel = make_kernel(kernel_params)
         self.field = Field.at_rest(CHIP_RES, self.field_params)

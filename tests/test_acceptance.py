@@ -40,7 +40,7 @@ from evtheremin.orchestrator import (
     control_signals,
     transition,
 )
-from evtheremin.sigma_delta import GradedSpike, SdState, delta_encode, sigma_decode
+from evtheremin.sigma_delta import GradedSpike, delta_encode, sigma_decode
 from evtheremin.theremin import (
     CALIBRATION,
     PitchCalibration,
@@ -110,12 +110,12 @@ def coding_results(coding_corpus):
     t0 = time.perf_counter()
     results = {}
     for theta in THETAS:
-        state = SdState.zeros(N_SEQUENCES)
+        last_sent = np.zeros(N_SEQUENCES)
         acc = np.zeros(N_SEQUENCES)
         worst = 0.0
         total = 0
         for step in range(SEQ_STEPS):
-            batch = delta_encode(state, coding_corpus[step], theta)
+            batch = delta_encode(last_sent, coding_corpus[step], theta)
             total += len(batch)
             sigma_decode(acc, batch)
             if theta > 0:

@@ -3,9 +3,11 @@ generation, and the EVT1 codec."""
 
 import copy
 import json
+import math
 import pickle
 import struct
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -86,6 +88,36 @@ def valid_streams(draw, max_events=60):
     )
 
 
+# Each column's (dtype, lowest, highest value).
+COLUMN_RANGES = {"t": (np.uint64, 0, 2**64 - 1), "x": (np.uint16, 0, 2**16 - 1),
+                 "y": (np.uint16, 0, 2**16 - 1), "p": (np.int8, -128, 127)}
+# Integers at and around every column's bounds, and of any size.
+bound_ints = (st.integers(-300, 70_000) | st.integers(2**63 - 3, 2**63 + 3)
+              | st.integers(2**64 - 3000, 2**64 + 3000) | st.integers(-2**70, 2**70))
+
+
+@st.composite
+def any_columns(draw, n):
+    """A column of n values: a NumPy array of an int or float dtype, or a
+    list of Python ints, which NumPy may read as int64, uint64, float64 or
+    objects."""
+    kind = draw(st.sampled_from(["int", "float", "python"]))
+    if kind == "python":
+        return draw(st.lists(bound_ints, min_size=n, max_size=n))
+    if kind == "int":
+        info = np.iinfo(draw(st.sampled_from([np.int8, np.uint8, np.int16, np.uint16, np.int32,
+                                              np.uint32, np.int64, np.uint64])))
+        return np.array(draw(st.lists(st.integers(info.min, info.max), min_size=n, max_size=n)), info.dtype)
+    values = draw(st.lists(bound_ints.map(float) | st.floats(), min_size=n, max_size=n))
+    with np.errstate(over="ignore"):
+        return np.array(values).astype(draw(st.sampled_from([np.float16, np.float32, np.float64])))
+
+
+def holds(value, lo, hi):
+    """Whether a column of range [lo, hi] holds value exactly."""
+    return (isinstance(value, int) or math.isfinite(value) and value.is_integer()) and lo <= value <= hi
+
+
 class TestEventValidation:
     @given(valid_streams())
     def test_valid_stream_accepted(self, stream):
@@ -119,6 +151,32 @@ class TestEventValidation:
         with pytest.raises(StreamError) as exc:
             stream.validate()
         assert str(exc.value) == want
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(*[any_columns(n)] * 4)))
+    @example(([5], [-1], [70_000], [255]))
+    @example(([1.5], [1.5], [0], [1]))
+    @example((np.array([np.nan]), [0], [0], [1]))
+    @example(([1e30], [0], [0], [1]))
+    @example(([-1, 2**63 + 1], [0, 0], [0, 0], [1, 1]))
+    def test_columns_round_trip_exactly_or_are_refused(self, columns):
+        # Every value a column's dtype holds is stored as it is; the first
+        # one it cannot hold, in column order, is refused by event and
+        # column, without a warning from a cast that wraps or truncates.
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        first_bad = next(((name, i) for name, col in zip("txyp", values)
+                          for i, v in enumerate(col) if not holds(v, *COLUMN_RANGES[name][1:])), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if first_bad is None:
+                stream = EventStream(*columns, RES)
+                for name, want in zip("txyp", values):
+                    column = getattr(stream, name)
+                    assert column.dtype == COLUMN_RANGES[name][0] and column.flags.c_contiguous
+                    assert column.tolist() == want
+            else:
+                name, i = first_bad
+                with pytest.raises(StreamError, match=rf"^event {i} has .*, which the \w+ {name} column cannot hold$"):
+                    EventStream(*columns, RES)
 
     def test_negative_time_rejected(self):
         with pytest.raises(StreamError, match="event 1 has negative time -1"):

@@ -1,5 +1,7 @@
 """Sigma-delta encode/decode pair and the detector's one-layer network."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from evtheremin.events import Resolution
 from evtheremin.sigma_delta import (
     GradedSpike,
-    SdState,
     SpikeBatch,
     delta_encode,
     sigma_decode,
@@ -20,7 +21,7 @@ from evtheremin.tracker import SD_THETA, GainControl, SigmaDeltaDetector
 class TestDeltaEncode:
     def test_hand_stepped_walkthrough(self):
         # theta 0.5 on the scalar path 0 -> 0.3 -> 0.9 -> 1.0
-        state = SdState.zeros(1)
+        state = np.zeros(1)
         acc = np.zeros(1)
 
         out = delta_encode(state, [0.3], 0.5)
@@ -40,13 +41,13 @@ class TestDeltaEncode:
         assert abs(1.0 - acc[0]) < 0.5
 
     def test_threshold_boundary_is_inclusive(self):
-        state = SdState.zeros(1)
+        state = np.zeros(1)
         assert len(delta_encode(state, [0.5], 0.5)) == 1
-        state = SdState.zeros(1)
+        state = np.zeros(1)
         assert len(delta_encode(state, [0.5 - 1e-12], 0.5)) == 0
 
     def test_zero_theta_sends_every_change(self):
-        state = SdState.zeros(3)
+        state = np.zeros(3)
         out = delta_encode(state, [1e-300, 0.0, -2.0], 0.0)
         assert list(out.addresses) == [0, 2]
         out = delta_encode(state, [1e-300, 0.0, -2.0], 0.0)
@@ -55,7 +56,7 @@ class TestDeltaEncode:
     def test_reconstruction_error_stays_below_theta(self):
         rng = np.random.default_rng(0)
         for theta in (0.1, 0.5, 2.0):
-            state = SdState.zeros(8)
+            state = np.zeros(8)
             acc = np.zeros(8)
             x = np.zeros(8)
             for _ in range(200):
@@ -66,7 +67,7 @@ class TestDeltaEncode:
     def test_spike_values_carry_full_residual(self):
         # after a spike the decoded value matches the activation to rounding
         rng = np.random.default_rng(1)
-        state = SdState.zeros(4)
+        state = np.zeros(4)
         acc = np.zeros(4)
         for _ in range(50):
             x = rng.uniform(-10, 10, 4)
@@ -76,15 +77,13 @@ class TestDeltaEncode:
                 assert acc[a] == pytest.approx(x[a], rel=1e-12, abs=1e-12)
 
     def test_errors(self):
-        state = SdState.zeros(2)
+        state = np.zeros(2)
         with pytest.raises(ValueError):
             delta_encode(state, [1.0, 2.0], -0.1)
         with pytest.raises(ValueError):
             delta_encode(state, [1.0], 0.5)
         with pytest.raises(ValueError):
             delta_encode(state, [np.nan, 0.0], 0.5)
-        with pytest.raises(ValueError):
-            SdState.zeros(0)
 
 
 class TestSigmaDecode:
@@ -149,8 +148,13 @@ def sparse_count_frames(draw):
     return res, sigma, frames
 
 
+def sd_detector(res, sigma, theta):
+    """The detector with sd_net's radius rule, ceil(3 sigma) cells."""
+    return SigmaDeltaDetector(res, sigma, theta, max(1, math.ceil(3 * sigma)))
+
+
 def run_detector(res, sigma, theta, frames):
-    det = SigmaDeltaDetector(res, sigma, theta)
+    det = sd_detector(res, sigma, theta)
     for frame in frames:
         det.heatmap(frame)
     return det
@@ -166,14 +170,14 @@ class TestSigmaDeltaNetwork:
         # encoder's spikes each window holds the detector's last-sent state
         # to the bit, and the two count the same spikes.
         res, sigma, frames = case
-        det = SigmaDeltaDetector(res, sigma, theta)
-        reference, acc = SdState.zeros(res.npixels), np.zeros(res.npixels)
+        det = sd_detector(res, sigma, theta)
+        reference, acc = np.zeros(res.npixels), np.zeros(res.npixels)
         for frame in frames:
             before = det.total_spikes
             det.heatmap(frame)
             spikes = delta_encode(reference, det.blur(frame).ravel(), theta)
             sigma_decode(acc, spikes)
-            np.testing.assert_array_equal(acc.view(np.uint64), det.state.last_sent.view(np.uint64))
+            np.testing.assert_array_equal(acc.view(np.uint64), det.last_sent.ravel().view(np.uint64))
             assert det.total_spikes - before == len(spikes)
 
     @given(sparse_count_frames(), st.sampled_from([0.0, SD_THETA]) | st.floats(0.0, 2.0))
@@ -190,32 +194,32 @@ class TestSigmaDeltaNetwork:
         # values, spike counts and heatmaps are those of delta_encode over
         # the whole grid followed by the gain's full-grid maximum.
         res, sigma, frames = case
-        det = SigmaDeltaDetector(res, sigma, theta)
-        reference, gain, total = SdState.zeros(res.npixels), GainControl(), 0
+        det = sd_detector(res, sigma, theta)
+        reference, gain, total = np.zeros(res.npixels), GainControl(), 0
         for frame in frames:
             heat = det.heatmap(frame)
             total += len(delta_encode(reference, det.blur(frame).ravel(), theta))
-            np.testing.assert_array_equal(det.state.last_sent.view(np.uint64), reference.last_sent.view(np.uint64))
+            np.testing.assert_array_equal(det.last_sent.ravel().view(np.uint64), reference.view(np.uint64))
             assert det.total_spikes == total
-            np.testing.assert_array_equal(heat, gain.normalize(reference.last_sent.reshape(frame.shape)))
+            np.testing.assert_array_equal(heat, gain.normalize(reference.reshape(frame.shape)))
 
     @given(count_frames())
     def test_zero_theta_matches_dense_forward(self, case):
         res, sigma, frames = case
-        det = SigmaDeltaDetector(res, sigma, 0.0)
+        det = sd_detector(res, sigma, 0.0)
         for frame in frames:
             det.heatmap(frame)
-            want = det.blur(frame).ravel()
-            np.testing.assert_allclose(det.state.last_sent, want, rtol=0, atol=1e-12 * max(1.0, want.max()))
+            want = det.blur(frame)
+            np.testing.assert_allclose(det.last_sent, want, rtol=0, atol=1e-12 * max(1.0, want.max()))
 
     @given(count_frames(), st.floats(1e-3, 2.0))
     def test_output_error_bounded_by_propagated_theta(self, case, theta):
         # One boundary, so the decoded blur is off by less than theta.
         res, sigma, frames = case
-        det = SigmaDeltaDetector(res, sigma, theta)
+        det = sd_detector(res, sigma, theta)
         for frame in frames:
             det.heatmap(frame)
-            assert np.abs(det.state.last_sent - det.blur(frame).ravel()).max() < theta
+            assert np.abs(det.last_sent - det.blur(frame)).max() < theta
 
     @given(count_frames(), st.floats(0.0, 2.0))
     def test_constant_input_goes_quiet(self, case, theta):
@@ -244,18 +248,18 @@ class TestSigmaDeltaNetwork:
         rng = np.random.default_rng(11)
         res = Resolution(20, 15)
         frames = list(rng.poisson(2.0, (30, 15, 20)))
-        a = SigmaDeltaDetector(res, 1.5, 0.05)
-        b = SigmaDeltaDetector(res, 1.5, 0.05)
+        a = sd_detector(res, 1.5, 0.05)
+        b = sd_detector(res, 1.5, 0.05)
         for frame in frames:
             np.testing.assert_array_equal(a.heatmap(frame), b.heatmap(frame))
-        np.testing.assert_array_equal(a.state.last_sent, b.state.last_sent)
+        np.testing.assert_array_equal(a.last_sent, b.last_sent)
         assert a.total_spikes == b.total_spikes
 
     def test_frame_of_another_shape_rejected(self):
-        det = SigmaDeltaDetector(Resolution(20, 15), 1.5, 0.02)
+        det = sd_detector(Resolution(20, 15), 1.5, 0.02)
         with pytest.raises(ValueError, match=r"got a \(15, 21\) frame for a \(15, 20\) detector"):
             det.heatmap(np.ones((15, 21), dtype=np.int64))
-        assert det.total_spikes == 0 and not det.state.last_sent.any()
+        assert det.total_spikes == 0 and not det.last_sent.any()
 
     def test_negative_theta_rejected(self):
         # The tracker's theta is a constant, not a config value.

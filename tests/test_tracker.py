@@ -26,9 +26,12 @@ from evtheremin.events import (
 from evtheremin.harness import config_from_dict
 from evtheremin.neural_field import U_ONE, Peak
 from evtheremin.tracker import (
+    BLUR_SIGMA_CELLS,
+    COUNT_CAP,
+    DETECTORS,
     MAX_WINDOWS,
-    BlobDetector,
     GainControl,
+    GaussianBlur,
     HandEstimate,
     HandLabel,
     HandPoint,
@@ -87,13 +90,20 @@ class TestGainControl:
         np.testing.assert_array_equal(out, 0)
 
 
+def detector(name, res=CHIP):
+    """The tracker's detector of the given DETECTORS name."""
+    return SigmaDeltaDetector(res, BLUR_SIGMA_CELLS, *DETECTORS[name])
+
+
+def radii(sigma):
+    """The blob and sd_net radius rules: int(4 sigma + 0.5), as
+    `gaussian_filter` truncates, and ceil(3 sigma) cells."""
+    return [int(4 * sigma + 0.5), max(1, math.ceil(3 * sigma))]
+
+
 def blurs(img, sigma):
-    """(blur, radius) of each detector, each with its radius rule."""
-    height, width = img.shape
-    return [
-        (BlobDetector(sigma).blur, int(4 * sigma + 0.5)),
-        (SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur, max(1, math.ceil(3 * sigma))),
-    ]
+    """(blur, radius) for each detector's radius rule at sigma."""
+    return [(GaussianBlur(sigma, radius), radius) for radius in radii(sigma)]
 
 
 def assert_blur_within_rounding_of_gaussian_filter(blur, radius, img, sigma):
@@ -132,9 +142,13 @@ class TestBlurOperator:
         # weights: sums of multiples of 2**-32 below 2**53, so equal to the bit.
         rng = np.random.default_rng(seed)
         img = rng.poisson(rng.uniform(0.0, 8.0), (height, width))
-        blur = SigmaDeltaDetector(Resolution(width, height), sigma, 0.0).blur
+        blur = GaussianBlur(sigma, max(1, math.ceil(3 * sigma)))
         want = convolve2d(img, np.outer(blur.weights, blur.weights), mode="same", boundary="fill")
         np.testing.assert_array_equal(blur(img), want)
+
+    def test_detector_radii_follow_their_rules(self):
+        assert [radius for _, radius in DETECTORS.values()] == radii(BLUR_SIGMA_CELLS)
+        assert [len(detector(name).blur.weights) // 2 for name in DETECTORS] == radii(BLUR_SIGMA_CELLS)
 
     @pytest.mark.parametrize("sigma", [0.3, 1.5, 3.0])
     def test_weights_are_rounded_and_sum_to_one(self, sigma):
@@ -161,7 +175,7 @@ class TestBlurOperator:
         assert tracker_module.COUNT_CAP * U_ONE**2 < 2**53
         img = np.zeros((CHIP.height, CHIP.width), dtype=np.int64)
         img[30, 40] = 2**62
-        blur = BlobDetector(1.5).blur
+        blur = detector("blob").blur
         np.testing.assert_array_equal(blur(img), blur(np.minimum(img, tracker_module.COUNT_CAP)))
 
     @settings(deadline=None)
@@ -197,7 +211,7 @@ class TestBlurOperator:
     def test_interior_mass_preserved(self):
         img = np.zeros((20, 20), dtype=np.int64)
         img[10, 10] = 4
-        out = SigmaDeltaDetector(Resolution(20, 20), 1.5, 0.0).blur(img)
+        out = detector("sd_net", Resolution(20, 20)).blur(img)
         assert out.sum() == 4.0
 
 
@@ -208,8 +222,7 @@ class TestDetectors:
         return cells
 
     def test_blob_heatmap_peaks_at_cluster(self):
-        det = BlobDetector(1.5)
-        heat = detect_heatmap(self.blob_frame(43, 32), det)
+        heat = detect_heatmap(self.blob_frame(43, 32), detector("blob"))
         assert heat.shape == (CHIP.height, CHIP.width)
         assert np.unravel_index(np.argmax(heat), heat.shape) == (32, 43)
         assert heat.dtype == np.int64 and heat.max() == U_ONE
@@ -221,19 +234,11 @@ class TestDetectors:
             with pytest.raises(ValueError, match=r"unknown key tracker\.blur_sigma_cells"):
                 config_from_dict({"seed": 1, "tracker": {"blur_sigma_cells": sigma}})
 
-    def test_detector_shape_enforced(self):
-        class Bad:
-            def heatmap(self, frame):
-                return np.zeros((3, 3))
-
-        with pytest.raises(ValueError):
-            detect_heatmap(self.blob_frame(10, 10), Bad())
-
     def test_sd_detector_matches_blob_argmax(self):
         res = Resolution(20, 15)
         cells = np.zeros((15, 20), dtype=np.int64)
         cells[7, 12] = 30
-        det = SigmaDeltaDetector(res, 1.5, theta=0.02)
+        det = detector("sd_net", res)
         heat = det.heatmap(cells)
         assert np.unravel_index(np.argmax(heat), heat.shape) == (7, 12)
         assert det.total_spikes > 0
@@ -242,11 +247,50 @@ class TestDetectors:
         res = Resolution(20, 15)
         cells = np.zeros((15, 20), dtype=np.int64)
         cells[7, 12] = 30
-        det = SigmaDeltaDetector(res, 1.5, theta=0.02)
+        det = detector("sd_net", res)
         det.heatmap(cells)
         before = det.total_spikes
         det.heatmap(cells)
         assert det.total_spikes == before
+
+
+def chip_frame(blobs):
+    """A chip count frame of square blobs, each (x, y, radius, count)."""
+    frame = np.zeros((CHIP.height, CHIP.width), dtype=np.int64)
+    for x, y, r, count in blobs:
+        frame[max(y - r, 0) : y + r + 1, max(x - r, 0) : x + r + 1] += count
+    return frame
+
+
+# Up to three blobs anywhere on the chip, edges included, with counts up
+# to past the cap; an empty list is a window without events.
+chip_blobs = st.lists(st.tuples(st.integers(0, CHIP.width - 1), st.integers(0, CHIP.height - 1),
+                                st.integers(0, 3), st.integers(1, 60) | st.just(2 * COUNT_CAP)), max_size=3)
+
+
+class TestBlobIsThetaZero:
+    """The blob detector sends its blur through a sigma-delta boundary at
+    theta 0, which sends every change: its heat is the gain's of the
+    plain blur, which is what blob was before the two detectors merged."""
+
+    @settings(deadline=None)
+    @given(st.lists(chip_blobs, min_size=1, max_size=12))
+    # A hand that moves, vanishes, comes back elsewhere and is joined by a second.
+    @example([[(40, 30, 2, 30)], [(44, 31, 2, 30)], [], [], [(5, 60, 1, 12)], [(5, 60, 1, 12), (80, 3, 2, 9)], []])
+    # A hand at a corner, then a burst that the gain's slew caps, then quiet.
+    @example([[(0, 0, 0, 3)], [(85, 64, 3, 2 * COUNT_CAP)], [], [(0, 0, 0, 3)], [], [], []])
+    @example([[]])
+    def test_heat_and_gain_are_the_blur_formula(self, windows):
+        det = detector("blob")
+        theta, radius = DETECTORS["blob"]
+        assert theta == 0
+        blur, gain = GaussianBlur(BLUR_SIGMA_CELLS, radius), GainControl()
+        for blobs in windows:
+            cells = chip_frame(blobs)
+            heat, want = det.heatmap(cells), gain.normalize(blur(cells))
+            assert heat.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(heat, want)
+            assert det.gain.ref.hex() == gain.ref.hex()
 
 
 class TestAssignHands:
