@@ -304,6 +304,21 @@ class TestProtoCommands:
         )
         assert "safe link:" in out.output
 
+    # sha256 of the whole output, pinned so a change to how the channel
+    # draws its loss, bit-flip and bit-index values cannot move a count.
+    # A jittered link is left out: its counts carry ROADMAP item 2's
+    # double count.
+    @pytest.mark.parametrize(
+        "seed, sha",
+        [
+            ("3", "5da00c2bf504990b988d5a58911dcd448d648da5b22c7073e03ba1dc7580501c"),
+            ("5", "6867732fb3c6a07b619bf4f558c784eb44a2de7e5e0a2498fe04c64785b3e0a5"),
+        ],
+    )
+    def test_bench_link_accounting_pinned(self, seed, sha):
+        out = invoke(["proto", "bench", "--loss", "0.1", "--bitflip", "5e-4", "--seed", seed])
+        assert hashlib.sha256(out.output.encode()).hexdigest() == sha
+
     def test_fuzz(self):
         out = invoke(["proto", "fuzz", "--records", "3"])
         assert "(100.00%)" in out.output
