@@ -53,8 +53,7 @@ SAFE_FIXED_OVERHEAD = _HEADER.size + _CRC.size  # 22
 
 # Uniforms per generator call in the channel simulator, unless one unit
 # alone needs more: enough to spread a call's fixed cost over tens of
-# telemetry frames, and a bound on what a run that a flipped unit ends
-# early leaves drawn and unused.
+# telemetry frames, and a bound on what a session leaves drawn and unused.
 _RUN_DOUBLES = 4096
 
 
@@ -99,19 +98,16 @@ class TrailingDataError(DecodeError):
 
 
 def raw_encode(spikes) -> bytes:
-    """Pack spikes as RAW words.  Values must be nonzero integers in [-128, 127]."""
-    spikes = list(spikes)
-    words = np.empty(len(spikes), dtype=np.uint32)
-    for i, s in enumerate(spikes):
-        if not (0 <= s.address < (1 << ADDRESS_BITS)):
-            raise TransportError(f"address {s.address} does not fit {ADDRESS_BITS} bits")
-        v = s.value
-        if v != int(v) or not (-128 <= int(v) <= 127):
-            raise TransportError(f"value {v!r} is not an i8 quantized value")
-        if int(v) == 0:
-            raise TransportError("zero-valued spikes are not transmitted")
-        words[i] = (int(v) & 0xFF) << ADDRESS_BITS | s.address
-    return words.astype("<u4").tobytes()
+    """Pack spikes as RAW words: integer addresses below 2**24, nonzero integer values in [-128, 127]."""
+    words = []
+    for s in spikes:
+        address, v = s.address, s.value
+        if address % 1 or not (0 <= address < (1 << ADDRESS_BITS)):  # x % 1 is true for nan and inf too
+            raise TransportError(f"address {address!r} is not an integer that fits {ADDRESS_BITS} bits")
+        if v % 1 or not (-128 <= v <= 127) or v == 0:
+            raise TransportError(f"value {v!r} is not a nonzero i8 quantized value")
+        words.append((int(v) & 0xFF) << ADDRESS_BITS | int(address))
+    return np.array(words, dtype="<u4").tobytes()
 
 
 class SafeFrame(NamedTuple):
@@ -201,10 +197,8 @@ class ChannelConfig:
     contract so tests can replay it: one uniform for loss; if the unit
     survives and bitflip_p > 0, one uniform per byte, then one integer
     in [0, 8) per flipped byte; if delay_jitter_us > 0, one uniform for
-    the jitter.  Lost units consume only the loss draw.  The simulator
-    draws the uniforms of a run of units in one call, then puts the
-    generator where this per-unit order leaves it, so the draws are
-    unchanged.  Delays must be finite and >= 0.
+    the jitter.  Lost units consume only the loss draw.  Delays must be
+    finite and >= 0; reorder_window is an int >= 0.
     """
 
     loss_p: float = 0.0
@@ -221,10 +215,15 @@ class ChannelConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.reorder_window < 0:
-            raise ValueError("reorder_window must be >= 0")
+        _check_window(self.reorder_window)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+
+
+def _check_window(window) -> None:
+    # A bool is an int to Python, but a window of True is a mistake, not 1.
+    if not isinstance(window, int) or isinstance(window, bool) or window < 0:
+        raise ValueError(f"reorder_window must be an int >= 0, got {window!r}")
 
 
 class Delivery(NamedTuple):
@@ -252,75 +251,76 @@ def channel_transmit(
     if len(t_send) != len(payloads):
         raise ValueError("one send time per payload required")
     ordered = _bounded_reorder(_arrivals(payloads, cfg, t_send), cfg.reorder_window)
-    deliveries = []
     clock = float("-inf")
-    for arrival, i, data in ordered:
-        clock = max(clock, arrival)
-        deliveries.append(Delivery(clock, data, i))
-    return deliveries
+    return [Delivery(clock := max(clock, arrival), data, i) for arrival, i, data in ordered]
 
 
 def _arrivals(payloads: list[bytes], cfg: ChannelConfig, t_send) -> list[tuple[float, int, bytes]]:
     """(arrival_us, index, data) per surviving unit in send order, by
-    ChannelConfig's draw order.  A run's uniforms come from one generator
-    call, drawn as if every unit in it survives intact, at most
-    _RUN_DOUBLES of them unless one unit alone needs more.  A unit with a
-    flipped byte ends the run, since its integer draws come before its
-    jitter uniform."""
+    ChannelConfig's draw order, in one walk over blocks of uniforms, each
+    of at most _RUN_DOUBLES unless one unit alone needs more.  A unit that
+    does not fit the rest of a block starts the next, which carries that
+    rest, so each uniform is drawn once, bit indices included."""
+    if not math.isfinite(sum(t_send)):  # the sum is finite only if every time is
+        for i, t in enumerate(t_send):
+            if not math.isfinite(t):
+                raise ValueError(f"send time {i} must be finite, got {t!r}")
     rng = np.random.default_rng(cfg.seed)
-    bitgen = rng.bit_generator
-    loss_p, base_us, jitter_us = cfg.loss_p, cfg.delay_base_us, cfg.delay_jitter_us
-    byte_draws = [len(p) if cfg.bitflip_p > 0 else 0 for p in payloads]
+    loss_p, flip_p, base_us, jitter_us = cfg.loss_p, cfg.bitflip_p, cfg.delay_base_us, cfg.delay_jitter_us
     jitter_draws = 1 if jitter_us > 0 else 0
-    out = []
-    i, n = 0, len(payloads)
+    n = len(payloads)
+    byte_draws = list(map(len, payloads)) if flip_p > 0 else [0] * n
+    out, u = [], np.empty(0)
+    halves = []  # the bit index in an output's high half, read but not yet used
+    i = pos = need = 0  # need: the draws of a flipped unit its block could not hold
     while i < n:
-        stop, total = i + 1, 1 + byte_draws[i] + jitter_draws
-        while stop < n and total + 1 + byte_draws[stop] + jitter_draws <= _RUN_DOUBLES:
-            total += 1 + byte_draws[stop] + jitter_draws
-            stop += 1
-        saved = bitgen.state
-        u = rng.random(total)
+        left = sum(byte_draws[i:]) + (n - i) * (1 + jitter_draws)
+        size = max(need, 1 + byte_draws[i] + jitter_draws, min(_RUN_DOUBLES, left))
+        more = rng.random(size - (len(u) - pos))
+        u = np.concatenate((u[pos:], more)) if pos < len(u) else more
         uniform = u.item
         # Positions of the uniforms below bitflip_p, then a sentinel.
-        hits = np.flatnonzero(u < cfg.bitflip_p).tolist() + [total]
-        h = used = 0
-        flipped = False
-        for i in range(i, stop):
-            used += 1
-            if uniform(used - 1) < loss_p:
-                continue
-            while hits[h] < used:
-                h += 1
-            used += byte_draws[i]
-            if hits[h] < used:
-                flipped = True
+        hits = np.flatnonzero(u < flip_p).tolist() + [size] if flip_p > 0 else [size]
+        pos = h = need = 0
+        for i in range(i, n):
+            end = pos + 1 + byte_draws[i]  # past the unit's loss and byte draws
+            if end + jitter_draws > size:
                 break
-            jitter = uniform(used) if jitter_draws else 0.0
-            out.append((float(t_send[i]) + base_us + jitter * jitter_us, i, payloads[i]))
-            used += jitter_draws
-        if used < total:
-            _advance_from(bitgen, saved, used)
-        if flipped:
-            buf = bytearray(payloads[i])
-            start = used - byte_draws[i]
-            flips = hits[h : bisect_left(hits, used, h)]
-            # One call gives the same bit indices as one call per byte.
-            for j, bit in zip(flips, rng.integers(0, 8, len(flips)).tolist()):
-                buf[j - start] ^= 1 << bit
-            jitter = rng.random() if jitter_draws else 0.0
-            out.append((float(t_send[i]) + base_us + jitter * jitter_us, i, bytes(buf)))
-        i += 1
+            if uniform(pos) < loss_p:
+                pos += 1
+                continue
+            while hits[h] <= pos:
+                h += 1
+            data = payloads[i]
+            if hits[h] < end:
+                flips = hits[h : bisect_left(hits, end, h)]
+                # Outputs the bit indices read: a buffered half serves one flip, an output two.
+                fresh = (len(flips) - len(halves) + 1) // 2
+                if end + fresh + jitter_draws > size:
+                    need = end + fresh + jitter_draws - pos
+                    break
+                buf = bytearray(data)
+                for j in flips:
+                    if not halves:
+                        halves, end = list(_bit_indices(uniform(end))), end + 1
+                    buf[j - pos - 1] ^= 1 << halves.pop(0)
+                data = bytes(buf)
+            out.append((float(t_send[i]) + base_us + (uniform(end) * jitter_us if jitter_draws else 0.0), i, data))
+            pos = end + jitter_draws
+        else:
+            break
     return out
 
 
-def _advance_from(bitgen, saved: dict, used: int) -> None:
-    """Put the generator `used` draws past the state `saved`.  advance()
-    clears the buffered 32-bit half that integers() reads; put it back."""
-    bitgen.state = saved
-    bitgen.advance(used)
-    if saved["has_uint32"]:
-        bitgen.state = {**saved, "state": bitgen.state["state"]}
+def _bit_indices(u: float) -> tuple[int, int]:
+    """The two values integers(0, 8) returns, in order, from the 64-bit
+    output that random() turned into u; a test checks the NumPy facts this
+    rests on.  random() keeps the output's top 53 bits k as u = k * 2**-53.
+    integers(0, 8) takes the top 3 bits of a 32-bit half (Lemire's method
+    never rejects for a range of 8): the low half of a fresh output, then
+    the high half on its next call, even across random() calls."""
+    k = int(u * 9007199254740992.0)  # 2**53
+    return (k >> 18) & 7, k >> 50  # bits 18-20 and 50-52 of k
 
 
 def _bounded_reorder(pending, window: int):
@@ -371,8 +371,7 @@ class SafeReceiver:
     """
 
     def __init__(self, reorder_window: int = 8, stats: LinkStats | None = None):
-        if reorder_window < 0:
-            raise ValueError("reorder_window must be >= 0")
+        _check_window(reorder_window)
         self.reorder_window = reorder_window
         self.stats = stats if stats is not None else LinkStats()
         self.next_seq = 0

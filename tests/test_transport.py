@@ -1,6 +1,7 @@
 """Wire profiles, channel impairment model, and the re-sequencing receiver."""
 
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -170,6 +171,11 @@ class TestRawProfile:
             raw_encode([GradedSpike(0, 0.5)])
         with pytest.raises(TransportError):
             raw_encode([GradedSpike(0, 200)])
+        # Each bad field is a TransportError, as from safe_encode, not
+        # whatever int() or the bit packing would raise.
+        for spike in (GradedSpike(0, math.nan), GradedSpike(0, math.inf), GradedSpike(1.5, 1)):
+            with pytest.raises(TransportError):
+                raw_encode([spike])
 
 
 
@@ -471,9 +477,10 @@ class TestChannel:
         pending = [(a, i, bytes([i % 256])) for a, i in zip(arrivals, index)]
         assert _bounded_reorder(list(pending), window) == scan_reorder(pending, window)
 
-    # One generator call per run of units must leave every draw where
-    # the per-draw loop puts it.  Payloads up to 5,000 bytes fill a run
-    # alone; tens of short ones share one, so both cross several runs.
+    # Blocks of uniforms drawn once must give every draw, bit indices
+    # included, where the per-draw loop puts it.  Payloads up to 5,000
+    # bytes fill a block alone; tens of short ones share one, so both
+    # cross several blocks.
     @settings(max_examples=150, deadline=None)
     @given(
         st.sampled_from([0.0, 0.05, 0.5, 1.0]),
@@ -490,6 +497,10 @@ class TestChannel:
     # The first unit's three flips leave a buffered 32-bit half; the
     # second unit is lost, and the third unit's bit index reads that half.
     @example(0.5, 1.0, True, 2, [3, 2, 1, 4, 3, 5], 1)
+    # Each unit fills a block alone.  The first unit's one flip needs a
+    # bit index past its block's end; the second unit's flip reads the
+    # high half of that output, drawn in the block before its own.
+    @example(0.0, 1e-4, True, 0, [4095, 4095], 2)
     def test_equals_per_draw_loop(self, loss_p, bitflip_p, jittered, window, sizes, seed):
         rng = np.random.default_rng(seed)
         payloads = [rng.integers(0, 256, n, dtype=np.uint8).tobytes() for n in sizes]
@@ -517,24 +528,47 @@ class TestChannel:
         assert flipped > 0 and len(per_draw) > 200
         assert len(random_calls) <= math.ceil(sum(per_draw) / 4096) + flipped
         assert max(random_calls) <= 4096
+        # Each uniform is drawn once: what is left unused is less than a block.
+        assert sum(random_calls) <= sum(per_draw) + 4096
 
     def test_runs_end_at_the_budget(self, random_calls):
-        # Two draws per unit: 2,048 units fill a run.
+        # Two draws per unit, one if it is lost.  The first block ends one
+        # uniform short of a unit's two, so the second carries that one and
+        # draws 4,095; the last draws what the units left need if all survive.
         cfg = ChannelConfig(loss_p=0.3, delay_jitter_us=100.0, seed=8)
         payloads = [b""] * 5000
         t_send = [0.0] * 5000
         expect = per_draw_transmit(payloads, cfg, t_send)
         random_calls.clear()
         assert as_tuples(channel_transmit(payloads, cfg, t_send)) == expect
-        assert random_calls == [4096, 4096, 1808]
+        assert random_calls == [4096, 4095, 408]
 
     def test_a_unit_past_the_budget_draws_alone(self, random_calls):
+        # Each block holds one unit's 5,001 uniforms.  A lost unit uses one
+        # of them and a unit whose bit index lies past its block one more,
+        # so the next block carries the rest and draws 1.
         cfg = ChannelConfig(loss_p=0.3, bitflip_p=1e-4, seed=4)
         payloads = [bytes(range(250)) * 20] * 12
         expect = per_draw_transmit(payloads, cfg, [0.0] * 12)
         random_calls.clear()
         assert as_tuples(channel_transmit(payloads, cfg)) == expect
-        assert random_calls == [5001] * 12
+        assert random_calls == [5001, 1, 5001, 1, 5001, 1, 5001, 5001, 5001, 5001, 1, 5001, 1, 5001, 5001]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+    def test_bit_indices_read_numpy_outputs(self, seed):
+        # The two NumPy facts the channel's bit indices rest on: random()
+        # is an output's top 53 bits, and integers(0, 8) reads the top 3
+        # bits of an output's low half, then of its high half on the next
+        # call, with random() calls in between.  A NumPy release that
+        # changes either fails here.
+        rng = np.random.default_rng(seed)
+        u = np.random.default_rng(seed).random(300).tolist()
+        for k in range(0, 300, 3):
+            low = int(rng.integers(0, 8))
+            assert rng.random() == u[k + 1]
+            high = int(rng.integers(0, 8))
+            assert rng.random() == u[k + 2]
+            assert (low, high) == transport._bit_indices(u[k])
 
     def test_raw_refuses_reordering_link(self):
         cfg = ChannelConfig(reorder_window=2)
@@ -565,6 +599,19 @@ class TestChannel:
                     ChannelConfig(**{name: value})
         with pytest.raises(ValueError):
             channel_transmit([b"a"], ChannelConfig(), t_send=[0, 1])
+        # A nan send time gave a delivery at -inf, and an inf one held an
+        # in-order link's clock at inf; a lost unit's time is checked too.
+        for value in (math.nan, math.inf, -math.inf):
+            for loss_p in (0.0, 1.0):
+                with pytest.raises(ValueError, match=f"^send time 1 must be finite, got {value!r}$"):
+                    channel_transmit([b"a", b"b", b"c"], ChannelConfig(loss_p=loss_p), t_send=[0.0, value, 2.0])
+        # Finite times whose sum overflows are accepted.
+        assert len(channel_transmit([b"a", b"b"], ChannelConfig(), t_send=[1e308, 1e308])) == 2
+        # A window that is not an int failed later, inside the reorder
+        # buffer, or was taken as 1 for True.
+        for value in (1.5, True, "2", -1):
+            with pytest.raises(ValueError, match=re.escape(f"reorder_window must be an int >= 0, got {value!r}")):
+                ChannelConfig(reorder_window=value)
 
 
 def frame(seq, records=((10, 1, 0),), timestamp=1000):
@@ -687,6 +734,11 @@ class TestSafeReceiver:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             SafeReceiver(reorder_window=-1)
+
+    @pytest.mark.parametrize("window", [2.5, True])
+    def test_window_must_be_an_int(self, window):
+        with pytest.raises(ValueError, match=re.escape(f"reorder_window must be an int >= 0, got {window!r}")):
+            SafeReceiver(reorder_window=window)
 
 
 @pytest.mark.xfail(
