@@ -68,6 +68,7 @@ from .transport import (
     DecodeError,
     LinkStats,
     SafeReceiver,
+    _check_window,
     channel_transmit,
     raw_encode,
     raw_overhead_bytes_per_event,
@@ -120,8 +121,7 @@ class SimConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.reorder_window < 0:
-            raise ValueError(f"reorder_window must be non-negative, got {self.reorder_window}")
+        _check_window(self.reorder_window)
         if not 0 < self.tempo < math.inf:
             raise ValueError(f"tempo must be positive and finite, got {self.tempo!r}")
         res = self.tracker.input_res

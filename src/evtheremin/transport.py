@@ -57,10 +57,7 @@ SAFE_FIXED_OVERHEAD = _HEADER.size + _CRC.size  # 22
 _RUN_DOUBLES = 4096
 
 
-def crc32(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
-
-
+crc32 = zlib.crc32  # already unsigned on Python 3
 assert crc32(b"123456789") == 0xCBF43926
 
 
@@ -124,28 +121,36 @@ def safe_encode(spikes, seq: int, timestamp_us: int, offsets_us=None) -> bytes:
     offsets_us gives one dt_offset per spike and defaults to all zero.
     """
     spikes = list(spikes)
-    if offsets_us is None:
-        offsets_us = [0] * len(spikes)
-    elif len(offsets_us) != len(spikes):
+    if offsets_us is not None and len(offsets_us) != len(spikes):
         raise TransportError("one offset per spike required")
-    flags = 1 if spikes else 0
+    pack = _RECORD.pack
     try:
-        parts = [_HEADER.pack(SAFE_MAGIC, SAFE_VERSION, flags, seq, timestamp_us, len(spikes))]
-        last = 0
-        for s, dt in zip(spikes, offsets_us):
-            if s.value % 1:  # also true for nan and inf
-                raise TransportError(f"value {s.value!r} is not an integer")
-            if s.value == 0:
-                raise TransportError("zero-valued records are not transmitted")
-            if dt < last:
-                raise TransportError("dt_offsets must be non-decreasing")
-            last = dt
-            # struct packs only integers: a float offset is rejected.
-            parts.append(_RECORD.pack(s.address, int(s.value), dt))
+        parts = [_HEADER.pack(SAFE_MAGIC, SAFE_VERSION, 1 if spikes else 0, seq, timestamp_us, len(spikes))]
+        if offsets_us is None:
+            for s in spikes:
+                if s.value % 1 or not s.value:  # the first is also true for nan and inf
+                    _refuse_value(s.value)
+                parts.append(pack(s.address, int(s.value), 0))
+        else:
+            last = 0
+            for s, dt in zip(spikes, offsets_us):
+                if s.value % 1 or not s.value:
+                    _refuse_value(s.value)
+                if dt < last:
+                    raise TransportError("dt_offsets must be non-decreasing")
+                last = dt
+                # struct packs only integers: a float offset is rejected.
+                parts.append(pack(s.address, int(s.value), dt))
     except struct.error as exc:
         raise TransportError(f"bad SAFE field: {exc}") from None
     body = b"".join(parts)
     return body + _CRC.pack(crc32(body))
+
+
+def _refuse_value(value) -> None:
+    if value % 1:
+        raise TransportError(f"value {value!r} is not an integer")
+    raise TransportError("zero-valued records are not transmitted")
 
 
 def safe_decode(data: bytes) -> SafeFrame:
@@ -170,13 +175,22 @@ def safe_decode(data: bytes) -> SafeFrame:
         raise DecodeError(f"flags 0x{flags:02X} inconsistent with count {count}")
     records = list(_RECORD.iter_unpack(data[_HEADER.size : body_len]))
     last = 0
-    for i, (_, value, dt) in enumerate(records):
-        if value == 0:
-            raise DecodeError(f"record {i} carries a zero value")
-        if dt < last:
-            raise DecodeError(f"record {i} dt_offset decreases")
+    for _, value, dt in records:
+        if not value or dt < last:
+            raise DecodeError(_record_fault(records))
         last = dt
     return SafeFrame(seq, timestamp, records)
+
+
+def _record_fault(records) -> str:
+    """What is wrong with the first bad record, for a frame that has one."""
+    last = 0
+    for i, (_, value, dt) in enumerate(records):
+        if value == 0:
+            return f"record {i} carries a zero value"
+        if dt < last:
+            return f"record {i} dt_offset decreases"
+        last = dt
 
 
 def raw_overhead_bytes_per_event() -> float:
@@ -270,12 +284,12 @@ def _arrivals(payloads: list[bytes], cfg: ChannelConfig, t_send) -> list[tuple[f
     jitter_draws = 1 if jitter_us > 0 else 0
     n = len(payloads)
     byte_draws = list(map(len, payloads)) if flip_p > 0 else [0] * n
+    left = np.cumsum(np.add(byte_draws, 1 + jitter_draws)[::-1])[::-1].tolist()  # left[i]: units i.. draw at most
     out, u = [], np.empty(0)
     halves = []  # the bit index in an output's high half, read but not yet used
     i = pos = need = 0  # need: the draws of a flipped unit its block could not hold
     while i < n:
-        left = sum(byte_draws[i:]) + (n - i) * (1 + jitter_draws)
-        size = max(need, 1 + byte_draws[i] + jitter_draws, min(_RUN_DOUBLES, left))
+        size = max(need, 1 + byte_draws[i] + jitter_draws, min(_RUN_DOUBLES, left[i]))
         more = rng.random(size - (len(u) - pos))
         u = np.concatenate((u[pos:], more)) if pos < len(u) else more
         uniform = u.item
@@ -361,8 +375,12 @@ def _seq_delta(a: int, b: int) -> int:
 class SafeReceiver:
     """Re-sequencing receiver for SAFE frames.
 
-    Out-of-order frames within `reorder_window` are buffered and
-    released in order; gaps that cannot close are charged as lost.
+    Every frame takes one ingest path.  One behind next_seq on the
+    wrapping counter ((seq - next_seq) & 0xFFFFFFFF >= 2**31), or already
+    held, is a duplicate.  The next frame is released at once, and held
+    frames drain behind it only if any are held.  Any other frame is
+    held; holding more than `reorder_window` forces an advance past the
+    oldest gap, which is charged as lost.
     Because a corrupted frame also leaves a sequence gap, gap frames are
     attributed to corruption first so every sent frame is counted
     exactly once across delivered / lost / corrupted / duplicate, except
@@ -391,24 +409,25 @@ class SafeReceiver:
 
     def ingest(self, frame: SafeFrame) -> list[tuple[int, int, int]]:
         """Returns (absolute_time_us, address, value) tuples released in order."""
-        out: list[tuple[int, int, int]] = []
-        delta = _seq_delta(frame.seq, self.next_seq)
-        if delta < 0 or frame.seq in self._pending:
+        seq = frame.seq
+        if (seq - self.next_seq) & 0xFFFFFFFF >= 0x80000000 or seq in self._pending:
             self.stats.duplicate_dropped += 1
-            return out
+            return []
         # Reordered: overtaken by a frame that was sent after it.
-        if _seq_delta(frame.seq, self._newest) < 0:
+        if (seq - self._newest) & 0xFFFFFFFF >= 0x80000000:
             self.stats.reordered += 1
         else:
-            self._newest = frame.seq
-        if delta == 0:
-            out.extend(self._emit(frame))
-            self.next_seq = (self.next_seq + 1) & 0xFFFFFFFF
-            out.extend(self._drain())
-        else:
-            self._pending[frame.seq] = frame
-            while len(self._pending) > self.reorder_window:
-                out.extend(self._force_advance())
+            self._newest = seq
+        if seq == self.next_seq:
+            self.next_seq = (seq + 1) & 0xFFFFFFFF
+            out = self._emit(frame)
+            if self._pending:
+                out += self._drain()
+            return out
+        self._pending[seq] = frame
+        out = []
+        while len(self._pending) > self.reorder_window:
+            out.extend(self._force_advance())
         return out
 
     def finalize(self) -> list[tuple[int, int, int]]:

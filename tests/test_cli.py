@@ -175,7 +175,7 @@ class TestShowAndReport:
             ({"seed": -1}, "config: seed must be non-negative, got -1"),
             ({"channel": {"seed": -3}}, "channel: seed must be non-negative, got -3"),
             ({"latencies": {"sensor_us": 220.0}}, "unknown config keys: ['latencies']"),
-            ({"reorder_window": -1}, "config: reorder_window must be non-negative, got -1"),
+            ({"reorder_window": -1}, "config: reorder_window must be an int >= 0, got -1"),
             ({"channel": {"delay_base_us": float("nan")}},
              "channel: delay_base_us must be finite and >= 0, got nan"),
             ({"tracker": {"input_res": [239, 180]}},

@@ -281,6 +281,13 @@ class TestConfigCodec:
         wire = json.loads(json.dumps(config_to_dict(cfg)))
         assert config_from_dict(wire) == cfg
 
+    @pytest.mark.parametrize("window", [True, 2.5, "3"])
+    def test_reorder_window_must_be_an_int(self, window):
+        # Built in Python, a window of True or 2.5 was taken, and the show
+        # failed later inside the receiver with no config key named.
+        with pytest.raises(ValueError, match=f"^reorder_window must be an int >= 0, got {window!r}$"):
+            SimConfig(seed=1, reorder_window=window)
+
     def test_seed_is_required(self):
         with pytest.raises(ValueError, match="seed"):
             config_from_dict({})

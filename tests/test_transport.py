@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evtheremin
+import safe_oracle
 from evtheremin import transport
 from evtheremin.sigma_delta import GradedSpike
 from evtheremin.transport import (
@@ -291,6 +292,47 @@ wire_bytes = st.one_of(
 )
 
 
+# Frames with a valid CRC whose records may be zero-valued or out of
+# order, and whose flags may disagree with the count.
+crc_valid_bytes = st.builds(
+    lambda seq, records, flags: pack_reference_frame(seq, 0, records, flags),
+    st.integers(0, 0xFFFFFFFF),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(-2, 2), st.integers(0, 4)), max_size=8),
+    st.none() | st.integers(0, 255),
+)
+
+
+@st.composite
+def bad_encode_inputs(draw):
+    """(spikes, seq, timestamp_us, offsets_us) for safe_encode, each
+    field valid or not: values non-integral, nan, inf, zero or past i16;
+    addresses past u32; offsets decreasing, negative, float, or one too
+    many or too few."""
+    values = st.one_of(
+        st.integers(-32768, 32767),
+        st.sampled_from([0.0, -0.0, 2.0, 0.5, -2.25, math.nan, math.inf, -math.inf]),
+        st.integers(32768, 1 << 40),
+        st.integers(-(1 << 40), -32769),
+    )
+    addresses = st.integers(0, 0xFFFFFFFF) | st.integers(1 << 32, 1 << 40) | st.integers(-3, -1)
+    spikes = draw(st.lists(st.builds(SimpleNamespace, address=addresses, value=values), max_size=6))
+    offsets = st.integers(0, 0xFFFF) | st.integers(-3, -1) | st.floats(allow_nan=True) | st.integers(1 << 16, 1 << 17)
+    n = len(spikes) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    offsets_us = draw(st.none() | st.lists(offsets, min_size=max(n, 0), max_size=max(n, 0)))
+    if offsets_us is not None and draw(st.booleans()):
+        offsets_us.sort(key=lambda dt: math.inf if dt != dt else dt)  # mostly valid: non-decreasing
+    return spikes, draw(st.integers(0, 0xFFFFFFFF)), draw(st.integers(0, 1 << 40)), offsets_us
+
+
+def outcome(call, *args):
+    """What a codec call returns, or the type and message of the
+    TransportError it raises."""
+    try:
+        return call(*args)
+    except TransportError as exc:
+        return type(exc), str(exc)
+
+
 class TestSafeProperties:
     @settings(deadline=None)
     @given(safe_frames())
@@ -299,13 +341,24 @@ class TestSafeProperties:
         assert data == pack_reference_frame(f.seq, f.timestamp_us, f.records)
         assert safe_decode(data) == f
 
-    @given(wire_bytes)
+    @given(st.one_of(wire_bytes, crc_valid_bytes))
     def test_arbitrary_bytes_raise_only_decode_error(self, data):
+        # The same frame, or the same DecodeError subclass with the same
+        # message, as the reference: a bad record is found in one pass,
+        # and its index after.
+        assert outcome(safe_decode, data) == outcome(safe_oracle.safe_decode, data)
         try:
             f = safe_decode(data)
         except DecodeError:
             return
         assert data == encode(f)
+
+    @settings(deadline=None)
+    @given(bad_encode_inputs())
+    def test_encode_outcome_matches_reference(self, args):
+        # The same bytes, or the same TransportError message, with or
+        # without offsets: the first bad field of the first bad record.
+        assert outcome(safe_encode, *args) == outcome(safe_oracle.safe_encode, *args)
 
     @settings(deadline=None)
     @given(safe_frames(), st.data())
@@ -739,6 +792,54 @@ class TestSafeReceiver:
     def test_window_must_be_an_int(self, window):
         with pytest.raises(ValueError, match=re.escape(f"reorder_window must be an int >= 0, got {window!r}")):
             SafeReceiver(reorder_window=window)
+
+
+@st.composite
+def arrival_sequences(draw):
+    """(start, n, window, payloads in arrival order): n one-record frames
+    from sequence `start`, often just short of the 2**32 wrap, each
+    dropped, corrupted, duplicated or late by up to 12 places, so past a
+    window of 0 to 8 too."""
+    start = draw(st.just(0) | st.integers(0xFFFFFFFF - 40, 0xFFFFFFFF) | st.integers(0, 0xFFFFFFFF))
+    n = draw(st.integers(0, 40))
+    window = draw(st.integers(0, 8))
+    lateness = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    out, copies = [], []
+    for k in sorted(range(n), key=lambda k: (k + lateness[k], k)):
+        payload = safe_encode([GradedSpike(k, 1 + k % 3)], seq=(start + k) & 0xFFFFFFFF, timestamp_us=k * 100)
+        fate = draw(st.sampled_from(["deliver"] * 4 + ["drop", "corrupt", "duplicate"]))
+        if fate == "corrupt":
+            bit = draw(st.integers(0, len(payload) * 8 - 1))
+            payload = bytearray(payload)
+            payload[bit // 8] ^= 1 << (bit % 8)
+            payload = bytes(payload)
+        if fate != "drop":
+            out.append(payload)
+        if fate == "duplicate":
+            copies.append(payload)
+    for payload in copies:  # anywhere, so often long after the first
+        out.insert(draw(st.integers(0, len(out))), payload)
+    return start, n, window, out
+
+
+def receiver_at(rx, start):
+    """rx as if `start` frames (mod 2**32) had come before, in order."""
+    rx.next_seq, rx._newest = start, (start - 1) & 0xFFFFFFFF
+    return rx
+
+
+@settings(deadline=None)
+@given(arrival_sequences())
+def test_receiver_matches_reference(case):
+    # Every release and every count, the late-frame double count of
+    # ROADMAP item 2 included, after every arrival and at close.
+    start, n, window, arrivals = case
+    rx, ref = receiver_at(SafeReceiver(window), start), receiver_at(safe_oracle.SafeReceiver(window), start)
+    for payload in arrivals:
+        assert rx.receive_payload(payload) == ref.receive_payload(payload)
+        assert rx.stats == ref.stats
+    assert rx.close(start + n) == ref.close(start + n)
+    assert rx.stats == ref.stats
 
 
 @pytest.mark.xfail(
