@@ -303,6 +303,21 @@ crc_valid_bytes = st.builds(
 
 
 @st.composite
+def misframed_bytes(draw):
+    """A CRC-valid frame cut 1-4 bytes short, or followed by 1-8 bytes,
+    sometimes with one bit flipped anywhere: the decoder must diagnose a
+    short frame, then its CRC, then the bytes after it, in that order."""
+    frame = draw(crc_valid_bytes)
+    if draw(st.booleans()):
+        return frame[: -draw(st.integers(1, 4))]
+    data = bytearray(frame + draw(st.binary(min_size=1, max_size=8)))
+    if draw(st.booleans()):
+        bit = draw(st.integers(0, len(data) * 8 - 1))
+        data[bit // 8] ^= 1 << (bit % 8)
+    return bytes(data)
+
+
+@st.composite
 def bad_encode_inputs(draw):
     """(spikes, seq, timestamp_us, offsets_us) for safe_encode, each
     field valid or not: values non-integral, nan, inf, zero or past i16;
@@ -341,7 +356,7 @@ class TestSafeProperties:
         assert data == pack_reference_frame(f.seq, f.timestamp_us, f.records)
         assert safe_decode(data) == f
 
-    @given(st.one_of(wire_bytes, crc_valid_bytes))
+    @given(st.one_of(wire_bytes, crc_valid_bytes, misframed_bytes()))
     def test_arbitrary_bytes_raise_only_decode_error(self, data):
         # The same frame, or the same DecodeError subclass with the same
         # message, as the reference: a bad record is found in one pass,
