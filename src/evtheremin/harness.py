@@ -131,6 +131,9 @@ class SimConfig:
 
 def power_ratio(cluster_kw: float, board_w: float, boards: int) -> float:
     """Cluster watts over total board watts."""
+    for name, value in (("cluster_kw", cluster_kw), ("board_w", board_w), ("boards", boards)):
+        if not math.isfinite(value):  # nan passes the sign test, and inf reads as a ratio
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if cluster_kw <= 0 or board_w <= 0 or boards <= 0:
         raise ValueError("power figures must be positive")
     return cluster_kw * 1000.0 / (board_w * boards)

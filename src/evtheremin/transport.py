@@ -59,6 +59,9 @@ _RUN_DOUBLES = 4096
 
 crc32 = zlib.crc32  # already unsigned on Python 3
 assert crc32(b"123456789") == 0xCBF43926
+# The CRC-32 of any data followed by its own CRC, little-endian.
+_CRC_RESIDUE = 0x2144DF1C
+assert crc32(b"123456789" + _CRC.pack(0xCBF43926)) == _CRC_RESIDUE
 
 
 class TransportError(ValueError):
@@ -155,21 +158,27 @@ def _refuse_value(value) -> None:
 
 def safe_decode(data: bytes) -> SafeFrame:
     """Decode one SAFE frame or raise a DecodeError diagnosing why not."""
-    if len(data) < _HEADER.size + _CRC.size:
-        raise TruncatedError(f"{len(data)} bytes, need at least {_HEADER.size + _CRC.size}")
+    return SafeFrame(*_decode(data))
+
+
+def _decode(data: bytes) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(seq, timestamp_us, records) of one SAFE frame, as safe_decode."""
+    if len(data) < SAFE_FIXED_OVERHEAD:
+        raise TruncatedError(f"{len(data)} bytes, need at least {SAFE_FIXED_OVERHEAD}")
     magic, version, flags, seq, timestamp, count = _HEADER.unpack_from(data)
     if magic != SAFE_MAGIC:
         raise BadMagicError(f"magic 0x{magic:04X}, want 0x{SAFE_MAGIC:04X}")
     if version != SAFE_VERSION:
         raise BadVersionError(f"version {version}, want {SAFE_VERSION}")
     body_len = _HEADER.size + count * _RECORD.size
-    if len(data) < body_len + _CRC.size:
-        raise TruncatedError(f"{len(data)} bytes, frame claims {body_len + _CRC.size}")
-    (stored,) = _CRC.unpack_from(data, body_len)
-    computed = crc32(data[:body_len])
-    if stored != computed:
-        raise BadCrcError(f"crc 0x{stored:08X}, computed 0x{computed:08X}")
-    if len(data) > body_len + _CRC.size:
+    if len(data) != body_len + _CRC.size or crc32(data) != _CRC_RESIDUE:
+        # Not a whole frame that checks: say why, in this order.
+        if len(data) < body_len + _CRC.size:
+            raise TruncatedError(f"{len(data)} bytes, frame claims {body_len + _CRC.size}")
+        (stored,) = _CRC.unpack_from(data, body_len)
+        computed = crc32(data[:body_len])
+        if stored != computed:
+            raise BadCrcError(f"crc 0x{stored:08X}, computed 0x{computed:08X}")
         raise TrailingDataError(f"{len(data) - body_len - _CRC.size} bytes after frame")
     if flags != (1 if count else 0):
         raise DecodeError(f"flags 0x{flags:02X} inconsistent with count {count}")
@@ -179,7 +188,7 @@ def safe_decode(data: bytes) -> SafeFrame:
         if not value or dt < last:
             raise DecodeError(_record_fault(records))
         last = dt
-    return SafeFrame(seq, timestamp, records)
+    return seq, timestamp, records
 
 
 def _record_fault(records) -> str:
@@ -266,7 +275,9 @@ def channel_transmit(
         raise ValueError("one send time per payload required")
     ordered = _bounded_reorder(_arrivals(payloads, cfg, t_send), cfg.reorder_window)
     clock = float("-inf")
-    return [Delivery(clock := max(clock, arrival), data, i) for arrival, i, data in ordered]
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    # The clock steps to max(clock, arrival), without the call.
+    return [new(Delivery, (clock := arrival if arrival > clock else clock, data, i)) for arrival, i, data in ordered]
 
 
 def _arrivals(payloads: list[bytes], cfg: ChannelConfig, t_send) -> list[tuple[float, int, bytes]]:
@@ -394,13 +405,13 @@ class SafeReceiver:
         self.stats = stats if stats is not None else LinkStats()
         self.next_seq = 0
         self._newest = 0xFFFFFFFF  # highest seq received; starts just before 0
-        self._pending: dict[int, SafeFrame] = {}
+        self._pending: dict[int, tuple] = {}  # seq -> (seq, timestamp_us, records)
         self._gap_frames = 0
 
     def receive_payload(self, payload: bytes) -> list[tuple[int, int, int]]:
         """Decode and ingest one unit; corrupted units count and emit nothing."""
         try:
-            frame = safe_decode(payload)
+            frame = _decode(payload)
         except DecodeError:
             self.stats.corrupted_dropped += 1
             self._refresh_lost()
@@ -408,8 +419,10 @@ class SafeReceiver:
         return self.ingest(frame)
 
     def ingest(self, frame: SafeFrame) -> list[tuple[int, int, int]]:
-        """Returns (absolute_time_us, address, value) tuples released in order."""
-        seq = frame.seq
+        """Returns (absolute_time_us, address, value) tuples released in
+        order.  Any (seq, timestamp_us, records) triple will do, as the
+        decoder's plain tuple does."""
+        seq = frame[0]
         if (seq - self.next_seq) & 0xFFFFFFFF >= 0x80000000 or seq in self._pending:
             self.stats.duplicate_dropped += 1
             return []
@@ -472,10 +485,10 @@ class SafeReceiver:
             self.next_seq = (self.next_seq + 1) & 0xFFFFFFFF
         return out
 
-    def _emit(self, frame: SafeFrame) -> list[tuple[int, int, int]]:
+    def _emit(self, frame) -> list[tuple[int, int, int]]:
         self.stats.delivered += 1
-        t = frame.timestamp_us
-        return [(t + dt, address, value) for address, value, dt in frame.records]
+        _, t, records = frame
+        return [(t + dt, address, value) for address, value, dt in records]
 
     def _refresh_lost(self) -> None:
         self.stats.lost = max(0, self._gap_frames - self.stats.corrupted_dropped)

@@ -347,6 +347,9 @@ class TestPowerCommand:
         (["power", "--board-w", "0"], "power figures must be positive"),
         (["power", "--board-w", "-5"], "power figures must be positive"),
         (["power", "--boards", "0"], "power figures must be positive"),
+        (["power", "--board-w", "nan"], "board_w must be finite, got nan"),
+        (["power", "--board-w", "inf"], "board_w must be finite, got inf"),
+        (["power", "--cluster-kw", "inf"], "cluster_kw must be finite, got inf"),
         (["proto", "bench", "--events", "5", "--seed", "1"], "need at least 10 events"),
         (["proto", "bench", "--loss", "2", "--seed", "1"], "probabilities must be in [0, 1]"),
         (["proto", "fuzz", "--records", "70000"], "bad SAFE field"),

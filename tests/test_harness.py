@@ -3,6 +3,7 @@ files, protocol benchmarks, and short end-to-end show runs."""
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,17 @@ class TestPowerAndRtf:
     def test_power_ratio_rejects_nonpositive(self):
         for args in [(0.0, 120.0, 10), (6.5, 0.0, 10), (6.5, 120.0, 0), (-1.0, 120.0, 10)]:
             with pytest.raises(ValueError, match="positive"):
+                power_ratio(*args)
+        # nan passed the sign test and printed nanx; inf printed infx or 0.00x.
+        for args, name, value in [
+            ((math.nan, 120.0, 10), "cluster_kw", "nan"),
+            ((math.inf, 120.0, 10), "cluster_kw", "inf"),
+            ((6.5, math.nan, 10), "board_w", "nan"),
+            ((6.5, math.inf, 10), "board_w", "inf"),
+            ((6.5, -math.inf, 10), "board_w", "-inf"),
+            ((6.5, 120.0, math.inf), "boards", "inf"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
                 power_ratio(*args)
 
     def test_rtf_values(self):

@@ -140,6 +140,9 @@ class TestCrc:
         for n in (0, 1, 7, 64):
             data = bytes(rng.integers(0, 256, n, dtype=np.uint8))
             assert crc32(data) == ref_crc32(data)
+            # The decoder accepts a frame by this residue: the CRC of any
+            # data followed by its own CRC, little-endian.
+            assert ref_crc32(data + struct.pack("<I", ref_crc32(data))) == 0x2144DF1C
 
 
 class TestRawProfile:
@@ -356,7 +359,13 @@ class TestSafeProperties:
         assert data == pack_reference_frame(f.seq, f.timestamp_us, f.records)
         assert safe_decode(data) == f
 
+    @settings(max_examples=300)
     @given(st.one_of(wire_bytes, crc_valid_bytes, misframed_bytes()))
+    # A frame followed by the CRC residue's own bytes: the whole buffer
+    # checks by its residue too, so only its length shows the trailing data.
+    @example(pack_reference_frame(7, 0, [(1, 1, 0)]) + struct.pack("<I", 0x2144DF1C))
+    # A zeroed CRC and a byte after it: the CRC is diagnosed first.
+    @example(pack_reference_frame(7, 0, [(1, 1, 0)])[:-4] + bytes(5))
     def test_arbitrary_bytes_raise_only_decode_error(self, data):
         # The same frame, or the same DecodeError subclass with the same
         # message, as the reference: a bad record is found in one pass,
@@ -813,8 +822,8 @@ class TestSafeReceiver:
 def arrival_sequences(draw):
     """(start, n, window, payloads in arrival order): n one-record frames
     from sequence `start`, often just short of the 2**32 wrap, each
-    dropped, corrupted, duplicated or late by up to 12 places, so past a
-    window of 0 to 8 too."""
+    dropped, corrupted, cut 1-4 bytes short, followed by 1-8 bytes,
+    duplicated or late by up to 12 places, so past a window of 0 to 8 too."""
     start = draw(st.just(0) | st.integers(0xFFFFFFFF - 40, 0xFFFFFFFF) | st.integers(0, 0xFFFFFFFF))
     n = draw(st.integers(0, 40))
     window = draw(st.integers(0, 8))
@@ -822,12 +831,16 @@ def arrival_sequences(draw):
     out, copies = [], []
     for k in sorted(range(n), key=lambda k: (k + lateness[k], k)):
         payload = safe_encode([GradedSpike(k, 1 + k % 3)], seq=(start + k) & 0xFFFFFFFF, timestamp_us=k * 100)
-        fate = draw(st.sampled_from(["deliver"] * 4 + ["drop", "corrupt", "duplicate"]))
+        fate = draw(st.sampled_from(["deliver"] * 4 + ["drop", "corrupt", "truncate", "pad", "duplicate"]))
         if fate == "corrupt":
             bit = draw(st.integers(0, len(payload) * 8 - 1))
             payload = bytearray(payload)
             payload[bit // 8] ^= 1 << (bit % 8)
             payload = bytes(payload)
+        elif fate == "truncate":
+            payload = payload[: -draw(st.integers(1, 4))]
+        elif fate == "pad":
+            payload += draw(st.binary(min_size=1, max_size=8))
         if fate != "drop":
             out.append(payload)
         if fate == "duplicate":
@@ -855,6 +868,29 @@ def test_receiver_matches_reference(case):
         assert rx.stats == ref.stats
     assert rx.close(start + n) == ref.close(start + n)
     assert rx.stats == ref.stats
+
+
+@settings(deadline=None)
+@given(arrival_sequences())
+def test_ingest_of_decoded_frames_matches_receive_payload(case):
+    # receive_payload holds the decoder's plain tuples, ingest the
+    # SafeFrames that safe_decode wraps them in: the same releases and
+    # counts either way.  A payload that does not decode goes to both
+    # through receive_payload, which counts it as corrupted.
+    start, n, window, arrivals = case
+    rx, via_frames = receiver_at(SafeReceiver(window), start), receiver_at(SafeReceiver(window), start)
+    for payload in arrivals:
+        try:
+            f = safe_decode(payload)
+        except DecodeError:
+            assert via_frames.receive_payload(payload) == []
+        else:
+            assert via_frames.ingest(f) == rx.receive_payload(payload)
+            continue
+        assert rx.receive_payload(payload) == []
+        assert rx.stats == via_frames.stats
+    assert rx.close(start + n) == via_frames.close(start + n)
+    assert rx.stats == via_frames.stats
 
 
 @pytest.mark.xfail(
