@@ -162,7 +162,7 @@ def safe_decode(data: bytes) -> SafeFrame:
 
 
 def _decode(data: bytes) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """(seq, timestamp_us, records) of one SAFE frame, as safe_decode."""
+    """(seq, timestamp_us, records) of one SAFE frame; raises as safe_decode."""
     if len(data) < SAFE_FIXED_OVERHEAD:
         raise TruncatedError(f"{len(data)} bytes, need at least {SAFE_FIXED_OVERHEAD}")
     magic, version, flags, seq, timestamp, count = _HEADER.unpack_from(data)

@@ -347,9 +347,6 @@ class TestPowerCommand:
         (["power", "--board-w", "0"], "power figures must be positive"),
         (["power", "--board-w", "-5"], "power figures must be positive"),
         (["power", "--boards", "0"], "power figures must be positive"),
-        (["power", "--board-w", "nan"], "board_w must be finite, got nan"),
-        (["power", "--board-w", "inf"], "board_w must be finite, got inf"),
-        (["power", "--cluster-kw", "inf"], "cluster_kw must be finite, got inf"),
         (["proto", "bench", "--events", "5", "--seed", "1"], "need at least 10 events"),
         (["proto", "bench", "--loss", "2", "--seed", "1"], "probabilities must be in [0, 1]"),
         (["proto", "fuzz", "--records", "70000"], "bad SAFE field"),
@@ -370,6 +367,9 @@ class TestPowerCommand:
         (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "-1"], "blob_radius must be"),
         (["proto", "bench", "--seed", "1", "--jitter-us", "nan"], "delay_jitter_us must be finite and >= 0, got nan"),
         (["proto", "bench", "--seed", "1", "--jitter-us", "inf"], "delay_jitter_us must be finite and >= 0, got inf"),
+        (["power", "--board-w", "nan"], "board_w must be finite, got nan"),
+        (["power", "--board-w", "inf"], "board_w must be finite, got inf"),
+        (["power", "--cluster-kw", "inf"], "cluster_kw must be finite, got inf"),
     ],
 )
 def test_out_of_range_option_fails_cleanly(tmp_path, args, message):

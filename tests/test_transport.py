@@ -883,11 +883,9 @@ def test_ingest_of_decoded_frames_matches_receive_payload(case):
         try:
             f = safe_decode(payload)
         except DecodeError:
-            assert via_frames.receive_payload(payload) == []
+            assert via_frames.receive_payload(payload) == rx.receive_payload(payload) == []
         else:
             assert via_frames.ingest(f) == rx.receive_payload(payload)
-            continue
-        assert rx.receive_payload(payload) == []
         assert rx.stats == via_frames.stats
     assert rx.close(start + n) == via_frames.close(start + n)
     assert rx.stats == via_frames.stats
