@@ -32,8 +32,10 @@ from evtheremin.neural_field import (
     FieldParams,
     KernelParams,
     LateralKernel,
+    Peak,
     _euler_ratio,
     _lateral,
+    _merge_close,
     _rate,
     _regions,
     detect_peaks,
@@ -46,6 +48,25 @@ from evtheremin.neural_field import (
 from evtheremin.tracker import tracker_field_params
 
 CHIP = Resolution(86, 65)
+
+
+@st.composite
+def tied_peak_lists(draw):
+    """Peaks whose distances tie: on a whole- or a half-cell grid, with a
+    collinear chain of equal steps and with repeats of a peak's position,
+    in any order."""
+    unit = draw(st.sampled_from([0.5, 1.0]))
+    coord = st.integers(0, 12).map(lambda k: k * unit)
+    mass = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 10.0)
+    peaks = [Peak(draw(coord), draw(coord), draw(mass)) for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.booleans()):
+        x, y = draw(coord), draw(coord)
+        dx, dy = (draw(st.integers(-2, 2)) * unit for _ in "xy")
+        peaks += [Peak(x + i * dx, y + i * dy, draw(mass)) for i in range(draw(st.integers(2, 6)))]
+    for _ in range(draw(st.integers(0, 3)) if peaks else 0):
+        p = draw(st.sampled_from(peaks))
+        peaks.append(Peak(p.x, p.y, draw(mass)))
+    return draw(st.permutations(peaks))
 
 
 def gaussian_input(res, cx, cy, amp=6.0, sigma=2.0):
@@ -620,6 +641,13 @@ class TestDetectPeaks:
         got = detect_peaks(f, threshold, min_separation)
         assert got == peaks_oracle.detect_peaks_full_grid(f, threshold, min_separation)
 
+
+    @settings(deadline=None, max_examples=300)
+    @given(tied_peak_lists(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.1, 12.0))
+    def test_merge_equals_oracle(self, peaks, min_separation):
+        # The closest pair merges first, and of tied pairs the first in
+        # the list's order; the merged peak goes last.
+        assert _merge_close(peaks, min_separation) == peaks_oracle.merge_close(peaks, min_separation)
 
     @settings(deadline=None, max_examples=300)
     @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24)))
