@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Simulation commands take an explicit seed (or read one from the config
-file) so every run is reproducible; there is no wall-clock entropy
-anywhere in the pipeline.
+Commands that draw at random take an explicit seed (or read one from
+the config file), and `synth` draws nothing, so every run is
+reproducible; there is no wall-clock entropy anywhere in the pipeline.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ def main():
 
 @main.command()
 @click.option("--out", "out_path", required=True, type=click.Path(writable=True, dir_okay=False))
-@click.option("--seed", required=True, type=click.IntRange(min=0), help="RNG seed; required, no default.")
 @click.option("--pattern", type=click.Choice(["wave", "score"]), default="wave", show_default=True)
 @click.option("--score", "score_path", type=click.Path(exists=True, dir_okay=False),
               help="Score file for --pattern score.")
@@ -77,7 +76,7 @@ def main():
 @click.option("--rate-scale", type=float, default=SYNTH_RATE_SCALE, show_default=True)
 @click.option("--trajectory-out", type=click.Path(writable=True, dir_okay=False),
               help="Also save the ground-truth trajectory as JSON.")
-def synth(out_path, seed, pattern, score_path, duration_ms, resolution, blob_radius,
+def synth(out_path, pattern, score_path, duration_ms, resolution, blob_radius,
           rate_scale, trajectory_out):
     """Generate a synthetic event stream and write it as an EVT1 file."""
     res = _parse_resolution(resolution)
@@ -91,7 +90,7 @@ def synth(out_path, seed, pattern, score_path, duration_ms, resolution, blob_rad
         with open(score_path) as f:
             score = _or_fail(parse_score, f.read())
         traj = _or_fail(score_to_trajectory, score, resolution=res)
-    stream = _or_fail(synth_hand_events, traj, res, seed=seed, blob_radius=blob_radius,
+    stream = _or_fail(synth_hand_events, traj, res, blob_radius=blob_radius,
                       rate_scale=rate_scale)
     data = _or_fail(encode_evt1, stream)
     with open(out_path, "wb") as f:

@@ -359,14 +359,12 @@ def waving_trajectory(resolution: Resolution, duration_ms: float) -> Trajectory:
 CONTRAST_THRESHOLD = 0.05
 MICRO_STEP_US = 1000
 
-# Micro-steps synthesized together.  A batch spans at most 65,535 µs, so
-# its time offsets fit 16 bits, which leaves 16 for the pixel rank in a
-# 32-bit sort word.  The length does not change the output.  A batch
-# costs a fixed number of NumPy calls, and each hand's canvas spans its
-# moves over the batch: 32 steps measured fastest on the two-note lossy
-# show, whose hands move most; the demo's run about 10 % faster at 48.
+# Micro-steps synthesized together.  The length does not change the
+# output.  A batch costs a fixed number of NumPy calls, and each hand's
+# canvas spans its moves over the batch: 32 steps measured fastest on the
+# two-note lossy show, whose hands move most; the demo's run about 10 %
+# faster at 48.
 _BATCH_STEPS = 32
-assert _BATCH_STEPS * MICRO_STEP_US <= 0xFFFF
 
 
 def _disk_patches(left, top, cx, cy, side, radius):
@@ -442,7 +440,6 @@ def _changed_pixels(left, top, cx, cy, side, radius, rate_scale, resolution):
 def synth_hand_events(
     trajectory: Trajectory,
     resolution: Resolution,
-    seed: int,
     blob_radius: float = 8.0,
     rate_scale: float = 1.0,
     until_us: int | None = None,
@@ -454,25 +451,24 @@ def synth_hand_events(
     wherever the luminance changes by at least CONTRAST_THRESHOLD between
     successive micro-frames, the pixel emits
     floor(rate_scale * |delta| / CONTRAST_THRESHOLD) events with the sign
-    of the change, timestamps jittered uniformly inside the step.
-    A stationary scene therefore emits nothing.
+    of the change, each stamped with the start of its step.  A stationary
+    scene therefore emits nothing, and nothing is drawn at random.
 
-    The stream is sorted by time, stably within each step.  With until_us,
-    only the steps that start before it are computed, each exactly as in a
-    full run, and only events with t < until_us are kept: the result is the
-    full stream's prefix before until_us.
+    The stream is in step order, and within a step in row-major pixel
+    order.  With until_us, only the steps that start before it are
+    computed, each exactly as in a full run: the result is the full
+    stream's prefix before until_us.
 
     The stream is valid and time-sorted by construction, so it comes back
     `sorted_valid`, with read-only columns.  Each batch's changed pixels
     are checked by `validate`'s rules once, when drawn, and every event
-    copies one of them.  Each batch's times come out of one sort, the
-    batches follow in time, and the until_us cut keeps a prefix.
+    copies one of them.
 
     The changed pixels depend only on the motion relative to its start and
     on blob_radius and rate_scale.  Calls given one `render` dict draw each
     batch of them once and share it; a show's segments, each its score
     shifted to the segment's start, share the show's render of its score.
-    The events' times are drawn per call, so the result is the same without.
+    The result is the same without.
     """
     for name, value, ok, want in (
         ("blob_radius", blob_radius, 0 < blob_radius < np.inf, "positive and finite"),
@@ -484,13 +480,12 @@ def synth_hand_events(
     if bad:
         raise ValueError("trajectory sample at t={} ({:.1f},{:.1f}) outside {}".format(*bad, resolution))
     t_min, t_max = trajectory.span_us()
-    stop = t_max + 1 if until_us is None else until_us
-    n_steps = int(np.ceil((min(stop, t_max) - t_min) / MICRO_STEP_US))
+    stop = t_max if until_us is None else min(until_us, t_max)
+    n_steps = int(np.ceil((stop - t_min) / MICRO_STEP_US))
     # A disk whose inner radius reaches the sensor's diagonal covers every
     # on-sensor pixel in every frame, so no pixel changes.
     if n_steps <= 0 or blob_radius - 0.5 >= np.hypot(resolution.width, resolution.height):
-        return _sealed([np.empty(0, dtype) for dtype in _COLUMN_DTYPES], 0, resolution)
-    rng = np.random.default_rng(seed)
+        return _sealed([np.empty(0, dtype) for dtype in _COLUMN_DTYPES], resolution)
     # Every micro-frame's blob centres as (hand, frame) arrays, one
     # interpolation per hand and axis.
     times = np.minimum(t_min + MICRO_STEP_US * np.arange(n_steps + 1), t_max)
@@ -527,50 +522,20 @@ def synth_hand_events(
         # longer change the pixels these steps would.
         _, starts, per_step, x, y, sign, counts = drawn[k0]
         cut = starts[k1 - k0]
-        changes.append((k0, k1, per_step[:k1 - k0], x[:cut], y[:cut], sign[:cut], counts[:cut]))
-    total = sum(int(c[2].sum()) for c in changes)
-    t_out, x_out, y_out, p_out = (np.empty(total, dtype) for dtype in _COLUMN_DTYPES)
-    n = 0
-    for k0, k1, per_step, x, y, sign, counts in changes:
-        if not len(counts):
-            continue
-        t0, span = int(times[k0]), int(times[k1] - times[k0])
-        # One draw for the batch gives the numbers one draw per step would.
-        # An event's time is floor(t_lo + r * dt) for its step's start t_lo
-        # and length dt.  That sum less t0 is exact in float64, so its floor
-        # is the time's offset from t0.
-        offset = rng.random(int(per_step.sum()))
-        offset *= np.repeat(np.diff(times[k0:k1 + 1]).astype(np.float64), per_step)
-        offset += np.repeat(times[k0:k1].astype(np.float64), per_step)
-        offset -= t0
-        # Events at one time from one pixel are equal, so sorting the
-        # offsets with the pixel's rank packed below them sorts the batch
-        # as a stable sort of the offsets would: each step stably, and the
-        # steps in order.
-        bits = (len(counts) - 1).bit_length()
-        word_type = np.uint32 if (span + 1) << bits <= 1 << 32 else np.uint64
-        word = offset.astype(word_type)
-        word <<= bits
-        word |= np.repeat(np.arange(len(counts), dtype=word_type), counts)
-        word.sort()
-        if times[k1] >= stop:
-            word = word[:np.searchsorted(word, (stop - t0) << bits)]
-        rank = np.bitwise_and(word, (1 << bits) - 1, out=np.empty(len(word), np.intp))
-        end = n + len(word)
-        np.right_shift(word, bits, out=t_out[n:end])
-        t_out[n:end] += np.uint64(t0)
-        x_out[n:end], y_out[n:end], p_out[n:end] = x[rank], y[rank], sign[rank]
-        n = end
-    return _sealed((t_out, x_out, y_out, p_out), n, resolution)
+        changes.append((per_step[:k1 - k0], x[:cut], y[:cut], sign[:cut], counts[:cut]))
+    # Every event of a step carries the step's start, its pixel's events
+    # follow each other, and its pixels come in row-major order.
+    per_step, x, y, sign, counts = (np.concatenate(c) for c in zip(*changes))
+    return _sealed((np.repeat(times[:n_steps].astype(np.uint64), per_step),
+                    np.repeat(x, counts), np.repeat(y, counts), np.repeat(sign, counts)), resolution)
 
 
-def _sealed(columns, n: int, resolution: Resolution) -> EventStream:
-    """The first n events of synthesized columns as a `sorted_valid` stream.
-    The whole columns are made read-only, so no view of them can be made
-    writeable again."""
+def _sealed(columns, resolution: Resolution) -> EventStream:
+    """Synthesized columns as a `sorted_valid` stream of views of them.
+    The columns are made read-only, so no view can be made writeable again."""
     for c in columns:
         c.flags.writeable = False
-    stream = EventStream(*(c[:n] for c in columns), resolution)
+    stream = EventStream(*(c[:] for c in columns), resolution)
     stream.__dict__["_sorted_valid"] = True
     return stream
 

@@ -447,7 +447,6 @@ def _run_tracking_segment(
     stream = synth_hand_events(
         traj,
         cfg.tracker.input_res,
-        seed=cfg.seed + seg_idx,
         rate_scale=SYNTH_RATE_SCALE,
         until_us=t0_us + -(-(span_end - t0_us) // window_us) * window_us,
         render=run.render,

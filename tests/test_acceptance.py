@@ -232,7 +232,7 @@ def test_c4_tracker_accuracy_and_noise_rejection():
     with criterion(4, "waving-hands mean error <= 8 px; field filtering beats "
                       "raw argmax under distractors"):
         traj = waving_trajectory(SENSOR, 5000.0)
-        stream = synth_hand_events(traj, SENSOR, seed=17, blob_radius=8.0)
+        stream = synth_hand_events(traj, SENSOR, blob_radius=8.0)
         clean = HandTracker(TrackerConfig(input_res=SENSOR)).run(stream)
         assert len(clean) == 500
         devs = tracking_errors(clean, traj)

@@ -26,7 +26,7 @@ class TestSynthAndTrack:
         ev = tmp_path / "hands.evt1"
         csv = tmp_path / "estimates.csv"
         out = invoke(
-            ["synth", "--out", str(ev), "--seed", "3", "--duration-ms", "300"]
+            ["synth", "--out", str(ev), "--duration-ms", "300"]
         )
         assert "events over" in out.output
         assert ev.read_bytes()[:4] == b"EVT1"
@@ -40,7 +40,7 @@ class TestSynthAndTrack:
     def test_track_writes_field_snapshot(self, tmp_path):
         ev = tmp_path / "hands.evt1"
         pgm = tmp_path / "field.pgm"
-        invoke(["synth", "--out", str(ev), "--seed", "1", "--duration-ms", "200"])
+        invoke(["synth", "--out", str(ev), "--duration-ms", "200"])
         invoke(
             ["track", "--in", str(ev), "--out", str(tmp_path / "e.csv"),
              "--field-pgm", str(pgm)]
@@ -48,21 +48,23 @@ class TestSynthAndTrack:
         assert pgm.read_bytes().startswith(b"P5\n")
 
     # sha256 of the EVT1 and the --trajectory-out JSON, pinned so a change to
-    # how trajectories are built or stored cannot move a single byte.
+    # how trajectories are built or stored cannot move a single byte.  The
+    # EVT1 digests were re-pinned when synthesis began stamping each event
+    # with its step's start.
     @pytest.mark.parametrize(
         "args, evt1_sha, json_sha",
         [
-            (["--seed", "3", "--duration-ms", "400"],
-             "9e53e256b598047cc0ed329846ae0620c326516091ed5f588b2ed0b9d6a4b5d2",
+            (["--duration-ms", "400"],
+             "6aef801d34102d46367c1d969d743f395ee1cc1de30c7d03070ed19f7b4a95a3",
              "1a904d2e61adcfa0e2276bd2e98d4b242dbb984c86ffe9e1e60c47aa660291f1"),
-            (["--seed", "3", "--pattern", "score", "--score", "{demo}/score.txt"],
-             "00f860e5ad5a3695d40e366cf549921137e783783ce7a4af6bf2ca0baae2874c",
+            (["--pattern", "score", "--score", "{demo}/score.txt"],
+             "0123ec6a6aa36a1d90c2fa7003523fda7781d24d61277073b97b3669753bb7c1",
              "cf56854de6c11f3555c581cc909fade9f5f45c53f06eabdb4981b7661b05c4e8"),
             # The lossy show's two-hand score on a sensor taller than the
             # 180 px the camera geometry assumes, so that image height and
             # sensor height cannot stand in for each other.
-            (["--seed", "3", "--pattern", "score", "--score", "{lossy}", "--resolution", "640x480"],
-             "eae32fbdaeada934cb254418eb67048c52ca1214431799c89a4243a1d309efa0",
+            (["--pattern", "score", "--score", "{lossy}", "--resolution", "640x480"],
+             "3f457489f640d329c978f71e0159f4441cda6771dbf5c02e0461e0575d70c21b",
              "548001e0805a9dc055877cf786181dacdaf56ad18fb2b008f2fce9aee9c24b5e"),
         ],
         ids=["wave", "score", "lossy-640x480"],
@@ -80,7 +82,7 @@ class TestSynthAndTrack:
     def test_score_pattern_needs_score_file(self, tmp_path):
         result = CliRunner().invoke(
             main,
-            ["synth", "--out", str(tmp_path / "x.evt1"), "--seed", "1",
+            ["synth", "--out", str(tmp_path / "x.evt1"),
              "--pattern", "score"],
         )
         assert result.exit_code != 0
@@ -94,7 +96,7 @@ class TestSynthAndTrack:
         score.write_text(text)
         out = tmp_path / "x.evt1"
         result = CliRunner().invoke(
-            main, ["synth", "--out", str(out), "--seed", "1", "--pattern", "score", "--score", str(score)]
+            main, ["synth", "--out", str(out), "--pattern", "score", "--score", str(score)]
         )
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -104,7 +106,7 @@ class TestSynthAndTrack:
     def test_bad_resolution(self, tmp_path):
         result = CliRunner().invoke(
             main,
-            ["synth", "--out", str(tmp_path / "x.evt1"), "--seed", "1",
+            ["synth", "--out", str(tmp_path / "x.evt1"),
              "--resolution", "abc"],
         )
         assert result.exit_code != 0
@@ -350,21 +352,21 @@ class TestPowerCommand:
         (["proto", "bench", "--events", "5", "--seed", "1"], "need at least 10 events"),
         (["proto", "bench", "--loss", "2", "--seed", "1"], "probabilities must be in [0, 1]"),
         (["proto", "fuzz", "--records", "70000"], "bad SAFE field"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--rate-scale", "-1"], "bad synthesis parameters"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--resolution", "20x20"], "outside 20x20"),
+        (["synth", "--out", "{tmp}/x.evt1", "--rate-scale", "-1"], "bad synthesis parameters"),
+        (["synth", "--out", "{tmp}/x.evt1", "--resolution", "20x20"], "outside 20x20"),
         (["track", "--in", "{tmp}/240x180.evt1", "--out", "{tmp}/e.csv", "--window-us", "0"],
          "window must be positive"),
         (["track", "--in", "{tmp}/20x20.evt1", "--out", "{tmp}/e.csv"], "chip 86x65 exceeds input 20x20"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "-5"], "duration_ms must be positive"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "0"], "duration_ms must be positive"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--duration-ms", "nan"], "duration_ms must be positive"),
+        (["synth", "--out", "{tmp}/x.evt1", "--duration-ms", "-5"], "duration_ms must be positive"),
+        (["synth", "--out", "{tmp}/x.evt1", "--duration-ms", "0"], "duration_ms must be positive"),
+        (["synth", "--out", "{tmp}/x.evt1", "--duration-ms", "nan"], "duration_ms must be positive"),
         (["track", "--in", "{tmp}/240x180.evt1", "--out", "{tmp}/e.csv", "--window-us", "18446744073709551615"],
          "window_us must be below 2**63"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--rate-scale", "inf"], "rate_scale must be"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--rate-scale", "nan"], "rate_scale must be"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "inf"], "blob_radius must be"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "nan"], "blob_radius must be"),
-        (["synth", "--out", "{tmp}/x.evt1", "--seed", "1", "--blob-radius", "-1"], "blob_radius must be"),
+        (["synth", "--out", "{tmp}/x.evt1", "--rate-scale", "inf"], "rate_scale must be"),
+        (["synth", "--out", "{tmp}/x.evt1", "--rate-scale", "nan"], "rate_scale must be"),
+        (["synth", "--out", "{tmp}/x.evt1", "--blob-radius", "inf"], "blob_radius must be"),
+        (["synth", "--out", "{tmp}/x.evt1", "--blob-radius", "nan"], "blob_radius must be"),
+        (["synth", "--out", "{tmp}/x.evt1", "--blob-radius", "-1"], "blob_radius must be"),
         (["proto", "bench", "--seed", "1", "--jitter-us", "nan"], "delay_jitter_us must be finite and >= 0, got nan"),
         (["proto", "bench", "--seed", "1", "--jitter-us", "inf"], "delay_jitter_us must be finite and >= 0, got inf"),
         (["power", "--board-w", "nan"], "board_w must be finite, got nan"),
@@ -386,7 +388,7 @@ def test_blob_past_the_sensor_diagonal_writes_no_events(tmp_path):
     # Every pixel lies inside the disk in every frame, so nothing changes;
     # the frames are never drawn.
     out = tmp_path / "x.evt1"
-    result = invoke(["synth", "--out", str(out), "--seed", "3", "--blob-radius", "1e9"])
+    result = invoke(["synth", "--out", str(out), "--blob-radius", "1e9"])
     assert result.output.startswith("0 events ")
     assert decode_evt1(out.read_bytes()) == EventStream.empty(Resolution(240, 180))
 
@@ -400,7 +402,7 @@ def test_synth_refuses_wide_resolution_before_synthesis(tmp_path, monkeypatch, p
     monkeypatch.setattr(cli, "synth_hand_events", no_synthesis)
     (tmp_path / "score.txt").write_text("NOTE 72 400\n")
     out = tmp_path / "x.evt1"
-    args = ["synth", "--out", str(out), "--seed", "1", "--resolution", "70000x100"]
+    args = ["synth", "--out", str(out), "--resolution", "70000x100"]
     result = CliRunner().invoke(main, args + [a.format(tmp=tmp_path) for a in pattern])
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -413,18 +415,16 @@ def test_synth_refuses_wide_resolution_before_synthesis(tmp_path, monkeypatch, p
 @pytest.mark.parametrize(
     "args",
     [
-        ["synth", "--out", "{tmp}/x.evt1", "--seed", "-1"],
         ["proto", "bench", "--seed", "-1"],
         ["proto", "fuzz", "--records", "3", "--seed", "-1"],
     ],
-    ids=["synth", "proto-bench", "proto-fuzz"],
+    ids=["proto-bench", "proto-fuzz"],
 )
-def test_negative_seed_is_refused_by_option(tmp_path, args):
-    result = CliRunner().invoke(main, [a.format(tmp=tmp_path) for a in args])
+def test_negative_seed_is_refused_by_option(args):
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Invalid value for '--seed'" in result.output
-    assert not (tmp_path / "x.evt1").exists()
 
 
 # A count is a non-negative integer; click refuses a negative one by the

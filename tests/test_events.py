@@ -491,11 +491,12 @@ def _render_blobs(canvas: np.ndarray, positions, radius: float) -> list[tuple[in
     return boxes
 
 
-def oracle_synth(traj, resolution, seed, blob_radius=8.0, rate_scale=1.0):
+def oracle_synth(traj, resolution, blob_radius=8.0, rate_scale=1.0):
     """Reference synthesizer, written for clarity over speed: positions
     interpolated from the samples at every 1 ms step, the change region
     from a full-frame scan of the previous micro-frame, events where the
-    change reaches 0.05, one global stable sort."""
+    change reaches 0.05, each stamped with its step's start, one global
+    stable sort."""
     contrast_threshold, micro_step_us = 0.05, 1000
 
     def position(hand, t):
@@ -518,7 +519,6 @@ def oracle_synth(traj, resolution, seed, blob_radius=8.0, rate_scale=1.0):
     t_min, t_max = traj.span_us()
     if t_max <= t_min:
         return EventStream.empty(resolution)
-    rng = np.random.default_rng(seed)
     hands = list(traj.tracks)
     shape = (resolution.height, resolution.width)
     prev = np.zeros(shape)
@@ -543,7 +543,7 @@ def oracle_synth(traj, resolution, seed, blob_radius=8.0, rate_scale=1.0):
             total = int(counts.sum())
             if total:
                 t_lo = t_min + (k - 1) * micro_step_us
-                ts = (t_lo + rng.random(total) * (t_k - t_lo)).astype(np.uint64)
+                ts = np.full(total, t_lo, np.uint64)
                 out.append((ts, np.repeat(xx + px0, counts), np.repeat(yy + py0, counts),
                             np.repeat(np.sign(diff[yy, xx]).astype(np.int8), counts)))
         prev = cur
@@ -570,7 +570,6 @@ def synth_cases(draw):
     tracks = {hand: stretched(draw(hand_samples(res.width, res.height)), draw(st.sampled_from([1, 4])))
               for hand in hands}
     params = dict(
-        seed=draw(st.integers(0, 2**32 - 1)),
         blob_radius=draw(st.floats(1.0, 15.0)),
         rate_scale=draw(st.floats(0.0, 4.0)),
     )
@@ -584,13 +583,13 @@ def two_hands(left, right, times=(0, 6_000, 13_000)):
             for hand, points in ((Hand.LEFT, left), (Hand.RIGHT, right))}
 
 
-STEADY = dict(seed=5, blob_radius=4.0, rate_scale=2.0)
+STEADY = dict(blob_radius=4.0, rate_scale=2.0)
 
 
 @st.composite
 def shared_render_cases(draw):
     """(resolution, two-hand tracks, rendering parameters, segments) where
-    each segment is (shift, seed, steps): the first stops before the
+    each segment is (shift, steps): the first stops before the
     motion's end, the second inside a batch before the first's end, and
     the third runs the whole motion.  Times stretched 4-fold span
     several batches."""
@@ -608,8 +607,7 @@ def shared_render_cases(draw):
     assume(n_steps >= 3)
     short = draw(st.integers(1, n_steps - 2).filter(lambda n: n % batch))
     steps = (draw(st.integers(short + 1, n_steps - 1)), short, n_steps)
-    return res, tracks, params, [(draw(st.integers(0, 2**52)), draw(st.integers(0, 2**32 - 1)), n)
-                                 for n in steps]
+    return res, tracks, params, [(draw(st.integers(0, 2**52)), n) for n in steps]
 
 
 class TestSynthHandEvents:
@@ -649,7 +647,7 @@ class TestSynthHandEvents:
     @example((Resolution(160, 40), two_hands([(20.5, 12.0), (90.2, 25.5), (130.0, 20.1)],
                                              [(140.4, 30.2), (70.7, 14.9), (25.0, 22.6)], times=(0, 68_000, 160_000)),
               dict(blob_radius=6.5, rate_scale=2.0),
-              [(7, 1, 100), (2**52, 2, 70), (123_456_789, 3, 160)]))
+              [(7, 100), (2**52, 70), (123_456_789, 160)]))
     def test_segments_sharing_a_render_equal_cold_calls(self, case):
         res, tracks, params, segments = case
         traj = Trajectory(tracks)
@@ -657,24 +655,24 @@ class TestSynthHandEvents:
         batch = events._BATCH_STEPS
         render = {}
         with mock.patch.object(events, "_changed_pixels", wraps=events._changed_pixels) as draws:
-            for i, (shift, seed, n) in enumerate(segments):
+            for i, (shift, n) in enumerate(segments):
                 moved = traj.shifted(shift)
                 # The last of n steps starts before until.
                 until = shift + t_min + (n - 1) * events.MICRO_STEP_US + 1
                 before = draws.call_count
-                got = synth_hand_events(moved, res, seed, until_us=until, render=render, **params)
+                got = synth_hand_events(moved, res, until_us=until, render=render, **params)
                 new_draws = draws.call_count - before
-                assert got == synth_hand_events(moved, res, seed, until_us=until, **params)
-                want = oracle_synth(moved, res, seed, **params)
+                assert got == synth_hand_events(moved, res, until_us=until, **params)
+                want = oracle_synth(moved, res, **params)
                 assert got == want[want.t < until]
                 # The first segment draws its batches, the second none; the
                 # third draws the rest and the first's last if it is cut short.
-                first = segments[0][2]
+                first = segments[0][1]
                 assert new_draws == [-(-first // batch), 0, -(-n // batch) - first // batch][i]
         assert len(render) == 1
         # The same positions at other times are another motion, with a render of its own.
         slow = Trajectory({hand: (2 * t, x, y) for hand, (t, x, y) in traj.tracks.items()})
-        assert synth_hand_events(slow, res, 1, render=render, **params) == synth_hand_events(slow, res, 1, **params)
+        assert synth_hand_events(slow, res, render=render, **params) == synth_hand_events(slow, res, **params)
         assert len(render) == 2
 
     def test_radius_past_the_diagonal_draws_nothing(self, monkeypatch):
@@ -684,16 +682,16 @@ class TestSynthHandEvents:
                            Hand.RIGHT: ([0, 4_000, 9_000], [29.95, 20.2, 5.1], [39.95, 30.7, 8.3])})
         # A hair inside the diagonal, the far corner's pixel still changes
         # as the hands leave the opposite corner.
-        near = synth_hand_events(traj, res, seed=2, blob_radius=50.0)
-        assert near == oracle_synth(traj, res, seed=2, blob_radius=50.0) and len(near) > 0
+        near = synth_hand_events(traj, res, blob_radius=50.0)
+        assert near == oracle_synth(traj, res, blob_radius=50.0) and len(near) > 0
 
         def no_drawing(*args):
             raise AssertionError("drew frames no pixel of which can change")
 
         monkeypatch.setattr(events, "_changed_pixels", no_drawing)
         for radius in (50.5, 1e9):
-            got = synth_hand_events(traj, res, seed=2, blob_radius=radius)
-            assert got == oracle_synth(traj, res, seed=2, blob_radius=radius) == EventStream.empty(res)
+            got = synth_hand_events(traj, res, blob_radius=radius)
+            assert got == oracle_synth(traj, res, blob_radius=radius) == EventStream.empty(res)
 
     def test_batch_edges_equal_oracle(self):
         # Two hands on the full sensor: the left one starts clipped at the
@@ -704,7 +702,7 @@ class TestSynthHandEvents:
             Hand.LEFT: ([0, 50_000], [3.0, 70.0], [88.0, 96.0]),
             Hand.RIGHT: ([0, 50_000], [60.0, 12.0], [92.0, 90.0]),
         })
-        params = dict(seed=21, rate_scale=2.0)
+        params = dict(rate_scale=2.0)
         want = oracle_synth(traj, RES, **params)
         got = synth_hand_events(traj, RES, **params)
         assert got == want
@@ -715,30 +713,44 @@ class TestSynthHandEvents:
 
     def test_stop_time_keeps_prefix(self):
         traj = waving_trajectory(RES, 60)
-        full = synth_hand_events(traj, RES, seed=4)
+        full = synth_hand_events(traj, RES)
         assert np.all(np.diff(full.t.astype(np.int64)) >= 0)
         for until in (0, 1, 20_000, 20_350, 59_999, 60_000, 10**9):
-            cut = synth_hand_events(traj, RES, seed=4, until_us=until)
+            cut = synth_hand_events(traj, RES, until_us=until)
             assert cut == full[full.t < until]
 
     def test_stationary_blob_emits_nothing(self):
         traj = Trajectory({Hand.LEFT: ([0, 10_000, 20_000], [50.0] * 3, [50.0] * 3)})
-        stream = synth_hand_events(traj, RES, seed=1)
+        stream = synth_hand_events(traj, RES)
         assert len(stream) == 0
 
     def test_deterministic_for_seed(self):
+        # Nothing is drawn at random: the same inputs give the same stream.
         traj = waving_trajectory(RES, 200)
-        a = synth_hand_events(traj, RES, seed=9)
-        b = synth_hand_events(traj, RES, seed=9)
-        assert a == b
-        c = synth_hand_events(traj, RES, seed=10)
-        assert len(c) != 0 and (len(a) != len(c) or a != c)
+        a = synth_hand_events(traj, RES)
+        assert len(a) > 0 and synth_hand_events(traj, RES) == a
+
+    @settings(max_examples=40, deadline=None)
+    @given(synth_cases())
+    def test_events_carry_their_step_start_in_pixel_order(self, case):
+        res, tracks, params, until = case
+        traj = Trajectory(tracks)
+        stream = synth_hand_events(traj, res, until_us=until, **params)
+        t_min, t_max = traj.span_us()
+        step = events.MICRO_STEP_US
+        starts = np.minimum(t_min + step * np.arange((t_max - t_min) // step + 1), t_max).astype(np.uint64)
+        assert np.isin(stream.t, starts).all()
+        # Within a step, events follow row-major pixel order.
+        t = stream.t.astype(np.int64)
+        rank = stream.y.astype(np.int64) * res.width + stream.x
+        same_step = t[1:] == t[:-1]
+        assert (np.diff(t) >= 0).all() and (np.diff(rank)[same_step] >= 0).all()
 
     def test_polarity_splits_leading_trailing(self):
         # blob gliding right: brightness rises ahead of the center and
         # falls behind it
         traj = Trajectory({Hand.LEFT: ([0, 50_000], [60.0, 110.0], [90.0, 90.0])})
-        stream = synth_hand_events(traj, RES, seed=2, rate_scale=2.0)
+        stream = synth_hand_events(traj, RES, rate_scale=2.0)
         assert len(stream) > 0
         mid = stream.t > 20_000
         xs = stream.x[mid].astype(float)
@@ -749,7 +761,7 @@ class TestSynthHandEvents:
         # one micro-step jump: per-pixel count is floor(rate*|delta|/threshold)
         traj = Trajectory({Hand.LEFT: ([0, 1000], [40.0, 43.0], [40.0, 40.0])})
         radius, thresh, rate = 5.0, 0.05, 1.0
-        stream = synth_hand_events(traj, RES, seed=3, blob_radius=radius, rate_scale=rate)
+        stream = synth_hand_events(traj, RES, blob_radius=radius, rate_scale=rate)
 
         def disk(cx):
             ys, xs = np.mgrid[0:RES.height, 0:RES.width]
@@ -766,7 +778,7 @@ class TestSynthHandEvents:
     def test_bounds_checked(self):
         traj = Trajectory({Hand.LEFT: ([0], [500.0], [50.0])})
         with pytest.raises(ValueError, match=r"t=0 \(500.0,50.0\) outside 240x180"):
-            synth_hand_events(traj, RES, seed=1)
+            synth_hand_events(traj, RES)
 
     @pytest.mark.parametrize("name, value", [
         ("blob_radius", float("inf")), ("blob_radius", float("nan")), ("blob_radius", -1.0), ("blob_radius", 0.0),
@@ -775,7 +787,7 @@ class TestSynthHandEvents:
     def test_bad_parameter_refused_by_name(self, name, value):
         traj = waving_trajectory(RES, 20)
         with pytest.raises(ValueError, match=rf"^bad synthesis parameters: {name} must be .*, got {value}$"):
-            synth_hand_events(traj, RES, seed=1, **{name: value})
+            synth_hand_events(traj, RES, **{name: value})
 
     def test_memory_follows_events_not_sensor_size(self):
         # The same two-hand motion, in pixels, with the hands at the same
@@ -786,7 +798,7 @@ class TestSynthHandEvents:
                                for hand, fx in ((Hand.LEFT, 0.28), (Hand.RIGHT, 0.72))})
             tracemalloc.start()
             try:
-                stream = synth_hand_events(traj, res, seed=1, rate_scale=2.0)
+                stream = synth_hand_events(traj, res, rate_scale=2.0)
                 return len(stream), tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -816,17 +828,17 @@ def sorted_valid_cases(draw):
 CLIPPED = (CHIP, {Hand.LEFT: ([0, 6_000, 13_000], [0.3, 4.1, 1.2], [64.7, 60.2, 64.9])}, 9_100)
 
 
-def synth_case(case, seed):
+def synth_case(case):
     res, tracks, until = case
-    return synth_hand_events(Trajectory(tracks), res, seed, rate_scale=2.0, until_us=until)
+    return synth_hand_events(Trajectory(tracks), res, rate_scale=2.0, until_us=until)
 
 
 class TestSortedValid:
     @settings(max_examples=25, deadline=None)
-    @given(sorted_valid_cases(), st.integers(0, 2**32 - 1))
-    @example(CLIPPED, 3)
-    def test_synthesized_stream_is_flagged_truthfully(self, case, seed):
-        stream = synth_case(case, seed)
+    @given(sorted_valid_cases())
+    @example(CLIPPED)
+    def test_synthesized_stream_is_flagged_truthfully(self, case):
+        stream = synth_case(case)
         assert stream.sorted_valid
         for c in "txyp":
             column = getattr(stream, c)
@@ -841,7 +853,7 @@ class TestSortedValid:
 
     @pytest.fixture
     def synthesized(self):
-        stream = synth_hand_events(waving_trajectory(RES, 60), RES, seed=5)
+        stream = synth_hand_events(waving_trajectory(RES, 60), RES)
         assert len(stream) > 100
         return stream
 
@@ -897,10 +909,10 @@ class TestSortedValid:
 
     @settings(max_examples=15, deadline=None)
     # 7.5 ms windows end inside synthesis' 1 ms steps.
-    @given(sorted_valid_cases(), st.integers(0, 2**32 - 1), st.integers(500, 12_000))
-    @example(CLIPPED, 3, 7_500)
-    def test_frames_equal_an_unflagged_copy(self, case, seed, window_us):
-        stream = synth_case(case, seed)
+    @given(sorted_valid_cases(), st.integers(500, 12_000))
+    @example(CLIPPED, 7_500)
+    def test_frames_equal_an_unflagged_copy(self, case, window_us):
+        stream = synth_case(case)
         plain = unflagged(stream)
         lo, hi = stream.span_us()
         for t0 in range(max(lo - window_us // 2, 0), hi + 1, window_us):
@@ -919,14 +931,14 @@ class TestSortedValid:
 class TestNoiseInjection:
     def test_fraction_counts(self):
         traj = waving_trajectory(RES, 300)
-        clean = synth_hand_events(traj, RES, seed=5)
+        clean = synth_hand_events(traj, RES)
         noisy = add_noise_events(clean, 0.2, seed=6)
         assert len(noisy) == len(clean) + int(round(0.2 * len(clean)))
         assert add_noise_events(clean, 0.0, seed=6) is clean
 
     def test_noise_sorted_and_in_bounds(self):
         traj = waving_trajectory(RES, 300)
-        noisy = add_noise_events(synth_hand_events(traj, RES, seed=5), 0.5, seed=7)
+        noisy = add_noise_events(synth_hand_events(traj, RES), 0.5, seed=7)
         noisy.validate()
         assert np.all(np.diff(noisy.t.astype(np.int64)) >= 0)
 
@@ -945,7 +957,7 @@ class TestEvt1Codec:
 
     def test_roundtrip(self):
         traj = waving_trajectory(RES, 500)
-        s = synth_hand_events(traj, RES, seed=8)
+        s = synth_hand_events(traj, RES)
         assert decode_evt1(encode_evt1(s)) == s
 
     @example(EventStream.empty(Resolution(1, 1)))

@@ -54,13 +54,22 @@ def load_workloads():
     return module
 
 
-def run_reference_show(name: str, workdir) -> tuple[list[str], list[str]]:
-    """(kv lines without wall keys, sha256 per SAFE payload) of one show."""
+def reference_config(name: str, workdir) -> harness.SimConfig:
     show, seed, detector = SHOWS[name]
     spec = getattr(load_workloads(), show)(SimpleNamespace(harness=harness), seed, str(workdir))
     cfg = harness.load_config(spec.config_path)
     if detector is not None:
         cfg = replace(cfg, tracker=replace(cfg.tracker, detector=detector))
+    return cfg
+
+
+def run_reference_show(name: str, workdir) -> tuple[list[str], list[str]]:
+    """(kv lines without wall keys, sha256 per SAFE payload) of one show."""
+    return run_config(reference_config(name, workdir))
+
+
+def run_config(cfg: harness.SimConfig) -> tuple[list[str], list[str]]:
+    """(kv lines without wall keys, sha256 per SAFE payload) of a show."""
     digests = []
     encode = harness.safe_encode
 
@@ -97,9 +106,7 @@ def test_report_and_wire_bytes_unchanged(name, tmp_path):
 # 3.2 s duet needs 100.
 @pytest.mark.parametrize("name, batches", [("duet_teach_lossy-1", 5), ("demo_duet-7", 100)])
 def test_each_show_draws_its_score_once(name, batches, tmp_path):
-    show, seed, _ = SHOWS[name]
-    cfg = harness.load_config(getattr(load_workloads(), show)(SimpleNamespace(harness=harness), seed,
-                                                               str(tmp_path)).config_path)
+    cfg = reference_config(name, tmp_path)
     with mock.patch.object(events, "_changed_pixels", wraps=events._changed_pixels) as draws:
         for run in (1, 2):
             harness.run_show(cfg)
@@ -109,9 +116,7 @@ def test_each_show_draws_its_score_once(name, batches, tmp_path):
 def test_sd_net_report_counts_every_spike(tmp_path):
     # The decoder's accumulator is the encoder's last-sent state, which
     # tests/test_sigma_delta.py checks window by window.
-    show, seed, _ = SHOWS["duet_teach_lossy-1"]
-    cfg = harness.load_config(getattr(load_workloads(), show)(SimpleNamespace(harness=harness), seed,
-                                                               str(tmp_path)).config_path)
+    cfg = reference_config("duet_teach_lossy-1", tmp_path)
     assert cfg.tracker.detector == "sd_net"
     trackers, make = [], harness.HandTracker
 
@@ -123,6 +128,19 @@ def test_sd_net_report_counts_every_spike(tmp_path):
         report = harness.run_show(cfg)
     (detector,) = (t.detector for t in trackers)
     assert report.counts["detector_spikes"] == detector.total_spikes > 0
+
+
+def test_show_seed_moves_only_its_echo(tmp_path):
+    # Synthesis draws nothing at random and the link draws from the
+    # channel's seed, so under one channel seed two show seeds send the
+    # same payloads and report the same, but for the seed itself.
+    cfg = reference_config("duet_teach_lossy-1", tmp_path)
+    (kv, digests), (other_kv, other_digests) = (run_config(replace(cfg, seed=seed)) for seed in (1, 7))
+    assert cfg.channel.seed == 1 and len(digests) > 0
+    assert other_digests == digests
+    assert [line for line in other_kv if not line.startswith("seed=")] == [
+        line for line in kv if not line.startswith("seed=")]
+    assert "seed=1" in kv and "seed=7" in other_kv
 
 
 if __name__ == "__main__":

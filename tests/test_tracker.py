@@ -407,7 +407,7 @@ class TestHandTracker:
 class TestRun:
     def test_window_partitioning(self):
         traj = waving_trajectory(RES, 300)
-        stream = synth_hand_events(traj, RES, seed=4)
+        stream = synth_hand_events(traj, RES)
         tracker = HandTracker()
         out = tracker.run(stream, t_start=0, t_end=30_000)
         assert [e.t_us for e in out] == [10_000, 20_000, 30_000]
@@ -417,7 +417,7 @@ class TestRun:
 
     def test_unsorted_stream_tracks_like_sorted(self):
         traj = waving_trajectory(RES, 400)
-        stream = synth_hand_events(traj, RES, seed=5)
+        stream = synth_hand_events(traj, RES)
         shuffled = stream[np.random.default_rng(0).permutation(len(stream))]
         a = HandTracker().run(stream, t_start=0, t_end=40_000)
         b = HandTracker().run(shuffled, t_start=0, t_end=40_000)
@@ -426,7 +426,7 @@ class TestRun:
 
     @pytest.mark.parametrize("detector", ["blob", "sd_net"])
     def test_synthesized_stream_tracks_like_an_unflagged_copy(self, detector):
-        stream = synth_hand_events(waving_trajectory(RES, 400), RES, seed=5, rate_scale=2.0)
+        stream = synth_hand_events(waving_trajectory(RES, 400), RES, rate_scale=2.0)
         copy = EventStream(*(np.array(getattr(stream, c)) for c in "txyp"), RES)
         assert stream.sorted_valid and not copy.sorted_valid
         # 7.5 ms windows end inside synthesis' 1 ms steps.
@@ -438,7 +438,7 @@ class TestRun:
 
     def test_deterministic(self):
         traj = waving_trajectory(RES, 400)
-        stream = synth_hand_events(traj, RES, seed=5)
+        stream = synth_hand_events(traj, RES)
         a = HandTracker().run(stream, t_start=0, t_end=40_000)
         b = HandTracker().run(stream, t_start=0, t_end=40_000)
         assert a == b
@@ -518,7 +518,7 @@ class TestRun:
 def waving(duration_ms, start_us, hands=(Hand.LEFT, Hand.RIGHT)):
     """The events of `waving_trajectory`'s given hands, from start_us on."""
     traj = waving_trajectory(RES, duration_ms)
-    return synth_hand_events(Trajectory({h: traj.tracks[h] for h in hands}).shifted(start_us), RES, seed=1)
+    return synth_hand_events(Trajectory({h: traj.tracks[h] for h in hands}).shifted(start_us), RES)
 
 
 def joined(*streams):
@@ -531,10 +531,11 @@ class TestQuietStretches:
 
     # sha256 of format_estimates over 300 ms of both hands waving, a 500 ms
     # pause, 200 ms of the left hand alone and 300 ms of both hands again,
-    # pinned while the sd_net boundary still encoded the whole grid.
+    # pinned when synthesis began stamping each event with its step's start,
+    # and read the same from the tracker before that change.
     DIGESTS = {
-        "blob": "cca485260b1dce3d5bd059821a12a3fa327d78aee09a0d00d0e29bce39ae408e",
-        "sd_net": "1e6cdc2432e190e800d9510bd37378d76523861853e08d80223caeab4a61a9b2",
+        "blob": "a3771c6a3224e133111635df4466eb2d27ad890227e166684521b99290cbef85",
+        "sd_net": "d82ea0e0081b69c118257965aaf0f5a64683691919914a8bb708e828996560e8",
     }
 
     @pytest.mark.parametrize("detector", ["blob", "sd_net"])
